@@ -1,21 +1,21 @@
-// E14 — query service throughput: serial dispatch vs. the pooled batched
-// engine vs. the pooled engine with its sharded LRU result cache, and the
-// shard-per-core ShardedEngine (lock-free MPSC intake + epoch-swapped
-// snapshots) at 1/2/4/8 shard workers on a >=100k-vertex grid.
+// E14 — query service throughput: serial dispatch vs. the shard-per-core
+// ShardedEngine (lock-free MPSC intake + epoch-swapped snapshots) with and
+// without its sharded LRU result cache, and the engine at 1/2/4/8 shard
+// workers on a >=100k-vertex grid.
 //
 // Workload: a planar grid oracle (the paper's canonical 1-path-separable
 // family) serving a fixed number of (u, v) queries, drawn either uniformly
 // or Zipf-skewed from a fixed pool of distinct pairs — the repeat-heavy
 // popularity distribution an object-location service sees. Serial answers
-// on one thread straight from PathOracle::query; pooled fans batches out to
-// the persistent worker pool; cached adds the result cache on top (warmed
-// by one pass); sharded routes each pair to its owning worker through the
-// intake rings. Speedups are relative to serial QPS on the same workload.
-// Every engine row carries the PR 8 observability surface: windowed
-// qps/p50/p99, slow-log exemplars, and the answers_total-level family (which
-// the bench asserts sums to queries_total). Sharded rows additionally
-// cross-check an order-sensitive FNV digest of the full answer stream — any
-// divergence across shard counts is a hard failure (nonzero exit).
+// on one thread straight from PathOracle::query; sharded routes each pair
+// to its owning worker through the intake rings; cached adds the result
+// cache on top (warmed by one pass). Speedups are relative to serial QPS on
+// the same workload. Every engine row carries the observability surface:
+// windowed qps/p50/p99, slow-log exemplars, and the answers_total-level
+// family (which the bench asserts sums to queries_total). The E14c rows
+// additionally cross-check an order-sensitive FNV digest of the full answer
+// stream — any divergence across shard counts is a hard failure (nonzero
+// exit).
 //
 // Beyond closed-loop throughput the bench measures:
 //   - open-loop arrival (E14d): batches submitted on a fixed schedule via
@@ -52,7 +52,6 @@
 #include "obs/trace.hpp"
 #include "service/net.hpp"
 #include "service/net_server.hpp"
-#include "service/query_engine.hpp"
 #include "service/sharded_engine.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
@@ -137,17 +136,23 @@ std::uint64_t serial_digest(const oracle::PathOracle& oracle,
   return digest.h;
 }
 
-double run_engine(service::QueryEngine& engine, const Workload& w,
-                  std::size_t batch, double* seconds) {
+double run_engine(service::ShardedEngine& engine, const Workload& w,
+                  std::size_t batch) {
+  std::vector<Weight> results(batch);
   util::Timer timer;
   for (std::size_t begin = 0; begin < w.queries.size(); begin += batch) {
-    const std::size_t end = std::min(begin + batch, w.queries.size());
-    const auto results = engine.query_batch(
-        std::span<const service::Query>(w.queries).subspan(begin, end - begin));
+    const std::size_t size = std::min(batch, w.queries.size() - begin);
+    engine.query_batch_into(
+        std::span<const service::Query>(w.queries).subspan(begin, size),
+        results.data());
     util::do_not_optimize(results);
   }
-  *seconds = timer.elapsed_seconds();
-  return static_cast<double>(w.queries.size()) / *seconds;
+  return static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
+}
+
+std::uint64_t counter_value(service::ShardedEngine& engine,
+                            const std::string& name) {
+  return engine.metrics().counter(name).value();
 }
 
 /// The serial loop of run_serial plus the obs-layer work the engine adds to
@@ -158,10 +163,9 @@ double run_engine(service::QueryEngine& engine, const Workload& w,
 /// clock-read flavor is added too: the per-query latency record, the
 /// windowed-histogram record (it reuses the same t1 reading), and slow-log
 /// admission for tail queries. That cost is clock reads, not obs recording,
-/// and the bench reports it as a separate number. (The engines now chain
-/// timestamps across a chunk — n+1 reads per n queries — so their clock
-/// cost is roughly *half* this serial per-query-timer number; that is what
-/// fixed the pooled zipf row that sat below 1.0x before PR 10.)
+/// and the bench reports it as a separate number. (The engine chains
+/// timestamps across a chunk — n+1 reads per n queries — so its clock cost
+/// is roughly *half* this serial per-query-timer number.)
 double run_serial_instrumented(const oracle::PathOracle& oracle,
                                const Workload& w, std::size_t batch,
                                obs::MetricsRegistry& registry,
@@ -505,7 +509,7 @@ int main(int argc, char** argv) {
   const std::size_t big_queries = quick ? 20000 : 200000;
   int exit_code = 0;
 
-  section("E14", "query service throughput (serial vs pooled vs cached)");
+  section("E14", "query service throughput (serial vs sharded vs cached)");
   std::printf("grid %zux%zu, eps=%.2f, %zu queries, %zu distinct pairs, "
               "batch %zu, %zu worker threads (PATHSEP_THREADS overrides)\n",
               side, side, eps, num_queries, distinct_pairs, batch, threads);
@@ -539,49 +543,45 @@ int main(int argc, char** argv) {
                    util::strf("%.1f", serial_p99_us)});
     records.push_back({"serial", w->name, 1, serial_qps, 1.0, serial_p99_us});
 
-    service::QueryEngineOptions pooled_opts;
-    pooled_opts.threads = threads;
-    pooled_opts.cache_capacity = 0;
-    service::QueryEngine pooled(snapshot, pooled_opts);
-    double pooled_s = 0;
-    const double pooled_qps = run_engine(pooled, *w, batch, &pooled_s);
-    const double pooled_p99_us =
-        pooled.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
+    service::ShardedEngineOptions sharded_opts;
+    sharded_opts.shards = threads;
+    service::ShardedEngine sharded(snapshot, sharded_opts);
+    const double sharded_qps = run_engine(sharded, *w, batch);
+    const double sharded_p99_us =
+        sharded.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
         1000.0;
-    table.add_row({"pooled", w->name, util::strf("%zu", threads), "off",
-                   util::strf("%.0f", pooled_qps),
-                   util::strf("%.2fx", pooled_qps / serial_qps), "-",
-                   util::strf("%.1f", pooled_p99_us)});
-    records.push_back({"pooled", w->name, threads, pooled_qps,
-                       pooled_qps / serial_qps, pooled_p99_us, true,
-                       pooled.window().view(obs::window_now_ns())});
-    engine_metrics_json = obs::metrics_to_json(pooled.metrics().snapshot());
+    table.add_row({"sharded", w->name, util::strf("%zu", threads), "off",
+                   util::strf("%.0f", sharded_qps),
+                   util::strf("%.2fx", sharded_qps / serial_qps), "-",
+                   util::strf("%.1f", sharded_p99_us)});
+    records.push_back({"sharded", w->name, threads, sharded_qps,
+                       sharded_qps / serial_qps, sharded_p99_us, true,
+                       sharded.window().view(obs::window_now_ns())});
+    engine_metrics_json = obs::metrics_to_json(sharded.metrics().snapshot());
     windowed_json = obs::window_to_json(records.back().window);
-    slowlog_json = obs::slowlog_to_json(pooled.slowlog().snapshot());
+    slowlog_json = obs::slowlog_to_json(sharded.slowlog().snapshot());
     // Attribution invariant the exporter tests pin down: the answers_total
     // family (levels + cached/self/unreachable) sums to queries_total.
     answers_sum = 0;
     answers_queries = 0;
-    for (const obs::MetricSample& s : pooled.metrics().snapshot()) {
+    for (const obs::MetricSample& s : sharded.metrics().snapshot()) {
       if (s.kind != obs::MetricKind::kCounter) continue;
       if (s.name == "answers_total") answers_sum += s.counter_value;
       if (s.name == "queries_total") answers_queries = s.counter_value;
     }
 
-    service::QueryEngineOptions cached_opts;
-    cached_opts.threads = threads;
+    service::ShardedEngineOptions cached_opts = sharded_opts;
     cached_opts.cache_capacity = 1 << 16;
-    service::QueryEngine cached(snapshot, cached_opts);
-    double warm_s = 0;
-    run_engine(cached, *w, batch, &warm_s);  // warm the LRU
-    const std::uint64_t warm_hits = cached.cache().hits();
-    const std::uint64_t warm_misses = cached.cache().misses();
-    double cached_s = 0;
-    const double cached_qps = run_engine(cached, *w, batch, &cached_s);
+    service::ShardedEngine cached(snapshot, cached_opts);
+    run_engine(cached, *w, batch);  // warm the LRU
+    const std::uint64_t warm_hits = counter_value(cached, "cache_hits");
+    const std::uint64_t warm_misses = counter_value(cached, "cache_misses");
+    const double cached_qps = run_engine(cached, *w, batch);
+    const std::uint64_t hits = counter_value(cached, "cache_hits") - warm_hits;
+    const std::uint64_t misses =
+        counter_value(cached, "cache_misses") - warm_misses;
     const double warm_rate =
-        static_cast<double>(cached.cache().hits() - warm_hits) /
-        static_cast<double>((cached.cache().hits() - warm_hits) +
-                            (cached.cache().misses() - warm_misses));
+        static_cast<double>(hits) / static_cast<double>(hits + misses);
     const double cached_p99_us =
         cached.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
         1000.0;
@@ -597,10 +597,10 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
   std::printf(
-      "\nnotes: pooled speedup scales with hardware threads (this run: %zu); "
-      "cached hit-rate column is measured after a full warming pass; batches "
-      "at or below the adaptive inline cutoff are answered on the caller's "
-      "thread with chained timestamps.\n",
+      "\nnotes: sharded and cached rows run %zu shard workers; the cached "
+      "hit-rate column is measured after a full warming pass; batches at or "
+      "below the adaptive inline cutoff are answered on the caller's thread "
+      "with chained timestamps.\n",
       threads);
 
   // ---- Instrumentation overhead: raw serial loop vs. the same loop with

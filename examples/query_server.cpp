@@ -1,6 +1,6 @@
 // Query server: build or load a distance-oracle snapshot, then serve
-// (u, v) distance queries through the concurrent batched QueryEngine under
-// a closed-loop multi-threaded load generator.
+// (u, v) distance queries through the shard-per-core ShardedEngine under a
+// closed-loop multi-threaded load generator.
 //
 //   # build from a planar grid, save the snapshot, serve for 3 seconds
 //   ./query_server --side=64 --eps=0.25 --save=grid.snapshot --duration=3
@@ -15,15 +15,14 @@
 //   # front-end); drive it with `bench_service --loadgen --connect=...`
 //   ./query_server --side=64 --serve=9917 --serve-duration=30
 //
-// Flags: --side (grid side length), --eps, --threads (0 = all cores,
-// PATHSEP_THREADS honored), --engine=pooled|sharded (which engine answers
-// the in-process load loop), --shards (sharded engine worker count; 0 = all
-// cores), --clients (load-generator threads), --batch (queries per client
-// batch), --duration (seconds), --pairs (distinct query pairs), --zipf
-// (skew exponent; 0 = uniform), --cache (entries; 0 disables),
+// Flags: --side (grid side length), --eps, --shards (engine worker count;
+// 0 = all cores, PATHSEP_THREADS honored), --clients (load-generator
+// threads), --batch (queries per client batch), --duration (seconds),
+// --pairs (distinct query pairs), --zipf (skew exponent; 0 = uniform),
+// --cache (entries; 0 disables),
 // --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT — 0 picks
-// an ephemeral port — and serve the length-prefixed binary protocol through
-// the sharded engine instead of running the in-process load loop),
+// an ephemeral port — and serve the length-prefixed binary protocol instead
+// of running the in-process load loop),
 // --serve-duration (seconds to stay up; default 30), --statsz=json|prom
 // (render the /statsz payload — engine metrics merged with the process-wide
 // obs registry, plus the windowed latency view and slow-log in json format —
@@ -45,7 +44,6 @@
 #include "oracle/serialize.hpp"
 #include "separator/finders.hpp"
 #include "service/net_server.hpp"
-#include "service/query_engine.hpp"
 #include "service/sharded_engine.hpp"
 #include "service/snapshot.hpp"
 #include "util/args.hpp"
@@ -67,8 +65,6 @@ oracle::PathOracle build_grid_oracle(std::size_t side, double eps) {
 /// registry (construction pipeline counters), one exporter format per call.
 /// The json flavor also carries the query-path tail sections — the windowed
 /// latency view and the exemplar slow-log (prom stays pure metric samples).
-/// Takes the obs pieces rather than an engine so both engine flavors (and
-/// the network server) share it.
 std::string render_statsz(const obs::MetricsRegistry& metrics,
                           const obs::WindowedHistogram& window,
                           const obs::SlowLog& slowlog,
@@ -97,7 +93,6 @@ int run(int argc, char** argv) {
   const auto side = static_cast<std::size_t>(args.get_int("side", 64));
   const double eps = args.get_double("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
   const auto clients = static_cast<std::size_t>(args.get_int("clients", 4));
   const auto batch = static_cast<std::size_t>(args.get_int("batch", 512));
   const double duration = args.get_double("duration", 3.0);
@@ -110,17 +105,12 @@ int run(int argc, char** argv) {
   const std::string statsz = args.get("statsz");
   const std::string trace_out = args.get("trace-out");
   const bool trace = args.get_bool("trace") || !trace_out.empty();
-  const std::string engine_kind = args.get("engine", "pooled");
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
   const bool serve = args.has("serve");
   const auto serve_port = static_cast<std::uint16_t>(args.get_int("serve", 0));
   const double serve_duration = args.get_double("serve-duration", 30.0);
   if (!statsz.empty() && statsz != "json" && statsz != "prom") {
     std::fprintf(stderr, "error: --statsz must be json or prom\n");
-    return 1;
-  }
-  if (engine_kind != "pooled" && engine_kind != "sharded") {
-    std::fprintf(stderr, "error: --engine must be pooled or sharded\n");
     return 1;
   }
 
@@ -177,15 +167,16 @@ int run(int argc, char** argv) {
     std::printf("verify: all labels and 1000 sampled queries bit-identical\n");
   }
 
-  // 3a. --serve: expose the sharded engine over the binary wire protocol on
-  // a TCP port and stay up for --serve-duration seconds. The listening line
-  // is printed (and flushed) first so a wrapper script can parse the port
+  service::ShardedEngineOptions engine_options;
+  engine_options.shards = shards;
+  engine_options.cache_capacity = cache;
+  service::ShardedEngine engine(snapshot, engine_options);
+
+  // 3a. --serve: expose the engine over the binary wire protocol on a TCP
+  // port and stay up for --serve-duration seconds. The listening line is
+  // printed (and flushed) first so a wrapper script can parse the port
   // before pointing a load generator at it.
   if (serve) {
-    service::ShardedEngineOptions sharded_options;
-    sharded_options.shards = shards;
-    sharded_options.cache_capacity = cache;
-    service::ShardedEngine engine(snapshot, sharded_options);
     service::NetServerOptions net_options;
     net_options.port = serve_port;
     service::NetServer server(engine, net_options);
@@ -224,24 +215,7 @@ int run(int argc, char** argv) {
 
   // 3b. Closed-loop load generation: each client thread draws pairs from a
   // Zipf-ranked pool (the skew a real object-location service sees) and
-  // submits fixed-size batches until the deadline. --engine picks who
-  // answers: the pooled QueryEngine (batch fan-out over a thread pool) or
-  // the ShardedEngine (hash-owned shards fed through lock-free intake
-  // rings).
-  std::unique_ptr<service::QueryEngine> pooled_engine;
-  std::unique_ptr<service::ShardedEngine> sharded_engine;
-  if (engine_kind == "sharded") {
-    service::ShardedEngineOptions sharded_options;
-    sharded_options.shards = shards;
-    sharded_options.cache_capacity = cache;
-    sharded_engine =
-        std::make_unique<service::ShardedEngine>(snapshot, sharded_options);
-  } else {
-    service::QueryEngineOptions options;
-    options.threads = threads;
-    options.cache_capacity = cache;
-    pooled_engine = std::make_unique<service::QueryEngine>(snapshot, options);
-  }
+  // submits fixed-size batches until the deadline.
 
   const auto n = static_cast<std::uint64_t>(snapshot->num_vertices());
   util::Rng pool_rng(seed);
@@ -252,13 +226,11 @@ int run(int argc, char** argv) {
                          static_cast<graph::Vertex>(pool_rng.next_below(n))});
   const util::ZipfSampler zipf(pair_pool.size(), zipf_s);
 
-  const std::size_t workers = sharded_engine ? sharded_engine->num_shards()
-                                             : pooled_engine->num_threads();
   std::printf(
-      "serving: %s engine, %zu workers, %zu clients, batch %zu, %zu pairs "
+      "serving: %zu shards, %zu clients, batch %zu, %zu pairs "
       "(zipf s=%.2f), cache %zu entries, %.1fs...%s\n",
-      engine_kind.c_str(), workers, clients, batch, pairs, zipf_s, cache,
-      duration, trace ? " (tracing)" : "");
+      engine.num_shards(), clients, batch, pairs, zipf_s, cache, duration,
+      trace ? " (tracing)" : "");
   if (trace) obs::set_trace_enabled(true);
 
   std::vector<std::thread> load;
@@ -270,28 +242,19 @@ int run(int argc, char** argv) {
       std::vector<service::Query> queries(batch);
       while (wall.elapsed_seconds() < duration) {
         for (service::Query& q : queries) q = pair_pool[zipf.sample(rng)];
-        const auto results = sharded_engine
-                                 ? sharded_engine->query_batch(queries)
-                                 : pooled_engine->query_batch(queries);
-        answered[c] += results.size();
+        answered[c] += engine.query_batch(queries).size();
       }
     });
   for (std::thread& t : load) t.join();
   const double elapsed = wall.elapsed_seconds();
 
-  // Non-const: MetricsRegistry::histogram is get-or-create.
-  obs::MetricsRegistry& engine_metrics =
-      sharded_engine ? sharded_engine->metrics() : pooled_engine->metrics();
-  const service::ResultCache& engine_cache =
-      sharded_engine ? sharded_engine->cache() : pooled_engine->cache();
-  const obs::WindowedHistogram& engine_window =
-      sharded_engine ? sharded_engine->window() : pooled_engine->window();
-  const obs::SlowLog& engine_slowlog =
-      sharded_engine ? sharded_engine->slowlog() : pooled_engine->slowlog();
-
   std::uint64_t total = 0;
   for (const std::uint64_t a : answered) total += a;
+  // Non-const: MetricsRegistry::histogram/counter are get-or-create.
+  obs::MetricsRegistry& engine_metrics = engine.metrics();
   const auto& latency = engine_metrics.histogram("query_latency_ns");
+  const std::uint64_t hits = engine_metrics.counter("cache_hits").value();
+  const std::uint64_t misses = engine_metrics.counter("cache_misses").value();
   std::printf("\nserved %llu queries in %.2fs\n",
               static_cast<unsigned long long>(total), elapsed);
   std::printf("  QPS            %.0f\n",
@@ -303,20 +266,23 @@ int run(int argc, char** argv) {
   std::printf("  latency p99    %.1f us\n",
               latency.percentile_nanos(0.99) / 1000.0);
   std::printf("  cache hit rate %.1f%% (%llu hits / %llu misses)\n",
-              100.0 * engine_cache.hit_rate(),
-              static_cast<unsigned long long>(engine_cache.hits()),
-              static_cast<unsigned long long>(engine_cache.misses()));
+              hits + misses == 0
+                  ? 0.0
+                  : 100.0 * static_cast<double>(hits) /
+                        static_cast<double>(hits + misses),
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses));
 
   // Tail attribution: the rolling windowed view next to the cumulative
   // percentiles above, and the slowest exemplars with their cost stats.
   const obs::WindowedHistogram::View wview =
-      engine_window.view(obs::window_now_ns());
+      engine.window().view(obs::window_now_ns());
   std::printf("  windowed       qps %.0f, p50 %.1f us, p99 %.1f us "
               "(last %zu x %.0fs window%s)\n",
               wview.qps, wview.p50_nanos / 1000.0, wview.p99_nanos / 1000.0,
               wview.windows, static_cast<double>(wview.interval_ns) / 1e9,
               wview.windows == 1 ? "" : "s");
-  const std::vector<obs::SlowQuery> slow = engine_slowlog.snapshot();
+  const std::vector<obs::SlowQuery> slow = engine.slowlog().snapshot();
   const auto outcome_name = [](obs::SlowQuery::Outcome outcome) {
     switch (outcome) {
       case obs::SlowQuery::Outcome::kCached: return "cached";
@@ -327,7 +293,7 @@ int run(int argc, char** argv) {
   };
   std::printf("\nslow-log (top %zu of %llu admitted):\n",
               std::min<std::size_t>(slow.size(), 5),
-              static_cast<unsigned long long>(engine_slowlog.admitted()));
+              static_cast<unsigned long long>(engine.slowlog().admitted()));
   for (std::size_t i = 0; i < slow.size() && i < 5; ++i)
     std::printf("  (%u, %u) %.1f us, %u entries scanned, level %d, %s%s\n",
                 slow[i].u, slow[i].v,
@@ -354,8 +320,8 @@ int run(int argc, char** argv) {
 
   if (!statsz.empty())
     std::printf("\nstatsz (%s):\n%s", statsz.c_str(),
-                render_statsz(engine_metrics, engine_window, engine_slowlog,
-                              statsz)
+                render_statsz(engine_metrics, engine.window(),
+                              engine.slowlog(), statsz)
                     .c_str());
 
   const auto unused = args.unused();

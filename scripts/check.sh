@@ -21,10 +21,10 @@
 #            changes the label digest (catches scheduling regressions that
 #            break the byte-identical-labels guarantee)
 #   smoke    localhost serving round-trip: query_server --serve on an
-#            ephemeral port driven by bench_service --loadgen --verify, so
-#            the epoll front-end + wire codec + sharded engine answer real
-#            socket traffic with digest-checked results
-#            (scripts/serve_smoke.sh)
+#            ephemeral port must survive a frame with an out-of-range vertex
+#            id, then answer bench_service --loadgen --verify, so the epoll
+#            front-end + wire codec + sharded engine answer real socket
+#            traffic with digest-checked results (scripts/serve_smoke.sh)
 #   tsa      Clang Thread Safety Analysis: clang++ build with -Wthread-safety
 #            -Werror=thread-safety-analysis over the PATHSEP_GUARDED_BY /
 #            PATHSEP_REQUIRES annotations (util/thread_annotations.hpp) —

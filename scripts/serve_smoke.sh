@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Localhost round-trip smoke for the network serving path: start
-# examples/query_server --serve on an ephemeral port, drive it with
-# `bench_service --loadgen` over the length-prefixed binary protocol, and
+# examples/query_server --serve on an ephemeral port, send it a hostile frame
+# (a vertex id far past the snapshot), then drive the same server with
+# `bench_service --loadgen` over the length-prefixed binary protocol and
 # require the answer digest to match a locally built oracle (--verify).
-# Exercises the epoll front-end, the frame codec, and the sharded engine end
-# to end. Environment: BUILD (binary dir, default build), SIDE (grid side,
+# Exercises the epoll front-end, the frame codec and its id validation, and
+# the sharded engine end to end. Environment: BUILD (binary dir, default build), SIDE (grid side,
 # default 40), QUERIES (default 20000).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,7 +53,23 @@ if [ -z "$port" ]; then
   exit 1
 fi
 
+# Hostile frame: payload_len 12 | request_id 1 | (3, 4000000000). The server
+# must count a protocol error and close only this connection.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf '\x0c\0\0\0\x01\0\0\0\x03\0\0\0\x00\x28\x6b\xee' >&3
+if ! timeout 5 cat <&3 >/dev/null; then
+  echo "serve_smoke: server did not close the hostile connection" >&2
+  exit 1
+fi
+exec 3<&-
+if ! kill -0 "$server_pid" 2>/dev/null; then
+  echo "serve_smoke: server died on an out-of-range vertex id" >&2
+  cat "$log" >&2
+  exit 1
+fi
+
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (port $port, $QUERIES queries digest-verified)"
+echo "serve_smoke: OK (port $port, hostile frame rejected, $QUERIES queries" \
+  "digest-verified)"

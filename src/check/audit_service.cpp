@@ -4,6 +4,6 @@ namespace pathsep::check {
 
 void audit_result_cache(const service::ResultCache& cache) { cache.audit(); }
 
-void audit_thread_pool(const service::ThreadPool& pool) { pool.audit(); }
+void audit_thread_pool(const util::ThreadPool& pool) { pool.audit(); }
 
 }  // namespace pathsep::check

@@ -2,7 +2,7 @@
 #pragma once
 
 #include "service/result_cache.hpp"
-#include "service/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pathsep::check {
 
@@ -16,6 +16,6 @@ void audit_result_cache(const service::ResultCache& cache);
 /// Pool-state audit: workers exist, the running-task count never exceeds the
 /// worker count, and no queued task is a null std::function (a null task
 /// would crash the worker that dequeues it).
-void audit_thread_pool(const service::ThreadPool& pool);
+void audit_thread_pool(const util::ThreadPool& pool);
 
 }  // namespace pathsep::check

@@ -50,10 +50,12 @@ Weight sweep_pair(const std::vector<Connection>& a,
   return best;
 }
 
-}  // namespace
-
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
-                    std::size_t* visited) {
+/// The one merge walk of Theorem 2: steps through both labels' (node, path)
+/// parts in lockstep and sweeps every common pair. `sink(pu, pv, pair, best)`
+/// sees each matched pair's sweep minimum before it is folded into `best`,
+/// so each caller's cost accounting is a template argument, not a branch.
+template <typename Sink>
+Weight merge_walk(const DistanceLabel& u, const DistanceLabel& v, Sink&& sink) {
   if (u.vertex == v.vertex) return 0;
   Weight best = graph::kInfiniteWeight;
   std::size_t iu = 0, iv = 0;
@@ -68,46 +70,36 @@ Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
       (pu.path < pv.path ? iu : iv)++;
       continue;
     }
-    if (visited)
-      *visited += pu.connections.size() + pv.connections.size();
-    best = std::min(best, sweep_pair(pu.connections, pv.connections));
+    const Weight pair = sweep_pair(pu.connections, pv.connections);
+    sink(pu, pv, pair, best);
+    best = std::min(best, pair);
     ++iu;
     ++iv;
   }
   return best;
 }
 
-// Deliberately a second copy of the merge walk rather than a flag inside the
-// plain overload: the plain path is the serving hot loop and stays free of
-// the winner bookkeeping.
+}  // namespace
+
+Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
+                    std::size_t* visited) {
+  return merge_walk(u, v, [visited](const LabelPart& pu, const LabelPart& pv,
+                                    Weight, Weight) {
+    if (visited) *visited += pu.connections.size() + pv.connections.size();
+  });
+}
+
 Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
                     QueryCost& cost) {
-  if (u.vertex == v.vertex) return 0;
-  Weight best = graph::kInfiniteWeight;
-  std::size_t iu = 0, iv = 0;
-  while (iu < u.parts.size() && iv < v.parts.size()) {
-    const LabelPart& pu = u.parts[iu];
-    const LabelPart& pv = v.parts[iv];
-    if (pu.node != pv.node) {
-      (pu.node < pv.node ? iu : iv)++;
-      continue;
-    }
-    if (pu.path != pv.path) {
-      (pu.path < pv.path ? iu : iv)++;
-      continue;
-    }
+  return merge_walk(u, v, [&cost](const LabelPart& pu, const LabelPart& pv,
+                                  Weight pair, Weight best) {
     cost.entries_scanned += static_cast<std::uint32_t>(
         pu.connections.size() + pv.connections.size());
-    const Weight pair = sweep_pair(pu.connections, pv.connections);
     if (pair < best) {
-      best = pair;
       cost.win_node = pu.node;
       cost.win_path = pu.path;
     }
-    ++iu;
-    ++iv;
-  }
-  return best;
+  });
 }
 
 std::vector<DistanceLabel> build_labels(

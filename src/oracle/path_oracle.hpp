@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "check/check.hpp"
 #include "oracle/labels.hpp"
 
 namespace pathsep::oracle {
@@ -30,17 +31,24 @@ class PathOracle {
 
   /// (1+ε)-approximate distance between root-graph vertices. Never
   /// underestimates; kInfiniteWeight if u and v are disconnected.
+  ///
+  /// All query* entry points take in-range ids (u, v < num_vertices()) and
+  /// do not check them in release builds: ids from outside the process are
+  /// validated at the boundary (the wire server rejects the frame).
   Weight query(Vertex u, Vertex v) const {
+    check_ids(u, v);
     return query_labels(labels_[u], labels_[v]);
   }
 
   /// Same, also reporting the number of connections scanned.
   Weight query_counted(Vertex u, Vertex v, std::size_t* visited) const {
+    check_ids(u, v);
     return query_labels(labels_[u], labels_[v], visited);
   }
 
   /// Same estimate, with full cost attribution.
   Weight query_stats(Vertex u, Vertex v, QueryStats& stats) const {
+    check_ids(u, v);
     QueryCost cost;
     const Weight d = query_labels(labels_[u], labels_[v], cost);
     stats.entries_scanned = cost.entries_scanned;
@@ -81,6 +89,11 @@ class PathOracle {
   double average_label_words() const;
 
  private:
+  void check_ids([[maybe_unused]] Vertex u, [[maybe_unused]] Vertex v) const {
+    PATHSEP_DCHECK(u < labels_.size() && v < labels_.size(),
+                   "query ids (", u, ", ", v, ") out of range for ",
+                   labels_.size(), " vertices");
+  }
   void derive_levels_from_labels();
 
   double epsilon_;

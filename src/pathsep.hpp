@@ -30,8 +30,8 @@
 //   obs/        observability: metrics registry (counters/gauges/latency
 //               histograms, labeled families), hierarchical trace spans,
 //               JSON + Prometheus exporters, oracle space reports
-//   service/    serving layer: thread-pooled batched query engine with
-//               LRU result cache, oracle snapshots on disk, metrics
+//   service/    serving layer: shard-per-core query engine with LRU
+//               result cache, oracle snapshots on disk, wire protocol
 #pragma once
 
 #include "doubling/dimension.hpp"
@@ -68,11 +68,9 @@
 #include "routing/simulator.hpp"
 #include "routing/tables.hpp"
 #include "separator/finders.hpp"
-#include "service/metrics.hpp"
-#include "service/query_engine.hpp"
 #include "service/result_cache.hpp"
+#include "service/sharded_engine.hpp"
 #include "service/snapshot.hpp"
-#include "service/thread_pool.hpp"
 #include "separator/path_separator.hpp"
 #include "separator/validate.hpp"
 #include "separator/weighted.hpp"

@@ -9,8 +9,8 @@
 
 namespace pathsep::service {
 
-AnswerPath::AnswerPath(MetricsRegistry& metrics, ResultCache& cache,
-                       std::size_t levels, const AnswerPathOptions& options)
+AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, ResultCache& cache,
+                       std::size_t levels, std::size_t slowlog_capacity)
     : cache_(cache),
       queries_total_(&metrics.counter("queries_total")),
       cache_hits_(&metrics.counter("cache_hits")),
@@ -20,8 +20,7 @@ AnswerPath::AnswerPath(MetricsRegistry& metrics, ResultCache& cache,
       answers_self_(&metrics.counter("answers_total", {{"level", "self"}})),
       answers_unreachable_(
           &metrics.counter("answers_total", {{"level", "unreachable"}})),
-      window_(options.window_interval_ns, options.window_slots),
-      slowlog_(options.slowlog_capacity, options.slowlog_stripes) {
+      slowlog_(slowlog_capacity) {
   const std::size_t count = std::max<std::size_t>(1, levels);
   answers_level_.reserve(count);
   for (std::size_t level = 0; level < count; ++level)

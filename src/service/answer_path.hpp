@@ -1,6 +1,5 @@
-// The per-query serving path shared by every engine front-end (the pooled
-// QueryEngine and the sharded ShardedEngine): result cache, cumulative and
-// windowed latency, the answers_total attribution family, and slow-log
+// The per-query serving path under ShardedEngine: result cache, cumulative
+// and windowed latency, the answers_total attribution family, and slow-log
 // admission with tail-sampled exemplar spans. One AnswerPath instance is
 // safe for any number of concurrent callers — counters are atomic, the
 // windowed histogram is lock-free, the slow-log is lock-striped, and the
@@ -12,11 +11,9 @@
 //   answer_chunk()  — answers back-to-back queries with *chained*
 //                     timestamps: the end reading of query i is the start
 //                     reading of query i+1, so a chunk of n queries costs
-//                     n+1 clock reads instead of 2n. This is what made
-//                     batched dispatch slower than serial on sub-microsecond
-//                     oracle queries (the zipf 0.842x row in
-//                     BENCH_service.json before PR 10): the clock reads were
-//                     ~23% of the budget and the batch path paid them twice.
+//                     n+1 clock reads instead of 2n. On sub-microsecond
+//                     oracle queries the clock reads are a large share of
+//                     the budget, so a batch must not pay them twice.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +22,7 @@
 #include "obs/slowlog.hpp"
 #include "obs/window.hpp"
 #include "oracle/path_oracle.hpp"
-#include "service/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "service/result_cache.hpp"
 
 namespace pathsep::service {
@@ -35,26 +32,17 @@ struct Query {
   graph::Vertex v = 0;
 };
 
-struct AnswerPathOptions {
-  /// Slowest-query exemplars retained (0 disables the slow-log and its
-  /// admission check entirely).
-  std::size_t slowlog_capacity = 64;
-  std::size_t slowlog_stripes = 8;
-  /// Sliding-window latency view: window width and ring size (the rolling
-  /// qps / tail percentiles cover up to window_slots * interval).
-  std::uint64_t window_interval_ns = 1'000'000'000;
-  std::size_t window_slots = 8;
-};
-
 class AnswerPath {
  public:
   /// Registers the counter family and latency instruments in `metrics` and
   /// resolves them once (registry references are stable, so the hot path
   /// never does a map lookup). `levels` sizes the per-level answers_total
   /// family; at least one level counter always exists so deeper snapshots
-  /// clamp instead of indexing out of range.
-  AnswerPath(MetricsRegistry& metrics, ResultCache& cache, std::size_t levels,
-             const AnswerPathOptions& options);
+  /// clamp instead of indexing out of range. `slowlog_capacity` is the
+  /// number of slowest-query exemplars retained (0 disables the slow-log and
+  /// its admission check entirely); the latency window is 8 x 1 s.
+  AnswerPath(obs::MetricsRegistry& metrics, ResultCache& cache,
+             std::size_t levels, std::size_t slowlog_capacity);
 
   AnswerPath(const AnswerPath&) = delete;
   AnswerPath& operator=(const AnswerPath&) = delete;
@@ -79,17 +67,17 @@ class AnswerPath {
                              std::uint64_t* t1_out);
 
   ResultCache& cache_;
-  Counter* queries_total_;
-  Counter* cache_hits_;
-  Counter* cache_misses_;
-  LatencyHistogram* latency_;
+  obs::Counter* queries_total_;
+  obs::Counter* cache_hits_;
+  obs::Counter* cache_misses_;
+  obs::LatencyHistogram* latency_;
   /// "answers_total" family: one counter per decomposition level
   /// ({"level","N"}), plus the non-oracle outcomes
   /// ({"level","cached"|"self"|"unreachable"}).
-  std::vector<Counter*> answers_level_;
-  Counter* answers_cached_;
-  Counter* answers_self_;
-  Counter* answers_unreachable_;
+  std::vector<obs::Counter*> answers_level_;
+  obs::Counter* answers_cached_;
+  obs::Counter* answers_self_;
+  obs::Counter* answers_unreachable_;
   obs::WindowedHistogram window_;
   obs::SlowLog slowlog_;
 };

@@ -65,8 +65,8 @@ void append_response(std::vector<std::uint8_t>& out, std::uint32_t request_id,
 }
 
 ParseStatus parse_request(std::span<const std::uint8_t> buffer,
-                          std::size_t offset, ParsedRequest& request,
-                          std::vector<Query>& queries) {
+                          std::size_t offset, std::size_t num_vertices,
+                          ParsedRequest& request, std::vector<Query>& queries) {
   const std::size_t available = buffer.size() - offset;
   if (available < 4) return ParseStatus::kIncomplete;
   const std::uint8_t* base = buffer.data() + offset;
@@ -81,9 +81,12 @@ ParseStatus parse_request(std::span<const std::uint8_t> buffer,
   const std::size_t n = (payload_len - 4) / kEntryBytes;
   queries.resize(n);
   const std::uint8_t* p = base + 8;
-  for (std::size_t i = 0; i < n; ++i, p += kEntryBytes)
+  for (std::size_t i = 0; i < n; ++i, p += kEntryBytes) {
     queries[i] = Query{static_cast<graph::Vertex>(read_u32(p)),
                        static_cast<graph::Vertex>(read_u32(p + 4))};
+    if (queries[i].u >= num_vertices || queries[i].v >= num_vertices)
+      return ParseStatus::kMalformed;
+  }
   return ParseStatus::kRequest;
 }
 

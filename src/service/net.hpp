@@ -10,11 +10,11 @@
 //
 // n is implied by payload_len: (payload_len - 4) / 8 for both directions (a
 // pair and a double are both 8 bytes). A request with payload_len < 4, a
-// pair section not divisible by 8, or payload_len > kMaxFrameBytes is a
-// protocol error; the server closes the connection. request_id is opaque to
-// the server and echoed verbatim — clients use it to match pipelined
-// responses to send timestamps. An empty batch (n = 0) is valid and answered
-// with an empty response (a ping).
+// pair section not divisible by 8, payload_len > kMaxFrameBytes, or a vertex
+// id outside the served snapshot is a protocol error; the server closes the
+// connection. request_id is opaque to the server and echoed verbatim —
+// clients use it to match pipelined responses to send timestamps. An empty
+// batch (n = 0) is valid and answered with an empty response (a ping).
 //
 // The codec reads and writes byte-by-byte (shifts, not memcpy-of-struct), so
 // the format is identical on any host endianness.
@@ -66,9 +66,10 @@ enum class ParseStatus : std::uint8_t {
 
 /// Attempts to parse one request frame from buffer[offset:]. On kRequest,
 /// fills `request` and replaces `queries`'s contents with the frame's pairs.
+/// A complete frame carrying any vertex id >= num_vertices is kMalformed.
 ParseStatus parse_request(std::span<const std::uint8_t> buffer,
-                          std::size_t offset, ParsedRequest& request,
-                          std::vector<Query>& queries);
+                          std::size_t offset, std::size_t num_vertices,
+                          ParsedRequest& request, std::vector<Query>& queries);
 
 /// Blocking client over one TCP connection. Supports pipelining: send any
 /// number of requests before receiving; responses arrive in server order

@@ -185,8 +185,11 @@ bool NetServer::service_conn(Conn& conn) {
   std::size_t offset = 0;
   for (;;) {
     wire::ParsedRequest request;
-    const wire::ParseStatus status =
-        wire::parse_request(conn.in, offset, request, conn.queries);
+    // Ids are checked against the live snapshot here, before the engine
+    // indexes labels with them; snapshots never shrink, so the check holds
+    // for whichever snapshot answers.
+    const wire::ParseStatus status = wire::parse_request(
+        conn.in, offset, engine_.num_vertices(), request, conn.queries);
     if (status == wire::ParseStatus::kIncomplete) break;
     if (status == wire::ParseStatus::kMalformed) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);

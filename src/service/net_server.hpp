@@ -12,7 +12,8 @@
 // Graceful shutdown: stop() writes the eventfd; the loop stops accepting,
 // answers every complete frame already buffered, flushes pending responses
 // for up to ~2 seconds, then closes everything and exits. A malformed frame
-// closes only the offending connection (counted in protocol_errors).
+// (bad length, or a vertex id the snapshot does not have) closes only the
+// offending connection (counted in protocol_errors).
 //
 // Linux-only (epoll + eventfd): on other platforms start() throws.
 #pragma once

@@ -12,7 +12,7 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
   if (shards == 0) shards = 1;
   shards = std::bit_ceil(shards);
   // No point in more shards than entries; a zero-capacity cache still gets
-  // one shard so the counters work.
+  // one (always-empty) shard so lookups need no special case.
   while (shards > 1 && capacity / shards == 0) shards /= 2;
   mask_ = shards - 1;
   shards_.reserve(shards);
@@ -28,12 +28,8 @@ std::optional<graph::Weight> ResultCache::get(std::uint64_t key) {
   Shard& shard = shard_for(key);
   util::LockGuard lock(shard.mutex);
   const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  if (it == shard.index.end()) return std::nullopt;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
   return it->second->second;
 }
 
@@ -71,29 +67,7 @@ void ResultCache::clear() {
     util::LockGuard lock(shard->mutex);
     shard->lru.clear();
     shard->index.clear();
-    shard->hits.store(0, std::memory_order_relaxed);
-    shard->misses.store(0, std::memory_order_relaxed);
   }
-}
-
-std::uint64_t ResultCache::hits() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_)
-    total += shard->hits.load(std::memory_order_relaxed);
-  return total;
-}
-
-std::uint64_t ResultCache::misses() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_)
-    total += shard->misses.load(std::memory_order_relaxed);
-  return total;
-}
-
-double ResultCache::hit_rate() const {
-  const std::uint64_t h = hits();
-  const std::uint64_t total = h + misses();
-  return total == 0 ? 0.0 : static_cast<double>(h) / static_cast<double>(total);
 }
 
 std::size_t ResultCache::shard_index(std::uint64_t key) const {

@@ -4,8 +4,8 @@
 // result for the canonical key (min(u,v), max(u,v)) never goes stale and can
 // be served to both query directions. Shards (power-of-two count, each with
 // its own mutex, map, and LRU list) keep lock contention low under
-// concurrent serving; hit/miss counters are per-shard atomics aggregated on
-// read so a hot cache never serializes on a shared counter either.
+// concurrent serving. Hits and misses are counted once, by the caller (the
+// cache_hits / cache_misses metrics of service::AnswerPath).
 #pragma once
 
 #include <cstddef>
@@ -13,7 +13,6 @@
 #include <list>
 #include <memory>
 #include <optional>
-#include <atomic>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,10 +46,6 @@ class ResultCache {
   /// put() when PATHSEP_AUDIT is enabled.
   void audit() const;
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  /// hits / (hits + misses); 0 before any lookup.
-  double hit_rate() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
   std::size_t num_shards() const { return shards_.size(); }
@@ -64,8 +59,6 @@ class ResultCache {
     std::unordered_map<std::uint64_t,
                        std::list<std::pair<std::uint64_t, graph::Weight>>::iterator>
         index PATHSEP_GUARDED_BY(mutex);
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
     /// Immutable after construction (set before the cache is shared), so
     /// put()'s lock-free early-out read is safe.
     std::size_t capacity = 0;

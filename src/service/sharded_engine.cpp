@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/affinity.hpp"
 #include "util/parallel.hpp"
 
 namespace pathsep::service {
@@ -33,17 +32,14 @@ ShardedEngine::ShardedEngine(
     : options_(options),
       inline_cutoff_(options.inline_cutoff != 0 ? options.inline_cutoff
                                                 : options.drain_batch / 2),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity),
       batches_total_(&metrics_.counter("batches_total")),
       intake_full_total_(&metrics_.counter("shard_intake_full_total")),
       snapshot_swaps_total_(&metrics_.counter("snapshot_swaps_total")),
       snapshot_vertices_(&metrics_.gauge("snapshot_vertices")),
       path_(metrics_, cache_,
             snapshot ? snapshot->num_levels() : std::size_t{1},
-            AnswerPathOptions{options.slowlog_capacity,
-                              options.slowlog_stripes,
-                              options.window_interval_ns,
-                              options.window_slots}),
+            options.slowlog_capacity),
       epochs_(std::min<std::size_t>(
                   kMaxShards, options.shards != 0 ? options.shards
                                                   : util::default_threads()),
@@ -52,6 +48,7 @@ ShardedEngine::ShardedEngine(
   snapshot_vertices_->set(
       static_cast<std::int64_t>(snapshot->num_vertices()));
   live_.store(snapshot.get(), std::memory_order_release);
+  num_vertices_.store(snapshot->num_vertices(), std::memory_order_release);
   {
     util::LockGuard lock(owner_mutex_);
     owner_ = std::move(snapshot);
@@ -105,7 +102,6 @@ void ShardedEngine::wake_shard(Shard& shard) {
 }
 
 void ShardedEngine::worker_loop(std::size_t shard_id) {
-  if (options_.pin_affinity) util::pin_thread_to_core(shard_id);
   Shard& shard = *shards_[shard_id];
   const std::size_t drain = std::max<std::size_t>(1, options_.drain_batch);
   // Per-worker scratch, sized once before the first drain.
@@ -246,11 +242,15 @@ void ShardedEngine::replace_snapshot(
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
   {
     util::LockGuard lock(owner_mutex_);
+    if (snapshot->num_vertices() < owner_->num_vertices())
+      throw std::invalid_argument(
+          "replacement snapshot has fewer vertices than the live one");
     // Publish the new pointer *before* retire advances the epoch (invariant
     // E1 in util/epoch.hpp): any reader pinned at a later epoch provably
     // loads the new snapshot, so the old one is destroyable once every pin
     // is newer than the retire epoch.
     live_.store(snapshot.get(), std::memory_order_seq_cst);
+    num_vertices_.store(snapshot->num_vertices(), std::memory_order_release);
     snapshot_vertices_->set(
         static_cast<std::int64_t>(snapshot->num_vertices()));
     std::shared_ptr<const oracle::PathOracle> old = std::move(owner_);

@@ -29,8 +29,8 @@
 // Backpressure: a full ring never blocks the producer — the query is
 // answered inline on the producer's thread against the same epoch-pinned
 // snapshot (counted in shard_intake_full_total). Small batches skip the
-// rings entirely (see inline_cutoff), matching the pooled engine's adaptive
-// fast path.
+// rings entirely (see inline_cutoff): below it, dispatch costs more than it
+// buys on sub-microsecond queries.
 //
 // Results are byte-identical across shard counts and thread counts: every
 // query is answered independently from one immutable snapshot, so the
@@ -45,8 +45,8 @@
 #include <vector>
 
 #include "oracle/path_oracle.hpp"
+#include "obs/metrics.hpp"
 #include "service/answer_path.hpp"
-#include "service/metrics.hpp"
 #include "service/result_cache.hpp"
 #include "util/epoch.hpp"
 #include "util/mpsc_ring.hpp"
@@ -65,17 +65,11 @@ struct ShardedEngineOptions {
   /// thread (dispatch costs more than it buys on sub-microsecond queries).
   /// 0 = adaptive default (drain_batch / 2).
   std::size_t inline_cutoff = 0;
-  /// Pin shard i to core i (best effort; see util/affinity.hpp).
-  bool pin_affinity = false;
   /// Result-cache entries (0 = serving without a cache; the canonical pair
   /// key means both query directions land on one shard either way).
   std::size_t cache_capacity = 0;
-  std::size_t cache_shards = 16;
-  /// Tail-attribution knobs, forwarded to the shared AnswerPath.
+  /// Slowest-query exemplars the AnswerPath retains (0 disables the log).
   std::size_t slowlog_capacity = 64;
-  std::size_t slowlog_stripes = 8;
-  std::uint64_t window_interval_ns = 1'000'000'000;
-  std::size_t window_slots = 8;
 };
 
 class ShardedEngine {
@@ -90,6 +84,10 @@ class ShardedEngine {
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
+
+  /// Every query entry point takes in-range ids (< num_vertices()); like
+  /// PathOracle::query they are checked only by a debug PATHSEP_DCHECK, so
+  /// callers holding untrusted ids (the wire server) validate them first.
 
   /// Synchronous single query on the caller's thread (epoch-pinned).
   graph::Weight query(graph::Vertex u, graph::Vertex v);
@@ -114,7 +112,8 @@ class ShardedEngine {
 
   /// Epoch-based hot swap: queries already in flight finish against the
   /// snapshot they pinned; the old snapshot is destroyed only after every
-  /// reader drained. Throws on null.
+  /// reader drained. Throws on null, and on a snapshot with fewer vertices
+  /// than the live one (an id validated before the swap must stay valid).
   void replace_snapshot(std::shared_ptr<const oracle::PathOracle> snapshot)
       PATHSEP_EXCLUDES(owner_mutex_);
 
@@ -128,6 +127,10 @@ class ShardedEngine {
   /// Retired snapshots not yet destroyed (pinned readers hold them back).
   std::size_t retired_pending() const { return epochs_.retired_pending(); }
 
+  /// Vertex count of the serving snapshot; never decreases.
+  std::size_t num_vertices() const {
+    return num_vertices_.load(std::memory_order_acquire);
+  }
   std::size_t num_shards() const { return shards_.size(); }
   /// Owning shard of a query pair (canonical: both directions agree).
   std::size_t shard_of(graph::Vertex u, graph::Vertex v) const;
@@ -135,8 +138,8 @@ class ShardedEngine {
 
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
   const obs::WindowedHistogram& window() const { return path_.window(); }
   const obs::SlowLog& slowlog() const { return path_.slowlog(); }
   std::size_t num_level_counters() const {
@@ -176,11 +179,11 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   std::size_t inline_cutoff_ = 0;
   ResultCache cache_;
-  MetricsRegistry metrics_;
-  Counter* batches_total_;
-  Counter* intake_full_total_;   ///< ring-full inline fallbacks
-  Counter* snapshot_swaps_total_;
-  Gauge* snapshot_vertices_;
+  obs::MetricsRegistry metrics_;
+  obs::Counter* batches_total_;
+  obs::Counter* intake_full_total_;   ///< ring-full inline fallbacks
+  obs::Counter* snapshot_swaps_total_;
+  obs::Gauge* snapshot_vertices_;
   AnswerPath path_;  ///< after cache_/metrics_: it resolves counters in them
 
   util::EpochReclaimer epochs_;  ///< slots: one per shard + shared pool
@@ -188,6 +191,9 @@ class ShardedEngine {
   /// raw pointer under a pin; ownership lives in owner_ and, after a swap,
   /// in the reclaimer's retired list until readers drain.
   std::atomic<const oracle::PathOracle*> live_{nullptr};
+  /// live_'s vertex count, stored after live_ so a reader that sees a count
+  /// also loads a snapshot at least that large.
+  std::atomic<std::size_t> num_vertices_{0};
   mutable util::Mutex owner_mutex_;
   std::shared_ptr<const oracle::PathOracle> owner_
       PATHSEP_GUARDED_BY(owner_mutex_);

@@ -20,7 +20,7 @@
 namespace pathsep::util {
 
 /// Default worker count shared by the construction pipeline (parallel_for,
-/// DecompositionTree) and the query service (ThreadPool): the
+/// DecompositionTree) and the query service (ShardedEngine shards): the
 /// PATHSEP_THREADS environment variable when set to a positive integer,
 /// otherwise full hardware_concurrency().
 inline std::size_t default_threads() {

@@ -1,15 +1,11 @@
-// Persistent worker thread pool shared by construction and serving.
+// Persistent worker thread pool behind the construction pipeline.
 //
-// util::parallel_for used to spawn and join fresh std::threads per call,
-// which is fine for a one-shot build but hopeless once every oracle
-// construction and every query batch pays it: a task takes microseconds and
-// thread creation takes tens of them. ThreadPool keeps its workers alive and
-// feeds them through a mutex-protected task queue, so per-task dispatch cost
-// is one lock + one condition-variable signal.
-//
-// The process-wide instance behind `shared_pool()` backs util::parallel_for
-// and the parallel decomposition build; the query service additionally owns
-// private pools sized to its serving needs (see service/query_engine.hpp).
+// A task takes microseconds and thread creation takes tens of them, so
+// ThreadPool keeps its workers alive and feeds them through a
+// mutex-protected task queue: per-task dispatch cost is one lock + one
+// condition-variable signal. The process-wide instance behind
+// `shared_pool()` backs util::parallel_for and the parallel decomposition
+// build.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +21,7 @@ namespace pathsep::util {
 /// Fixed-size pool of persistent workers draining a FIFO task queue.
 /// Tasks must not throw (an escaping exception terminates the process, as
 /// with std::thread); parallel helpers catch and forward exceptions
-/// themselves, service tasks report failures through their results.
+/// themselves.
 class ThreadPool {
  public:
   /// `threads` = 0 uses util::default_threads() (hardware concurrency,

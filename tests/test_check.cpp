@@ -17,7 +17,7 @@
 #include "oracle/portals.hpp"
 #include "separator/finders.hpp"
 #include "service/result_cache.hpp"
-#include "service/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pathsep {
 namespace {
@@ -384,7 +384,7 @@ TEST(AuditCache, PutRejectsNonCanonicalKeyAndBadValues) {
 }
 
 TEST(AuditPool, SubmitRejectsNullTask) {
-  service::ThreadPool pool(2);
+  util::ThreadPool pool(2);
   EXPECT_THROW(pool.submit(std::function<void()>{}), CheckFailure);
   std::atomic<int> ran{0};
   pool.submit([&] { ran.fetch_add(1); });

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include <memory>
+#include <ostream>
 
 #include "graph/generators.hpp"
 #include "oracle/path_oracle.hpp"
@@ -28,6 +29,13 @@ struct PipelineCase {
   std::uint64_t seed;
   double epsilon;
 };
+
+// Without this gtest prints the raw bytes, family pointer included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << c.family << " n=" << c.n << " seed=" << c.seed
+      << " eps=" << c.epsilon;
+}
 
 struct BuiltInstance {
   Graph graph;

@@ -28,7 +28,7 @@
 #include "obs/window.hpp"
 #include "oracle/path_oracle.hpp"
 #include "separator/finders.hpp"
-#include "service/query_engine.hpp"
+#include "service/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace pathsep::obs {
@@ -552,7 +552,7 @@ TEST(ObsAttribution, QueryStatsMatchesQueryAndNamesTheWinner) {
 
 // ----------------------------------------- answers_total counter family
 
-std::map<std::string, std::uint64_t> counter_family(QueryEngine& engine,
+std::map<std::string, std::uint64_t> counter_family(ShardedEngine& engine,
                                                     const std::string& name) {
   std::map<std::string, std::uint64_t> family;
   for (const obs::MetricSample& sample : engine.metrics().snapshot()) {
@@ -592,11 +592,11 @@ TEST(ObsAttribution, AnswerCountersAreExactAndThreadCountInvariant) {
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 2000);
 
   std::map<std::string, std::uint64_t> baseline;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    QueryEngineOptions opts;
-    opts.threads = threads;
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
     opts.cache_capacity = 0;  // attribution must not depend on cache state
-    QueryEngine engine(snapshot, opts);
+    ShardedEngine engine(snapshot, opts);
     engine.query_batch(batch);
 
     const auto answers = counter_family(engine, "answers_total");
@@ -609,7 +609,7 @@ TEST(ObsAttribution, AnswerCountersAreExactAndThreadCountInvariant) {
     if (baseline.empty())
       baseline = answers;
     else
-      EXPECT_EQ(answers, baseline) << threads << " threads diverged";
+      EXPECT_EQ(answers, baseline) << shards << " shards diverged";
   }
 }
 
@@ -617,9 +617,10 @@ TEST(ObsAttribution, CachedAnswersKeepTheSumInvariant) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 1000);
-  QueryEngineOptions opts;
-  opts.threads = 2;
-  QueryEngine engine(snapshot, opts);
+  ShardedEngineOptions opts;
+  opts.shards = 2;
+  opts.cache_capacity = 1 << 16;
+  ShardedEngine engine(snapshot, opts);
   engine.query_batch(batch);
   engine.query_batch(batch);  // second pass answers mostly from cache
 
@@ -633,11 +634,11 @@ TEST(ObsAttribution, CachedAnswersKeepTheSumInvariant) {
 
 TEST(ObsAttribution, EngineWindowAndSlowLogSeeTheWorkload) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
-  QueryEngineOptions opts;
-  opts.threads = 2;
+  ShardedEngineOptions opts;
+  opts.shards = 2;
   opts.cache_capacity = 0;
   opts.slowlog_capacity = 8;
-  QueryEngine engine(snapshot, opts);
+  ShardedEngine engine(snapshot, opts);
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 500);
   engine.query_batch(batch);

@@ -1,8 +1,8 @@
-// The query service layer: thread pool, sharded LRU cache, metrics,
-// whole-oracle snapshots, and the batched QueryEngine, including the
-// concurrency invariants the ISSUE acceptance criteria name — cached
-// results identical to uncached under mixed concurrent workloads, snapshot
-// round-trips bit-identical, and hits + misses == total queries.
+// The query service layer's building blocks: thread pool, sharded LRU
+// cache (with hits and misses counted by the AnswerPath in front of it),
+// metrics, and whole-oracle snapshots — snapshot round-trips must be
+// bit-identical. The ShardedEngine itself is tested in
+// test_sharded_service.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,14 +13,14 @@
 
 #include "graph/generators.hpp"
 #include "hierarchy/decomposition_tree.hpp"
+#include "obs/metrics.hpp"
 #include "oracle/serialize.hpp"
 #include "separator/finders.hpp"
-#include "service/metrics.hpp"
-#include "service/query_engine.hpp"
+#include "service/answer_path.hpp"
 #include "service/result_cache.hpp"
 #include "service/snapshot.hpp"
-#include "service/thread_pool.hpp"
 #include "util/parallel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pathsep::service {
 namespace {
@@ -28,10 +28,18 @@ namespace {
 using graph::Vertex;
 using graph::Weight;
 
+oracle::PathOracle small_oracle(std::size_t n = 80, double eps = 0.3) {
+  util::Rng rng(7);
+  const auto gg = graph::random_apollonian(n, rng);
+  const hierarchy::DecompositionTree tree(
+      gg.graph, separator::PlanarCycleSeparator(gg.positions));
+  return oracle::PathOracle(tree, eps);
+}
+
 // ---------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
+  util::ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   std::atomic<int> ran{0};
   for (int i = 0; i < 1000; ++i)
@@ -42,7 +50,7 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPool, ConcurrentSubmittersAllComplete) {
-  ThreadPool pool(3);
+  util::ThreadPool pool(3);
   std::atomic<int> ran{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < 4; ++t)
@@ -57,14 +65,14 @@ TEST(ThreadPool, ConcurrentSubmittersAllComplete) {
 TEST(ThreadPool, DestructorDrainsPendingTasks) {
   std::atomic<int> ran{0};
   {
-    ThreadPool pool(2);
+    util::ThreadPool pool(2);
     for (int i = 0; i < 100; ++i) pool.submit([&ran] { ran.fetch_add(1); });
   }
   EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(ThreadPool, WaitIdleOnFreshPoolReturns) {
-  ThreadPool pool(2);
+  util::ThreadPool pool(2);
   pool.wait_idle();  // must not deadlock
 }
 
@@ -84,9 +92,17 @@ TEST(ResultCache, GetAfterPutHitsAndCounts) {
   const auto hit = cache.get(k);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 2.5);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.5);
+
+  // Hits and misses are counted once, by the AnswerPath in front of the
+  // cache: a miss on (1, 2), then a hit on the canonical (2, 1).
+  const oracle::PathOracle oracle = small_oracle(40);
+  ResultCache served(8, 1);
+  obs::MetricsRegistry metrics;
+  AnswerPath path(metrics, served, oracle.num_levels(), 0);
+  EXPECT_EQ(path.answer(oracle, 1, 2), oracle.query(1, 2));
+  EXPECT_EQ(path.answer(oracle, 2, 1), oracle.query(1, 2));
+  EXPECT_EQ(metrics.counter("cache_hits").value(), 1u);
+  EXPECT_EQ(metrics.counter("cache_misses").value(), 1u);
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsed) {
@@ -106,7 +122,15 @@ TEST(ResultCache, ZeroCapacityNeverStores) {
   cache.put(ResultCache::key(1, 2), 1.0);
   EXPECT_FALSE(cache.get(ResultCache::key(1, 2)).has_value());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
+
+  // In front of a zero-capacity cache every query is one counted miss.
+  const oracle::PathOracle oracle = small_oracle(40);
+  obs::MetricsRegistry metrics;
+  AnswerPath path(metrics, cache, oracle.num_levels(), 0);
+  path.answer(oracle, 1, 2);
+  path.answer(oracle, 2, 1);
+  EXPECT_EQ(metrics.counter("cache_hits").value(), 0u);
+  EXPECT_EQ(metrics.counter("cache_misses").value(), 2u);
 }
 
 TEST(ResultCache, ShardCountRoundsToPowerOfTwo) {
@@ -118,9 +142,10 @@ TEST(ResultCache, ShardCountRoundsToPowerOfTwo) {
 
 TEST(ResultCache, ConcurrentMixedAccessStaysConsistent) {
   ResultCache cache(256, 4);
+  std::atomic<int> hits{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
-    workers.emplace_back([&cache, t] {
+    workers.emplace_back([&cache, &hits, t] {
       util::Rng rng(static_cast<std::uint64_t>(t));
       for (int i = 0; i < 5000; ++i) {
         const auto u = static_cast<Vertex>(rng.next_below(64));
@@ -129,21 +154,22 @@ TEST(ResultCache, ConcurrentMixedAccessStaysConsistent) {
         if (const auto hit = cache.get(key)) {
           // Values are a pure function of the key; a hit must match it.
           EXPECT_EQ(*hit, static_cast<Weight>(key % 97));
+          ++hits;
         } else {
           cache.put(key, static_cast<Weight>(key % 97));
         }
       }
     });
   for (std::thread& w : workers) w.join();
-  EXPECT_EQ(cache.hits() + cache.misses(), 4u * 5000u);
+  EXPECT_GT(hits.load(), 0);  // 2080 keys over 20000 lookups must repeat
   EXPECT_LE(cache.size(), 256u);
 }
 
 // ------------------------------------------------------------------- Metrics
 
 TEST(Metrics, CountersAccumulateAcrossThreads) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("ops");
+  obs::MetricsRegistry registry;
+  obs::Counter& counter = registry.counter("ops");
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([&counter] {
@@ -156,7 +182,7 @@ TEST(Metrics, CountersAccumulateAcrossThreads) {
 }
 
 TEST(Metrics, HistogramPercentilesAreBucketAccurate) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   // 90 fast samples at ~1us, 10 slow at ~1ms.
   for (int i = 0; i < 90; ++i) hist.record(1000);
   for (int i = 0; i < 10; ++i) hist.record(1000000);
@@ -170,14 +196,14 @@ TEST(Metrics, HistogramPercentilesAreBucketAccurate) {
 }
 
 TEST(Metrics, EmptyHistogramReportsZero) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.percentile_nanos(0.5), 0.0);
   EXPECT_EQ(hist.mean_nanos(), 0.0);
 }
 
 TEST(Metrics, EmptyHistogramQuantileEdgesAreZero) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   EXPECT_EQ(hist.percentile_nanos(0.0), 0.0);
   EXPECT_EQ(hist.percentile_nanos(1.0), 0.0);
   EXPECT_EQ(hist.percentile_nanos(-3.0), 0.0);
@@ -185,7 +211,7 @@ TEST(Metrics, EmptyHistogramQuantileEdgesAreZero) {
 }
 
 TEST(Metrics, SingleSampleHistogramAgreesAtEveryQuantile) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.record(5000);  // bucket [4096, 8192)
   const double estimate = hist.percentile_nanos(0.5);
   EXPECT_GE(estimate, 4096.0);
@@ -196,7 +222,7 @@ TEST(Metrics, SingleSampleHistogramAgreesAtEveryQuantile) {
 }
 
 TEST(Metrics, QuantileEdgesPickSmallestAndLargestBuckets) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.record(100);      // bucket [64, 128)
   hist.record(1000000);  // bucket [524288, 1048576)
   const double low = hist.percentile_nanos(0.0);
@@ -211,7 +237,7 @@ TEST(Metrics, QuantileEdgesPickSmallestAndLargestBuckets) {
 }
 
 TEST(Metrics, ZeroNanosecondSampleLandsInBucketZero) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.record(0);
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_EQ(hist.bucket_count(0), 1u);
@@ -220,7 +246,7 @@ TEST(Metrics, ZeroNanosecondSampleLandsInBucketZero) {
 }
 
 TEST(Metrics, ReportMentionsEveryMetric) {
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   registry.counter("alpha").inc(3);
   registry.histogram("lat").record(100);
   const std::string report = registry.report();
@@ -229,14 +255,6 @@ TEST(Metrics, ReportMentionsEveryMetric) {
 }
 
 // ------------------------------------------------------------------ Snapshot
-
-oracle::PathOracle small_oracle(std::size_t n = 80, double eps = 0.3) {
-  util::Rng rng(7);
-  const auto gg = graph::random_apollonian(n, rng);
-  const hierarchy::DecompositionTree tree(
-      gg.graph, separator::PlanarCycleSeparator(gg.positions));
-  return oracle::PathOracle(tree, eps);
-}
 
 TEST(Snapshot, RoundTripEqualsInMemoryOracle) {
   const oracle::PathOracle built = small_oracle();
@@ -308,108 +326,6 @@ TEST(Snapshot, MisorderedLabelsRejected) {
   std::swap(labels[0], labels[1]);
   EXPECT_THROW(oracle::PathOracle(std::move(labels), built.epsilon()),
                std::invalid_argument);
-}
-
-// --------------------------------------------------------------- QueryEngine
-
-TEST(QueryEngine, MatchesOracleWithAndWithoutCache) {
-  auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle());
-  QueryEngineOptions cached_opts;
-  cached_opts.threads = 2;
-  QueryEngineOptions uncached_opts;
-  uncached_opts.threads = 2;
-  uncached_opts.cache_capacity = 0;
-  QueryEngine cached(snapshot, cached_opts);
-  QueryEngine uncached(snapshot, uncached_opts);
-  const auto n = static_cast<Vertex>(snapshot->num_vertices());
-  for (Vertex u = 0; u < n; u += 3)
-    for (Vertex v = 0; v < n; v += 5) {
-      const Weight expected = snapshot->query(u, v);
-      EXPECT_EQ(cached.query(u, v), expected);
-      EXPECT_EQ(cached.query(v, u), expected);  // served from cache
-      EXPECT_EQ(uncached.query(u, v), expected);
-    }
-  EXPECT_GT(cached.cache().hits(), 0u);
-  EXPECT_EQ(uncached.cache().hits(), 0u);
-}
-
-TEST(QueryEngine, BatchMatchesSingleQueries) {
-  auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle());
-  QueryEngineOptions opts;
-  opts.threads = 3;
-  opts.batch_chunk = 16;  // force multi-chunk dispatch
-  QueryEngine engine(snapshot, opts);
-  util::Rng rng(11);
-  std::vector<Query> batch;
-  for (int i = 0; i < 500; ++i)
-    batch.push_back({static_cast<Vertex>(rng.next_below(80)),
-                     static_cast<Vertex>(rng.next_below(80))});
-  const std::vector<Weight> results = engine.query_batch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(results[i], snapshot->query(batch[i].u, batch[i].v)) << i;
-}
-
-TEST(QueryEngine, EmptyBatchIsFine) {
-  auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle(40));
-  QueryEngine engine(snapshot);
-  EXPECT_TRUE(engine.query_batch({}).empty());
-}
-
-TEST(QueryEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
-  auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle());
-  QueryEngineOptions opts;
-  opts.threads = 2;
-  opts.cache_capacity = 512;
-  opts.batch_chunk = 32;
-  QueryEngine engine(snapshot, opts);
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 400;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClients; ++t)
-    clients.emplace_back([&engine, &snapshot, &mismatches, t] {
-      util::Rng rng(static_cast<std::uint64_t>(100 + t));
-      std::vector<Query> batch;
-      for (int i = 0; i < kPerClient; ++i) {
-        const auto u = static_cast<Vertex>(rng.next_below(80));
-        const auto v = static_cast<Vertex>(rng.next_below(80));
-        if (i % 3 == 0) {
-          if (engine.query(u, v) != snapshot->query(u, v)) ++mismatches;
-        } else {
-          batch.push_back({u, v});
-        }
-      }
-      const std::vector<Weight> results = engine.query_batch(batch);
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        if (results[i] != snapshot->query(batch[i].u, batch[i].v))
-          ++mismatches;
-    });
-  for (std::thread& c : clients) c.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  const auto total = engine.metrics().counter("queries_total").value();
-  const auto hits = engine.metrics().counter("cache_hits").value();
-  const auto misses = engine.metrics().counter("cache_misses").value();
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kClients) * kPerClient);
-  EXPECT_EQ(hits + misses, total);
-  EXPECT_EQ(hits, engine.cache().hits());
-  EXPECT_EQ(misses, engine.cache().misses());
-  EXPECT_EQ(engine.metrics().histogram("query_latency_ns").count(), total);
-}
-
-TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
-  auto first = std::make_shared<const oracle::PathOracle>(small_oracle(60));
-  auto second = std::make_shared<const oracle::PathOracle>(
-      small_oracle(60, 0.8));
-  QueryEngine engine(first);
-  engine.query(1, 2);
-  EXPECT_GT(engine.cache().size(), 0u);
-  engine.replace_snapshot(second);
-  EXPECT_EQ(engine.snapshot().get(), second.get());
-  EXPECT_EQ(engine.cache().size(), 0u);
-  EXPECT_EQ(engine.query(1, 2), second->query(1, 2));
-  EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
 }
 
 // ------------------------------------------------- util satellites (threads)

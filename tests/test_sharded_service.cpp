@@ -1,8 +1,9 @@
 // The shard-per-core serving stack: the lock-free MPSC intake ring, the
 // epoch-based snapshot reclaimer (manual-clock proofs that nothing is freed
 // while pinned), the ShardedEngine's exactness and determinism across shard
-// counts, concurrent swap-while-querying, and the binary wire protocol with
-// the epoll front-end. Runs under the `service` label, so the TSan leg of
+// counts, its cache and metrics contract, concurrent swap-while-querying,
+// and the binary wire protocol with the epoll front-end (hostile frames
+// included). Runs under the `service` label, so the TSan leg of
 // scripts/check.sh executes every concurrent scenario here with race
 // detection on.
 #include <gtest/gtest.h>
@@ -22,9 +23,7 @@
 #include "separator/finders.hpp"
 #include "service/net.hpp"
 #include "service/net_server.hpp"
-#include "service/query_engine.hpp"
 #include "service/sharded_engine.hpp"
-#include "util/affinity.hpp"
 #include "util/epoch.hpp"
 #include "util/mpsc_ring.hpp"
 #include "util/rng.hpp"
@@ -222,17 +221,6 @@ TEST(EpochReclaimer, ConcurrentPinUnpinNeverFreesAPinnedObject) {
   while (epochs.retired_pending() != 0) epochs.try_reclaim();
 }
 
-// ------------------------------------------------------------------ Affinity
-
-TEST(Affinity, ReportsCoresAndPinningIsBestEffort) {
-  EXPECT_GE(util::num_cores(), 1u);
-#if defined(__linux__)
-  // On Linux pinning to an in-range core (modulo wrap) should succeed.
-  EXPECT_TRUE(util::pin_thread_to_core(0));
-  EXPECT_TRUE(util::pin_thread_to_core(util::num_cores() + 3));
-#endif
-}
-
 // ---------------------------------------------------------------- Wire codec
 
 TEST(Wire, ScalarsRoundTripLittleEndian) {
@@ -261,7 +249,7 @@ TEST(Wire, RequestFramesRoundTripThroughTheParser) {
 
   wire::ParsedRequest request;
   std::vector<Query> parsed;
-  ASSERT_EQ(wire::parse_request(buf, 0, request, parsed),
+  ASSERT_EQ(wire::parse_request(buf, 0, 42, request, parsed),
             wire::ParseStatus::kRequest);
   EXPECT_EQ(request.request_id, 0xDEADBEEFu);
   EXPECT_EQ(request.frame_bytes, 4u + 4u + 3u * 8u);
@@ -269,7 +257,7 @@ TEST(Wire, RequestFramesRoundTripThroughTheParser) {
   EXPECT_EQ(parsed[1].u, 7u);
   EXPECT_EQ(parsed[2].v, 41u);
 
-  ASSERT_EQ(wire::parse_request(buf, request.frame_bytes, request, parsed),
+  ASSERT_EQ(wire::parse_request(buf, request.frame_bytes, 42, request, parsed),
             wire::ParseStatus::kRequest);
   EXPECT_EQ(request.request_id, 5u);
   ASSERT_EQ(parsed.size(), 1u);
@@ -282,24 +270,43 @@ TEST(Wire, ParserFlagsShortAndOversizedFrames) {
   std::vector<std::uint8_t> partial;
   wire::append_u32(partial, 12);  // header promises 12 payload bytes...
   wire::append_u32(partial, 1);   // ...but only 4 arrived
-  EXPECT_EQ(wire::parse_request(partial, 0, request, parsed),
+  EXPECT_EQ(wire::parse_request(partial, 0, 100, request, parsed),
             wire::ParseStatus::kIncomplete);
 
   std::vector<std::uint8_t> tiny;
   wire::append_u32(tiny, 3);  // below the 4-byte request_id minimum
-  EXPECT_EQ(wire::parse_request(tiny, 0, request, parsed),
+  EXPECT_EQ(wire::parse_request(tiny, 0, 100, request, parsed),
             wire::ParseStatus::kMalformed);
 
   std::vector<std::uint8_t> ragged;
   wire::append_u32(ragged, 4 + 7);  // pair section not a multiple of 8
-  EXPECT_EQ(wire::parse_request(ragged, 0, request, parsed),
+  EXPECT_EQ(wire::parse_request(ragged, 0, 100, request, parsed),
             wire::ParseStatus::kMalformed);
 
   std::vector<std::uint8_t> huge;
   wire::append_u32(huge,
                    static_cast<std::uint32_t>(wire::kMaxFrameBytes + 12));
-  EXPECT_EQ(wire::parse_request(huge, 0, request, parsed),
+  EXPECT_EQ(wire::parse_request(huge, 0, 100, request, parsed),
             wire::ParseStatus::kMalformed);
+}
+
+TEST(Wire, ParserRejectsVertexIdsOutsideTheSnapshot) {
+  wire::ParsedRequest request;
+  std::vector<Query> parsed;
+  std::vector<std::uint8_t> buf;
+  wire::append_request(buf, 1u, std::vector<Query>{{3, 99}});
+  EXPECT_EQ(wire::parse_request(buf, 0, 100, request, parsed),
+            wire::ParseStatus::kRequest);
+  EXPECT_EQ(wire::parse_request(buf, 0, 99, request, parsed),
+            wire::ParseStatus::kMalformed);  // v == num_vertices
+  buf.clear();
+  wire::append_request(buf, 1u, std::vector<Query>{{0, 1}, {4000000000u, 2}});
+  EXPECT_EQ(wire::parse_request(buf, 0, 100, request, parsed),
+            wire::ParseStatus::kMalformed);
+  // An incomplete frame is never judged by its ids.
+  buf.resize(buf.size() - 1);
+  EXPECT_EQ(wire::parse_request(buf, 0, 100, request, parsed),
+            wire::ParseStatus::kIncomplete);
 }
 
 // ------------------------------------------------------------- ShardedEngine
@@ -340,7 +347,7 @@ std::uint64_t fnv_digest(const std::vector<Weight>& results) {
 }
 
 std::map<std::string, std::uint64_t> counter_family(
-    const MetricsRegistry& metrics, const std::string& name) {
+    const obs::MetricsRegistry& metrics, const std::string& name) {
   std::map<std::string, std::uint64_t> family;
   for (const obs::MetricSample& sample : metrics.snapshot()) {
     if (sample.kind != obs::MetricKind::kCounter || sample.name != name)
@@ -359,16 +366,16 @@ std::uint64_t family_sum(const std::map<std::string, std::uint64_t>& family) {
   return sum;
 }
 
+// The reference digest is the serial PathOracle::query loop, so every shard
+// count is checked against the oracle itself.
 TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 3000);
 
-  QueryEngineOptions pooled_opts;
-  pooled_opts.threads = 1;
-  pooled_opts.cache_capacity = 0;
-  QueryEngine pooled(snapshot, pooled_opts);
-  const std::vector<Weight> expected = pooled.query_batch(batch);
+  std::vector<Weight> expected;
+  expected.reserve(batch.size());
+  for (const Query& q : batch) expected.push_back(snapshot->query(q.u, q.v));
   const std::uint64_t expected_digest = fnv_digest(expected);
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
@@ -490,6 +497,162 @@ TEST(ShardedEngine, CachedServingKeepsAnswersAndSumInvariant) {
   for (const auto& [key, value] : answers)
     if (key.find("level=cached;") != std::string::npos) cached = value;
   EXPECT_GT(cached, 0u);
+}
+
+constexpr std::size_t kShardCounts[] = {1, 2, 8};
+
+// The query-engine contract (answers, batches, cache accounting, snapshot
+// swap), served by ShardedEngine and checked at every shard count.
+TEST(QueryEngine, MatchesOracleWithAndWithoutCache) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions cached_opts;
+    cached_opts.shards = shards;
+    cached_opts.cache_capacity = 1 << 12;
+    ShardedEngineOptions uncached_opts;
+    uncached_opts.shards = shards;
+    ShardedEngine cached(snapshot, cached_opts);
+    ShardedEngine uncached(snapshot, uncached_opts);
+    std::uint64_t queries = 0;
+    for (Vertex u = 0; u < n; u += 3)
+      for (Vertex v = 0; v < n; v += 5) {
+        const Weight expected = snapshot->query(u, v);
+        EXPECT_EQ(cached.query(u, v), expected);
+        EXPECT_EQ(cached.query(v, u), expected);  // served from cache
+        EXPECT_EQ(uncached.query(u, v), expected);
+        ++queries;
+      }
+    const obs::MetricsRegistry& hot = cached.metrics();
+    const obs::MetricsRegistry& cold = uncached.metrics();
+    // Every reversed query hits (pairs recurring in the sweep hit earlier).
+    const std::uint64_t hits = family_sum(counter_family(hot, "cache_hits"));
+    EXPECT_GE(hits, queries) << shards << " shards";
+    EXPECT_EQ(hits + family_sum(counter_family(hot, "cache_misses")),
+              2 * queries);
+    // Without a cache every query is one counted miss.
+    EXPECT_EQ(family_sum(counter_family(cold, "cache_hits")), 0u);
+    EXPECT_EQ(family_sum(counter_family(cold, "cache_misses")), queries);
+  }
+}
+
+TEST(QueryEngine, BatchMatchesSingleQueries) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const std::vector<Query> batch =
+      mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 500, 11);
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.inline_cutoff = 1;  // force ring dispatch
+    opts.drain_batch = 16;   // many drains per batch
+    ShardedEngine engine(snapshot, opts);
+    const std::vector<Weight> results = engine.query_batch(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_EQ(results[i], engine.query(batch[i].u, batch[i].v))
+          << shards << " shards, query " << i;
+  }
+}
+
+TEST(QueryEngine, EmptyBatchIsFine) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle(6));
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.inline_cutoff = 1;
+    ShardedEngine engine(snapshot, opts);
+    EXPECT_TRUE(engine.query_batch({}).empty());
+    std::atomic<std::uint32_t> remaining{0};
+    engine.submit_batch({}, nullptr, &remaining);
+    EXPECT_EQ(remaining.load(), 0u);
+    EXPECT_EQ(family_sum(counter_family(engine.metrics(), "queries_total")),
+              0u);
+  }
+}
+
+TEST(QueryEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 400;
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.cache_capacity = 512;
+    opts.inline_cutoff = 32;
+    ShardedEngine engine(snapshot, opts);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kClients; ++t)
+      clients.emplace_back([&engine, &snapshot, &mismatches, n, t] {
+        util::Rng rng(static_cast<std::uint64_t>(100 + t));
+        std::vector<Query> batch;
+        for (int i = 0; i < kPerClient; ++i) {
+          const auto u = static_cast<Vertex>(rng.next_below(n));
+          const auto v = static_cast<Vertex>(rng.next_below(n));
+          if (i % 3 == 0) {
+            if (engine.query(u, v) != snapshot->query(u, v)) ++mismatches;
+          } else {
+            batch.push_back({u, v});
+          }
+        }
+        const std::vector<Weight> results = engine.query_batch(batch);
+        for (std::size_t i = 0; i < batch.size(); ++i)
+          if (results[i] != snapshot->query(batch[i].u, batch[i].v))
+            ++mismatches;
+      });
+    for (std::thread& c : clients) c.join();
+    EXPECT_EQ(mismatches.load(), 0) << shards << " shards";
+
+    const obs::MetricsRegistry& metrics = engine.metrics();
+    const std::uint64_t total =
+        family_sum(counter_family(metrics, "queries_total"));
+    const std::uint64_t hits = family_sum(counter_family(metrics, "cache_hits"));
+    const std::uint64_t misses =
+        family_sum(counter_family(metrics, "cache_misses"));
+    EXPECT_EQ(total, static_cast<std::uint64_t>(kClients) * kPerClient);
+    EXPECT_EQ(hits + misses, total);
+    EXPECT_EQ(engine.metrics().histogram("query_latency_ns").count(), total);
+  }
+}
+
+TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
+  auto first = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  auto second =
+      std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.8));
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.cache_capacity = 1 << 10;
+    ShardedEngine engine(first, opts);
+    engine.query(1, 2);
+    EXPECT_GT(engine.cache().size(), 0u);
+    engine.replace_snapshot(second);
+    EXPECT_EQ(engine.snapshot().get(), second.get());
+    EXPECT_EQ(engine.cache().size(), 0u);
+    EXPECT_EQ(engine.query(1, 2), second->query(1, 2));
+    // The swap clears cached distances, not the counts: one miss before and
+    // one after, both still visible.
+    EXPECT_EQ(family_sum(counter_family(engine.metrics(), "cache_misses")),
+              2u);
+    EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
+  }
+}
+
+TEST(ShardedEngine, ReplaceSnapshotRejectsFewerVertices) {
+  auto big = std::make_shared<const oracle::PathOracle>(grid_oracle(12));
+  auto small = std::make_shared<const oracle::PathOracle>(grid_oracle(6));
+  ShardedEngineOptions opts;
+  opts.shards = 2;
+  ShardedEngine engine(small, opts);
+  EXPECT_EQ(engine.num_vertices(), small->num_vertices());
+  engine.replace_snapshot(big);  // growing is fine
+  EXPECT_EQ(engine.num_vertices(), big->num_vertices());
+  // Shrinking would strand ids validated against the larger snapshot.
+  EXPECT_THROW(engine.replace_snapshot(small), std::invalid_argument);
+  EXPECT_EQ(engine.snapshot().get(), big.get());
+  EXPECT_EQ(engine.num_vertices(), big->num_vertices());
+  while (engine.retired_pending() != 0) engine.reclaim_retired();
 }
 
 TEST(ShardedEngine, SwapRetiresAndReclaimsTheOldSnapshot) {
@@ -657,6 +820,49 @@ TEST(NetServer, MalformedFrameClosesOnlyThatConnection) {
   ASSERT_EQ(distances.size(), 1u);
   EXPECT_EQ(distances[0], engine.query(0, 3));
   EXPECT_EQ(server.stats().protocol_errors, 1u);
+}
+
+TEST(NetServer, OutOfRangeVertexIdClosesOnlyThatConnection) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  ShardedEngineOptions opts;
+  opts.shards = 2;
+  ShardedEngine engine(snapshot, opts);
+  NetServer server(engine);
+  server.start();
+
+  // A well-formed 16-byte frame whose second id is far past the snapshot:
+  // payload_len 12 | request_id 1 | (3, 4000000000).
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  std::vector<std::uint8_t> bad;
+  wire::append_request(bad, 1, std::vector<Query>{{3, 4000000000u}});
+  ASSERT_EQ(bad.size(), 16u);
+  ASSERT_EQ(::send(fd, bad.data(), bad.size(), 0),
+            static_cast<ssize_t>(bad.size()));
+  std::uint8_t byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "server should close on a bad id";
+  ::close(fd);
+
+  // The server is still up and a second connection gets correct answers,
+  // the highest valid id included.
+  wire::NetClient client;
+  client.connect("127.0.0.1", server.port());
+  const std::vector<Query> batch = {{3, 5}, {0, n - 1}, {n - 1, n - 1}};
+  std::vector<Weight> distances;
+  client.query_batch(batch, distances);
+  ASSERT_EQ(distances.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(distances[i], snapshot->query(batch[i].u, batch[i].v)) << i;
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(server.stats().queries_answered, batch.size());
 }
 
 TEST(NetServer, StopIsIdempotentAndRestartable) {
