@@ -36,10 +36,10 @@ namespace pathsep::bench {
 namespace {
 
 /// FNV-1a over the serialized labels — a stable digest of the whole oracle.
-std::uint64_t label_digest(const std::vector<oracle::DistanceLabel>& labels) {
+std::uint64_t label_digest(const oracle::LabelArena& labels) {
   std::uint64_t h = 1469598103934665603ULL;
-  for (const oracle::DistanceLabel& label : labels)
-    for (std::uint8_t byte : oracle::serialize_label(label)) {
+  for (Vertex v = 0; v < labels.num_vertices(); ++v)
+    for (std::uint8_t byte : oracle::serialize_label(labels.label(v))) {
       h ^= byte;
       h *= 1099511628211ULL;
     }

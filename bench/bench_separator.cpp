@@ -101,8 +101,8 @@ LabelRun measure_labels(const std::string& name,
   const hierarchy::DecompositionTree tree(g, finder);
   const auto labels = oracle::build_labels(tree, epsilon);
   run.seconds = timer.elapsed_seconds();
-  for (const oracle::DistanceLabel& label : labels)
-    run.label_bytes += oracle::serialize_label(label).size();
+  for (Vertex v = 0; v < labels.num_vertices(); ++v)
+    run.label_bytes += oracle::serialize_label(labels.label(v)).size();
   return run;
 }
 

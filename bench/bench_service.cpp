@@ -29,6 +29,10 @@
 //   - a tracing-on row (E14c): the sharded engine serving with spans
 //     enabled; the bench asserts at least one admitted slow-log entry
 //     carries a nonzero exemplar span id (tail sampling actually fired).
+//   - the snapshot file (E14f): save_snapshot / load_snapshot of the E14c
+//     oracle (median of three), its bytes per vertex on disk and in memory,
+//     and the answer digest of the reloaded oracle, which must equal
+//     serial's.
 //
 // Also measures the observability layer's hot-path cost (E14b): the same
 // serial query loop re-run with per-query histogram recording plus a
@@ -42,6 +46,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -53,6 +58,7 @@
 #include "service/net.hpp"
 #include "service/net_server.hpp"
 #include "service/sharded_engine.hpp"
+#include "service/snapshot.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
 
@@ -422,6 +428,39 @@ NetRow run_net_loadgen(const std::string& host, std::uint16_t port,
   row.p50_us = percentile(latencies_us, 0.50);
   row.p99_us = percentile(latencies_us, 0.99);
   row.digest = digest.h;
+  return row;
+}
+
+struct SnapshotRow {
+  std::vector<double> save_ms, load_ms;  ///< one entry per repetition
+  double disk_bytes_per_vertex = 0;      ///< snapshot file size / n
+  double memory_bytes_per_vertex = 0;    ///< label arena bytes / n
+  std::uint64_t reload_digest = 0;       ///< serial digest of the reload
+};
+
+/// Saves (validated) and reloads `oracle` `reps` times through a file in
+/// the temp directory.
+SnapshotRow run_snapshot(const oracle::PathOracle& oracle, const Workload& w,
+                         int reps) {
+  SnapshotRow row;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_service.snapshot")
+          .string();
+  const double n = static_cast<double>(oracle.num_vertices());
+  for (int i = 0; i < reps; ++i) {
+    util::Timer timer;
+    service::save_snapshot(oracle, path);
+    row.save_ms.push_back(timer.elapsed_seconds() * 1e3);
+    timer.reset();
+    const oracle::PathOracle loaded = service::load_snapshot(path);
+    row.load_ms.push_back(timer.elapsed_seconds() * 1e3);
+    if (i == 0) row.reload_digest = serial_digest(loaded, w);
+  }
+  row.disk_bytes_per_vertex =
+      static_cast<double>(std::filesystem::file_size(path)) / n;
+  row.memory_bytes_per_vertex =
+      static_cast<double>(oracle.arena().bytes()) / n;
+  std::filesystem::remove(path);
   return row;
 }
 
@@ -814,6 +853,27 @@ int main(int argc, char** argv) {
   std::printf("skipped (epoll front-end is Linux-only)\n");
 #endif
 
+  // ---- E14f: the snapshot file — the E14c oracle's label arena saved and
+  // cold-loaded, answers re-checked against serial's digest.
+  section("E14f", "snapshot save/load (label arena file)");
+  const SnapshotRow snap_row = run_snapshot(*big_snapshot, big_w, 3);
+  const double save_ms = util::percentile(snap_row.save_ms, 0.5);
+  const double load_ms = util::percentile(snap_row.load_ms, 0.5);
+  const double serial_ns_per_query = 1e9 / big_serial_qps;
+  const bool reload_ok = snap_row.reload_digest == expected_digest;
+  std::printf("n=%zu: save %.1f ms, load %.1f ms (median of %zu); "
+              "%.0f bytes/vertex on disk, %.0f in memory; serial %.0f "
+              "ns/query; reload digest %s%s\n",
+              big_snapshot->num_vertices(), save_ms, load_ms,
+              snap_row.save_ms.size(), snap_row.disk_bytes_per_vertex,
+              snap_row.memory_bytes_per_vertex, serial_ns_per_query,
+              hex64(snap_row.reload_digest).c_str(),
+              reload_ok ? " (matches serial)" : " MISMATCH");
+  if (!reload_ok) {
+    std::fprintf(stderr, "FAIL: reloaded snapshot answers diverged\n");
+    exit_code = 2;
+  }
+
   // ---- JSON record for the repo (EXPERIMENTS.md points here).
   std::ostringstream json;
   json << "{\n  \"bench\": \"bench_service\",\n"
@@ -880,6 +940,23 @@ int main(int argc, char** argv) {
        << ", \"p99_us\": " << util::strf("%.2f", net_row.p99_us)
        << ", \"frames\": " << net_row.frames << ", \"digest_ok\": "
        << (net_ok ? "true" : "false") << "},\n"
+       << "  \"snapshot\": {\"num_vertices\": " << big_snapshot->num_vertices()
+       << ", \"save_ms\": " << util::strf("%.1f", save_ms)
+       << ", \"load_ms\": " << util::strf("%.1f", load_ms)
+       << ", \"save_ms_runs\": [";
+  for (std::size_t i = 0; i < snap_row.save_ms.size(); ++i)
+    json << (i ? ", " : "") << util::strf("%.1f", snap_row.save_ms[i]);
+  json << "], \"load_ms_runs\": [";
+  for (std::size_t i = 0; i < snap_row.load_ms.size(); ++i)
+    json << (i ? ", " : "") << util::strf("%.1f", snap_row.load_ms[i]);
+  json << "], \"disk_bytes_per_vertex\": "
+       << util::strf("%.1f", snap_row.disk_bytes_per_vertex)
+       << ", \"memory_bytes_per_vertex\": "
+       << util::strf("%.1f", snap_row.memory_bytes_per_vertex)
+       << ", \"serial_ns_per_query\": "
+       << util::strf("%.0f", serial_ns_per_query)
+       << ", \"reload_digest_ok\": " << (reload_ok ? "true" : "false")
+       << "},\n"
        << "  \"windowed\": " << windowed_json << ",\n"
        << "  \"slowlog\": " << slowlog_json << ",\n"
        << "  \"answers_level_sum\": {\"answers_total\": " << answers_sum

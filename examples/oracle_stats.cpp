@@ -77,8 +77,10 @@ Instance make_instance(const std::string& family, std::size_t side,
 bool verify_report_bytes(const obs::OracleReport& report,
                          const oracle::PathOracle& oracle) {
   std::size_t actual = 0;
-  for (const oracle::DistanceLabel& label : oracle.labels())
-    actual += oracle::serialize_label(label).size();
+  for (std::size_t v = 0; v < oracle.num_vertices(); ++v)
+    actual += oracle::serialize_label(
+                  oracle.label(static_cast<graph::Vertex>(v)))
+                  .size();
   std::size_t attributed = report.label_header_bytes;
   for (const obs::LevelReport& level : report.levels)
     attributed += level.serialized_bytes;

@@ -9,8 +9,10 @@
 #
 # --quick runs a small smoke configuration — tiny instances, 1 thread vs the
 # machine's default thread count, digests required identical, results to a
-# temp file so BENCH_build.json is not clobbered — and is what scripts/check.sh
-# uses to gate scheduling regressions that break determinism.
+# temp file so BENCH_build.json is not clobbered, then query_server snapshot
+# files written at both thread counts required byte-identical (cmp) — and is
+# what scripts/check.sh uses to gate scheduling regressions that break
+# determinism.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,15 +20,23 @@ JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
 
 if [ "${1:-}" = "--quick" ]; then
   shift
-  OUT=$(mktemp /tmp/bench_build_quick.XXXXXX.json)
-  trap 'rm -f "$OUT"' EXIT
+  TMP=$(mktemp -d /tmp/bench_build_quick.XXXXXX)
+  trap 'rm -rf "$TMP"' EXIT
   MAX_THREADS=$(nproc 2>/dev/null || echo 8)
   [ "$MAX_THREADS" -lt 2 ] && MAX_THREADS=8  # exercise the pool path anyway
   cmake --preset release
-  cmake --build build -j "$JOBS" --target bench_build
-  ./build/bench/bench_build --out="$OUT" --grid-side=48 --planar-n=2500 \
-      --threads="1,$MAX_THREADS" --require-equal-digests "$@"
+  cmake --build build -j "$JOBS" --target bench_build query_server
+  ./build/bench/bench_build --out="$TMP/bench.json" --grid-side=48 \
+      --planar-n=2500 --threads="1,$MAX_THREADS" --require-equal-digests "$@"
   echo "bench_build --quick: digests identical across 1 and $MAX_THREADS threads"
+  # The snapshot file is the label arena byte for byte, padding included:
+  # it must not depend on the thread count either.
+  for threads in 1 "$MAX_THREADS"; do
+    PATHSEP_THREADS=$threads ./build/examples/query_server --side=48 \
+        --eps=0.25 --save="$TMP/t$threads.snapshot" --duration=0 >/dev/null
+  done
+  cmp "$TMP/t1.snapshot" "$TMP/t$MAX_THREADS.snapshot"
+  echo "bench_build --quick: snapshot files identical across 1 and $MAX_THREADS threads"
   exit 0
 fi
 

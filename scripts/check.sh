@@ -18,8 +18,9 @@
 #            ctest -L obs (the obs suite adapts to the compiled-out mode)
 #   bench    bench_build --quick determinism smoke: tiny instances, 1 thread
 #            vs the machine default, exits non-zero if any thread count
-#            changes the label digest (catches scheduling regressions that
-#            break the byte-identical-labels guarantee)
+#            changes the label digest or the bytes of a query_server
+#            snapshot file (catches scheduling regressions that break the
+#            byte-identical-labels guarantee)
 #   smoke    localhost serving round-trip: query_server --serve on an
 #            ephemeral port must survive a frame with an out-of-range vertex
 #            id, then answer bench_service --loadgen --verify, so the epoll
@@ -95,7 +96,7 @@ if want tsa; then
 fi
 
 if want bench; then
-  banner "bench: bench_build --quick determinism smoke (digests across threads)"
+  banner "bench: bench_build --quick determinism smoke (digests and snapshot bytes across threads)"
   scripts/bench_build.sh --quick
 fi
 

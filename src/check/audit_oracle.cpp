@@ -1,6 +1,8 @@
 #include "check/audit_oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "check/check.hpp"
 
@@ -9,68 +11,38 @@ namespace pathsep::check {
 using graph::Vertex;
 using graph::Weight;
 using oracle::Connection;
-using oracle::DistanceLabel;
-using oracle::LabelPart;
 
-void audit_label(const DistanceLabel& label) {
-  PATHSEP_ASSERT(label.vertex != graph::kInvalidVertex,
-                 "label has no vertex id");
-  for (std::size_t pi = 0; pi < label.parts.size(); ++pi) {
-    const LabelPart& part = label.parts[pi];
-    PATHSEP_ASSERT(part.node >= 0 && part.path >= 0, "label of vertex ",
-                   label.vertex, " part ", pi, " has negative ids (node=",
-                   part.node, ", path=", part.path, ")");
-    if (pi > 0) {
-      const LabelPart& prev = label.parts[pi - 1];
-      PATHSEP_ASSERT(prev.node < part.node ||
-                         (prev.node == part.node && prev.path < part.path),
-                     "label of vertex ", label.vertex,
-                     " parts not strictly sorted by (node, path) at index ",
-                     pi);
-    }
-    PATHSEP_ASSERT(!part.connections.empty(), "label of vertex ",
-                   label.vertex, " part ", pi, " has no connections");
-    std::size_t zero_dist = 0;
-    for (std::size_t ci = 0; ci < part.connections.size(); ++ci) {
-      const Connection& conn = part.connections[ci];
-      PATHSEP_ASSERT(std::isfinite(conn.dist) && conn.dist >= 0,
-                     "label of vertex ", label.vertex, " part ", pi,
-                     " connection ", ci, " has invalid distance ", conn.dist);
-      PATHSEP_ASSERT(std::isfinite(conn.prefix) && conn.prefix >= 0,
-                     "label of vertex ", label.vertex, " part ", pi,
-                     " connection ", ci, " has invalid prefix ", conn.prefix);
-      if (conn.dist == 0) ++zero_dist;
-      if (ci > 0)
-        PATHSEP_ASSERT(part.connections[ci - 1].prefix <= conn.prefix,
-                       "label of vertex ", label.vertex, " part ", pi,
-                       " connections not sorted by prefix at index ", ci);
-    }
-    PATHSEP_ASSERT(zero_dist <= 1, "label of vertex ", label.vertex,
-                   " part ", pi, " claims ", zero_dist,
-                   " distinct zero-distance portals");
+void audit_labels(const oracle::LabelArena& arena) {
+  try {
+    oracle::validate_arena(arena);
+  } catch (const std::runtime_error& error) {
+    PATHSEP_ASSERT(false, error.what());
   }
-}
-
-void audit_labels(const std::vector<DistanceLabel>& labels) {
-  for (std::size_t v = 0; v < labels.size(); ++v) {
-    PATHSEP_ASSERT(labels[v].vertex == static_cast<Vertex>(v),
-                   "labels[", v, "].vertex is ", labels[v].vertex);
-    audit_label(labels[v]);
+  for (std::size_t p = 0; p < arena.num_parts(); ++p) {
+    std::size_t zero_dist = 0;
+    for (std::uint64_t c = arena.parts[p].begin; c < arena.parts[p + 1].begin;
+         ++c)
+      if (arena.hot[c].dist == 0) ++zero_dist;
+    PATHSEP_ASSERT(zero_dist <= 1, "label part ", p, " (node ",
+                   arena.parts[p].node, ", path ", arena.parts[p].path,
+                   ") claims ", zero_dist, " distinct zero-distance portals");
   }
 
   // Decoded-distance sanity on a deterministic sample: symmetry, zero on the
   // diagonal, non-negativity. (Accuracy against the true metric is the
   // oracle test suite's job; this guards structural corruption.)
-  const std::size_t n = labels.size();
+  const std::size_t n = arena.num_vertices();
   if (n == 0) return;
   const std::size_t samples = n < 64 ? n : 64;
   const std::size_t stride = n / samples == 0 ? 1 : n / samples;
   for (std::size_t i = 0; i < n; i += stride) {
-    PATHSEP_ASSERT(oracle::query_labels(labels[i], labels[i]) == 0,
-                   "label of vertex ", i, " decodes d(v,v) != 0");
+    const oracle::LabelView li = arena.label(static_cast<Vertex>(i));
+    PATHSEP_ASSERT(oracle::query_labels(li, li) == 0, "label of vertex ", i,
+                   " decodes d(v,v) != 0");
     const std::size_t j = (i * 2654435761u + 1) % n;
-    const Weight uv = oracle::query_labels(labels[i], labels[j]);
-    const Weight vu = oracle::query_labels(labels[j], labels[i]);
+    const oracle::LabelView lj = arena.label(static_cast<Vertex>(j));
+    const Weight uv = oracle::query_labels(li, lj);
+    const Weight vu = oracle::query_labels(lj, li);
     PATHSEP_ASSERT(uv == vu, "decoded distance asymmetric for pair (", i,
                    ",", j, "): ", uv, " vs ", vu);
     PATHSEP_ASSERT(i == j || uv > 0, "decoded distance for distinct pair (",
@@ -80,17 +52,21 @@ void audit_labels(const std::vector<DistanceLabel>& labels) {
 
 void audit_connections(const hierarchy::DecompositionNode& node,
                        const oracle::NodeConnections& conns) {
-  PATHSEP_ASSERT(conns.connections.size() == node.paths.size(),
-                 "connection lists cover ", conns.connections.size(),
+  PATHSEP_ASSERT(conns.paths.size() == node.paths.size(),
+                 "connection lists cover ", conns.paths.size(),
                  " paths, node has ", node.paths.size());
   const std::size_t n = node.graph.num_vertices();
-  for (std::size_t pi = 0; pi < conns.connections.size(); ++pi) {
+  for (std::size_t pi = 0; pi < conns.paths.size(); ++pi) {
     const hierarchy::NodePath& path = node.paths[pi];
-    PATHSEP_ASSERT(conns.connections[pi].size() == n, "path ", pi,
-                   " connection lists cover ", conns.connections[pi].size(),
-                   " vertices, node has ", n);
+    const std::vector<std::size_t>& offsets = conns.paths[pi].offsets;
+    PATHSEP_ASSERT(offsets.size() == n + 1 && offsets.front() == 0 &&
+                       offsets.back() == conns.paths[pi].entries.size() &&
+                       std::is_sorted(offsets.begin(), offsets.end()),
+                   "path ", pi, " connection offsets do not cover ", n,
+                   " vertices and ", conns.paths[pi].entries.size(),
+                   " connections");
     for (Vertex v = 0; v < n; ++v) {
-      const auto& list = conns.connections[pi][v];
+      const std::span<const Connection> list = conns.list(pi, v);
       for (std::size_t ci = 0; ci < list.size(); ++ci) {
         const Connection& conn = list[ci];
         PATHSEP_ASSERT(conn.path_index < path.verts.size(), "path ", pi,

@@ -1,22 +1,18 @@
 // Deep invariant audit of distance labels and ε-portal connections.
 #pragma once
 
-#include <vector>
-
 #include "oracle/labels.hpp"
 #include "oracle/portals.hpp"
 
 namespace pathsep::check {
 
-/// Well-formedness of one label: parts strictly sorted by (node, path),
-/// connections sorted by prefix position, distances finite and >= 0,
-/// prefixes >= 0, at most one zero-distance (on-path) connection per part.
-void audit_label(const oracle::DistanceLabel& label);
-
-/// Audits every label (labels[v].vertex == v), then decoded-distance sanity
-/// on a deterministic sample of pairs: query(u,u) == 0, query(u,v) ==
-/// query(v,u), and no decoded distance is negative.
-void audit_labels(const std::vector<oracle::DistanceLabel>& labels);
+/// Well-formedness of an oracle's labels: oracle::validate_arena's
+/// structural rules (offsets, sorted parts, non-empty prefix-sorted
+/// connection lists, finite non-negative values), at most one zero-distance
+/// (on-path) connection per part, then decoded-distance sanity on a
+/// deterministic sample of pairs: query(u,u) == 0, query(u,v) ==
+/// query(v,u), and no decoded distance between distinct vertices is <= 0.
+void audit_labels(const oracle::LabelArena& arena);
 
 /// Portal monotonicity for one node's connection lists: per (path, vertex),
 /// portal indices strictly increase and prefixes match the path's prefix

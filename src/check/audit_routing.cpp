@@ -10,16 +10,17 @@ using graph::Vertex;
 using graph::Weight;
 using hierarchy::NodePath;
 using oracle::Connection;
-using oracle::LabelPart;
 
 void audit_routing_tables(const hierarchy::DecompositionTree& tree,
-                          const std::vector<oracle::DistanceLabel>& labels) {
-  PATHSEP_ASSERT(labels.size() == tree.root_graph().num_vertices(),
-                 "routing tables cover ", labels.size(), " vertices, graph has ",
-                 tree.root_graph().num_vertices());
-  for (Vertex v = 0; v < labels.size(); ++v) {
+                          const oracle::LabelArena& labels) {
+  PATHSEP_ASSERT(labels.num_vertices() == tree.root_graph().num_vertices(),
+                 "routing tables cover ", labels.num_vertices(),
+                 " vertices, graph has ", tree.root_graph().num_vertices());
+  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
     const auto& chain = tree.chain(v);
-    for (const LabelPart& part : labels[v].parts) {
+    const oracle::LabelView label = labels.label(v);
+    for (std::size_t pi = 0; pi < label.num_parts(); ++pi) {
+      const oracle::LabelPart& part = label.part(pi);
       PATHSEP_ASSERT(part.node >= 0 &&
                          static_cast<std::size_t>(part.node) <
                              tree.nodes().size(),
@@ -50,8 +51,8 @@ void audit_routing_tables(const hierarchy::DecompositionTree& tree,
                      " has connections on node ", part.node, " path ",
                      part.path, " but is removed before that stage");
 
-      for (std::size_t ci = 0; ci < part.connections.size(); ++ci) {
-        const Connection& conn = part.connections[ci];
+      for (std::size_t ci = 0; ci < label.hot(pi).size(); ++ci) {
+        const Connection conn = label.connection(pi, ci);
         PATHSEP_ASSERT(conn.path_index < path.verts.size(), "vertex ", v,
                        " node ", part.node, " path ", part.path,
                        " portal index ", conn.path_index, " out of range");

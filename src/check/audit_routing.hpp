@@ -1,8 +1,6 @@
 // Deep invariant audit of the routing scheme's distributed tables.
 #pragma once
 
-#include <vector>
-
 #include "hierarchy/decomposition_tree.hpp"
 #include "oracle/labels.hpp"
 
@@ -16,6 +14,6 @@ namespace pathsep::check {
 /// table can always take the advertised hop. Zero-distance connections must
 /// be their own portal and carry no hop.
 void audit_routing_tables(const hierarchy::DecompositionTree& tree,
-                          const std::vector<oracle::DistanceLabel>& labels);
+                          const oracle::LabelArena& labels);
 
 }  // namespace pathsep::check

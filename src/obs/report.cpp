@@ -34,23 +34,26 @@ OracleReport oracle_report(const oracle::PathOracle& oracle,
   // each part's bytes to the depth of its decomposition node and the
   // per-label header to a separate bucket, so the totals reconcile with
   // serialize_label() to the byte.
-  for (const oracle::DistanceLabel& label : oracle.labels()) {
-    std::size_t label_bytes = oracle::varint_size(label.vertex) +
-                              oracle::varint_size(label.parts.size());
+  for (std::size_t v = 0; v < oracle.num_vertices(); ++v) {
+    const oracle::LabelView label = oracle.label(static_cast<graph::Vertex>(v));
+    std::size_t label_bytes = oracle::varint_size(label.vertex()) +
+                              oracle::varint_size(label.num_parts());
     report.label_header_bytes += label_bytes;
     std::int32_t prev_node = 0;
-    for (const oracle::LabelPart& part : label.parts) {
+    for (std::size_t p = 0; p < label.num_parts(); ++p) {
+      const oracle::LabelPart& part = label.part(p);
       std::size_t part_bytes =
-          oracle::varint_size(static_cast<std::uint64_t>(part.node - prev_node));
+          oracle::varint_size(oracle::node_delta(part.node, prev_node));
       prev_node = part.node;
       part_bytes += oracle::varint_size(static_cast<std::uint64_t>(part.path));
-      part_bytes += oracle::varint_size(part.connections.size());
-      for (const oracle::Connection& conn : part.connections) {
-        part_bytes += oracle::varint_size(conn.path_index);
+      const std::span<const oracle::ColdEntry> cold = label.cold(p);
+      part_bytes += oracle::varint_size(cold.size());
+      for (const oracle::ColdEntry& entry : cold) {
+        part_bytes += oracle::varint_size(entry.path_index);
         part_bytes += oracle::varint_size(
-            conn.next_hop == graph::kInvalidVertex
+            entry.next_hop == graph::kInvalidVertex
                 ? 0
-                : static_cast<std::uint64_t>(conn.next_hop) + 1);
+                : static_cast<std::uint64_t>(entry.next_hop) + 1);
         part_bytes += 16;  // dist + prefix doubles
       }
       PATHSEP_ASSERT(part.node >= 0 &&
@@ -61,12 +64,12 @@ OracleReport oracle_report(const oracle::PathOracle& oracle,
       LevelReport& level =
           report.levels[tree.node(part.node).depth];
       ++level.label_parts;
-      level.connections += part.connections.size();
+      level.connections += cold.size();
       level.serialized_bytes += part_bytes;
       label_bytes += part_bytes;
 
       ++report.total_parts;
-      report.total_connections += part.connections.size();
+      report.total_connections += cold.size();
     }
     report.total_serialized_bytes += label_bytes;
     report.max_label_bytes = std::max(report.max_label_bytes, label_bytes);

@@ -25,6 +25,13 @@ void WindowedHistogram::record(std::uint64_t nanos, std::uint64_t now_ns) {
   Slot& slot = slots_[wid % num_slots_];
   const std::uint64_t live = wid << 1;
   std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
+  // A never-used slot is still all zeros: publish it as it is, with no
+  // claim-and-reset phase for a concurrent recorder to collide with, so the
+  // first samples of a fresh histogram (a new engine's first batch) are
+  // never dropped. A lost CAS reloads `tag` with the winner's value.
+  if (tag == 0 &&
+      slot.tag.compare_exchange_strong(tag, live, std::memory_order_acq_rel))
+    tag = live;
   if (tag != live) {
     // The slot still holds a window `num_slots_` intervals old (or is being
     // claimed by another thread). Claim it: CAS to the claiming tag, zero

@@ -14,7 +14,8 @@
 // The one documented race: a sample that lands on a slot exactly while
 // another thread is recycling it for a new window is dropped and counted in
 // dropped() rather than recorded against the wrong window — bounded to the
-// window boundaries, never the steady state.
+// window boundaries, never the steady state. A never-used slot needs no
+// reset, so it is published in one CAS and its first samples never drop.
 #pragma once
 
 #include <atomic>

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <stdexcept>
+#include <string>
 
 #include "check/audit_oracle.hpp"
 #include "check/check.hpp"
@@ -12,24 +13,101 @@
 
 namespace pathsep::oracle {
 
-std::size_t DistanceLabel::size_in_words() const {
-  std::size_t words = 0;
-  for (const LabelPart& part : parts) words += 2 + 3 * part.connections.size();
-  return words;
+void LabelArena::add_part(std::int32_t node, std::int32_t path,
+                          std::span<const Connection> connections) {
+  // The sentinel becomes the new part; a fresh sentinel closes it.
+  LabelPart& part = parts.back();
+  part.node = node;
+  part.path = path;
+  for (const Connection& conn : connections) {
+    hot.push_back(HotEntry{conn.prefix, conn.dist});
+    cold.push_back(ColdEntry{conn.path_index, conn.next_hop});
+  }
+  parts.push_back(LabelPart{0, 0, hot.size()});
+  if (node >= 0)
+    num_nodes = std::max(num_nodes, static_cast<std::uint64_t>(node) + 1);
 }
 
-std::size_t DistanceLabel::connection_count() const {
-  std::size_t c = 0;
-  for (const LabelPart& part : parts) c += part.connections.size();
-  return c;
+std::size_t LabelArena::bytes() const {
+  return part_offsets.size() * sizeof(std::uint64_t) +
+         parts.size() * sizeof(LabelPart) + hot.size() * sizeof(HotEntry) +
+         cold.size() * sizeof(ColdEntry);
+}
+
+namespace {
+
+[[noreturn]] void reject(const std::string& what) {
+  throw std::runtime_error("malformed label arena: " + what);
+}
+
+}  // namespace
+
+void validate_arena(const LabelArena& arena) {
+  if (arena.part_offsets.empty() || arena.parts.empty())
+    reject("missing offsets or sentinel");
+  const std::size_t n = arena.part_offsets.size() - 1;
+  const std::size_t num_parts = arena.parts.size() - 1;
+  const std::size_t num_conns = arena.hot.size();
+  if (arena.cold.size() != num_conns)
+    reject("hot and cold streams differ in length");
+  if (arena.num_nodes > n)
+    reject("node count " + std::to_string(arena.num_nodes) +
+           " exceeds the vertex count " + std::to_string(n));
+  if (arena.part_offsets.front() != 0 || arena.part_offsets.back() != num_parts)
+    reject("part offsets do not span the part array");
+  const LabelPart& sentinel = arena.parts.back();
+  if (sentinel.node != 0 || sentinel.path != 0 || sentinel.begin != num_conns)
+    reject("sentinel part is not {0, 0, connection count}");
+  if (arena.parts.front().begin != 0)
+    reject("first part does not start at connection 0");
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t first = arena.part_offsets[v];
+    const std::uint64_t last = arena.part_offsets[v + 1];
+    if (last < first || last > num_parts)
+      reject("part offsets not monotone at vertex " + std::to_string(v));
+    for (std::uint64_t p = first; p < last; ++p) {
+      const LabelPart& part = arena.parts[p];
+      if (part.node < 0 ||
+          static_cast<std::uint64_t>(part.node) >= arena.num_nodes ||
+          part.path < 0)
+        reject("vertex " + std::to_string(v) + " part " + std::to_string(p) +
+               " has ids (node=" + std::to_string(part.node) +
+               ", path=" + std::to_string(part.path) + ") out of range");
+      if (p > first) {
+        const LabelPart& prev = arena.parts[p - 1];
+        if (!(prev.node < part.node ||
+              (prev.node == part.node && prev.path < part.path)))
+          reject("vertex " + std::to_string(v) +
+                 " parts not strictly sorted by (node, path) at part " +
+                 std::to_string(p));
+      }
+    }
+  }
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    const std::uint64_t begin = arena.parts[p].begin;
+    const std::uint64_t end = arena.parts[p + 1].begin;
+    if (end <= begin || end > num_conns)
+      reject("part " + std::to_string(p) +
+             " has an empty or out-of-range connection list");
+    for (std::uint64_t c = begin; c < end; ++c) {
+      const HotEntry& h = arena.hot[c];
+      // !(x >= 0) also rejects NaN.
+      if (!(h.prefix >= 0) || !(h.dist >= 0) || !std::isfinite(h.prefix) ||
+          !std::isfinite(h.dist))
+        reject("connection " + std::to_string(c) +
+               " has a negative or non-finite prefix or distance");
+      if (c > begin && arena.hot[c - 1].prefix > h.prefix)
+        reject("part " + std::to_string(p) +
+               " connections not sorted by prefix");
+    }
+  }
 }
 
 namespace {
 
 /// min over p in a, q in b of a.dist + |a.prefix - b.prefix| + b.dist,
 /// in O(|a| + |b|) using the prefix-sorted order.
-Weight sweep_pair(const std::vector<Connection>& a,
-                  const std::vector<Connection>& b) {
+Weight sweep_pair(std::span<const HotEntry> a, std::span<const HotEntry> b) {
   Weight best = graph::kInfiniteWeight;
   // Forward: q to the right of p. best_left = min over already-passed p of
   // (dist_p - prefix_p); candidate = best_left + prefix_q + dist_q.
@@ -38,7 +116,7 @@ Weight sweep_pair(const std::vector<Connection>& a,
     const auto& to = dir == 0 ? b : a;
     Weight best_left = graph::kInfiniteWeight;
     std::size_t i = 0;
-    for (const Connection& q : to) {
+    for (const HotEntry& q : to) {
       while (i < from.size() && from[i].prefix <= q.prefix) {
         best_left = std::min(best_left, from[i].dist - from[i].prefix);
         ++i;
@@ -52,16 +130,17 @@ Weight sweep_pair(const std::vector<Connection>& a,
 
 /// The one merge walk of Theorem 2: steps through both labels' (node, path)
 /// parts in lockstep and sweeps every common pair. `sink(pu, pv, pair, best)`
-/// sees each matched pair's sweep minimum before it is folded into `best`,
-/// so each caller's cost accounting is a template argument, not a branch.
+/// sees each matched pair's hot spans and sweep minimum before it is folded
+/// into `best`, so each caller's cost accounting is a template argument, not
+/// a branch.
 template <typename Sink>
-Weight merge_walk(const DistanceLabel& u, const DistanceLabel& v, Sink&& sink) {
-  if (u.vertex == v.vertex) return 0;
+Weight merge_walk(const LabelView& u, const LabelView& v, Sink&& sink) {
+  if (u.vertex() == v.vertex()) return 0;
   Weight best = graph::kInfiniteWeight;
   std::size_t iu = 0, iv = 0;
-  while (iu < u.parts.size() && iv < v.parts.size()) {
-    const LabelPart& pu = u.parts[iu];
-    const LabelPart& pv = v.parts[iv];
+  while (iu < u.num_parts() && iv < v.num_parts()) {
+    const LabelPart& pu = u.part(iu);
+    const LabelPart& pv = v.part(iv);
     if (pu.node != pv.node) {
       (pu.node < pv.node ? iu : iv)++;
       continue;
@@ -70,8 +149,10 @@ Weight merge_walk(const DistanceLabel& u, const DistanceLabel& v, Sink&& sink) {
       (pu.path < pv.path ? iu : iv)++;
       continue;
     }
-    const Weight pair = sweep_pair(pu.connections, pv.connections);
-    sink(pu, pv, pair, best);
+    const std::span<const HotEntry> hu = u.hot(iu);
+    const std::span<const HotEntry> hv = v.hot(iv);
+    const Weight pair = sweep_pair(hu, hv);
+    sink(pu, hu.size() + hv.size(), pair, best);
     best = std::min(best, pair);
     ++iu;
     ++iv;
@@ -81,20 +162,18 @@ Weight merge_walk(const DistanceLabel& u, const DistanceLabel& v, Sink&& sink) {
 
 }  // namespace
 
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
+Weight query_labels(const LabelView& u, const LabelView& v,
                     std::size_t* visited) {
-  return merge_walk(u, v, [visited](const LabelPart& pu, const LabelPart& pv,
+  return merge_walk(u, v, [visited](const LabelPart&, std::size_t scanned,
                                     Weight, Weight) {
-    if (visited) *visited += pu.connections.size() + pv.connections.size();
+    if (visited) *visited += scanned;
   });
 }
 
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
-                    QueryCost& cost) {
-  return merge_walk(u, v, [&cost](const LabelPart& pu, const LabelPart& pv,
+Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost) {
+  return merge_walk(u, v, [&cost](const LabelPart& pu, std::size_t scanned,
                                   Weight pair, Weight best) {
-    cost.entries_scanned += static_cast<std::uint32_t>(
-        pu.connections.size() + pv.connections.size());
+    cost.entries_scanned += static_cast<std::uint32_t>(scanned);
     if (pair < best) {
       cost.win_node = pu.node;
       cost.win_path = pu.path;
@@ -102,13 +181,11 @@ Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
   });
 }
 
-std::vector<DistanceLabel> build_labels(
-    const hierarchy::DecompositionTree& tree, double epsilon,
-    std::size_t threads, BuildLabelsStats* stats) {
+LabelArena build_labels(const hierarchy::DecompositionTree& tree,
+                        double epsilon, std::size_t threads,
+                        BuildLabelsStats* stats) {
   PATHSEP_SPAN("oracle.build_labels");
   const std::size_t n = tree.root_graph().num_vertices();
-  std::vector<DistanceLabel> labels(n);
-  for (Vertex v = 0; v < n; ++v) labels[v].vertex = v;
 
   // Per-node connection computation is independent. Scheduling is
   // size-aware: nodes are issued largest first with grain 1, so the root —
@@ -143,37 +220,67 @@ std::vector<DistanceLabel> build_labels(
       threads, /*grain=*/1);
   if (stats) stats->connections_seconds = phase_timer.elapsed_seconds();
 
-  // Assembly is parallel over vertices: v's parts are exactly the non-empty
-  // connection lists along its chain, visited root-to-leaf — node ids
-  // increase down the chain (BFS numbering) and paths are scanned in index
-  // order, so parts come out sorted by (node, path) with no sort step. Each
-  // (node, path, local) list has a single consumer, so it is moved, not
-  // copied.
+  // Assembly into the arena, parallel over vertices in two passes. v's
+  // parts are exactly the non-empty connection lists along its chain,
+  // visited root-to-leaf — node ids increase down the chain (BFS numbering)
+  // and paths are scanned in index order, so parts come out sorted by
+  // (node, path) with no sort step. The count pass sizes every vertex's
+  // slice, prefix sums place it, and the fill pass writes each slice from
+  // one worker, so the arena is identical for every thread count.
   phase_timer.reset();
   PATHSEP_STAGE_TIMER("oracle_assemble_labels_ns");
+  const auto for_each_list = [&](Vertex v, auto&& fn) {
+    for (const auto& [node_id, local] : tree.chain(v)) {
+      const NodeConnections& nc = per_node[static_cast<std::size_t>(node_id)];
+      for (std::size_t pi = 0; pi < nc.paths.size(); ++pi) {
+        const std::span<const Connection> list = nc.list(pi, local);
+        if (!list.empty()) fn(node_id, pi, list);
+      }
+    }
+  };
+  LabelArena arena;
+  arena.num_nodes = tree.nodes().size();
+  arena.part_offsets.assign(n + 1, 0);
+  std::vector<std::uint64_t> conn_offsets(n + 1, 0);
   util::parallel_for(
       n,
-      [&](std::size_t vi) {
-        const Vertex v = static_cast<Vertex>(vi);
-        DistanceLabel& label = labels[v];
-        for (const auto& [node_id, local] : tree.chain(v)) {
-          const hierarchy::DecompositionNode& node = tree.node(node_id);
-          NodeConnections& nc = per_node[static_cast<std::size_t>(node_id)];
-          for (std::size_t pi = 0; pi < node.paths.size(); ++pi) {
-            auto& conns = nc.connections[pi][local];
-            if (conns.empty()) continue;
-            LabelPart part;
-            part.node = node_id;
-            part.path = static_cast<std::int32_t>(pi);
-            part.connections = std::move(conns);
-            label.parts.push_back(std::move(part));
-          }
-        }
+      [&](std::size_t v) {
+        for_each_list(static_cast<Vertex>(v),
+                      [&](int, std::size_t, std::span<const Connection> l) {
+                        ++arena.part_offsets[v + 1];
+                        conn_offsets[v + 1] += l.size();
+                      });
+      },
+      threads);
+  for (std::size_t v = 0; v < n; ++v) {
+    arena.part_offsets[v + 1] += arena.part_offsets[v];
+    conn_offsets[v + 1] += conn_offsets[v];
+  }
+  arena.parts.resize(arena.part_offsets[n] + 1);
+  arena.parts.back() = LabelPart{0, 0, conn_offsets[n]};
+  arena.hot.resize(conn_offsets[n]);
+  arena.cold.resize(conn_offsets[n]);
+  util::parallel_for(
+      n,
+      [&](std::size_t v) {
+        std::uint64_t p = arena.part_offsets[v];
+        std::uint64_t c = conn_offsets[v];
+        for_each_list(
+            static_cast<Vertex>(v),
+            [&](int node_id, std::size_t pi, std::span<const Connection> l) {
+              arena.parts[p++] = LabelPart{
+                  node_id, static_cast<std::int32_t>(pi), c};
+              for (const Connection& conn : l) {
+                arena.hot[c] = HotEntry{conn.prefix, conn.dist};
+                arena.cold[c] = ColdEntry{conn.path_index, conn.next_hop};
+                ++c;
+              }
+            });
       },
       threads);
   if (stats) stats->assemble_seconds = phase_timer.elapsed_seconds();
-  PATHSEP_AUDIT(check::audit_labels(labels));
-  return labels;
+  PATHSEP_AUDIT(check::audit_labels(arena));
+  return arena;
 }
 
 }  // namespace pathsep::oracle

@@ -11,37 +11,157 @@
 // is sandwiched between d(u,v) and (1+ε)·d(u,v). The inner minimum is
 // evaluated in O(|C_u| + |C_v|) by a two-directional sweep over the
 // prefix-sorted connection lists.
+//
+// Representation: every label of an oracle lives in one LabelArena — a
+// handful of contiguous arrays in CSR form (vertex → parts → connections),
+// with the (prefix, dist) pairs the sweep reads in a hot stream apart from
+// the (path_index, next_hop) routing fields it never touches. The build
+// fills it, queries walk it through LabelView, and the snapshot file
+// (service/snapshot.hpp) is the same arrays byte for byte.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "oracle/portals.hpp"
 
 namespace pathsep::oracle {
 
-/// Connections of one vertex to one (node, path) pair.
+/// One (node, path) part of a label. Its connections are the arena entries
+/// [begin, begin of the next part); every part has at least one.
 struct LabelPart {
-  std::int32_t node = 0;  ///< decomposition node id
-  std::int32_t path = 0;  ///< path index within the node
-  std::vector<Connection> connections;  ///< sorted by prefix
+  std::int32_t node = 0;    ///< decomposition node id
+  std::int32_t path = 0;    ///< path index within the node
+  std::uint64_t begin = 0;  ///< first connection in the hot/cold streams
 };
 
-struct DistanceLabel {
-  Vertex vertex = graph::kInvalidVertex;  ///< root-graph id
-  std::vector<LabelPart> parts;           ///< sorted by (node, path)
+/// The two connection fields the query sweep reads.
+struct HotEntry {
+  Weight prefix = 0;  ///< portal's prefix position on the path
+  Weight dist = 0;    ///< exact d_J(v, portal)
+};
+
+/// The connection fields only routing and the distributed codec read.
+struct ColdEntry {
+  std::uint32_t path_index = 0;  ///< portal's index into NodePath::verts
+  Vertex next_hop = graph::kInvalidVertex;  ///< see Connection::next_hop
+};
+
+/// Read-only view of one label: its parts, sorted by (node, path), and each
+/// part's prefix-sorted connections. Views point into a LabelArena (or a
+/// DistanceLabel) and must not outlive it. A default view is the empty
+/// label of no vertex.
+class LabelView {
+ public:
+  LabelView() = default;
+  /// `parts` holds num_parts parts followed by at least one more entry (the
+  /// next label's first part or the arena sentinel), whose begin ends the
+  /// last part's connections.
+  LabelView(Vertex vertex, const LabelPart* parts, std::size_t num_parts,
+            const HotEntry* hot, const ColdEntry* cold)
+      : vertex_(vertex), parts_(parts), num_parts_(num_parts), hot_(hot),
+        cold_(cold) {}
+
+  Vertex vertex() const { return vertex_; }
+  std::size_t num_parts() const { return num_parts_; }
+  const LabelPart& part(std::size_t i) const { return parts_[i]; }
+
+  std::span<const HotEntry> hot(std::size_t i) const {
+    return {hot_ + parts_[i].begin, parts_[i + 1].begin - parts_[i].begin};
+  }
+  std::span<const ColdEntry> cold(std::size_t i) const {
+    return {cold_ + parts_[i].begin, parts_[i + 1].begin - parts_[i].begin};
+  }
+  /// Connection c of part i, reassembled from both streams.
+  Connection connection(std::size_t i, std::size_t c) const {
+    const HotEntry& h = hot(i)[c];
+    const ColdEntry& k = cold(i)[c];
+    return Connection{k.path_index, k.next_hop, h.dist, h.prefix};
+  }
+
+  std::size_t connection_count() const {
+    return num_parts_ == 0 ? 0 : parts_[num_parts_].begin - parts_[0].begin;
+  }
 
   /// Space in 8-byte words: 2 per part header + 3 per connection (packed
   /// path_index+next_hop, dist, prefix), matching the paper's space unit.
-  std::size_t size_in_words() const;
+  std::size_t size_in_words() const {
+    return 2 * num_parts_ + 3 * connection_count();
+  }
 
-  std::size_t connection_count() const;
+ private:
+  Vertex vertex_ = graph::kInvalidVertex;
+  const LabelPart* parts_ = nullptr;
+  std::size_t num_parts_ = 0;
+  const HotEntry* hot_ = nullptr;
+  const ColdEntry* cold_ = nullptr;
+};
+
+/// All labels of an oracle in CSR form. Vertex v's parts are
+/// parts[part_offsets[v] .. part_offsets[v+1]); `parts` ends with one
+/// sentinel {0, 0, num_connections()} so every part's connections end at the
+/// next entry's begin. hot[i] and cold[i] are the two halves of connection
+/// i. Every array element is a whole number of 8-byte words with no padding
+/// bytes, so the arrays' bytes are fully determined by their values.
+struct LabelArena {
+  std::uint64_t num_nodes = 0;  ///< part node ids lie in [0, num_nodes)
+  std::vector<std::uint64_t> part_offsets{0};
+  std::vector<LabelPart> parts{LabelPart{0, 0, 0}};
+  std::vector<HotEntry> hot;
+  std::vector<ColdEntry> cold;
+
+  std::size_t num_vertices() const { return part_offsets.size() - 1; }
+  std::size_t num_parts() const { return parts.size() - 1; }
+  std::size_t num_connections() const { return hot.size(); }
+
+  LabelView label(Vertex v) const {
+    const std::size_t first = part_offsets[v];
+    return LabelView(v, parts.data() + first, part_offsets[v + 1] - first,
+                     hot.data(), cold.data());
+  }
+
+  /// Appends a part after the last one, leaving part_offsets alone: how a
+  /// DistanceLabel is assembled. build_labels fills the arrays in parallel
+  /// instead.
+  void add_part(std::int32_t node, std::int32_t path,
+                std::span<const Connection> connections);
+
+  /// Heap bytes of the arrays (the in-memory size of the oracle's labels).
+  std::size_t bytes() const;
+};
+
+/// Structural validation of an arena from outside the process: offsets
+/// start at 0, are monotone and end at the array sizes; every part has a
+/// node id in [0, num_nodes) and a path id >= 0, a non-empty connection
+/// list, and sorts strictly after its predecessor in the same label;
+/// connection prefixes and distances are finite and >= 0 and prefixes
+/// ascend within a part; the sentinel is {0, 0, num_connections()}; and
+/// num_nodes <= num_vertices (every decomposition node removes at least one
+/// vertex). Throws std::runtime_error naming the first violation. After it
+/// passes, every LabelView of the arena stays in bounds.
+void validate_arena(const LabelArena& arena);
+
+/// One label detached from any oracle: what the distributed codec
+/// (serialize.hpp) decodes. Same layout as an arena holding one label.
+struct DistanceLabel {
+  Vertex vertex = graph::kInvalidVertex;  ///< root-graph id
+  LabelArena arena;                       ///< parts only; no part_offsets
+
+  void add_part(std::int32_t node, std::int32_t path,
+                std::span<const Connection> connections) {
+    arena.add_part(node, path, connections);
+  }
+  LabelView view() const {
+    return LabelView(vertex, arena.parts.data(), arena.num_parts(),
+                     arena.hot.data(), arena.cold.data());
+  }
 };
 
 /// d(u,v) upper estimate from two labels; kInfiniteWeight when the labels
 /// share no usable path (different components). `visited` (optional)
 /// accumulates the number of connections scanned — the measured query cost.
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
+Weight query_labels(const LabelView& u, const LabelView& v,
                     std::size_t* visited = nullptr);
 
 /// Cost attribution of one query_labels call, for tail-latency analysis:
@@ -55,23 +175,22 @@ struct QueryCost {
 };
 
 /// Same estimate as the plain overload, filling `cost` as a side effect.
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
-                    QueryCost& cost);
+Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost);
 
 /// Per-phase wall-clock breakdown of one build_labels call, for benchmarks
 /// and regression attribution (bench_build records it per run).
 struct BuildLabelsStats {
   double connections_seconds = 0;  ///< projections + portal Dijkstras
-  double assemble_seconds = 0;     ///< per-vertex part assembly
+  double assemble_seconds = 0;     ///< count, prefix-sum and fill the arena
 };
 
 /// Builds all labels of the graph underlying `tree`. Work fans out over
 /// `threads` workers of the shared pool (0 = util::default_threads()) at two
 /// levels — nodes largest-first, and the portal Dijkstras inside each node's
-/// stages — and label assembly is parallel over vertices; the result is
+/// stages — and arena assembly is parallel over vertices; the arena is
 /// byte-identical for every thread count.
-std::vector<DistanceLabel> build_labels(
-    const hierarchy::DecompositionTree& tree, double epsilon,
-    std::size_t threads = 0, BuildLabelsStats* stats = nullptr);
+LabelArena build_labels(const hierarchy::DecompositionTree& tree,
+                        double epsilon, std::size_t threads = 0,
+                        BuildLabelsStats* stats = nullptr);
 
 }  // namespace pathsep::oracle

@@ -1,15 +1,13 @@
 #include "oracle/path_oracle.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace pathsep::oracle {
 
 PathOracle::PathOracle(const hierarchy::DecompositionTree& tree,
                        double epsilon)
-    : epsilon_(epsilon), labels_(build_labels(tree, epsilon)) {
+    : epsilon_(epsilon), arena_(build_labels(tree, epsilon)) {
   // Exact level map straight from the tree: node ids index nodes().
   node_levels_.reserve(tree.nodes().size());
   for (const hierarchy::DecompositionNode& node : tree.nodes())
@@ -17,13 +15,9 @@ PathOracle::PathOracle(const hierarchy::DecompositionTree& tree,
   num_levels_ = tree.height();
 }
 
-PathOracle::PathOracle(std::vector<DistanceLabel> labels, double epsilon)
-    : epsilon_(epsilon), labels_(std::move(labels)) {
-  for (std::size_t v = 0; v < labels_.size(); ++v)
-    if (labels_[v].vertex != static_cast<Vertex>(v))
-      throw std::invalid_argument("label at index " + std::to_string(v) +
-                                  " belongs to vertex " +
-                                  std::to_string(labels_[v].vertex));
+PathOracle::PathOracle(LabelArena arena, double epsilon)
+    : epsilon_(epsilon), arena_(std::move(arena)) {
+  validate_arena(arena_);
   derive_levels_from_labels();
 }
 
@@ -34,21 +28,20 @@ void PathOracle::derive_levels_from_labels() {
   // its chain's nodes in root-to-leaf order. A node's level is therefore the
   // rank of its id among the distinct node ids of a label reaching it; take
   // the max over labels in case some label's chain skips ancestors that
-  // contributed no connections.
-  std::int32_t max_node = -1;
-  for (const DistanceLabel& label : labels_)
-    for (const LabelPart& part : label.parts)
-      max_node = std::max(max_node, part.node);
-  node_levels_.assign(static_cast<std::size_t>(max_node + 1), -1);
-  for (const DistanceLabel& label : labels_) {
+  // contributed no connections. validate_arena bounds every node id by
+  // num_nodes, and num_nodes by the vertex count.
+  node_levels_.assign(static_cast<std::size_t>(arena_.num_nodes), -1);
+  for (std::size_t v = 0; v < arena_.num_vertices(); ++v) {
+    const LabelView view = label(static_cast<Vertex>(v));
     std::int32_t rank = -1;
     std::int32_t prev = -1;
-    for (const LabelPart& part : label.parts) {
-      if (part.node != prev) {
+    for (std::size_t p = 0; p < view.num_parts(); ++p) {
+      const std::int32_t node = view.part(p).node;
+      if (node != prev) {
         ++rank;
-        prev = part.node;
+        prev = node;
       }
-      std::int32_t& level = node_levels_[static_cast<std::size_t>(part.node)];
+      std::int32_t& level = node_levels_[static_cast<std::size_t>(node)];
       level = std::max(level, rank);
     }
   }
@@ -59,22 +52,20 @@ void PathOracle::derive_levels_from_labels() {
 }
 
 std::size_t PathOracle::size_in_words() const {
-  std::size_t words = 0;
-  for (const DistanceLabel& label : labels_) words += label.size_in_words();
-  return words;
+  return 2 * arena_.num_parts() + 3 * arena_.num_connections();
 }
 
 std::size_t PathOracle::max_label_words() const {
   std::size_t best = 0;
-  for (const DistanceLabel& label : labels_)
-    best = std::max(best, label.size_in_words());
+  for (std::size_t v = 0; v < num_vertices(); ++v)
+    best = std::max(best, label(static_cast<Vertex>(v)).size_in_words());
   return best;
 }
 
 double PathOracle::average_label_words() const {
-  if (labels_.empty()) return 0;
+  if (num_vertices() == 0) return 0;
   return static_cast<double>(size_in_words()) /
-         static_cast<double>(labels_.size());
+         static_cast<double>(num_vertices());
 }
 
 }  // namespace pathsep::oracle

@@ -25,9 +25,11 @@ class PathOracle {
   /// Builds the oracle for the graph underlying `tree` (root ids).
   PathOracle(const hierarchy::DecompositionTree& tree, double epsilon);
 
-  /// Reassembles an oracle from prebuilt labels (snapshot loading; see
-  /// service/snapshot.hpp). labels[v].vertex must equal v for every v.
-  PathOracle(std::vector<DistanceLabel> labels, double epsilon);
+  /// Adopts a prebuilt arena (snapshot loading; see service/snapshot.hpp).
+  /// The arena may come from outside the process: validate_arena runs
+  /// first, so a malformed one throws std::runtime_error before any label
+  /// is read.
+  PathOracle(LabelArena arena, double epsilon);
 
   /// (1+ε)-approximate distance between root-graph vertices. Never
   /// underestimates; kInfiniteWeight if u and v are disconnected.
@@ -37,20 +39,20 @@ class PathOracle {
   /// validated at the boundary (the wire server rejects the frame).
   Weight query(Vertex u, Vertex v) const {
     check_ids(u, v);
-    return query_labels(labels_[u], labels_[v]);
+    return query_labels(label(u), label(v));
   }
 
   /// Same, also reporting the number of connections scanned.
   Weight query_counted(Vertex u, Vertex v, std::size_t* visited) const {
     check_ids(u, v);
-    return query_labels(labels_[u], labels_[v], visited);
+    return query_labels(label(u), label(v), visited);
   }
 
   /// Same estimate, with full cost attribution.
   Weight query_stats(Vertex u, Vertex v, QueryStats& stats) const {
     check_ids(u, v);
     QueryCost cost;
-    const Weight d = query_labels(labels_[u], labels_[v], cost);
+    const Weight d = query_labels(label(u), label(v), cost);
     stats.entries_scanned = cost.entries_scanned;
     stats.win_node = cost.win_node;
     stats.win_path = cost.win_path;
@@ -75,10 +77,10 @@ class PathOracle {
   std::size_t num_levels() const { return num_levels_; }
 
   double epsilon() const { return epsilon_; }
-  std::size_t num_vertices() const { return labels_.size(); }
+  std::size_t num_vertices() const { return arena_.num_vertices(); }
 
-  const DistanceLabel& label(Vertex v) const { return labels_[v]; }
-  const std::vector<DistanceLabel>& labels() const { return labels_; }
+  LabelView label(Vertex v) const { return arena_.label(v); }
+  const LabelArena& arena() const { return arena_; }
 
   /// Total space in words (sum of label sizes).
   std::size_t size_in_words() const;
@@ -90,14 +92,14 @@ class PathOracle {
 
  private:
   void check_ids([[maybe_unused]] Vertex u, [[maybe_unused]] Vertex v) const {
-    PATHSEP_DCHECK(u < labels_.size() && v < labels_.size(),
+    PATHSEP_DCHECK(u < num_vertices() && v < num_vertices(),
                    "query ids (", u, ", ", v, ") out of range for ",
-                   labels_.size(), " vertices");
+                   num_vertices(), " vertices");
   }
   void derive_levels_from_labels();
 
   double epsilon_;
-  std::vector<DistanceLabel> labels_;
+  LabelArena arena_;
   std::vector<std::int32_t> node_levels_;  ///< indexed by node id
   std::size_t num_levels_ = 0;
 };

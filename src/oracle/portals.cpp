@@ -163,11 +163,12 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
   PATHSEP_STAGE_TIMER("oracle_connections_ns");
   const std::size_t n = node.graph.num_vertices();
   NodeConnections out;
-  out.connections.resize(node.paths.size());
-  for (auto& lists : out.connections) lists.assign(n, {});
+  out.paths.resize(node.paths.size());
+  for (NodeConnections::PathLists& lists : out.paths)
+    lists.offsets.assign(n + 1, 0);
 
   /// One (requesting vertex, portal) pair. `slot` is the request's fixed
-  /// write position in connections[path][v]: slots follow ladder order
+  /// write position in list(path, v): slots follow ladder order
   /// (ascending portal index, hence non-decreasing prefix), so the finished
   /// lists are sorted by construction no matter which thread fills which
   /// slot — this is what keeps label bytes identical at every thread count.
@@ -176,7 +177,7 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
     Vertex v;            ///< requesting vertex
     std::uint32_t path;  ///< index into node.paths
     std::uint32_t idx;   ///< portal's index into that path's verts
-    std::uint32_t slot;  ///< write position in connections[path][v]
+    std::uint32_t slot;  ///< write position in list(path, v)
   };
   std::vector<Request> requests;         // reused across stages
   std::vector<Request> grouped;          // requests scattered by portal group
@@ -209,19 +210,22 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
       })
       sssp::DijkstraWorkspace& ws = sssp::thread_workspace();
       sssp::dijkstra_project(node.graph, path.verts, removed, ws);
-      // Late stages reach a shrinking residual fraction; walking the run's
-      // reached list makes request generation O(|reached|) instead of an
-      // O(n) stamp scan. First-touch order is deterministic (this loop is
-      // serial) and cannot leak into the output anyway — every connection
-      // lands in its pre-assigned slot.
+      // Only the run's reached list generates requests; sizing the path's
+      // flat lists (the prefix sum below) is O(n) per path. First-touch
+      // order is deterministic (this loop is serial) and cannot leak into
+      // the output anyway — every connection lands in its pre-assigned slot.
+      std::vector<std::size_t>& offsets = out.paths[pi].offsets;
       for (const Vertex v : ws.reached_list()) {
         epsilon_ladder_into(path.prefix, ws.anchor(v), ws.dist(v), epsilon,
                             ladder);
-        out.connections[pi][v].resize(ladder.size());
+        offsets[v + 1] = ladder.size();
         for (std::uint32_t j = 0; j < ladder.size(); ++j)
           requests.push_back({path.verts[ladder[j]], v,
                               static_cast<std::uint32_t>(pi), ladder[j], j});
       }
+      // Prefix sums turn the list lengths into the path's flat layout.
+      for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+      out.paths[pi].entries.resize(offsets[n]);
     }
 
     // Group requests by portal vertex with a two-pass counting scatter —
@@ -296,7 +300,7 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
             assert(tws.reached(req.v));
             // tws.parent(v) is v's predecessor on the portal->v path, i.e.
             // v's first hop when walking toward the portal.
-            out.connections[req.path][req.v][req.slot] =
+            out.list(req.path, req.v)[req.slot] =
                 Connection{req.idx, tws.parent(req.v), tws.dist(req.v),
                            node.paths[req.path].prefix[req.idx]};
           }

@@ -69,10 +69,25 @@ std::vector<PathProjection> compute_projections(
     const hierarchy::DecompositionNode& node);
 
 /// Per-path, per-vertex connection lists for one decomposition node, sorted
-/// by prefix position. `connections[p][v]` is empty when v is unreachable
-/// from path p in its stage's residual graph.
+/// by prefix position, one flat array per path: list(p, v) is empty when v
+/// is unreachable from path p in its stage's residual graph.
 struct NodeConnections {
-  std::vector<std::vector<std::vector<Connection>>> connections;
+  struct PathLists {
+    std::vector<std::size_t> offsets;  ///< v's list: [offsets[v], offsets[v+1])
+    std::vector<Connection> entries;
+  };
+  std::vector<PathLists> paths;  ///< indexed like DecompositionNode::paths
+
+  std::span<const Connection> list(std::size_t path, Vertex v) const {
+    const PathLists& lists = paths[path];
+    return std::span<const Connection>(lists.entries)
+        .subspan(lists.offsets[v], lists.offsets[v + 1] - lists.offsets[v]);
+  }
+  std::span<Connection> list(std::size_t path, Vertex v) {
+    PathLists& lists = paths[path];
+    return std::span<Connection>(lists.entries)
+        .subspan(lists.offsets[v], lists.offsets[v + 1] - lists.offsets[v]);
+  }
 };
 
 /// Computes all of a node's connection lists. The per-portal masked

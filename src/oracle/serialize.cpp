@@ -57,24 +57,32 @@ double read_double(std::span<const std::uint8_t> bytes, std::size_t& offset) {
   return value;
 }
 
-std::vector<std::uint8_t> serialize_label(const DistanceLabel& label) {
+std::uint64_t node_delta(std::int32_t node, std::int32_t prev_node) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(node) -
+                                    prev_node);
+}
+
+std::vector<std::uint8_t> serialize_label(const LabelView& label) {
   std::vector<std::uint8_t> out;
-  append_varint(out, label.vertex);
-  append_varint(out, label.parts.size());
+  append_varint(out, label.vertex());
+  append_varint(out, label.num_parts());
   std::int32_t prev_node = 0;
-  for (const LabelPart& part : label.parts) {
+  for (std::size_t p = 0; p < label.num_parts(); ++p) {
+    const LabelPart& part = label.part(p);
     // Parts are sorted by (node, path): node ids delta-encode compactly.
-    append_varint(out, static_cast<std::uint64_t>(part.node - prev_node));
+    append_varint(out, node_delta(part.node, prev_node));
     prev_node = part.node;
     append_varint(out, static_cast<std::uint64_t>(part.path));
-    append_varint(out, part.connections.size());
-    for (const Connection& conn : part.connections) {
-      append_varint(out, conn.path_index);
-      append_varint(out, conn.next_hop == graph::kInvalidVertex
+    const std::span<const HotEntry> hot = label.hot(p);
+    const std::span<const ColdEntry> cold = label.cold(p);
+    append_varint(out, hot.size());
+    for (std::size_t c = 0; c < hot.size(); ++c) {
+      append_varint(out, cold[c].path_index);
+      append_varint(out, cold[c].next_hop == graph::kInvalidVertex
                              ? 0
-                             : static_cast<std::uint64_t>(conn.next_hop) + 1);
-      append_double(out, conn.dist);
-      append_double(out, conn.prefix);
+                             : static_cast<std::uint64_t>(cold[c].next_hop) + 1);
+      append_double(out, hot[c].dist);
+      append_double(out, hot[c].prefix);
     }
   }
   return out;
@@ -93,15 +101,19 @@ DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes) {
   if (num_parts > (bytes.size() - std::min(offset, bytes.size())) / 3)
     throw std::runtime_error("label part count exceeds buffer");
   std::int32_t prev_node = 0;
+  std::vector<Connection> connections;
   for (std::uint64_t p = 0; p < num_parts; ++p) {
-    LabelPart part;
-    prev_node += static_cast<std::int32_t>(read_varint(bytes, offset));
-    part.node = prev_node;
-    part.path = static_cast<std::int32_t>(read_varint(bytes, offset));
+    // Deltas wrap modulo 2^32 (as the encoder's do), so a hostile delta
+    // cannot overflow; validity of the ids is the caller's concern.
+    prev_node = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(prev_node) +
+        static_cast<std::uint32_t>(read_varint(bytes, offset)));
+    const std::int32_t node = prev_node;
+    const auto path = static_cast<std::int32_t>(read_varint(bytes, offset));
     const std::uint64_t num_conns = read_varint(bytes, offset);
     if (num_conns > (bytes.size() - std::min(offset, bytes.size())) / 18)
       throw std::runtime_error("connection count exceeds buffer");
-    part.connections.reserve(num_conns);
+    connections.clear();
     for (std::uint64_t c = 0; c < num_conns; ++c) {
       Connection conn;
       conn.path_index = static_cast<std::uint32_t>(read_varint(bytes, offset));
@@ -110,28 +122,31 @@ DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes) {
                                : static_cast<Vertex>(hop - 1);
       conn.dist = read_double(bytes, offset);
       conn.prefix = read_double(bytes, offset);
-      part.connections.push_back(conn);
+      connections.push_back(conn);
     }
-    label.parts.push_back(std::move(part));
+    label.add_part(node, path, connections);
   }
   if (offset != bytes.size())
     throw std::runtime_error("trailing bytes after label");
   return label;
 }
 
-std::size_t serialized_bits(const DistanceLabel& label) {
-  std::size_t bytes = varint_size(label.vertex) + varint_size(label.parts.size());
+std::size_t serialized_bits(const LabelView& label) {
+  std::size_t bytes =
+      varint_size(label.vertex()) + varint_size(label.num_parts());
   std::int32_t prev_node = 0;
-  for (const LabelPart& part : label.parts) {
-    bytes += varint_size(static_cast<std::uint64_t>(part.node - prev_node));
+  for (std::size_t p = 0; p < label.num_parts(); ++p) {
+    const LabelPart& part = label.part(p);
+    bytes += varint_size(node_delta(part.node, prev_node));
     prev_node = part.node;
     bytes += varint_size(static_cast<std::uint64_t>(part.path));
-    bytes += varint_size(part.connections.size());
-    for (const Connection& conn : part.connections) {
-      bytes += varint_size(conn.path_index);
-      bytes += varint_size(conn.next_hop == graph::kInvalidVertex
+    const std::span<const ColdEntry> cold = label.cold(p);
+    bytes += varint_size(cold.size());
+    for (const ColdEntry& entry : cold) {
+      bytes += varint_size(entry.path_index);
+      bytes += varint_size(entry.next_hop == graph::kInvalidVertex
                                ? 0
-                               : static_cast<std::uint64_t>(conn.next_hop) + 1);
+                               : static_cast<std::uint64_t>(entry.next_hop) + 1);
       bytes += 16;  // dist + prefix doubles
     }
   }

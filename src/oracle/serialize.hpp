@@ -5,6 +5,8 @@
 // delta-coded part keys, IEEE doubles for distances) that a node could ship
 // in a handshake, and deserializes back to an equivalent DistanceLabel.
 // The serialized size is the honest "label size in bits" reported by E3.
+// The whole-oracle snapshot (service/snapshot.hpp) does not use this codec:
+// it stores the label arena's arrays as they are.
 #pragma once
 
 #include <cstdint>
@@ -14,16 +16,19 @@
 
 namespace pathsep::oracle {
 
-std::vector<std::uint8_t> serialize_label(const DistanceLabel& label);
+std::vector<std::uint8_t> serialize_label(const LabelView& label);
 
 /// Throws std::runtime_error on malformed input.
 DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes);
 
 /// serialize_label(label).size() * 8 without materializing the buffer.
-std::size_t serialized_bits(const DistanceLabel& label);
+std::size_t serialized_bits(const LabelView& label);
 
-// Exposed for tests and for the snapshot container format (service/).
+// Exposed for tests and for the per-level byte accounting (obs/report).
 void append_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
+/// The varint-coded node delta of a part (its node id minus the previous
+/// part's, 0 before the first part), as a sign-extended 64-bit value.
+std::uint64_t node_delta(std::int32_t node, std::int32_t prev_node);
 /// Encoded size of append_varint(value) in bytes; the per-level byte
 /// accounting in obs/report.cpp replays the wire format with it.
 std::size_t varint_size(std::uint64_t value);

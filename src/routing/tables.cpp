@@ -22,12 +22,12 @@ struct Plan {
 /// Brute-force argmin over portal pairs (planning happens once per packet at
 /// the source; the oracle's O(|C|) sweep answers *distance* queries, but the
 /// route needs the winning pair itself).
-Plan best_plan(const oracle::DistanceLabel& lu, const oracle::DistanceLabel& lv) {
+Plan best_plan(const oracle::LabelView& lu, const oracle::LabelView& lv) {
   Plan plan;
   std::size_t iu = 0, iv = 0;
-  while (iu < lu.parts.size() && iv < lv.parts.size()) {
-    const auto& pu = lu.parts[iu];
-    const auto& pv = lv.parts[iv];
+  while (iu < lu.num_parts() && iv < lv.num_parts()) {
+    const oracle::LabelPart& pu = lu.part(iu);
+    const oracle::LabelPart& pv = lv.part(iv);
     if (pu.node != pv.node) {
       (pu.node < pv.node ? iu : iv)++;
       continue;
@@ -36,12 +36,15 @@ Plan best_plan(const oracle::DistanceLabel& lu, const oracle::DistanceLabel& lv)
       (pu.path < pv.path ? iu : iv)++;
       continue;
     }
-    for (const oracle::Connection& cu : pu.connections)
-      for (const oracle::Connection& cv : pv.connections) {
+    const std::span<const oracle::HotEntry> hu = lu.hot(iu);
+    const std::span<const oracle::HotEntry> hv = lv.hot(iv);
+    for (std::size_t a = 0; a < hu.size(); ++a)
+      for (std::size_t b = 0; b < hv.size(); ++b) {
         const Weight cost =
-            cu.dist + std::abs(cu.prefix - cv.prefix) + cv.dist;
+            hu[a].dist + std::abs(hu[a].prefix - hv[b].prefix) + hv[b].dist;
         if (cost < plan.cost) {
-          plan = Plan{cost, pu.node, pu.path, cu, cv};
+          plan = Plan{cost, pu.node, pu.path, lu.connection(iu, a),
+                      lv.connection(iv, b)};
         }
       }
     ++iu;
@@ -80,7 +83,7 @@ std::vector<Vertex> leg_to_portal(const hierarchy::DecompositionNode& node,
 RoutingScheme::RoutingScheme(const hierarchy::DecompositionTree& tree,
                              double epsilon)
     : tree_(&tree), oracle_(tree, epsilon) {
-  PATHSEP_AUDIT(check::audit_routing_tables(tree, oracle_.labels()));
+  PATHSEP_AUDIT(check::audit_routing_tables(tree, oracle_.arena()));
 }
 
 RouteResult RoutingScheme::route(Vertex source, Vertex target) const {

@@ -255,49 +255,49 @@ class AuditLabelsTest : public ::testing::Test {
     labels_ = oracle::build_labels(*tree_, 0.5);
   }
 
+  /// First part (arena index) of a vertex with at least `count` parts.
+  std::size_t first_part_of_label_with(std::size_t count) const {
+    for (std::size_t v = 0; v < labels_.num_vertices(); ++v)
+      if (labels_.part_offsets[v + 1] - labels_.part_offsets[v] >= count)
+        return labels_.part_offsets[v];
+    ADD_FAILURE() << "no label with " << count << " parts";
+    return 0;
+  }
+
   Graph g_;
   std::unique_ptr<hierarchy::DecompositionTree> tree_;
-  std::vector<oracle::DistanceLabel> labels_;
+  oracle::LabelArena labels_;
 };
 
 TEST_F(AuditLabelsTest, AcceptsBuiltLabels) {
   EXPECT_NO_THROW(check::audit_labels(labels_));
 }
 
-TEST_F(AuditLabelsTest, RejectsVertexIdMismatch) {
-  labels_[1].vertex = 0;
+TEST_F(AuditLabelsTest, RejectsNonMonotonePartOffsets) {
+  // Vertex 1's part range ends before it starts.
+  ASSERT_GE(labels_.num_vertices(), 3u);
+  labels_.part_offsets[2] = labels_.part_offsets[1] - 1;
   EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
 }
 
 TEST_F(AuditLabelsTest, RejectsNegativeDistance) {
-  for (auto& label : labels_)
-    for (auto& part : label.parts)
-      if (!part.connections.empty()) {
-        part.connections[0].dist = -1.0;
-        EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
-        return;
-      }
-  FAIL() << "no connection to corrupt";
+  ASSERT_FALSE(labels_.hot.empty()) << "no connection to corrupt";
+  labels_.hot[0].dist = -1.0;
+  EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
 }
 
 TEST_F(AuditLabelsTest, RejectsUnsortedParts) {
-  for (auto& label : labels_)
-    if (label.parts.size() >= 2) {
-      std::swap(label.parts.front(), label.parts.back());
-      EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
-      return;
-    }
-  FAIL() << "no label with two parts";
+  const std::size_t p = first_part_of_label_with(2);
+  std::swap(labels_.parts[p].node, labels_.parts[p + 1].node);
+  std::swap(labels_.parts[p].path, labels_.parts[p + 1].path);
+  EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
 }
 
 TEST_F(AuditLabelsTest, RejectsDuplicateParts) {
-  for (auto& label : labels_)
-    if (!label.parts.empty()) {
-      label.parts.push_back(label.parts.back());
-      EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
-      return;
-    }
-  FAIL() << "no label with a part";
+  const std::size_t p = first_part_of_label_with(2);
+  labels_.parts[p + 1].node = labels_.parts[p].node;
+  labels_.parts[p + 1].path = labels_.parts[p].path;
+  EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
 }
 
 TEST(AuditConnections, RejectsBrokenPortalOrder) {
@@ -309,10 +309,11 @@ TEST(AuditConnections, RejectsBrokenPortalOrder) {
   const auto& root = tree.node(0);
   oracle::NodeConnections conns = oracle::compute_connections(root, 0.05);
   EXPECT_NO_THROW(check::audit_connections(root, conns));
-  for (auto& per_path : conns.connections)
-    for (auto& per_vertex : per_path)
-      if (per_vertex.size() >= 2) {
-        std::swap(per_vertex.front(), per_vertex.back());
+  for (std::size_t pi = 0; pi < conns.paths.size(); ++pi)
+    for (Vertex v = 0; v < root.graph.num_vertices(); ++v)
+      if (const std::span<oracle::Connection> list = conns.list(pi, v);
+          list.size() >= 2) {
+        std::swap(list.front(), list.back());
         EXPECT_THROW(check::audit_connections(root, conns), CheckFailure);
         return;
       }
@@ -329,20 +330,19 @@ TEST(AuditRouting, RejectsCorruptNextHop) {
                                      graph::WeightSpec::uniform_real(1, 4));
   const hierarchy::DecompositionTree tree(g,
                                           separator::TreeCentroidSeparator());
-  std::vector<oracle::DistanceLabel> labels = oracle::build_labels(tree, 0.5);
+  oracle::LabelArena labels = oracle::build_labels(tree, 0.5);
   EXPECT_NO_THROW(check::audit_routing_tables(tree, labels));
 
-  for (auto& label : labels)
-    for (auto& part : label.parts)
-      for (auto& conn : part.connections)
-        if (conn.next_hop != graph::kInvalidVertex) {
-          // A hop the vertex is not adjacent to can never forward a packet.
-          conn.next_hop = static_cast<Vertex>(
-              tree.node(part.node).graph.num_vertices());
-          EXPECT_THROW(check::audit_routing_tables(tree, labels),
-                       CheckFailure);
-          return;
-        }
+  for (std::size_t p = 0; p < labels.num_parts(); ++p)
+    for (std::uint64_t c = labels.parts[p].begin; c < labels.parts[p + 1].begin;
+         ++c)
+      if (labels.cold[c].next_hop != graph::kInvalidVertex) {
+        // A hop the vertex is not adjacent to can never forward a packet.
+        labels.cold[c].next_hop = static_cast<Vertex>(
+            tree.node(labels.parts[p].node).graph.num_vertices());
+        EXPECT_THROW(check::audit_routing_tables(tree, labels), CheckFailure);
+        return;
+      }
   FAIL() << "no connection with a next hop";
 }
 
@@ -351,16 +351,10 @@ TEST(AuditRouting, RejectsPortalOffPath) {
   const Graph g = graph::random_tree(25, rng);
   const hierarchy::DecompositionTree tree(g,
                                           separator::TreeCentroidSeparator());
-  std::vector<oracle::DistanceLabel> labels = oracle::build_labels(tree, 0.5);
-  for (auto& label : labels)
-    for (auto& part : label.parts)
-      if (!part.connections.empty()) {
-        part.connections[0].path_index = 100000;
-        EXPECT_THROW(check::audit_routing_tables(tree, labels),
-                     CheckFailure);
-        return;
-      }
-  FAIL() << "no connection to corrupt";
+  oracle::LabelArena labels = oracle::build_labels(tree, 0.5);
+  ASSERT_FALSE(labels.cold.empty()) << "no connection to corrupt";
+  labels.cold[0].path_index = 100000;
+  EXPECT_THROW(check::audit_routing_tables(tree, labels), CheckFailure);
 }
 
 // --------------------------------------------------------------------------

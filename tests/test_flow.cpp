@@ -230,10 +230,10 @@ TEST(FlowSeparator, RegistryRoundTrip) {
   EXPECT_THROW((void)make_finder("planar-cycle"), std::invalid_argument);
 }
 
-std::uint64_t label_digest(const std::vector<oracle::DistanceLabel>& labels) {
+std::uint64_t label_digest(const oracle::LabelArena& labels) {
   std::uint64_t h = 1469598103934665603ULL;
-  for (const oracle::DistanceLabel& label : labels)
-    for (const std::uint8_t byte : oracle::serialize_label(label)) {
+  for (graph::Vertex v = 0; v < labels.num_vertices(); ++v)
+    for (const std::uint8_t byte : oracle::serialize_label(labels.label(v))) {
       h ^= byte;
       h *= 1099511628211ULL;
     }

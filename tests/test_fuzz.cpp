@@ -6,17 +6,24 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "check/audit_oracle.hpp"
+#include "check/check.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "hierarchy/decomposition_tree.hpp"
 #include "oracle/path_oracle.hpp"
 #include "separator/finders.hpp"
 #include "separator/validate.hpp"
+#include "service/snapshot.hpp"
 #include "sssp/dijkstra.hpp"
 
 namespace pathsep {
@@ -329,6 +336,220 @@ TEST(ParserFuzz, BinaryFileRoundTrip) {
   EXPECT_TRUE(g == graph::load_binary_graph(path));
   EXPECT_THROW(graph::load_binary_graph(path + ".missing"),
                std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot fuzzing (service/snapshot.cpp), mirroring the binary graph
+// reader's cases: truncation, bit flips, lying counts and offsets behind a
+// recomputed checksum, and random garbage must throw std::runtime_error (or,
+// for flips the checksum cannot see, load labels that pass the audits) —
+// never crash, read out of bounds or allocate past the input's size.
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t> snapshot_bytes() {
+  util::Rng rng(31);
+  const auto gg = graph::random_apollonian(40, rng);
+  const hierarchy::DecompositionTree tree(
+      gg.graph, separator::PlanarCycleSeparator(gg.positions));
+  return service::serialize_oracle(oracle::PathOracle(tree, 0.5));
+}
+
+/// Rewrites the trailing checksum so the structural lie is what the loader
+/// sees, not a checksum mismatch.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::uint64_t sum = service::snapshot_checksum(
+      std::span<const std::uint8_t>(bytes).first(bytes.size() - 8));
+  std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
+}
+
+void poke_u64(std::vector<std::uint8_t>& bytes, std::size_t offset,
+              std::uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, 8);
+}
+
+std::uint64_t peek_u64(const std::vector<std::uint8_t>& bytes,
+                       std::size_t offset) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + offset, 8);
+  return value;
+}
+
+/// Every sampled query of a loaded oracle answers (in bounds: the
+/// sanitizer builds would flag a stray read) with a non-negative distance.
+void expect_queries_answer(const oracle::PathOracle& loaded) {
+  const auto n = static_cast<Vertex>(loaded.num_vertices());
+  for (Vertex u = 0; u < n; u += 3)
+    for (Vertex v = 0; v < n; v += 5) EXPECT_GE(loaded.query(u, v), 0.0);
+}
+
+/// Loads `bytes` through load_snapshot (the file path query_server --load
+/// takes) and through deserialize_oracle: both must throw, or both must
+/// load oracles with the same answers. The other cases feed the in-memory
+/// parser; this one shows the file loader is the same parser.
+void expect_file_and_buffer_agree(std::span<const std::uint8_t> bytes) {
+  const std::string path = ::testing::TempDir() + "/pathsep_fuzz.snapshot";
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  std::optional<oracle::PathOracle> from_file;
+  std::optional<oracle::PathOracle> from_buffer;
+  try {
+    from_file.emplace(service::load_snapshot(path));
+  } catch (const std::runtime_error&) {
+  }
+  try {
+    from_buffer.emplace(service::deserialize_oracle(bytes));
+  } catch (const std::runtime_error&) {
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(from_file.has_value(), from_buffer.has_value())
+      << "file loader and buffer parser disagree on " << bytes.size()
+      << " bytes";
+  if (!from_file) return;
+  const auto n = static_cast<Vertex>(from_file->num_vertices());
+  ASSERT_EQ(from_buffer->num_vertices(), n);
+  for (Vertex u = 0; u < n; u += 3)
+    for (Vertex v = 0; v < n; v += 5)
+      EXPECT_EQ(from_file->query(u, v), from_buffer->query(u, v));
+}
+
+TEST(SnapshotFuzz, FileLoaderAgreesWithTheBufferParser) {
+  const auto bytes = snapshot_bytes();
+  const std::span<const std::uint8_t> all(bytes);
+  expect_file_and_buffer_agree(all);
+  for (std::size_t len = 0; len < bytes.size(); len += 1 + len / 8)
+    expect_file_and_buffer_agree(all.first(len));
+  for (const std::size_t cut : {55, 56, 57, 64})
+    expect_file_and_buffer_agree(all.first(cut));
+  expect_file_and_buffer_agree(all.first(bytes.size() - 1));
+  util::Rng rng(53);
+  for (int trial = 0; trial < 100; ++trial) {
+    auto flipped = bytes;
+    flipped[rng.next_below(flipped.size() - 8)] ^=
+        static_cast<std::uint8_t>(1u << rng.next_below(8));
+    if (trial % 2 == 0) reseal(flipped);
+    expect_file_and_buffer_agree(flipped);
+  }
+  for (const std::size_t at : {24, 32, 40, 48}) {
+    auto forged = bytes;
+    poke_u64(forged, at, peek_u64(bytes, at) + 1);
+    reseal(forged);
+    expect_file_and_buffer_agree(forged);
+  }
+}
+
+TEST(SnapshotFuzz, EveryTruncationThrows) {
+  const auto bytes = snapshot_bytes();
+  for (std::size_t len = 0; len < bytes.size(); ++len)
+    EXPECT_THROW(service::deserialize_oracle(
+                     std::span<const std::uint8_t>(bytes).first(len)),
+                 std::runtime_error)
+        << "accepted prefix of length " << len;
+}
+
+TEST(SnapshotFuzz, BitFlipsThrowOrLoadAuditedLabels) {
+  const auto bytes = snapshot_bytes();
+  util::Rng rng(41);
+  for (int trial = 0; trial < 400; ++trial) {
+    auto flipped = bytes;
+    flipped[rng.next_below(flipped.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.next_below(8));
+    try {
+      const oracle::PathOracle loaded = service::deserialize_oracle(flipped);
+      EXPECT_NO_THROW(check::audit_labels(loaded.arena()));
+    } catch (const std::runtime_error&) {
+    }
+  }
+}
+
+TEST(SnapshotFuzz, ResealedBitFlipsThrowOrLoadInBounds) {
+  // With the checksum recomputed, every flip reaches the structural
+  // validator: it rejects the flip or the oracle it admits stays in bounds.
+  const auto bytes = snapshot_bytes();
+  util::Rng rng(43);
+  std::size_t loaded_count = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    auto flipped = bytes;
+    flipped[rng.next_below(flipped.size() - 8)] ^=
+        static_cast<std::uint8_t>(1u << rng.next_below(8));
+    reseal(flipped);
+    try {
+      const oracle::PathOracle loaded = service::deserialize_oracle(flipped);
+      ++loaded_count;
+      expect_queries_answer(loaded);
+    } catch (const std::runtime_error&) {
+    }
+  }
+  // Flips in distances and cold fields are valid data; some must load.
+  EXPECT_GT(loaded_count, 0u);
+}
+
+TEST(SnapshotFuzz, LyingCountsAndOffsetsThrowWithoutAllocating) {
+  const auto bytes = snapshot_bytes();
+  const service::SnapshotInfo info = service::peek_snapshot(bytes, bytes.size());
+  const std::size_t n = info.num_vertices;
+  const std::size_t parts = info.num_parts;
+  const std::size_t offsets_at = 56;
+  const std::size_t parts_at = offsets_at + 8 * (n + 1);
+  const std::size_t hot_at = parts_at + 16 * (parts + 1);
+  const auto lie = [&](std::size_t offset, std::uint64_t value) {
+    auto forged = bytes;
+    poke_u64(forged, offset, value);
+    reseal(forged);
+    // A loader that believed a count would allocate terabytes (bad_alloc,
+    // or a sanitizer abort), not throw std::runtime_error.
+    EXPECT_THROW(service::deserialize_oracle(forged), std::runtime_error)
+        << "accepted " << value << " at byte " << offset;
+  };
+  // Header counts: absurd, and off by one (the node count is an upper
+  // bound, so its smallest lie is one past the vertex count).
+  for (const std::size_t at : {24, 32, 40, 48}) {
+    lie(at, std::uint64_t{1} << 40);
+    lie(at, ~std::uint64_t{0});
+    lie(at, at == 32 ? n + 1 : peek_u64(bytes, at) + 1);
+  }
+  lie(16, 0);  // epsilon 0.0
+  // Offsets inside the sections, with every count still consistent.
+  lie(offsets_at, 1);                           // first offset not 0
+  lie(offsets_at + 8 * n, parts + 1);           // last offset past the parts
+  lie(offsets_at + 8 * (n / 2), ~std::uint64_t{0});
+  lie(parts_at + 8, 1);                         // first part's begin not 0
+  lie(parts_at + 16 * 3 + 8, ~std::uint64_t{0});  // a part's begin
+  lie(parts_at + 16 * parts + 8, info.num_connections + 1);  // sentinel
+  lie(parts_at, 0x7ffffff0u);                   // node 0x7ffffff0, path 0
+  lie(hot_at + 8, 0xfff8000000000000ULL);       // NaN distance
+  lie(hot_at, 0xbff0000000000000ULL);           // prefix -1.0
+}
+
+TEST(SnapshotFuzz, RandomGarbageNeverCrashes) {
+  util::Rng rng(47);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Random bytes of a size some header could account for. Odd trials
+    // keep the random header (rejected early); even ones get a valid header
+    // and checksum, so the garbage reaches the section validator.
+    const std::uint64_t n = rng.next_below(6);
+    const std::uint64_t nodes = rng.next_below(n + 1);
+    const std::uint64_t parts = rng.next_below(6);
+    const std::uint64_t conns = rng.next_below(10);
+    std::vector<std::uint8_t> bytes(56 + 8 * (n + 1) + 16 * (parts + 1) +
+                                 24 * conns + 8);
+    for (auto& byte : bytes)
+      byte = static_cast<std::uint8_t>(rng.next_below(256));
+    if (trial % 2 == 0) {
+      std::memcpy(bytes.data(), "PSEPSNAP", 8);
+      poke_u64(bytes, 8, service::kSnapshotVersion);
+      poke_u64(bytes, 16, 0x3fe0000000000000ULL);  // 0.5
+      poke_u64(bytes, 24, n);
+      poke_u64(bytes, 32, nodes);
+      poke_u64(bytes, 40, parts);
+      poke_u64(bytes, 48, conns);
+      reseal(bytes);
+    }
+    try {
+      expect_queries_answer(service::deserialize_oracle(bytes));
+    } catch (const std::runtime_error&) {
+    }
+  }
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST_P(Pipeline, EndToEndGuaranteesHold) {
         oracle::serialize_label(oracle.label(u)));
     const auto lv = oracle::deserialize_label(
         oracle::serialize_label(oracle.label(v)));
-    EXPECT_EQ(oracle::query_labels(lu, lv), oracle.query(u, v));
+    EXPECT_EQ(oracle::query_labels(lu.view(), lv.view()), oracle.query(u, v));
   }
 
   // 4. Routing: valid walks, cost == oracle estimate, stretch <= 1+eps.
@@ -169,19 +169,18 @@ TEST(PipelineFaults, TruncatedLabelsNeverUnderestimate) {
   const oracle::PathOracle oracle(tree, 0.5);
   for (Vertex u = 0; u < 120; u += 13)
     for (Vertex v = 5; v < 120; v += 17) {
-      oracle::DistanceLabel lu = oracle.label(u);
+      const oracle::LabelView lu = oracle.label(u);
       // Drop every other part and every other connection.
       oracle::DistanceLabel crippled;
-      crippled.vertex = lu.vertex;
-      for (std::size_t p = 0; p < lu.parts.size(); p += 2) {
-        oracle::LabelPart part;
-        part.node = lu.parts[p].node;
-        part.path = lu.parts[p].path;
-        for (std::size_t c = 0; c < lu.parts[p].connections.size(); c += 2)
-          part.connections.push_back(lu.parts[p].connections[c]);
-        if (!part.connections.empty()) crippled.parts.push_back(part);
+      crippled.vertex = lu.vertex();
+      for (std::size_t p = 0; p < lu.num_parts(); p += 2) {
+        std::vector<oracle::Connection> kept;
+        for (std::size_t c = 0; c < lu.hot(p).size(); c += 2)
+          kept.push_back(lu.connection(p, c));
+        crippled.add_part(lu.part(p).node, lu.part(p).path, kept);
       }
-      const Weight est = oracle::query_labels(crippled, oracle.label(v));
+      const Weight est =
+          oracle::query_labels(crippled.view(), oracle.label(v));
       const Weight truth = sssp::distance(gg.graph, u, v);
       if (u != v && est != graph::kInfiniteWeight) {
         EXPECT_GE(est, truth - 1e-9);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -22,6 +23,7 @@
 #include "oracle/path_oracle.hpp"
 #include "oracle/serialize.hpp"
 #include "separator/finders.hpp"
+#include "service/snapshot.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/workspace.hpp"
 #include "util/rng.hpp"
@@ -354,8 +356,8 @@ TEST(ObsReport, ByteAttributionMatchesSerializeExactly) {
   // The acceptance criterion: per-level totals plus header overhead must
   // reproduce serialize_label() byte counts exactly, not approximately.
   std::size_t actual_bytes = 0;
-  for (const oracle::DistanceLabel& label : oracle.labels())
-    actual_bytes += oracle::serialize_label(label).size();
+  for (graph::Vertex v = 0; v < oracle.num_vertices(); ++v)
+    actual_bytes += oracle::serialize_label(oracle.label(v)).size();
   std::size_t attributed = report.label_header_bytes;
   for (const LevelReport& level : report.levels)
     attributed += level.serialized_bytes;
@@ -364,8 +366,8 @@ TEST(ObsReport, ByteAttributionMatchesSerializeExactly) {
 
   // serialized_bits agrees too (it replays the same wire format).
   std::size_t bits = 0;
-  for (const oracle::DistanceLabel& label : oracle.labels())
-    bits += oracle::serialized_bits(label);
+  for (graph::Vertex v = 0; v < oracle.num_vertices(); ++v)
+    bits += oracle::serialized_bits(oracle.label(v));
   EXPECT_EQ(report.total_serialized_bytes * 8, bits);
 
   // Tree-shape accounting is consistent with the tree itself.
@@ -410,6 +412,36 @@ TEST(ObsInstrumentation, ConstructionRecordsPipelineCounters) {
       default_registry().counter("oracle_portal_dijkstras_total").value(), 0u);
   EXPECT_GT(
       default_registry().histogram("oracle_connections_ns").count(), 0u);
+}
+
+TEST(ObsInstrumentation, SnapshotSaveAndLoadRecordLayerTimers) {
+  // save_ms and load_ms split into these four stages in --statsz output.
+  const char* const stages[] = {"snapshot_encode_ns", "snapshot_checksum_ns",
+                                "snapshot_validate_ns", "snapshot_io_ns"};
+  const auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (const char* stage : stages)
+      out.push_back(default_registry().histogram(stage).count());
+    return out;
+  };
+  const graph::GridGraph gg = graph::grid(8, 8);
+  const hierarchy::DecompositionTree tree(gg.graph,
+                                          separator::GridLineSeparator(8, 8));
+  const std::string path = ::testing::TempDir() + "pathsep_obs.snapshot";
+
+  const std::vector<std::uint64_t> before = counts();
+  service::save_snapshot(oracle::PathOracle(tree, 0.5), path);
+  const std::vector<std::uint64_t> after_save = counts();
+  (void)service::load_snapshot(path);
+  const std::vector<std::uint64_t> after_load = counts();
+  std::remove(path.c_str());
+  for (std::size_t i = 0; i < std::size(stages); ++i) {
+    EXPECT_GT(after_save[i], before[i]) << stages[i] << " (save)";
+    // Loading reads straight into the arena: it has no encode stage.
+    if (i != 0) {
+      EXPECT_GT(after_load[i], after_save[i]) << stages[i] << " (load)";
+    }
+  }
 }
 
 TEST(ObsInstrumentation, BuildTraceStitchesUnderOneRoot) {

@@ -514,25 +514,25 @@ TEST(ObsAttribution, TreeOracleLevelsMatchDecompositionDepths) {
   EXPECT_EQ(built.num_levels(), tree.height());
   EXPECT_EQ(built.node_level(-1), -1);
   EXPECT_EQ(built.node_level(1 << 28), -1);  // out of range, not a crash
-  for (const oracle::DistanceLabel& label : built.labels())
-    for (const oracle::LabelPart& part : label.parts) {
-      const std::int32_t level = built.node_level(part.node);
-      ASSERT_GE(level, 0);
-      ASSERT_LT(static_cast<std::size_t>(level), built.num_levels());
-    }
+  for (std::size_t p = 0; p < built.arena().num_parts(); ++p) {
+    const std::int32_t level = built.node_level(built.arena().parts[p].node);
+    ASSERT_GE(level, 0);
+    ASSERT_LT(static_cast<std::size_t>(level), built.num_levels());
+  }
 }
 
 TEST(ObsAttribution, SnapshotLoadedOracleDerivesTheSameLevels) {
   const oracle::PathOracle built = grid_oracle();
   // The snapshot path has no DecompositionTree: levels are reconstructed
   // from label chain order alone and must agree with the tree's depths.
-  std::vector<oracle::DistanceLabel> labels = built.labels();
+  oracle::LabelArena labels = built.arena();
   const oracle::PathOracle loaded(std::move(labels), built.epsilon());
   EXPECT_EQ(loaded.num_levels(), built.num_levels());
-  for (const oracle::DistanceLabel& label : built.labels())
-    for (const oracle::LabelPart& part : label.parts)
-      EXPECT_EQ(loaded.node_level(part.node), built.node_level(part.node))
-          << "node " << part.node;
+  for (std::size_t p = 0; p < built.arena().num_parts(); ++p) {
+    const std::int32_t node = built.arena().parts[p].node;
+    EXPECT_EQ(loaded.node_level(node), built.node_level(node))
+        << "node " << node;
+  }
 }
 
 TEST(ObsAttribution, QueryStatsMatchesQueryAndNamesTheWinner) {

@@ -6,6 +6,7 @@
 
 #include "graph/generators.hpp"
 #include "oracle/exact_oracle.hpp"
+#include "oracle/serialize.hpp"
 #include "oracle/thorup_zwick.hpp"
 #include "separator/finders.hpp"
 #include "sssp/apsp.hpp"
@@ -125,9 +126,10 @@ TEST(PathOracle, LabelOnlyQueriesEqualOracleQueries) {
   const PathOracle oracle(tree, 0.4);
   for (Vertex u = 0; u < 60; u += 7)
     for (Vertex v = 0; v < 60; v += 11) {
-      const DistanceLabel lu = oracle.label(u);  // copies: labels only
-      const DistanceLabel lv = oracle.label(v);
-      EXPECT_EQ(query_labels(lu, lv), oracle.query(u, v));
+      // Detached copies: the labels alone, no oracle behind them.
+      const DistanceLabel lu = deserialize_label(serialize_label(oracle.label(u)));
+      const DistanceLabel lv = deserialize_label(serialize_label(oracle.label(v)));
+      EXPECT_EQ(query_labels(lu.view(), lv.view()), oracle.query(u, v));
     }
 }
 
@@ -184,7 +186,7 @@ TEST(PathOracle, DisconnectedEndpointsReturnInfinity) {
   // deployment; emulate by querying a label against an empty one.
   DistanceLabel empty;
   empty.vertex = 99;
-  EXPECT_EQ(query_labels(oa.label(0), empty), graph::kInfiniteWeight);
+  EXPECT_EQ(query_labels(oa.label(0), empty.view()), graph::kInfiniteWeight);
 }
 
 TEST(PathOracle, ParallelBuildIsDeterministic) {
@@ -198,19 +200,17 @@ TEST(PathOracle, ParallelBuildIsDeterministic) {
   const PathOracle b(tree, 0.25);
   ASSERT_EQ(a.size_in_words(), b.size_in_words());
   for (Vertex v = 0; v < 300; v += 17) {
-    const DistanceLabel& la = a.label(v);
-    const DistanceLabel& lb = b.label(v);
-    ASSERT_EQ(la.parts.size(), lb.parts.size());
-    for (std::size_t p = 0; p < la.parts.size(); ++p) {
-      EXPECT_EQ(la.parts[p].node, lb.parts[p].node);
-      EXPECT_EQ(la.parts[p].path, lb.parts[p].path);
-      ASSERT_EQ(la.parts[p].connections.size(),
-                lb.parts[p].connections.size());
-      for (std::size_t c = 0; c < la.parts[p].connections.size(); ++c) {
-        EXPECT_EQ(la.parts[p].connections[c].path_index,
-                  lb.parts[p].connections[c].path_index);
-        EXPECT_EQ(la.parts[p].connections[c].dist,
-                  lb.parts[p].connections[c].dist);
+    const LabelView la = a.label(v);
+    const LabelView lb = b.label(v);
+    ASSERT_EQ(la.num_parts(), lb.num_parts());
+    for (std::size_t p = 0; p < la.num_parts(); ++p) {
+      EXPECT_EQ(la.part(p).node, lb.part(p).node);
+      EXPECT_EQ(la.part(p).path, lb.part(p).path);
+      ASSERT_EQ(la.hot(p).size(), lb.hot(p).size());
+      for (std::size_t c = 0; c < la.hot(p).size(); ++c) {
+        EXPECT_EQ(la.connection(p, c).path_index,
+                  lb.connection(p, c).path_index);
+        EXPECT_EQ(la.connection(p, c).dist, lb.connection(p, c).dist);
       }
     }
   }

@@ -18,6 +18,7 @@
 #include "oracle/labels.hpp"
 #include "oracle/serialize.hpp"
 #include "separator/finders.hpp"
+#include "service/snapshot.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/workspace.hpp"
 #include "util/parallel.hpp"
@@ -45,7 +46,7 @@ std::vector<std::uint8_t> build_serialized(
     const Graph& g, const separator::SeparatorFinder& finder,
     std::size_t threads, double epsilon = 0.5) {
   const DecompositionTree tree(g, finder, with_threads(threads));
-  const std::vector<oracle::DistanceLabel> labels =
+  const oracle::LabelArena labels =
       oracle::build_labels(tree, epsilon, threads);
   std::vector<std::uint8_t> bytes;
   // Tree shape participates too: node ids, parents, chain order.
@@ -60,8 +61,9 @@ std::vector<std::uint8_t> build_serialized(
       oracle::append_varint(bytes, static_cast<std::uint64_t>(node_id));
       oracle::append_varint(bytes, local);
     }
-  for (const oracle::DistanceLabel& label : labels) {
-    const std::vector<std::uint8_t> one = oracle::serialize_label(label);
+  for (Vertex v = 0; v < labels.num_vertices(); ++v) {
+    const std::vector<std::uint8_t> one =
+        oracle::serialize_label(labels.label(v));
     oracle::append_varint(bytes, one.size());
     bytes.insert(bytes.end(), one.begin(), one.end());
   }
@@ -76,6 +78,23 @@ TEST(ParallelBuild, GridOracleBytesIdenticalAcrossThreadCounts) {
   const auto serial = build_serialized(gg.graph, finder, 1);
   EXPECT_EQ(serial, build_serialized(gg.graph, finder, 2));
   EXPECT_EQ(serial, build_serialized(gg.graph, finder, 8));
+}
+
+TEST(ParallelBuild, SnapshotBytesIdenticalAcrossThreadCounts) {
+  // The snapshot file is the label arena byte for byte, so every array —
+  // including bytes no query reads — must come out the same at every thread
+  // count (perfbench counts differing snapshot digests as failures).
+  util::Rng rng(73);
+  const auto gg = graph::random_apollonian(300, rng);
+  const separator::PlanarCycleSeparator finder(gg.positions);
+  const auto snapshot = [&](std::size_t threads) {
+    const DecompositionTree tree(gg.graph, finder, with_threads(threads));
+    return service::serialize_oracle(oracle::PathOracle(
+        oracle::build_labels(tree, 0.5, threads), 0.5));
+  };
+  const auto serial = snapshot(1);
+  EXPECT_TRUE(serial == snapshot(2));
+  EXPECT_TRUE(serial == snapshot(8));
 }
 
 TEST(ParallelBuild, PlanarOracleBytesIdenticalAcrossThreadCounts) {

@@ -148,7 +148,7 @@ TEST(Connections, DistancesAreExactResidualDistances) {
     const auto& path = root.paths[pi];
     for (Vertex v = 0; v < root.graph.num_vertices(); ++v) {
       const sssp::ShortestPaths sp = sssp::dijkstra(root.graph, v);
-      for (const Connection& c : nc.connections[pi][v]) {
+      for (const Connection& c : nc.list(pi, v)) {
         EXPECT_NEAR(c.dist, sp.dist[path.verts[c.path_index]], 1e-9);
         EXPECT_DOUBLE_EQ(c.prefix, path.prefix[c.path_index]);
       }
@@ -162,15 +162,15 @@ TEST(Connections, SortedByPrefixAndSelfConnectionOnPath) {
   const NodeConnections nc = compute_connections(root, 0.25);
   const auto& path = root.paths[0];
   for (Vertex v = 0; v < root.graph.num_vertices(); ++v) {
-    const auto& conns = nc.connections[0][v];
+    const auto conns = nc.list(0, v);
     for (std::size_t i = 1; i < conns.size(); ++i)
       EXPECT_LE(conns[i - 1].prefix, conns[i].prefix);
   }
   // A vertex on the path connects to itself at distance 0.
   const Vertex on_path = path.verts[2];
-  ASSERT_EQ(nc.connections[0][on_path].size(), 1u);
-  EXPECT_DOUBLE_EQ(nc.connections[0][on_path][0].dist, 0.0);
-  EXPECT_EQ(nc.connections[0][on_path][0].path_index, 2u);
+  ASSERT_EQ(nc.list(0, on_path).size(), 1u);
+  EXPECT_DOUBLE_EQ(nc.list(0, on_path)[0].dist, 0.0);
+  EXPECT_EQ(nc.list(0, on_path)[0].path_index, 2u);
 }
 
 TEST(Connections, NextHopIsFirstEdgeTowardPortal) {
@@ -178,7 +178,7 @@ TEST(Connections, NextHopIsFirstEdgeTowardPortal) {
   const auto& root = tree.node(0);
   const NodeConnections nc = compute_connections(root, 0.5);
   for (Vertex v = 0; v < root.graph.num_vertices(); ++v) {
-    for (const Connection& c : nc.connections[0][v]) {
+    for (const Connection& c : nc.list(0, v)) {
       const Vertex portal = root.paths[0].verts[c.path_index];
       if (v == portal) {
         EXPECT_EQ(c.next_hop, graph::kInvalidVertex);
@@ -200,7 +200,7 @@ TEST(Connections, ConnectionCountIsModest) {
   const NodeConnections nc = compute_connections(root, 0.5);
   std::size_t worst = 0;
   for (Vertex v = 0; v < root.graph.num_vertices(); ++v)
-    worst = std::max(worst, nc.connections[0][v].size());
+    worst = std::max(worst, nc.list(0, v).size());
   // O(1/eps * log Delta): generous absolute cap for a 12x12 grid.
   EXPECT_LE(worst, 40u);
 }

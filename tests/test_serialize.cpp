@@ -38,57 +38,51 @@ TEST(Varint, TruncatedInputThrows) {
 DistanceLabel sample_label() {
   DistanceLabel label;
   label.vertex = 17;
-  LabelPart part;
-  part.node = 3;
-  part.path = 1;
-  part.connections.push_back(Connection{5, 9, 1.25, 0.5});
-  part.connections.push_back(Connection{7, graph::kInvalidVertex, 0.0, 2.5});
-  label.parts.push_back(part);
-  LabelPart part2;
-  part2.node = 12;
-  part2.path = 0;
-  part2.connections.push_back(Connection{0, 2, 3.75, 0.0});
-  label.parts.push_back(part2);
+  const Connection first[] = {{5, 9, 1.25, 0.5},
+                              {7, graph::kInvalidVertex, 0.0, 2.5}};
+  label.add_part(3, 1, first);
+  const Connection second[] = {{0, 2, 3.75, 0.0}};
+  label.add_part(12, 0, second);
   return label;
 }
 
 TEST(LabelSerialization, RoundTripPreservesEverything) {
-  const DistanceLabel label = sample_label();
+  const DistanceLabel owned = sample_label();
+  const LabelView label = owned.view();
   const auto bytes = serialize_label(label);
-  const DistanceLabel back = deserialize_label(bytes);
-  ASSERT_EQ(back.vertex, label.vertex);
-  ASSERT_EQ(back.parts.size(), label.parts.size());
-  for (std::size_t p = 0; p < label.parts.size(); ++p) {
-    EXPECT_EQ(back.parts[p].node, label.parts[p].node);
-    EXPECT_EQ(back.parts[p].path, label.parts[p].path);
-    ASSERT_EQ(back.parts[p].connections.size(),
-              label.parts[p].connections.size());
-    for (std::size_t c = 0; c < label.parts[p].connections.size(); ++c) {
-      EXPECT_EQ(back.parts[p].connections[c].path_index,
-                label.parts[p].connections[c].path_index);
-      EXPECT_EQ(back.parts[p].connections[c].next_hop,
-                label.parts[p].connections[c].next_hop);
-      EXPECT_DOUBLE_EQ(back.parts[p].connections[c].dist,
-                       label.parts[p].connections[c].dist);
-      EXPECT_DOUBLE_EQ(back.parts[p].connections[c].prefix,
-                       label.parts[p].connections[c].prefix);
+  const DistanceLabel decoded = deserialize_label(bytes);
+  const LabelView back = decoded.view();
+  ASSERT_EQ(back.vertex(), label.vertex());
+  ASSERT_EQ(back.num_parts(), label.num_parts());
+  for (std::size_t p = 0; p < label.num_parts(); ++p) {
+    EXPECT_EQ(back.part(p).node, label.part(p).node);
+    EXPECT_EQ(back.part(p).path, label.part(p).path);
+    ASSERT_EQ(back.hot(p).size(), label.hot(p).size());
+    for (std::size_t c = 0; c < label.hot(p).size(); ++c) {
+      const Connection want = label.connection(p, c);
+      const Connection got = back.connection(p, c);
+      EXPECT_EQ(got.path_index, want.path_index);
+      EXPECT_EQ(got.next_hop, want.next_hop);
+      EXPECT_DOUBLE_EQ(got.dist, want.dist);
+      EXPECT_DOUBLE_EQ(got.prefix, want.prefix);
     }
   }
 }
 
 TEST(LabelSerialization, BitsMatchesBufferSize) {
   const DistanceLabel label = sample_label();
-  EXPECT_EQ(serialized_bits(label), serialize_label(label).size() * 8);
+  EXPECT_EQ(serialized_bits(label.view()),
+            serialize_label(label.view()).size() * 8);
 }
 
 TEST(LabelSerialization, TrailingBytesRejected) {
-  auto bytes = serialize_label(sample_label());
+  auto bytes = serialize_label(sample_label().view());
   bytes.push_back(0);
   EXPECT_THROW(deserialize_label(bytes), std::runtime_error);
 }
 
 TEST(LabelSerialization, TruncationRejected) {
-  auto bytes = serialize_label(sample_label());
+  auto bytes = serialize_label(sample_label().view());
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(deserialize_label(bytes), std::runtime_error);
 }
@@ -105,7 +99,7 @@ TEST(LabelSerialization, DeserializedLabelsAnswerQueries) {
           deserialize_label(serialize_label(oracle.label(u)));
       const DistanceLabel lv =
           deserialize_label(serialize_label(oracle.label(v)));
-      EXPECT_EQ(query_labels(lu, lv), oracle.query(u, v));
+      EXPECT_EQ(query_labels(lu.view(), lv.view()), oracle.query(u, v));
     }
 }
 
@@ -118,7 +112,7 @@ TEST(LabelSerialization, WireSizeBeatsWordAccounting) {
       gg.graph, separator::PlanarCycleSeparator(gg.positions));
   const PathOracle oracle(tree, 0.25);
   for (Vertex v = 0; v < 200; v += 23) {
-    const DistanceLabel& label = oracle.label(v);
+    const LabelView label = oracle.label(v);
     EXPECT_LT(serialized_bits(label), label.size_in_words() * 64);
   }
 }
@@ -127,17 +121,17 @@ TEST(LabelSerialization, WireSizeBeatsWordAccounting) {
 // over-read on adversarial input — it either parses or throws
 // std::runtime_error.
 
-DistanceLabel realistic_label() {
+std::vector<std::uint8_t> realistic_label_bytes() {
   util::Rng rng(9);
   const auto gg = graph::random_apollonian(80, rng);
   const hierarchy::DecompositionTree tree(
       gg.graph, separator::PlanarCycleSeparator(gg.positions));
   const PathOracle oracle(tree, 0.3);
-  return oracle.label(37);
+  return serialize_label(oracle.label(37));
 }
 
 TEST(LabelSerializationFuzz, EveryProperPrefixThrows) {
-  const auto bytes = serialize_label(realistic_label());
+  const auto bytes = realistic_label_bytes();
   ASSERT_GT(bytes.size(), 2u);
   // The part/connection counts are declared up front, so no proper prefix
   // can be self-consistent: each must throw, never return or crash.
@@ -149,7 +143,7 @@ TEST(LabelSerializationFuzz, EveryProperPrefixThrows) {
 }
 
 TEST(LabelSerializationFuzz, SingleBitFlipsNeverCrash) {
-  const auto bytes = serialize_label(realistic_label());
+  const auto bytes = realistic_label_bytes();
   util::Rng rng(21);
   for (int trial = 0; trial < 2000; ++trial) {
     auto corrupt = bytes;
@@ -160,7 +154,7 @@ TEST(LabelSerializationFuzz, SingleBitFlipsNeverCrash) {
       // structural must surface as std::runtime_error. Round-tripping the
       // parse proves no out-of-bounds state escaped.
       const DistanceLabel parsed = deserialize_label(corrupt);
-      const auto reserialized = serialize_label(parsed);
+      const auto reserialized = serialize_label(parsed.view());
       EXPECT_FALSE(reserialized.empty());
     } catch (const std::runtime_error&) {
       // expected for structural corruption
@@ -202,9 +196,9 @@ TEST(LabelSerializationFuzz, ImplausibleCountsRejectedUpFront) {
 TEST(LabelSerialization, EmptyLabel) {
   DistanceLabel label;
   label.vertex = 0;
-  const DistanceLabel back = deserialize_label(serialize_label(label));
+  const DistanceLabel back = deserialize_label(serialize_label(label.view()));
   EXPECT_EQ(back.vertex, 0u);
-  EXPECT_TRUE(back.parts.empty());
+  EXPECT_EQ(back.view().num_parts(), 0u);
 }
 
 }  // namespace

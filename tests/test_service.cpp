@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -275,10 +278,33 @@ TEST(Snapshot, RoundTripEqualsInMemoryOracle) {
 TEST(Snapshot, PeekReadsHeaderOnly) {
   const oracle::PathOracle built = small_oracle(60, 0.5);
   const auto bytes = serialize_oracle(built);
-  const SnapshotInfo info = peek_snapshot(bytes);
+  const SnapshotInfo info = peek_snapshot(bytes, bytes.size());
   EXPECT_EQ(info.version, kSnapshotVersion);
   EXPECT_EQ(info.epsilon, 0.5);
   EXPECT_EQ(info.num_vertices, 60u);
+}
+
+TEST(Snapshot, PeekRejectsCountsThatWrapPastTheFileSize) {
+  // A header for a (sparse) file of 3 * 2^62 bytes whose section sizes sum
+  // to 2^64 more than that: each count alone fits the file, but the sum
+  // wraps to exactly the file size. Believing it would allocate exabytes.
+  const std::uint64_t file_size = std::uint64_t{3} << 62;
+  const std::uint64_t n = (std::uint64_t{3} << 59) - 11;
+  const std::uint64_t parts = std::uint64_t{1} << 58;
+  const std::uint64_t conns = std::uint64_t{1} << 59;
+  ASSERT_EQ(56 + 8 * (n + 1) + 16 * (parts + 1) + 24 * conns + 8, file_size);
+  std::uint64_t magic = 0;
+  std::memcpy(&magic, "PSEPSNAP", 8);
+  const std::uint64_t head[] = {magic, kSnapshotVersion,
+                                std::bit_cast<std::uint64_t>(0.5),
+                                n,  // vertices
+                                0,  // decomposition nodes
+                                parts, conns};
+  EXPECT_THROW(
+      peek_snapshot(std::span(reinterpret_cast<const std::uint8_t*>(head),
+                              sizeof(head)),
+                    file_size),
+      std::runtime_error);
 }
 
 TEST(Snapshot, SaveLoadFileRoundTrip) {
@@ -299,7 +325,7 @@ TEST(Snapshot, CorruptMagicVersionChecksumAndTruncationThrow) {
     auto bad = bytes;
     bad[0] ^= 0xff;
     EXPECT_THROW(deserialize_oracle(bad), std::runtime_error);
-    EXPECT_THROW(peek_snapshot(bad), std::runtime_error);
+    EXPECT_THROW(peek_snapshot(bad, bad.size()), std::runtime_error);
   }
   {
     auto bad = bytes;
@@ -320,12 +346,91 @@ TEST(Snapshot, CorruptMagicVersionChecksumAndTruncationThrow) {
                std::runtime_error);
 }
 
-TEST(Snapshot, MisorderedLabelsRejected) {
+TEST(Snapshot, NonMonotoneOffsetsRejected) {
+  // Vertex 0's part range claims to end before it starts; adopting the
+  // arena must throw before any label is read.
   const oracle::PathOracle built = small_oracle(40);
-  std::vector<oracle::DistanceLabel> labels = built.labels();
-  std::swap(labels[0], labels[1]);
+  oracle::LabelArena labels = built.arena();
+  labels.part_offsets[1] = labels.part_offsets[2] + 1;
   EXPECT_THROW(oracle::PathOracle(std::move(labels), built.epsilon()),
-               std::invalid_argument);
+               std::runtime_error);
+}
+
+/// A hand-built, well-checksummed one-vertex snapshot: a single part on
+/// (node, path 0) holding one on-path connection. The checksum is no
+/// defence against forgery, so only the loader's own bounds can stop it.
+std::vector<std::uint8_t> forged_snapshot(std::int32_t node,
+                                          std::uint64_t num_nodes) {
+  std::uint64_t magic = 0;
+  std::memcpy(&magic, "PSEPSNAP", 8);
+  const std::uint64_t words[] = {
+      magic, kSnapshotVersion, std::bit_cast<std::uint64_t>(0.5),
+      1, num_nodes, 1, 1,                       // n, nodes, parts, conns
+      0, 1,                                     // part_offsets
+      static_cast<std::uint32_t>(node), 0,      // part {node, path 0, begin 0}
+      0, 1,                                     // sentinel {0, 0, 1}
+      0, 0,                                     // hot {prefix 0, dist 0}
+      std::uint64_t{graph::kInvalidVertex} << 32,  // cold {0, no hop}
+  };
+  std::vector<std::uint8_t> bytes(sizeof(words) + 8);
+  std::memcpy(bytes.data(), words, sizeof(words));
+  const std::uint64_t sum = snapshot_checksum(
+      std::span<const std::uint8_t>(bytes).first(sizeof(words)));
+  std::memcpy(bytes.data() + sizeof(words), &sum, 8);
+  return bytes;
+}
+
+/// Deserializing `bytes` (in memory and from a file) throws
+/// std::runtime_error whose message contains `why`.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     const std::string& why) {
+  const std::string path = ::testing::TempDir() + "pathsep_forged.snapshot";
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  for (const bool from_file : {false, true}) {
+    try {
+      if (from_file)
+        (void)load_snapshot(path);
+      else
+        (void)deserialize_oracle(bytes);
+      ADD_FAILURE() << "forged snapshot accepted (from_file=" << from_file
+                    << ")";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(why), std::string::npos)
+          << error.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, ForgeryHelperBuildsALoadableFile) {
+  // Control for the two forgeries below: with an honest node id the same
+  // hand-built file loads, so their rejections are the node bound's doing.
+  const oracle::PathOracle loaded = deserialize_oracle(forged_snapshot(0, 1));
+  EXPECT_EQ(loaded.num_vertices(), 1u);
+  EXPECT_EQ(loaded.query(0, 0), 0.0);
+}
+
+TEST(Snapshot, ForgedNegativeNodeIdRejected) {
+  // A node id of -1000000 (what a wrapped int32 node delta produced) once
+  // indexed the level map out of bounds and crashed the loader.
+  expect_rejected(forged_snapshot(-1000000, 1), "node");
+}
+
+TEST(Snapshot, ForgedHugeNodeIdRejectedWithoutAllocating) {
+  // Node 0x7ffffff0 once sized an 8 GB level map from a file of a few dozen
+  // bytes. The header's node count bounds every part's node, and the
+  // vertex count (which the file pays 8 bytes each for) bounds the node
+  // count, so both lies are rejected before anything is allocated.
+  expect_rejected(forged_snapshot(0x7ffffff0, 1), "node");
+  expect_rejected(forged_snapshot(0x7ffffff0, 0x7ffffff1), "node count");
+}
+
+TEST(Snapshot, Version1FilesAskForARebuild) {
+  std::vector<std::uint8_t> v1 = {'P', 'S', 'E', 'P', 'S', 'N', 'A', 'P', 1};
+  v1.resize(64, 0);
+  expect_rejected(v1, "rebuild");
 }
 
 // ------------------------------------------------- util satellites (threads)
