@@ -8,7 +8,9 @@
 // guarantee: every thread count must produce the same digest (enforced with
 // --require-equal-digests, which exits non-zero on any mismatch). Results go
 // to stdout as a table and to --out (default BENCH_build.json) as JSON for
-// the repo record.
+// the repo record, stamped with the git sha and build type. Each row sets
+// the process-wide thread budget (util::set_threads), so a row of N threads
+// runs on at most N cores.
 //
 // Usage:
 //   bench_build [--out=BENCH_build.json] [--grid-side=320] [--planar-n=60000]
@@ -64,15 +66,14 @@ Run measure(const Instance& inst, std::size_t threads, double epsilon) {
   run.n = inst.graph.num_vertices();
   run.threads = threads;
 
-  hierarchy::DecompositionTree::Options options;
-  options.threads = threads;
+  util::set_threads(threads);
   util::Timer timer;
-  const hierarchy::DecompositionTree tree(inst.graph, *inst.finder, options);
+  const hierarchy::DecompositionTree tree(inst.graph, *inst.finder);
   run.tree_seconds = timer.elapsed_seconds();
 
   timer.reset();
   oracle::BuildLabelsStats stats;
-  const auto labels = oracle::build_labels(tree, epsilon, threads, &stats);
+  const auto labels = oracle::build_labels(tree, epsilon, &stats);
   run.label_seconds = timer.elapsed_seconds();
   run.connections_seconds = stats.connections_seconds;
   run.assemble_seconds = stats.assemble_seconds;
@@ -108,8 +109,9 @@ int run_main(int argc, char** argv) {
     std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
 
   section("E15", "end-to-end construction: tree + labels vs thread count");
-  std::printf("hardware_concurrency=%u default_threads=%zu\n",
-              std::thread::hardware_concurrency(), util::default_threads());
+  std::printf("hardware_concurrency=%u default_threads=%zu build=%s sha=%s\n",
+              std::thread::hardware_concurrency(), util::default_threads(),
+              PATHSEP_BUILD_TYPE, PATHSEP_GIT_SHA);
 
   // (instance, thread counts to sweep) — the big grid gets its own, shorter
   // sweep so the million-vertex record doesn't multiply the default matrix.
@@ -164,6 +166,8 @@ int run_main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   out << "{\n  \"bench\": \"bench_build\",\n  \"epsilon\": " << epsilon
+      << ",\n  \"git_sha\": \"" << PATHSEP_GIT_SHA << "\""
+      << ",\n  \"build_type\": \"" << PATHSEP_BUILD_TYPE << "\""
       << ",\n  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n  \"default_threads\": " << util::default_threads()
       << ",\n  \"runs\": [\n";

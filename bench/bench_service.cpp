@@ -541,7 +541,7 @@ int main(int argc, char** argv) {
   const std::size_t num_queries = quick ? 40000 : 400000;
   const std::size_t distinct_pairs = quick ? 20000 : 200000;
   const std::size_t batch = 1024;
-  const std::size_t threads = util::default_threads();
+  const std::size_t threads = util::threads();
   // The sharded/network sections run on a separate >=100k-vertex snapshot
   // (acceptance floor); --quick shrinks it to keep smoke runs under a second.
   const std::size_t big_side = quick ? 60 : 320;

@@ -16,10 +16,10 @@
 //   ./query_server --side=64 --serve=9917 --serve-duration=30
 //
 // Flags: --side (grid side length), --eps, --shards (engine worker count;
-// 0 = all cores, PATHSEP_THREADS honored), --clients (load-generator
-// threads), --batch (queries per client batch), --duration (seconds),
-// --pairs (distinct query pairs), --zipf (skew exponent; 0 = uniform),
-// --cache (entries; 0 disables),
+// 0 = the thread budget: PATHSEP_THREADS, else all cores), --clients
+// (load-generator threads), --batch (queries per client batch), --duration
+// (seconds), --pairs (distinct query pairs), --zipf (skew exponent; 0 =
+// uniform), --cache (entries; 0 disables),
 // --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT — 0 picks
 // an ephemeral port — and serve the length-prefixed binary protocol instead
 // of running the in-process load loop),
@@ -47,6 +47,7 @@
 #include "service/sharded_engine.hpp"
 #include "service/snapshot.hpp"
 #include "util/args.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 using namespace pathsep;
@@ -113,6 +114,7 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "error: --statsz must be json or prom\n");
     return 1;
   }
+  util::threads();  // rejects a malformed PATHSEP_THREADS before any work
 
   // 1. Obtain the oracle: cold-start from disk, or build from the grid.
   std::shared_ptr<const oracle::PathOracle> snapshot;

@@ -16,12 +16,14 @@
 #   obsoff   PATHSEP_OBS_DISABLED build with -Werror — proves every
 #            instrumentation call site compiles out cleanly — plus
 #            ctest -L obs (the obs suite adapts to the compiled-out mode)
-#   bench    bench_build --quick determinism smoke: tiny instances, 1 thread
-#            vs the machine default, exits non-zero if any thread count
-#            changes the label digest or the bytes of a query_server
+#   bench    bench_build --quick determinism smoke: tiny instances, thread
+#            budget 1 vs the machine's core count, exits non-zero if any
+#            budget changes the label digest or the bytes of a query_server
 #            snapshot file (catches scheduling regressions that break the
 #            byte-identical-labels guarantee)
-#   smoke    localhost serving round-trip: query_server --serve on an
+#   smoke    query_server must refuse malformed PATHSEP_THREADS values with
+#            an error and exit 1; then a localhost serving round-trip:
+#            query_server --serve on an
 #            ephemeral port must survive a frame with an out-of-range vertex
 #            id, then answer bench_service --loadgen --verify, so the epoll
 #            front-end + wire codec + sharded engine answer real socket
@@ -96,7 +98,7 @@ if want tsa; then
 fi
 
 if want bench; then
-  banner "bench: bench_build --quick determinism smoke (digests and snapshot bytes across threads)"
+  banner "bench: bench_build --quick determinism smoke (digests and snapshot bytes across thread budgets)"
   scripts/bench_build.sh --quick
 fi
 

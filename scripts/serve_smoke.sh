@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Localhost round-trip smoke for the network serving path: start
+# Localhost round-trip smoke for the network serving path: first require
+# query_server to refuse malformed PATHSEP_THREADS values, then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
 # `bench_service --loadgen` over the length-prefixed binary protocol and
@@ -28,6 +29,20 @@ cleanup() {
   rm -f "$log"
 }
 trap cleanup EXIT
+
+# Hostile thread budgets: each must be refused with an error naming the
+# variable and exit status 1, not a crash and not a silent fallback.
+for budget in 100000 0 garbage; do
+  status=0
+  PATHSEP_THREADS=$budget "$server" --side=16 --duration=0 >"$log" 2>&1 ||
+    status=$?
+  if [ "$status" -ne 1 ] || ! grep -q '^error: PATHSEP_THREADS' "$log"; then
+    echo "serve_smoke: PATHSEP_THREADS=$budget exited $status," \
+      "expected an error naming the variable and exit 1" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+done
 
 # --serve-duration is a watchdog, not the test length: the loadgen finishes
 # in well under a second and the trap kills the server immediately after.
@@ -71,5 +86,5 @@ fi
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (port $port, hostile frame rejected, $QUERIES queries" \
-  "digest-verified)"
+echo "serve_smoke: OK (hostile thread budgets refused, port $port, hostile" \
+  "frame rejected, $QUERIES queries digest-verified)"

@@ -13,9 +13,9 @@ namespace pathsep::check {
 /// holds it, and every cached value is a legal distance (>= 0 or +inf).
 void audit_result_cache(const service::ResultCache& cache);
 
-/// Pool-state audit: workers exist, the running-task count never exceeds the
-/// worker count, and no queued task is a null std::function (a null task
-/// would crash the worker that dequeues it).
+/// Pool-state audit: the running-task count never exceeds the worker count
+/// plus the threads helping through try_run_nested, and no queued task is a
+/// null std::function (a null task would crash the worker that dequeues it).
 void audit_thread_pool(const util::ThreadPool& pool);
 
 }  // namespace pathsep::check

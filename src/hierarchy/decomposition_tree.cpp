@@ -1,7 +1,5 @@
 #include "hierarchy/decomposition_tree.hpp"
 
-#include <deque>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -13,35 +11,20 @@
 #include "obs/trace.hpp"
 #include "separator/validate.hpp"
 #include "util/parallel.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pathsep::hierarchy {
 
 namespace {
 
-constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
-
-/// One node of the build-order tree. Build ids are assigned in completion
-/// order (scheduler-dependent); the deterministic final numbering happens in
-/// a serial BFS pass once every node is built.
-struct BuildNode {
-  Graph graph;
-  std::vector<Vertex> root_ids;
-  std::vector<NodePath> paths;
-  std::size_t num_stages = 0;
-  std::size_t parent = kNoParent;     ///< build id of the parent
-  std::uint32_t depth = 0;
-  std::vector<std::size_t> children;  ///< build ids, in component order
-};
-
 /// Separates one node: separator search, optional Definition-1 validation,
 /// path/prefix assembly, component split, and child subgraph extraction.
-/// Pure function of the node — safe to run concurrently for distinct nodes.
-std::vector<std::unique_ptr<BuildNode>> process_node(
-    BuildNode& bn, const separator::SeparatorFinder& finder,
+/// Fills the node's paths and returns its children (graph, root ids, depth
+/// set) in component order. Pure function of the node — safe to run
+/// concurrently for distinct nodes.
+std::vector<DecompositionNode> process_node(
+    DecompositionNode& node, const separator::SeparatorFinder& finder,
     const DecompositionTree::Options& options) {
-  const std::size_t n = bn.graph.num_vertices();
+  const std::size_t n = node.graph.num_vertices();
   PATHSEP_OBS_ONLY({
     static obs::Counter& nodes =
         obs::default_registry().counter("hierarchy_build_nodes_total");
@@ -51,7 +34,7 @@ std::vector<std::unique_ptr<BuildNode>> process_node(
   const separator::PathSeparator sep = [&] {
     PATHSEP_SPAN("hierarchy.separator_find");
     PATHSEP_STAGE_TIMER("hierarchy_separator_find_ns");
-    return finder.find(bn.graph, bn.root_ids);
+    return finder.find(node.graph, node.root_ids);
   }();
   if (sep.empty())
     throw std::runtime_error("separator finder returned an empty separator");
@@ -59,15 +42,15 @@ std::vector<std::unique_ptr<BuildNode>> process_node(
     PATHSEP_SPAN("hierarchy.validate");
     PATHSEP_STAGE_TIMER("hierarchy_validate_ns");
     const separator::ValidationReport report =
-        separator::validate(bn.graph, sep);
+        separator::validate(node.graph, sep);
     if (!report.ok)
       throw std::runtime_error(
-          "separator validation failed at depth " + std::to_string(bn.depth) +
-          " (subtree of root vertex " + std::to_string(bn.root_ids[0]) +
-          "): " + report.error);
+          "separator validation failed at depth " +
+          std::to_string(node.depth) + " (subtree of root vertex " +
+          std::to_string(node.root_ids[0]) + "): " + report.error);
   }
 
-  bn.num_stages = sep.stages.size();
+  node.num_stages = sep.stages.size();
   for (std::size_t si = 0; si < sep.stages.size(); ++si) {
     for (const auto& path : sep.stages[si]) {
       NodePath np;
@@ -76,39 +59,38 @@ std::vector<std::unique_ptr<BuildNode>> process_node(
       np.prefix.resize(path.size());
       np.prefix[0] = 0;
       for (std::size_t i = 1; i < path.size(); ++i) {
-        const Weight w = bn.graph.edge_weight(path[i - 1], path[i]);
+        const Weight w = node.graph.edge_weight(path[i - 1], path[i]);
         if (w == graph::kInfiniteWeight)
           throw std::runtime_error("separator path uses a missing edge");
         np.prefix[i] = np.prefix[i - 1] + w;
       }
-      bn.paths.push_back(std::move(np));
+      node.paths.push_back(std::move(np));
     }
   }
 
   // Children: components of the node minus its separator, in label order —
-  // the order that fixes the deterministic final numbering.
+  // the order that fixes the node numbering.
   PATHSEP_SPAN("hierarchy.component_split");
   PATHSEP_STAGE_TIMER("hierarchy_component_split_ns");
   const std::vector<bool> mask = sep.removal_mask(n);
-  const graph::Components comps = graph::connected_components(bn.graph, mask);
+  const graph::Components comps = graph::connected_components(node.graph, mask);
   std::vector<std::vector<Vertex>> members(comps.count());
   for (Vertex v = 0; v < n; ++v)
     if (comps.label[v] != graph::Components::kRemoved)
       members[comps.label[v]].push_back(v);
-  std::vector<std::unique_ptr<BuildNode>> kids;
+  std::vector<DecompositionNode> kids;
   kids.reserve(members.size());
   for (auto& m : members) {
     if (m.size() > n / 2)
       throw std::runtime_error(
           "separator left a component larger than n/2 (P3 violated)");
-    graph::Subgraph sub = graph::induced_subgraph(bn.graph, std::move(m));
-    auto kid = std::make_unique<BuildNode>();
-    kid->root_ids.resize(sub.graph.num_vertices());
+    graph::Subgraph sub = graph::induced_subgraph(node.graph, std::move(m));
+    DecompositionNode& kid = kids.emplace_back();
+    kid.root_ids.resize(sub.graph.num_vertices());
     for (Vertex v = 0; v < sub.graph.num_vertices(); ++v)
-      kid->root_ids[v] = bn.root_ids[sub.to_parent[v]];
-    kid->graph = std::move(sub.graph);
-    kid->depth = bn.depth + 1;
-    kids.push_back(std::move(kid));
+      kid.root_ids[v] = node.root_ids[sub.to_parent[v]];
+    kid.graph = std::move(sub.graph);
+    kid.depth = node.depth + 1;
   }
   return kids;
 }
@@ -124,136 +106,49 @@ DecompositionTree::DecompositionTree(const Graph& g,
     throw std::invalid_argument("decomposition requires a connected graph");
 
   PATHSEP_SPAN("hierarchy.build");
-  chains_.assign(g.num_vertices(), {});
-
-  // ---- Task-parallel build -------------------------------------------------
-  // Sibling subtrees are independent, so pending nodes form a work queue
-  // drained by the calling thread plus helpers on the shared pool. Build ids
-  // are completion-ordered and therefore scheduler-dependent; determinism is
-  // recovered below by renumbering along (parent, component index) BFS order,
-  // which reproduces the serial construction's ids exactly.
-  // Frame-local scheduler state (PATHSEP_GUARDED_BY only applies to members
-  // and globals): mutex guards built, ready, unfinished, helpers_live,
-  // failed, and error below.
-  util::Mutex mutex;
-  util::CondVar work_cv;  // ready item appended, failure, or done
-  util::CondVar done_cv;  // a helper exited
-  std::vector<std::unique_ptr<BuildNode>> built;
-  std::deque<std::size_t> ready;
-  std::size_t unfinished = 1;  // nodes created but not fully processed
-  std::size_t helpers_live = 0;
-  bool failed = false;
-  std::exception_ptr error;
-
   {
-    auto root = std::make_unique<BuildNode>();
-    root->graph = g;
-    root->root_ids.resize(g.num_vertices());
-    std::iota(root->root_ids.begin(), root->root_ids.end(), Vertex{0});
-    built.push_back(std::move(root));
-    ready.push_back(0);
+    DecompositionNode root;
+    root.graph = g;
+    root.root_ids.resize(g.num_vertices());
+    std::iota(root.root_ids.begin(), root.root_ids.end(), Vertex{0});
+    nodes_.push_back(std::move(root));
   }
 
-  auto worker = [&] {
-    util::UniqueLock lock(mutex);
-    for (;;) {
-      work_cv.wait(lock,
-                   [&] { return failed || unfinished == 0 || !ready.empty(); });
-      if (failed || unfinished == 0) return;
-      const std::size_t b = ready.front();
-      ready.pop_front();
-      BuildNode& bn = *built[b];  // stable address: built holds unique_ptrs
-      lock.unlock();
-
-      std::vector<std::unique_ptr<BuildNode>> kids;
-      try {
-        kids = process_node(bn, finder, options);
-      } catch (...) {
-        lock.lock();
-        if (!failed) {
-          failed = true;
-          error = std::current_exception();
-        }
-        work_cv.notify_all();
-        return;
+  // Level by level: the nodes of one depth are independent, so they are
+  // separated in parallel, and their children are appended in (parent,
+  // component index) order. That is BFS order, so every id is final when
+  // it is assigned and the tree is the same for every thread budget.
+  PATHSEP_OBS_ONLY(const std::uint64_t build_span = obs::current_span();)
+  std::vector<std::vector<DecompositionNode>> kids;
+  for (std::size_t level_begin = 0; level_begin < nodes_.size();) {
+    const std::size_t level_end = nodes_.size();
+    kids.assign(level_end - level_begin, {});
+    util::parallel_for(
+        kids.size(),
+        [&](std::size_t i) {
+          PATHSEP_OBS_ONLY(obs::SpanParentGuard trace_parent(build_span);)
+          kids[i] = process_node(nodes_[level_begin + i], finder, options);
+        },
+        /*grain=*/1);
+    for (std::size_t i = 0; i < kids.size(); ++i) {
+      const int parent = static_cast<int>(level_begin + i);
+      for (DecompositionNode& kid : kids[i]) {
+        kid.parent = parent;
+        nodes_[static_cast<std::size_t>(parent)].children.push_back(
+            static_cast<int>(nodes_.size()));
+        nodes_.push_back(std::move(kid));
       }
-
-      lock.lock();
-      for (auto& kid : kids) {
-        kid->parent = b;
-        const std::size_t id = built.size();
-        bn.children.push_back(id);
-        built.push_back(std::move(kid));
-        ready.push_back(id);
-        ++unfinished;
-      }
-      --unfinished;
-      if (unfinished == 0 || !ready.empty()) work_cv.notify_all();
     }
-  };
-
-  const std::size_t threads =
-      options.threads ? options.threads : util::default_threads();
-  // Nested builds (inside a pool worker) run serially on the caller — the
-  // same no-deadlock rule util::parallel_for follows.
-  if (threads > 1 && !util::ThreadPool::in_worker()) {
-    util::ThreadPool& pool = util::shared_pool();
-    const std::size_t helpers = std::min(threads - 1, pool.num_threads());
-    helpers_live = helpers;
-    // Helper spans stitch under the build span even though pool workers have
-    // no ambient span of their own: capture it here (by value — this block's
-    // scope ends before the helpers do), install it there.
-    PATHSEP_OBS_ONLY(const std::uint64_t build_span = obs::current_span();)
-    for (std::size_t h = 0; h < helpers; ++h)
-      pool.submit([& PATHSEP_OBS_ONLY(, build_span)] {
-        PATHSEP_OBS_ONLY(obs::SpanParentGuard trace_parent(build_span);)
-        worker();
-        util::LockGuard lock(mutex);
-        if (--helpers_live == 0) done_cv.notify_all();
-      });
+    level_begin = level_end;
   }
-  worker();
-  {
-    // Helpers reference this frame's state; they must exit before we leave —
-    // on the failure path too.
-    util::UniqueLock lock(mutex);
-    done_cv.wait(lock, [&] { return helpers_live == 0; });
-  }
-  if (error) std::rethrow_exception(error);
 
-  // ---- Deterministic numbering --------------------------------------------
-  // FIFO BFS over the build tree with children in component order is exactly
-  // the order the serial loop processed nodes in, so ids — and with them
-  // chains, labels, and serialized oracles — are byte-identical for every
-  // thread count.
-  std::vector<std::size_t> order;  // final id -> build id
-  order.reserve(built.size());
-  order.push_back(0);
-  for (std::size_t qi = 0; qi < order.size(); ++qi)
-    for (std::size_t child : built[order[qi]]->children)
-      order.push_back(child);
-  std::vector<int> final_id(built.size(), -1);
-  for (std::size_t i = 0; i < order.size(); ++i)
-    final_id[order[i]] = static_cast<int>(i);
-
-  nodes_.reserve(order.size());
-  for (std::size_t id = 0; id < order.size(); ++id) {
-    BuildNode& bn = *built[order[id]];
-    DecompositionNode node;
-    node.parent = bn.parent == kNoParent ? -1 : final_id[bn.parent];
-    node.depth = bn.depth;
-    node.num_stages = bn.num_stages;
-    node.paths = std::move(bn.paths);
-    for (Vertex v = 0; v < bn.graph.num_vertices(); ++v)
-      chains_[bn.root_ids[v]].push_back({static_cast<int>(id), v});
-    height_ = std::max(height_, bn.depth + 1);
-    node.graph = std::move(bn.graph);
-    node.root_ids = std::move(bn.root_ids);
-    nodes_.push_back(std::move(node));
+  chains_.assign(g.num_vertices(), {});
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    const DecompositionNode& node = nodes_[id];
+    for (Vertex v = 0; v < node.graph.num_vertices(); ++v)
+      chains_[node.root_ids[v]].push_back({static_cast<int>(id), v});
+    height_ = std::max(height_, node.depth + 1);
   }
-  for (std::size_t i = 1; i < nodes_.size(); ++i)
-    nodes_[static_cast<std::size_t>(nodes_[i].parent)].children.push_back(
-        static_cast<int>(i));
 
   PATHSEP_AUDIT(check::audit_decomposition(*this));
 }

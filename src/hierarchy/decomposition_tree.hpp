@@ -46,17 +46,14 @@ class DecompositionTree {
   struct Options {
     /// Validate every separator against Definition 1 (slow; for tests).
     bool validate_separators = false;
-    /// Worker threads for the task-parallel build: 0 = util::default_threads()
-    /// (hardware concurrency unless PATHSEP_THREADS overrides it), 1 = serial.
-    /// The built tree is byte-identical for every value — final node ids are
-    /// assigned by (parent, component index) BFS order, not completion order.
-    std::size_t threads = 0;
   };
 
   /// Builds the full hierarchy of `g` (which must be connected) using
-  /// `finder` at every node; independent subtrees are separated concurrently
-  /// on the shared pool (`finder.find` must be safe to call concurrently on
-  /// distinct graphs — all in-tree finders are). Throws std::runtime_error
+  /// `finder` at every node; the nodes of each depth are separated
+  /// concurrently within the thread budget (`finder.find` must be safe to
+  /// call concurrently on distinct graphs — all in-tree finders are). Node
+  /// ids follow BFS order with children in component order, the same for
+  /// every budget. Throws std::runtime_error
   /// if a separator fails validation (when enabled) or comes back empty on a
   /// non-empty graph.
   DecompositionTree(const Graph& g, const separator::SeparatorFinder& finder,

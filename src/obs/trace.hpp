@@ -7,8 +7,8 @@
 // pushes and pops; work handed to util::ThreadPool workers stays attached to
 // its logical parent by capturing `current_span()` before submit and
 // installing it on the worker with a SpanParentGuard — this is how the
-// task-parallel decomposition build produces one coherent trace even though
-// its nodes are processed by many threads in scheduler-dependent order.
+// parallel decomposition build produces one coherent trace even though its
+// nodes are processed by many threads in scheduler-dependent order.
 //
 // Tracing is off by default; enable it per process with PATHSEP_TRACE=1 or
 // per test with set_trace_enabled(true). When off, a ScopedSpan costs one

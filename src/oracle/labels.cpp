@@ -182,8 +182,7 @@ Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost) {
 }
 
 LabelArena build_labels(const hierarchy::DecompositionTree& tree,
-                        double epsilon, std::size_t threads,
-                        BuildLabelsStats* stats) {
+                        double epsilon, BuildLabelsStats* stats) {
   PATHSEP_SPAN("oracle.build_labels");
   const std::size_t n = tree.root_graph().num_vertices();
 
@@ -214,10 +213,10 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
       [&](std::size_t oi) {
         PATHSEP_OBS_ONLY(obs::SpanParentGuard trace_parent(build_span);)
         const std::size_t node_id = order[oi];
-        per_node[node_id] = compute_connections(
-            tree.node(static_cast<int>(node_id)), epsilon, threads);
+        per_node[node_id] =
+            compute_connections(tree.node(static_cast<int>(node_id)), epsilon);
       },
-      threads, /*grain=*/1);
+      /*grain=*/1);
   if (stats) stats->connections_seconds = phase_timer.elapsed_seconds();
 
   // Assembly into the arena, parallel over vertices in two passes. v's
@@ -226,7 +225,7 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
   // and paths are scanned in index order, so parts come out sorted by
   // (node, path) with no sort step. The count pass sizes every vertex's
   // slice, prefix sums place it, and the fill pass writes each slice from
-  // one worker, so the arena is identical for every thread count.
+  // one worker, so the arena is identical for every thread budget.
   phase_timer.reset();
   PATHSEP_STAGE_TIMER("oracle_assemble_labels_ns");
   const auto for_each_list = [&](Vertex v, auto&& fn) {
@@ -250,8 +249,7 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
                         ++arena.part_offsets[v + 1];
                         conn_offsets[v + 1] += l.size();
                       });
-      },
-      threads);
+      });
   for (std::size_t v = 0; v < n; ++v) {
     arena.part_offsets[v + 1] += arena.part_offsets[v];
     conn_offsets[v + 1] += conn_offsets[v];
@@ -276,8 +274,7 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
                 ++c;
               }
             });
-      },
-      threads);
+      });
   if (stats) stats->assemble_seconds = phase_timer.elapsed_seconds();
   PATHSEP_AUDIT(check::audit_labels(arena));
   return arena;

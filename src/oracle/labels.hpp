@@ -184,13 +184,11 @@ struct BuildLabelsStats {
   double assemble_seconds = 0;     ///< count, prefix-sum and fill the arena
 };
 
-/// Builds all labels of the graph underlying `tree`. Work fans out over
-/// `threads` workers of the shared pool (0 = util::default_threads()) at two
-/// levels — nodes largest-first, and the portal Dijkstras inside each node's
-/// stages — and arena assembly is parallel over vertices; the arena is
-/// byte-identical for every thread count.
+/// Builds all labels of the graph underlying `tree`. Work fans out within
+/// the thread budget (util::threads()) at two levels — nodes largest-first,
+/// and the portal Dijkstras inside each node's stages — and arena assembly
+/// is parallel over vertices; the arena is byte-identical for every budget.
 LabelArena build_labels(const hierarchy::DecompositionTree& tree,
-                        double epsilon, std::size_t threads = 0,
-                        BuildLabelsStats* stats = nullptr);
+                        double epsilon, BuildLabelsStats* stats = nullptr);
 
 }  // namespace pathsep::oracle

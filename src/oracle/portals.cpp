@@ -158,7 +158,7 @@ std::vector<PathProjection> compute_projections(
 }
 
 NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
-                                    double epsilon, std::size_t threads) {
+                                    double epsilon) {
   PATHSEP_SPAN("oracle.connections");
   PATHSEP_STAGE_TIMER("oracle_connections_ns");
   const std::size_t n = node.graph.num_vertices();
@@ -264,48 +264,48 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
     // One masked Dijkstra per distinct portal, early-terminated once all of
     // its requesting vertices are settled. The runs are independent
     // read-only computations writing disjoint pre-sized slots, so they fan
-    // out as chunked tasks on the shared pool, one workspace per thread.
-    // Tiny stages stay serial — pool dispatch would cost more than it buys.
-    const std::size_t stage_threads =
-        (num_portals >= 4 && n >= 2048) ? threads : 1;
-    util::parallel_for(
-        num_portals,
-        [&](std::size_t gi) {
-          sssp::DijkstraWorkspace& tws = sssp::thread_workspace();
-          const std::size_t begin = group_begin[gi];
-          const std::size_t end = group_begin[gi + 1];
-          const Vertex sources[] = {grouped[begin].portal};
-          if (end - begin == residual) {
-            // Every residual vertex requests this portal (requesters are
-            // distinct per portal), so the early-termination countdown could
-            // only fire on heap exhaustion anyway: run without target
-            // marking and skip the per-settle membership check.
-            PATHSEP_OBS_ONLY({
-              static obs::Counter& whole =
-                  obs::default_registry().counter(
-                      "oracle_whole_residual_dijkstras_total");
-              whole.inc();
-            })
-            sssp::dijkstra_masked(node.graph, sources, removed, tws);
-          } else {
-            thread_local std::vector<Vertex> targets;
-            targets.clear();
-            for (std::size_t i = begin; i < end; ++i)
-              targets.push_back(grouped[i].v);
-            sssp::dijkstra_masked_until(node.graph, sources, removed, targets,
-                                        tws);
-          }
-          for (std::size_t i = begin; i < end; ++i) {
-            const Request& req = grouped[i];
-            assert(tws.reached(req.v));
-            // tws.parent(v) is v's predecessor on the portal->v path, i.e.
-            // v's first hop when walking toward the portal.
-            out.list(req.path, req.v)[req.slot] =
-                Connection{req.idx, tws.parent(req.v), tws.dist(req.v),
-                           node.paths[req.path].prefix[req.idx]};
-          }
-        },
-        stage_threads);
+    // out as chunked tasks within the thread budget, one workspace per
+    // thread. Tiny stages stay serial — dispatch would cost more than it
+    // buys.
+    const auto run_portal = [&](std::size_t gi) {
+      sssp::DijkstraWorkspace& tws = sssp::thread_workspace();
+      const std::size_t begin = group_begin[gi];
+      const std::size_t end = group_begin[gi + 1];
+      const Vertex sources[] = {grouped[begin].portal};
+      if (end - begin == residual) {
+        // Every residual vertex requests this portal (requesters are
+        // distinct per portal), so the early-termination countdown could
+        // only fire on heap exhaustion anyway: run without target
+        // marking and skip the per-settle membership check.
+        PATHSEP_OBS_ONLY({
+          static obs::Counter& whole =
+              obs::default_registry().counter(
+                  "oracle_whole_residual_dijkstras_total");
+          whole.inc();
+        })
+        sssp::dijkstra_masked(node.graph, sources, removed, tws);
+      } else {
+        thread_local std::vector<Vertex> targets;
+        targets.clear();
+        for (std::size_t i = begin; i < end; ++i)
+          targets.push_back(grouped[i].v);
+        sssp::dijkstra_masked_until(node.graph, sources, removed, targets,
+                                    tws);
+      }
+      for (std::size_t i = begin; i < end; ++i) {
+        const Request& req = grouped[i];
+        assert(tws.reached(req.v));
+        // tws.parent(v) is v's predecessor on the portal->v path, i.e.
+        // v's first hop when walking toward the portal.
+        out.list(req.path, req.v)[req.slot] =
+            Connection{req.idx, tws.parent(req.v), tws.dist(req.v),
+                       node.paths[req.path].prefix[req.idx]};
+      }
+    };
+    if (num_portals >= 4 && n >= 2048)
+      util::parallel_for(num_portals, run_portal);
+    else
+      for (std::size_t gi = 0; gi < num_portals; ++gi) run_portal(gi);
 
     // This stage's paths join the mask for the next stage's residual graph.
     for (const hierarchy::NodePath& path : node.paths)

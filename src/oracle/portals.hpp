@@ -91,13 +91,14 @@ struct NodeConnections {
 };
 
 /// Computes all of a node's connection lists. The per-portal masked
-/// Dijkstras inside each stage are independent read-only computations; with
-/// `threads` > 1 they fan out as chunked tasks on the shared pool (one
-/// DijkstraWorkspace per thread), each run early-terminating once all of its
-/// requesting vertices are settled. Results are written into pre-sized
-/// per-(path, vertex) slots in ladder order, so the output — and with it the
-/// serialized label bytes — is identical for every thread count.
+/// Dijkstras inside each stage are independent read-only computations; on
+/// stages big enough to pay for dispatch they fan out as chunked tasks
+/// within the thread budget (one DijkstraWorkspace per thread), each run
+/// early-terminating once all of its requesting vertices are settled.
+/// Results are written into pre-sized per-(path, vertex) slots in ladder
+/// order, so the output — and with it the serialized label bytes — is
+/// identical for every thread budget.
 NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
-                                    double epsilon, std::size_t threads = 1);
+                                    double epsilon);
 
 }  // namespace pathsep::oracle

@@ -24,12 +24,20 @@ std::uint64_t mix64(std::uint64_t x) {
 
 constexpr std::size_t kMaxShards = 64;  ///< dispatch tracks shards in a u64
 
+/// `options` with the shard count resolved: 0 becomes the thread budget,
+/// and the count is clamped to kMaxShards.
+ShardedEngineOptions resolve_shards(ShardedEngineOptions options) {
+  options.shards = std::min(
+      kMaxShards, options.shards != 0 ? options.shards : util::threads());
+  return options;
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(
     std::shared_ptr<const oracle::PathOracle> snapshot,
     ShardedEngineOptions options)
-    : options_(options),
+    : options_(resolve_shards(options)),
       inline_cutoff_(options.inline_cutoff != 0 ? options.inline_cutoff
                                                 : options.drain_batch / 2),
       cache_(options.cache_capacity),
@@ -40,10 +48,7 @@ ShardedEngine::ShardedEngine(
       path_(metrics_, cache_,
             snapshot ? snapshot->num_levels() : std::size_t{1},
             options.slowlog_capacity),
-      epochs_(std::min<std::size_t>(
-                  kMaxShards, options.shards != 0 ? options.shards
-                                                  : util::default_threads()),
-              /*shared=*/16) {
+      epochs_(options_.shards, /*shared=*/16) {
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
   snapshot_vertices_->set(
       static_cast<std::int64_t>(snapshot->num_vertices()));
@@ -53,9 +58,7 @@ ShardedEngine::ShardedEngine(
     util::LockGuard lock(owner_mutex_);
     owner_ = std::move(snapshot);
   }
-  const std::size_t shards = std::min<std::size_t>(
-      kMaxShards, options.shards != 0 ? options.shards
-                                      : util::default_threads());
+  const std::size_t shards = options_.shards;
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     // pathsep-lint: allow(hot-path-alloc)

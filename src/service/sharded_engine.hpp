@@ -55,7 +55,7 @@
 namespace pathsep::service {
 
 struct ShardedEngineOptions {
-  /// Shard workers; 0 = util::default_threads(). Clamped to 64.
+  /// Shard workers; 0 = the thread budget, util::threads(). Clamped to 64.
   std::size_t shards = 0;
   /// Intake ring entries per shard (rounded up to a power of two).
   std::size_t ring_capacity = 8192;

@@ -3,42 +3,52 @@
 // boxing on the hot path), indices are handed out in chunks to keep atomic
 // contention negligible when per-item work is tiny, and the calling thread
 // participates in the work instead of idling. Exceptions from workers are
-// rethrown on the caller (first one wins). Used by the oracle label build
-// and the parallel decomposition build, whose per-item work is independent.
+// rethrown on the caller (first one wins). Used by the decomposition-tree
+// build and the oracle label build, whose per-item work is independent.
+//
+// One process-wide thread budget N bounds all of it: the shared pool holds
+// N − 1 workers and the thread calling parallel_for is the N-th. Nested
+// loops draw on the same workers, so no nesting depth adds a thread.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <exception>
-#include <thread>
+#include <utility>
 
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pathsep::util {
 
-/// Default worker count shared by the construction pipeline (parallel_for,
-/// DecompositionTree) and the query service (ShardedEngine shards): the
-/// PATHSEP_THREADS environment variable when set to a positive integer,
-/// otherwise full hardware_concurrency().
-inline std::size_t default_threads() {
-  if (const char* env = std::getenv("PATHSEP_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0)
-      return static_cast<std::size_t>(parsed);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
+/// Largest accepted thread budget.
+inline constexpr std::size_t kMaxThreads = 1024;
 
-/// Runs fn(0..count-1) across up to `threads` workers (0 = default_threads(),
-/// i.e. hardware concurrency unless PATHSEP_THREADS overrides it). Work is
-/// dispatched in index chunks from the shared pool, with the caller draining
-/// chunks alongside the helpers. fn must be safe to call concurrently for
-/// distinct indices.
+/// The PATHSEP_THREADS environment variable when set, else
+/// hardware_concurrency() (capped at kMaxThreads). Throws
+/// std::invalid_argument naming the variable when it is set to anything
+/// but an integer in [1, kMaxThreads].
+std::size_t default_threads();
+
+/// The process-wide thread budget N: the last set_threads() value, else
+/// default_threads(). Also ShardedEngine's default shard count.
+std::size_t threads();
+
+/// Sets the budget to `n` in [1, kMaxThreads] (std::invalid_argument
+/// otherwise) by rebuilding the shared pool with n − 1 workers. Call only
+/// while no parallel_for runs, e.g. between two builds being compared.
+void set_threads(std::size_t n);
+
+namespace detail {
+/// The loop whose chunk this thread is running; nullptr outside any loop.
+inline thread_local const ThreadPool::Group* current_loop = nullptr;
+}  // namespace detail
+
+/// Runs fn(0..count-1) on the calling thread plus the shared pool's
+/// workers; with a budget of 1 (no workers) it runs inline. fn must be safe
+/// to call concurrently for distinct indices.
 ///
 /// `grain` fixes the chunk size; 0 picks ~8 chunks per participant — coarse
 /// enough that the atomic fetch_add is noise, fine enough that an unlucky
@@ -46,30 +56,26 @@ inline std::size_t default_threads() {
 /// varies wildly (the label build's node loop: one huge root next to
 /// hundreds of leaves) so no small item ever queues behind a big one.
 ///
-/// Nesting is cooperative rather than serialized: a parallel_for inside a
-/// pool worker still fans out, and any participant that runs out of chunks
-/// while its helpers are unfinished executes queued pool tasks itself
-/// (ThreadPool::try_run_one) instead of blocking. That keeps every worker
-/// making progress — an inner loop's helpers can never starve behind the
-/// outer loop's — and cannot deadlock: a waiter only blocks (briefly, on a
-/// timed wait) when the queue is empty, i.e. when all of its helpers are
-/// already running on other threads or done.
+/// Nesting is cooperative: a parallel_for inside fn queues helpers on the
+/// same pool, which run when a worker is free. Once every chunk is claimed
+/// the caller takes back its helpers that never started and, while the
+/// running ones finish, runs only queued tasks of loops nested inside its
+/// own. A foreign task could hold this loop's continuation behind unrelated
+/// work while the rest of the budget idles. A waiter only waits on running
+/// tasks, so no nesting pattern can deadlock.
 template <typename Fn>
-void parallel_for(std::size_t count, Fn&& fn, std::size_t threads = 0,
-                  std::size_t grain = 0) {
+void parallel_for(std::size_t count, Fn&& fn, std::size_t grain = 0) {
   if (count == 0) return;
-  if (threads == 0) threads = default_threads();
-  threads = std::min(threads, count);
-  if (threads <= 1) {
+  ThreadPool& pool = shared_pool();
+  const std::size_t helpers = std::min(pool.num_threads(), count - 1);
+  if (helpers == 0) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-
-  ThreadPool& pool = shared_pool();
-  const std::size_t helpers = std::min(threads - 1, pool.num_threads());
   const std::size_t chunk =
       grain > 0 ? grain : std::max<std::size_t>(1, count / ((helpers + 1) * 8));
 
+  const ThreadPool::Group group{detail::current_loop};
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   // Local state, so PATHSEP_GUARDED_BY cannot apply (the analysis only
@@ -80,44 +86,52 @@ void parallel_for(std::size_t count, Fn&& fn, std::size_t threads = 0,
   std::size_t live = helpers;
 
   auto drain = [&]() {
+    const ThreadPool::Group* const outer =
+        std::exchange(detail::current_loop, &group);
     for (;;) {
       const std::size_t begin =
           next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count || failed.load(std::memory_order_relaxed)) return;
+      if (begin >= count || failed.load(std::memory_order_relaxed)) break;
       const std::size_t end = std::min(count, begin + chunk);
       try {
         for (std::size_t i = begin; i < end; ++i) fn(i);
       } catch (...) {
         LockGuard lock(mutex);
         if (!failed.exchange(true)) error = std::current_exception();
-        return;
+        break;
       }
     }
+    detail::current_loop = outer;
   };
 
   for (std::size_t h = 0; h < helpers; ++h)
-    pool.submit([&] {
-      drain();
-      LockGuard lock(mutex);
-      if (--live == 0) done_cv.notify_all();
-    });
+    pool.submit(
+        [&] {
+          drain();
+          LockGuard lock(mutex);
+          if (--live == 0) done_cv.notify_all();
+        },
+        &group);
   drain();
 
-  // Cooperative wait: our helpers may still sit unstarted in the pool queue
-  // (e.g. when this call itself runs on a pool worker), so run queued tasks
-  // until all helpers have signalled. When the queue is momentarily empty the
-  // timed wait yields the CPU but re-polls, because new sub-tasks may be
-  // queued by loops nested inside the tasks we are waiting for.
+  // Every chunk is claimed: helpers still queued would find no work.
+  const std::size_t unstarted = pool.cancel(group);
+  {
+    LockGuard lock(mutex);
+    live -= unstarted;
+  }
+  // The timed wait re-polls because running helpers may queue nested
+  // sub-tasks at any time.
   for (;;) {
     {
-      UniqueLock lock(mutex);
+      LockGuard lock(mutex);
       if (live == 0) break;
-      if (pool.queued() == 0 &&
-          done_cv.wait_for(lock, std::chrono::milliseconds(1),
-                           [&] { return live == 0; }))
-        break;
     }
-    pool.try_run_one();
+    if (pool.try_run_nested(group)) continue;
+    UniqueLock lock(mutex);
+    if (done_cv.wait_for(lock, std::chrono::milliseconds(1),
+                         [&] { return live == 0; }))
+      break;
   }
   if (error) std::rethrow_exception(error);
 }

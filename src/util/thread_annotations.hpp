@@ -146,8 +146,8 @@ class CondVar {
   }
 
   /// Timed predicate wait, for waiters that interleave blocking with useful
-  /// work (parallel_for's cooperative wait runs queued pool tasks between
-  /// timeouts). Returns the predicate's value on wake.
+  /// work (parallel_for's cooperative wait runs its loop's nested pool tasks
+  /// between timeouts). Returns the predicate's value on wake.
   template <typename Rep, typename Period, typename Predicate>
   bool wait_for(UniqueLock& lock,
                 const std::chrono::duration<Rep, Period>& timeout,

@@ -1,26 +1,32 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "check/check.hpp"
 #include "util/parallel.hpp"
 
 namespace pathsep::util {
 
-namespace {
-thread_local bool tl_in_worker = false;
-}  // namespace
-
-bool ThreadPool::in_worker() { return tl_in_worker; }
-
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = default_threads();
   workers_.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t)
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t t = 0; t < threads; ++t)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    // Destroying a joinable std::thread terminates the process: stop and
+    // join the workers that did start, then report the failure.
+    stop_and_join();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     LockGuard lock(mutex_);
     stop_ = true;
@@ -29,14 +35,14 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::submit(std::function<void()> task, const Group* group) {
   // A null task would crash the worker that dequeues it, far from the
   // submitter's stack — reject at the boundary instead.
   PATHSEP_ASSERT(task != nullptr, "ThreadPool::submit called with a null task");
   {
     LockGuard lock(mutex_);
     PATHSEP_ASSERT(!stop_, "ThreadPool::submit called on a stopped pool");
-    queue_.push_back(std::move(task));
+    queue_.push_back({std::move(task), group});
     PATHSEP_AUDIT(audit_locked());
   }
   work_cv_.notify_one();
@@ -49,23 +55,31 @@ void ThreadPool::wait_idle() {
   });
 }
 
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
+std::size_t ThreadPool::cancel(const Group& group) {
+  LockGuard lock(mutex_);
+  const std::size_t removed = std::erase_if(
+      queue_, [&](const Task& t) { return t.group == &group; });
+  if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+  return removed;
+}
+
+bool ThreadPool::try_run_nested(const Group& group) {
+  Task task;
   {
     LockGuard lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
+    const auto nested = [&](const Task& t) {
+      for (const Group* g = t.group; g != nullptr; g = g->parent)
+        if (g == &group) return true;
+      return false;
+    };
+    const auto it = std::find_if(queue_.begin(), queue_.end(), nested);
+    if (it == queue_.end()) return false;
+    task = std::move(*it);
+    queue_.erase(it);
     ++active_;
     ++cooperative_;
   }
-  // The task observes worker context (in_worker() == true) so its own nested
-  // parallel helpers behave exactly as they would on a pool thread; restore
-  // the caller's state afterwards — the caller may be the main thread.
-  const bool was_worker = tl_in_worker;
-  tl_in_worker = true;
-  task();
-  tl_in_worker = was_worker;
+  task.fn();
   {
     LockGuard lock(mutex_);
     --active_;
@@ -81,13 +95,12 @@ std::size_t ThreadPool::queued() const {
 }
 
 void ThreadPool::audit_locked() const {
-  PATHSEP_ASSERT(!workers_.empty(), "thread pool has no workers");
   PATHSEP_ASSERT(active_ <= workers_.size() + cooperative_,
                  "thread pool claims ", active_, " active tasks with only ",
                  workers_.size(), " workers and ", cooperative_,
                  " cooperative runners");
   for (std::size_t i = 0; i < queue_.size(); ++i)
-    PATHSEP_ASSERT(queue_[i] != nullptr, "thread pool queue slot ", i,
+    PATHSEP_ASSERT(queue_[i].fn != nullptr, "thread pool queue slot ", i,
                    " holds a null task");
 }
 
@@ -97,7 +110,6 @@ void ThreadPool::audit() const {
 }
 
 void ThreadPool::worker_loop() {
-  tl_in_worker = true;
   UniqueLock lock(mutex_);
   for (;;) {
     work_cv_.wait(lock, [this]() PATHSEP_REQUIRES(mutex_) {
@@ -105,20 +117,55 @@ void ThreadPool::worker_loop() {
     });
     // Drain remaining tasks even when stopping: submitted work completes.
     if (queue_.empty()) return;  // only reachable when stop_ is set
-    std::function<void()> task = std::move(queue_.front());
+    Task task = std::move(queue_.front());
     queue_.pop_front();
     ++active_;
     lock.unlock();
-    task();
+    task.fn();
     lock.lock();
     --active_;
     if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
   }
 }
 
+// ------------------------------------------------------ the thread budget
+
+namespace {
+Mutex pool_mutex;
+/// The budget is this pool's worker count plus one (the calling thread).
+std::unique_ptr<ThreadPool> pool PATHSEP_GUARDED_BY(pool_mutex);
+}  // namespace
+
+std::size_t default_threads() {
+  const char* env = std::getenv("PATHSEP_THREADS");
+  if (env == nullptr)
+    return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                   kMaxThreads);
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(env, &end, 10);
+  if (*env < '0' || *env > '9' || *end != '\0' || n == 0 || n > kMaxThreads)
+    throw std::invalid_argument("PATHSEP_THREADS must be an integer in [1, " +
+                                std::to_string(kMaxThreads) + "], got '" +
+                                env + "'");
+  return static_cast<std::size_t>(n);
+}
+
+std::size_t threads() { return shared_pool().num_threads() + 1; }
+
+void set_threads(std::size_t n) {
+  if (n == 0 || n > kMaxThreads)
+    throw std::invalid_argument("thread budget must be in [1, " +
+                                std::to_string(kMaxThreads) + "], got " +
+                                std::to_string(n));
+  LockGuard lock(pool_mutex);
+  pool.reset();  // the old workers exit before the new ones start
+  pool = std::make_unique<ThreadPool>(n - 1);
+}
+
 ThreadPool& shared_pool() {
-  static ThreadPool pool(std::max<std::size_t>(default_threads(), 2));
-  return pool;
+  LockGuard lock(pool_mutex);
+  if (!pool) pool = std::make_unique<ThreadPool>(default_threads() - 1);
+  return *pool;
 }
 
 }  // namespace pathsep::util

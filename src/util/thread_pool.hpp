@@ -4,8 +4,7 @@
 // ThreadPool keeps its workers alive and feeds them through a
 // mutex-protected task queue: per-task dispatch cost is one lock + one
 // condition-variable signal. The process-wide instance behind
-// `shared_pool()` backs util::parallel_for and the parallel decomposition
-// build.
+// `shared_pool()` backs util::parallel_for.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +23,17 @@ namespace pathsep::util {
 /// themselves.
 class ThreadPool {
  public:
-  /// `threads` = 0 uses util::default_threads() (hardware concurrency,
-  /// overridable via the PATHSEP_THREADS environment variable).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Tag shared by the tasks of one util::parallel_for call. `parent` is the
+  /// loop whose chunk the submitting thread was running (nullptr at top
+  /// level), so the groups of nested loops form a tree.
+  struct Group {
+    const Group* parent = nullptr;
+  };
+
+  /// Starts `threads` workers; zero is valid (queued tasks then run only
+  /// through try_run_nested). If a worker fails to start, the ones already
+  /// running are joined before the error propagates.
+  explicit ThreadPool(std::size_t threads);
 
   /// Drains the queue, then joins all workers.
   ~ThreadPool();
@@ -34,60 +41,60 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; wakes one idle worker.
-  void submit(std::function<void()> task) PATHSEP_EXCLUDES(mutex_);
+  /// Enqueues a task tagged with `group`; wakes one idle worker.
+  void submit(std::function<void()> task, const Group* group = nullptr)
+      PATHSEP_EXCLUDES(mutex_);
 
   /// Blocks until the queue is empty and every worker is idle.
   void wait_idle() PATHSEP_EXCLUDES(mutex_);
 
-  /// Pops one queued task and runs it on the calling thread; returns false
-  /// when the queue is empty. This is the cooperative-nesting primitive:
-  /// a parallel helper that has exhausted its own work but must wait for
-  /// sub-tasks still in the queue executes them itself instead of blocking,
-  /// so nested fan-out (a big node's inner portal loop inside the node-level
-  /// loop) can never deadlock the pool. The task runs with in_worker() true,
-  /// exactly as it would on a pool thread.
-  bool try_run_one() PATHSEP_EXCLUDES(mutex_);
+  /// Removes the queued (not yet started) tasks of `group` and returns how
+  /// many there were.
+  std::size_t cancel(const Group& group) PATHSEP_EXCLUDES(mutex_);
+
+  /// Runs, on the calling thread, the oldest queued task whose group is
+  /// `group` or nested inside it; returns false when there is none. This is
+  /// how a waiting parallel_for helps with its own loop's nested work and
+  /// with nothing else.
+  bool try_run_nested(const Group& group) PATHSEP_EXCLUDES(mutex_);
 
   std::size_t num_threads() const { return workers_.size(); }
 
   /// Tasks currently queued (not yet picked up); for tests and metrics.
   std::size_t queued() const PATHSEP_EXCLUDES(mutex_);
 
-  /// True when the calling thread is a worker of ANY ThreadPool. Parallel
-  /// helpers that block on their own sub-tasks (parallel_for, the
-  /// decomposition build) check this and degrade to serial execution
-  /// instead, so nested parallelism can never deadlock the pool.
-  static bool in_worker();
-
-  /// Deep invariant audit: workers exist, active task count is within the
-  /// worker count, no queued task is null, and a stopped pool accepts no new
-  /// work. Fails via PATHSEP_ASSERT; see check/audit_service.hpp.
+  /// Deep invariant audit: the active task count is within the worker count
+  /// plus cooperative runners, no queued task is null, and a stopped pool
+  /// accepts no new work. Fails via PATHSEP_ASSERT; see
+  /// check/audit_service.hpp.
   void audit() const PATHSEP_EXCLUDES(mutex_);
 
  private:
+  struct Task {
+    std::function<void()> fn;
+    const Group* group = nullptr;
+  };
+
   void worker_loop() PATHSEP_EXCLUDES(mutex_);
+  void stop_and_join() PATHSEP_EXCLUDES(mutex_);
   void audit_locked() const PATHSEP_REQUIRES(mutex_);  ///< audit() body
 
   mutable Mutex mutex_;
   CondVar work_cv_;  ///< signals workers: task or stop
   CondVar idle_cv_;  ///< signals wait_idle: all drained
-  std::deque<std::function<void()>> queue_ PATHSEP_GUARDED_BY(mutex_);
+  std::deque<Task> queue_ PATHSEP_GUARDED_BY(mutex_);
   std::size_t active_ PATHSEP_GUARDED_BY(mutex_) = 0;  ///< running a task
-  /// Non-worker threads currently inside try_run_one (they raise the
-  /// legitimate active-task ceiling above the worker count).
+  /// Threads currently inside try_run_nested: each runs a task on top of
+  /// the one it may already be counted for, raising the active ceiling.
   std::size_t cooperative_ PATHSEP_GUARDED_BY(mutex_) = 0;
   bool stop_ PATHSEP_GUARDED_BY(mutex_) = false;
-  /// Written only by the constructor, joined only by the destructor; sized
+  /// Written only by the constructor, joined only by stop_and_join; sized
   /// reads (num_threads) are safe without mutex_ after construction.
   std::vector<std::thread> workers_;
 };
 
-/// Lazily-created process-wide pool backing util::parallel_for and the
-/// parallel decomposition build. Sized to default_threads() at first use
-/// (but never below 2, so explicit thread requests still get real
-/// concurrency on small machines); callers cap their own usage per call, so
-/// a PATHSEP_THREADS=1 run stays serial without consulting the pool.
+/// The process-wide pool backing util::parallel_for: util::threads() − 1
+/// workers, created at first use and rebuilt by util::set_threads().
 ThreadPool& shared_pool();
 
 }  // namespace pathsep::util

@@ -18,6 +18,7 @@
 #include "oracle/serialize.hpp"
 #include "separator/validate.hpp"
 #include "sssp/dijkstra.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace pathsep::flow {
@@ -244,18 +245,19 @@ TEST(FlowSeparator, DeterministicAcrossThreads) {
   util::Rng rng(23);
   const graph::GeometricGraph gg = graph::road_network(24, 24, rng);
   const FlowSeparator finder(gg.positions);
+  const std::size_t saved = util::threads();
   std::uint64_t first_digest = 0;
   for (const std::size_t threads : {1u, 8u}) {
-    hierarchy::DecompositionTree::Options options;
-    options.threads = threads;
-    const hierarchy::DecompositionTree tree(gg.graph, finder, options);
-    const auto labels = oracle::build_labels(tree, 0.1, threads);
+    util::set_threads(threads);
+    const hierarchy::DecompositionTree tree(gg.graph, finder);
+    const auto labels = oracle::build_labels(tree, 0.1);
     const std::uint64_t digest = label_digest(labels);
     if (threads == 1)
       first_digest = digest;
     else
       EXPECT_EQ(digest, first_digest);
   }
+  util::set_threads(saved);
 }
 
 TEST(FlowSeparator, OracleSandwichOnPerturbedGrid) {

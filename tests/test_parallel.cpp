@@ -1,14 +1,17 @@
-// The parallel construction pipeline: task-parallel DecompositionTree build,
-// shared-pool parallel_for, and the determinism guarantee — the serialized
-// oracle must be byte-identical for every thread count. Labeled `parallel`
-// in CTest; scripts/check.sh runs this suite under ThreadSanitizer alongside
-// the `service` label.
+// The parallel construction pipeline: level-parallel DecompositionTree build,
+// shared-pool parallel_for under one thread budget, and the determinism
+// guarantee — the serialized oracle must be byte-identical for every
+// budget. Labeled `parallel` in CTest; scripts/check.sh runs this suite
+// under ThreadSanitizer alongside the `service` label.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "check/audit_hierarchy.hpp"
@@ -32,22 +35,29 @@ using graph::Graph;
 using graph::Vertex;
 using hierarchy::DecompositionTree;
 
-DecompositionTree::Options with_threads(std::size_t threads,
-                                        bool validate = false) {
-  DecompositionTree::Options o;
-  o.threads = threads;
-  o.validate_separators = validate;
-  return o;
-}
+/// Sets the process-wide thread budget for one scope and restores the
+/// previous budget after it.
+class ScopedBudget {
+ public:
+  explicit ScopedBudget(std::size_t threads) : saved_(util::threads()) {
+    util::set_threads(threads);
+  }
+  ~ScopedBudget() { util::set_threads(saved_); }
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
+
+ private:
+  std::size_t saved_;
+};
 
 /// Serialized bytes of the whole oracle (tree shape + every label), built
-/// with the given thread count end to end.
+/// under the given thread budget end to end.
 std::vector<std::uint8_t> build_serialized(
     const Graph& g, const separator::SeparatorFinder& finder,
     std::size_t threads, double epsilon = 0.5) {
-  const DecompositionTree tree(g, finder, with_threads(threads));
-  const oracle::LabelArena labels =
-      oracle::build_labels(tree, epsilon, threads);
+  const ScopedBudget budget(threads);
+  const DecompositionTree tree(g, finder);
+  const oracle::LabelArena labels = oracle::build_labels(tree, epsilon);
   std::vector<std::uint8_t> bytes;
   // Tree shape participates too: node ids, parents, chain order.
   oracle::append_varint(bytes, tree.nodes().size());
@@ -83,14 +93,15 @@ TEST(ParallelBuild, GridOracleBytesIdenticalAcrossThreadCounts) {
 TEST(ParallelBuild, SnapshotBytesIdenticalAcrossThreadCounts) {
   // The snapshot file is the label arena byte for byte, so every array —
   // including bytes no query reads — must come out the same at every thread
-  // count (perfbench counts differing snapshot digests as failures).
+  // budget (perfbench counts differing snapshot digests as failures).
   util::Rng rng(73);
   const auto gg = graph::random_apollonian(300, rng);
   const separator::PlanarCycleSeparator finder(gg.positions);
   const auto snapshot = [&](std::size_t threads) {
-    const DecompositionTree tree(gg.graph, finder, with_threads(threads));
-    return service::serialize_oracle(oracle::PathOracle(
-        oracle::build_labels(tree, 0.5, threads), 0.5));
+    const ScopedBudget budget(threads);
+    const DecompositionTree tree(gg.graph, finder);
+    return service::serialize_oracle(
+        oracle::PathOracle(oracle::build_labels(tree, 0.5), 0.5));
   };
   const auto serial = snapshot(1);
   EXPECT_TRUE(serial == snapshot(2));
@@ -125,8 +136,12 @@ TEST(ParallelBuild, TreeStructureMatchesSerialBuild) {
   util::Rng rng(79);
   const auto gg = graph::random_apollonian(300, rng);
   const separator::PlanarCycleSeparator finder(gg.positions);
-  const DecompositionTree serial(gg.graph, finder, with_threads(1));
-  const DecompositionTree parallel(gg.graph, finder, with_threads(8));
+  const auto build = [&](std::size_t threads) {
+    const ScopedBudget budget(threads);
+    return DecompositionTree(gg.graph, finder);
+  };
+  const DecompositionTree serial = build(1);
+  const DecompositionTree parallel = build(8);
   ASSERT_EQ(serial.nodes().size(), parallel.nodes().size());
   EXPECT_EQ(serial.height(), parallel.height());
   EXPECT_EQ(serial.total_paths(), parallel.total_paths());
@@ -168,8 +183,8 @@ TEST(ParallelBuild, PlanarDigestIdenticalAcrossThreadsForTightEpsilon) {
 }
 
 TEST(ParallelBuild, PlanarDigestIdenticalAtTwoThreads) {
-  // threads=2 is the interesting boundary on a small pool: one helper plus
-  // the cooperative caller.
+  // Budget 2 is the interesting boundary: one pool worker plus the
+  // cooperative caller.
   util::Rng rng(71);
   const auto gg = graph::random_apollonian(400, rng);
   const separator::PlanarCycleSeparator finder(gg.positions);
@@ -303,9 +318,11 @@ TEST(ParallelBuild, ParallelTreePassesDeepAudits) {
   util::Rng rng(83);
   const auto gg = graph::random_apollonian(350, rng);
   const separator::PlanarCycleSeparator finder(gg.positions);
-  const DecompositionTree tree(gg.graph, finder, with_threads(8, true));
+  const ScopedBudget budget(8);
+  const DecompositionTree tree(gg.graph, finder,
+                               {.validate_separators = true});
   check::audit_decomposition(tree);
-  const auto labels = oracle::build_labels(tree, 0.5, 8);
+  const auto labels = oracle::build_labels(tree, 0.5);
   check::audit_labels(labels);
 }
 
@@ -330,8 +347,8 @@ class BoomFinder final : public separator::SeparatorFinder {
 
 TEST(ParallelBuild, WorkerExceptionsPropagateToCaller) {
   const Graph g = graph::path_graph(256);
-  EXPECT_THROW(DecompositionTree(g, BoomFinder(), with_threads(8)),
-               std::runtime_error);
+  const ScopedBudget budget(8);
+  EXPECT_THROW(DecompositionTree(g, BoomFinder()), std::runtime_error);
 }
 
 /// Claims a single vertex as the separator — never halves a path graph, so
@@ -351,63 +368,109 @@ class UnbalancedFinder final : public separator::SeparatorFinder {
 
 TEST(ParallelBuild, UnbalancedSeparatorRejectedInParallel) {
   const Graph g = graph::path_graph(128);
-  EXPECT_THROW(DecompositionTree(g, UnbalancedFinder(), with_threads(8)),
-               std::runtime_error);
-  EXPECT_THROW(DecompositionTree(g, UnbalancedFinder(), with_threads(8, true)),
+  const ScopedBudget budget(8);
+  EXPECT_THROW(DecompositionTree(g, UnbalancedFinder()), std::runtime_error);
+  EXPECT_THROW(DecompositionTree(g, UnbalancedFinder(),
+                                 {.validate_separators = true}),
                std::runtime_error);
 }
 
 // ------------------------------------------------------------- parallel_for
+// Budget 8 (seven workers) keeps these on the pool path on any host.
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
+  const ScopedBudget budget(8);
   constexpr std::size_t kCount = 50000;
   std::vector<std::atomic<int>> hits(kCount);
-  util::parallel_for(
-      kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
+  util::parallel_for(kCount, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ParallelFor, PropagatesFirstException) {
-  EXPECT_THROW(util::parallel_for(
-                   1000,
-                   [](std::size_t i) {
-                     if (i == 500) throw std::runtime_error("kaboom");
-                   },
-                   8),
+  const ScopedBudget budget(8);
+  EXPECT_THROW(util::parallel_for(1000,
+                                  [](std::size_t i) {
+                                    if (i == 500)
+                                      throw std::runtime_error("kaboom");
+                                  }),
                std::runtime_error);
 }
 
 TEST(ParallelFor, NestedCallsDoNotDeadlock) {
+  const ScopedBudget budget(8);
   std::vector<std::atomic<int>> hits(64 * 64);
-  util::parallel_for(
-      64,
-      [&](std::size_t outer) {
-        util::parallel_for(
-            64, [&](std::size_t inner) { hits[outer * 64 + inner]++; }, 4);
-      },
-      8);
+  util::parallel_for(64, [&](std::size_t outer) {
+    util::parallel_for(
+        64, [&](std::size_t inner) { hits[outer * 64 + inner]++; });
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, BudgetBoundsNestedConcurrency) {
+  // N = 2 means two cores: however the loops nest, no more than two threads
+  // may run the body at once (the pool holds one worker, the caller is the
+  // second participant).
+  const ScopedBudget budget(2);
+  std::atomic<int> live{0};
+  std::atomic<int> high_water{0};
+  util::parallel_for(8, [&](std::size_t) {
+    util::parallel_for(64, [&](std::size_t) {
+      const int now = live.fetch_add(1) + 1;
+      int seen = high_water.load();
+      while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      live.fetch_sub(1);
+    });
+  });
+  EXPECT_GE(high_water.load(), 1);
+  EXPECT_LE(high_water.load(), 2);
+}
+
+TEST(ParallelFor, WaiterNeverRunsForeignTasks) {
+  // A loop whose chunks are all claimed waits only for its own running
+  // helpers. A foreign task queued before it must stay in the queue for a
+  // worker: run on the waiter, it would hold the loop's continuation.
+  const ScopedBudget budget(2);
+  util::ThreadPool& pool = util::shared_pool();
+  std::atomic<bool> release{false};
+  pool.submit([&] {  // occupies the only worker (bounded, never hangs)
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!release.load() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  });
+  std::thread::id foreign_ran_on;
+  pool.submit([&] { foreign_ran_on = std::this_thread::get_id(); });
+  std::atomic<int> ran{0};
+  util::parallel_for(16, [&](std::size_t) { ran.fetch_add(1); });
+  release = true;
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_NE(foreign_ran_on, std::this_thread::get_id());
+  EXPECT_EQ(pool.queued(), 0u);
 }
 
 TEST(ParallelFor, GrainOneCoversEveryIndexExactlyOnce) {
   // grain=1 is the label build's node-scheduling mode (one huge root next to
   // hundreds of leaves): every index is its own chunk.
+  const ScopedBudget budget(8);
   constexpr std::size_t kCount = 3000;
   std::vector<std::atomic<int>> hits(kCount);
   util::parallel_for(
-      kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, 8, /*grain=*/1);
+      kCount, [&](std::size_t i) { hits[i].fetch_add(1); }, /*grain=*/1);
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ParallelFor, RunsInsidePoolWorkerWithoutDeadlock) {
-  // compute_connections fans out from inside a node task that is itself a
-  // pool task: the cooperative wait must let the outer task execute its own
-  // helpers instead of blocking the only worker.
+  // A loop started from inside a pool task (as compute_connections runs
+  // inside a node task) must finish whether or not other workers are free.
+  const ScopedBudget budget(8);
   std::vector<std::atomic<int>> hits(512);
   std::atomic<bool> done{false};
   util::shared_pool().submit([&] {
-    util::parallel_for(
-        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
+    util::parallel_for(hits.size(),
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
     done = true;
   });
   util::shared_pool().wait_idle();
@@ -416,10 +479,15 @@ TEST(ParallelFor, RunsInsidePoolWorkerWithoutDeadlock) {
 }
 
 TEST(ParallelFor, ZeroCountAndSerialFallbackWork) {
-  util::parallel_for(0, [](std::size_t) { FAIL(); }, 8);
-  int serial_hits = 0;
-  util::parallel_for(10, [&](std::size_t) { ++serial_hits; }, 1);
-  EXPECT_EQ(serial_hits, 10);  // threads=1 runs inline, no pool involved
+  util::parallel_for(0, [](std::size_t) { FAIL(); });
+  const ScopedBudget budget(1);
+  std::vector<std::thread::id> ran_on;
+  util::parallel_for(10, [&](std::size_t) {
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  // Budget 1 runs inline on the caller, no pool involved.
+  EXPECT_EQ(ran_on.size(), 10u);
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 // -------------------------------------------------------------- shared pool
@@ -428,16 +496,15 @@ TEST(SharedPool, IsASingletonWithWorkers) {
   util::ThreadPool& a = util::shared_pool();
   util::ThreadPool& b = util::shared_pool();
   EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.num_threads(), 2u);  // real concurrency even on 1-core hosts
-}
-
-TEST(SharedPool, InWorkerIsVisibleFromTasks) {
-  EXPECT_FALSE(util::ThreadPool::in_worker());
-  std::atomic<bool> inside{false};
-  util::shared_pool().submit(
-      [&] { inside = util::ThreadPool::in_worker(); });
-  util::shared_pool().wait_idle();
-  EXPECT_TRUE(inside.load());
+  EXPECT_EQ(a.num_threads(), util::threads() - 1);  // the caller is the N-th
+  {
+    const ScopedBudget budget(3);
+    EXPECT_EQ(util::shared_pool().num_threads(), 2u);
+  }
+  {
+    const ScopedBudget budget(1);
+    EXPECT_EQ(util::shared_pool().num_threads(), 0u);
+  }
 }
 
 TEST(DefaultThreads, ReadsPathsepThreadsEnv) {
@@ -445,6 +512,36 @@ TEST(DefaultThreads, ReadsPathsepThreadsEnv) {
   const std::string saved = old ? old : "";
   setenv("PATHSEP_THREADS", "3", 1);
   EXPECT_EQ(util::default_threads(), 3u);
+  setenv("PATHSEP_THREADS", "1024", 1);
+  EXPECT_EQ(util::default_threads(), util::kMaxThreads);
+  unsetenv("PATHSEP_THREADS");
+  EXPECT_GE(util::default_threads(), 1u);
+  EXPECT_LE(util::default_threads(), util::kMaxThreads);
+  EXPECT_THROW(util::set_threads(0), std::invalid_argument);
+  EXPECT_THROW(util::set_threads(util::kMaxThreads + 1),
+               std::invalid_argument);
+  if (old) setenv("PATHSEP_THREADS", saved.c_str(), 1);
+}
+
+TEST(DefaultThreads, HonorsPathsepThreadsEnv) {
+  // A value that is not a thread count in [1, kMaxThreads] is an error
+  // naming the variable, never a silent fallback to the hardware default.
+  const char* old = std::getenv("PATHSEP_THREADS");
+  const std::string saved = old ? old : "";
+  setenv("PATHSEP_THREADS", "3", 1);
+  EXPECT_EQ(util::default_threads(), 3u);
+  for (const char* bad :
+       {"0", "garbage", "3x", "", " 3", "-2", "+3", "1025", "100000",
+        "99999999999999999999999"}) {
+    setenv("PATHSEP_THREADS", bad, 1);
+    try {
+      util::default_threads();
+      ADD_FAILURE() << "accepted PATHSEP_THREADS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("PATHSEP_THREADS"),
+                std::string::npos);
+    }
+  }
   if (old)
     setenv("PATHSEP_THREADS", saved.c_str(), 1);
   else

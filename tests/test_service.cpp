@@ -433,26 +433,6 @@ TEST(Snapshot, Version1FilesAskForARebuild) {
   expect_rejected(v1, "rebuild");
 }
 
-// ------------------------------------------------- util satellites (threads)
-
-TEST(DefaultThreads, HonorsPathsepThreadsEnv) {
-  ::setenv("PATHSEP_THREADS", "3", 1);
-  EXPECT_EQ(util::default_threads(), 3u);
-  ::setenv("PATHSEP_THREADS", "garbage", 1);
-  const std::size_t fallback = util::default_threads();
-  ::unsetenv("PATHSEP_THREADS");
-  EXPECT_EQ(fallback, util::default_threads());
-  EXPECT_GE(util::default_threads(), 1u);
-}
-
-TEST(DefaultThreads, ParallelForUsesEnvOverride) {
-  ::setenv("PATHSEP_THREADS", "2", 1);
-  std::atomic<int> ran{0};
-  util::parallel_for(100, [&ran](std::size_t) { ran.fetch_add(1); });
-  ::unsetenv("PATHSEP_THREADS");
-  EXPECT_EQ(ran.load(), 100);
-}
-
 TEST(Zipf, SamplesAreSkewedTowardLowRanks) {
   util::Rng rng(13);
   const util::ZipfSampler zipf(1000, 1.1);

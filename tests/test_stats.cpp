@@ -188,7 +188,12 @@ TEST(ParallelFor, SerialFallbackAndEmptyRange) {
   int count = 0;
   parallel_for(0, [&](std::size_t) { ++count; });
   EXPECT_EQ(count, 0);
-  parallel_for(3, [&](std::size_t) { ++count; }, 1);
+  // Budget 1: no pool workers, so the body runs inline on this thread and
+  // the unsynchronized count is safe.
+  const std::size_t saved = threads();
+  set_threads(1);
+  parallel_for(3, [&](std::size_t) { ++count; });
+  set_threads(saved);
   EXPECT_EQ(count, 3);
 }
 
