@@ -1,7 +1,7 @@
 // E14 — query service throughput: serial dispatch vs. the shard-per-core
 // ShardedEngine (lock-free MPSC intake + epoch-swapped snapshots) with and
-// without its sharded LRU result cache, and the engine at 1/2/4/8 shard
-// workers on a >=100k-vertex grid.
+// without its per-shard result caches, and the engine at 1/2/4/8 shard
+// workers on a >=100k-vertex grid, each as the median/min/max of 3 runs.
 //
 // Workload: a planar grid oracle (the paper's canonical 1-path-separable
 // family) serving a fixed number of (u, v) queries, drawn either uniformly
@@ -51,6 +51,8 @@
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -103,19 +105,11 @@ struct FnvDigest {
   }
 };
 
-double percentile(std::vector<double>& sorted_in_place, double p) {
-  if (sorted_in_place.empty()) return 0.0;
-  std::sort(sorted_in_place.begin(), sorted_in_place.end());
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_in_place.size() - 1));
-  return sorted_in_place[idx];
-}
-
 /// With `lat` null this is the raw loop (the overhead section's baseline);
 /// with a histogram it times every query, so the serial row reports a real
 /// p99 instead of 0.00 — the same per-query timer the engine rows pay.
 double run_serial(const oracle::PathOracle& oracle, const Workload& w,
-                  double* seconds, obs::LatencyHistogram* lat = nullptr) {
+                  obs::LatencyHistogram* lat = nullptr) {
   util::Timer timer;
   Weight sink = 0;
   if (lat) {
@@ -128,8 +122,7 @@ double run_serial(const oracle::PathOracle& oracle, const Workload& w,
     for (const service::Query& q : w.queries) sink += oracle.query(q.u, q.v);
   }
   util::do_not_optimize(sink);
-  *seconds = timer.elapsed_seconds();
-  return static_cast<double>(w.queries.size()) / *seconds;
+  return static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
 }
 
 std::uint64_t serial_digest(const oracle::PathOracle& oracle,
@@ -142,8 +135,10 @@ std::uint64_t serial_digest(const oracle::PathOracle& oracle,
   return digest.h;
 }
 
+/// Closed-loop qps of `w` through `engine` in batches; with `digest`, also
+/// folds every answer into it.
 double run_engine(service::ShardedEngine& engine, const Workload& w,
-                  std::size_t batch) {
+                  std::size_t batch, FnvDigest* digest = nullptr) {
   std::vector<Weight> results(batch);
   util::Timer timer;
   for (std::size_t begin = 0; begin < w.queries.size(); begin += batch) {
@@ -151,6 +146,7 @@ double run_engine(service::ShardedEngine& engine, const Workload& w,
     engine.query_batch_into(
         std::span<const service::Query>(w.queries).subspan(begin, size),
         results.data());
+    if (digest != nullptr) digest->add(results.data(), size);
     util::do_not_optimize(results);
   }
   return static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
@@ -159,6 +155,20 @@ double run_engine(service::ShardedEngine& engine, const Workload& w,
 std::uint64_t counter_value(service::ShardedEngine& engine,
                             const std::string& name) {
   return engine.metrics().counter(name).value();
+}
+
+/// The answers_total family's sum (levels + cached/self/unreachable) and
+/// queries_total: the attribution invariant the exporter tests pin down
+/// says they are equal.
+std::pair<std::uint64_t, std::uint64_t> answers_and_queries(
+    const service::ShardedEngine& engine) {
+  std::uint64_t answers = 0, queries = 0;
+  for (const obs::MetricSample& s : engine.metrics().snapshot()) {
+    if (s.kind != obs::MetricKind::kCounter) continue;
+    if (s.name == "answers_total") answers += s.counter_value;
+    if (s.name == "queries_total") queries = s.counter_value;
+  }
+  return {answers, queries};
 }
 
 /// The serial loop of run_serial plus the obs-layer work the engine adds to
@@ -242,10 +252,42 @@ double run_serial_instrumented(const oracle::PathOracle& oracle,
   return static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
 }
 
+constexpr int kRepeats = 3;  ///< runs per E14 / E14c throughput row
+
+/// Median, min and max of repeated throughput runs.
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+/// Runs `measure` kRepeats times and returns the spread of its results.
+template <typename Measure>
+Spread repeat(Measure measure) {
+  std::vector<double> runs;
+  for (int r = 0; r < kRepeats; ++r) runs.push_back(measure());
+  const auto [lo, hi] = std::minmax_element(runs.begin(), runs.end());
+  return {util::percentile(runs, 0.5), *lo, *hi};
+}
+
+/// One table row: the `head` cells, the qps median, min and max, then the
+/// `tail` cells.
+void add_qps_row(util::TableWriter& table, std::vector<std::string> row,
+                 const Spread& qps, const std::vector<std::string>& tail) {
+  for (const double value : {qps.median, qps.min, qps.max})
+    row.push_back(util::strf("%.0f", value));
+  row.insert(row.end(), tail.begin(), tail.end());
+  table.add_row(row);
+}
+
+std::string qps_json(const Spread& qps) {
+  return util::strf("\"qps\": %.0f, \"qps_min\": %.0f, \"qps_max\": %.0f",
+                    qps.median, qps.min, qps.max);
+}
+
 struct RunRecord {
   std::string mode, workload;
   std::size_t threads = 1;
-  double qps = 0, speedup = 1.0, p99_us = 0;
+  Spread qps;
+  double speedup = 1.0, p99_us = 0;
   bool has_window = false;  ///< engine modes carry a windowed-tail view
   obs::WindowedHistogram::View window{};
 };
@@ -254,7 +296,8 @@ struct RunRecord {
 
 struct ShardedRow {
   std::size_t shards = 1;
-  double qps = 0, speedup = 1.0, p99_us = 0;
+  Spread qps;  ///< run_sharded fills the median; repeats fill the spread
+  double speedup = 1.0, p99_us = 0;
   std::uint64_t digest = 0;
   obs::WindowedHistogram::View window{};
   bool answers_sum_ok = true;
@@ -262,42 +305,19 @@ struct ShardedRow {
 
 ShardedRow run_sharded(
     const std::shared_ptr<const oracle::PathOracle>& snapshot,
-    const Workload& w, std::size_t batch, std::size_t shards,
-    double serial_qps) {
-  service::ShardedEngineOptions opts;
-  opts.shards = shards;
-  opts.cache_capacity = 0;
-  service::ShardedEngine engine(snapshot, opts);
-
-  std::vector<Weight> results(batch);
+    const Workload& w, std::size_t batch, std::size_t shards) {
+  service::ShardedEngine engine(snapshot, {.shards = shards});
   FnvDigest digest;
-  util::Timer timer;
-  for (std::size_t begin = 0; begin < w.queries.size(); begin += batch) {
-    const std::size_t size = std::min(batch, w.queries.size() - begin);
-    engine.query_batch_into(
-        std::span<const service::Query>(w.queries).subspan(begin, size),
-        results.data());
-    digest.add(results.data(), size);
-  }
-  const double seconds = timer.elapsed_seconds();
-
   ShardedRow row;
+  row.qps.median = run_engine(engine, w, batch, &digest);
   row.shards = engine.num_shards();
-  row.qps = static_cast<double>(w.queries.size()) / seconds;
-  row.speedup = row.qps / serial_qps;
   row.p99_us =
       engine.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
       1000.0;
   row.digest = digest.h;
   row.window = engine.window().view(obs::window_now_ns());
-  std::uint64_t answers_sum = 0, queries_total = 0;
-  for (const obs::MetricSample& s : engine.metrics().snapshot()) {
-    if (s.kind != obs::MetricKind::kCounter) continue;
-    if (s.name == "answers_total") answers_sum += s.counter_value;
-    if (s.name == "queries_total") queries_total = s.counter_value;
-  }
-  row.answers_sum_ok =
-      answers_sum == queries_total && queries_total == w.queries.size();
+  const auto [answers, queries] = answers_and_queries(engine);
+  row.answers_sum_ok = answers == queries && queries == w.queries.size();
   return row;
 }
 
@@ -387,8 +407,8 @@ OpenLoopRow run_open_loop(service::ShardedEngine& engine, const Workload& w,
       static_cast<double>(std::max<std::uint64_t>(last_done - t_start, 1)) /
       1e9;
   row.achieved_qps = static_cast<double>(total) / seconds;
-  row.p50_us = percentile(latencies_us, 0.50);
-  row.p99_us = percentile(latencies_us, 0.99);
+  row.p50_us = util::percentile(latencies_us, 0.50);
+  row.p99_us = util::percentile(latencies_us, 0.99);
   return row;
 }
 
@@ -425,8 +445,8 @@ NetRow run_net_loadgen(const std::string& host, std::uint16_t port,
   }
   row.qps =
       static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
-  row.p50_us = percentile(latencies_us, 0.50);
-  row.p99_us = percentile(latencies_us, 0.99);
+  row.p50_us = util::percentile(latencies_us, 0.50);
+  row.p99_us = util::percentile(latencies_us, 0.99);
   row.digest = digest.h;
   return row;
 }
@@ -565,7 +585,8 @@ int main(int argc, char** argv) {
       make_workload("zipf-1.1", distinct_pairs, 1.1, num_queries, n, 7);
 
   util::TableWriter table({"mode", "workload", "threads", "cache", "qps",
-                           "speedup", "hit_rate", "p99_us"});
+                           "qps_min", "qps_max", "speedup", "hit_rate",
+                           "p99_us"});
   std::vector<RunRecord> records;
   std::string engine_metrics_json = "{}";
   std::string windowed_json = "{}";
@@ -573,74 +594,62 @@ int main(int argc, char** argv) {
   std::uint64_t answers_sum = 0, answers_queries = 0;
 
   for (const Workload* w : {&uniform, &zipf}) {
-    double serial_s = 0;
     obs::LatencyHistogram serial_lat;
-    const double serial_qps = run_serial(*snapshot, *w, &serial_s, &serial_lat);
+    const Spread serial =
+        repeat([&] { return run_serial(*snapshot, *w, &serial_lat); });
+    const double serial_qps = serial.median;
     const double serial_p99_us = serial_lat.percentile_nanos(0.99) / 1000.0;
-    table.add_row({"serial", w->name, "1", "off",
-                   util::strf("%.0f", serial_qps), "1.00x", "-",
-                   util::strf("%.1f", serial_p99_us)});
-    records.push_back({"serial", w->name, 1, serial_qps, 1.0, serial_p99_us});
+    add_qps_row(table, {"serial", w->name, "1", "off"}, serial,
+                {"1.00x", "-", util::strf("%.1f", serial_p99_us)});
+    records.push_back({"serial", w->name, 1, serial, 1.0, serial_p99_us});
+    // One engine row: its qps spread, hit-rate cell, p99 and window.
+    const auto add_engine_row = [&](const char* mode, const char* cache,
+                                    service::ShardedEngine& engine,
+                                    const Spread& qps, std::string hit_rate) {
+      const double p99_us = engine.metrics()
+                                .histogram("query_latency_ns")
+                                .percentile_nanos(0.99) /
+                            1000.0;
+      const double speedup = qps.median / serial_qps;
+      add_qps_row(table, {mode, w->name, util::strf("%zu", threads), cache},
+                  qps,
+                  {util::strf("%.2fx", speedup), std::move(hit_rate),
+                   util::strf("%.1f", p99_us)});
+      records.push_back({mode, w->name, threads, qps, speedup, p99_us, true,
+                         engine.window().view(obs::window_now_ns())});
+    };
 
-    service::ShardedEngineOptions sharded_opts;
-    sharded_opts.shards = threads;
-    service::ShardedEngine sharded(snapshot, sharded_opts);
-    const double sharded_qps = run_engine(sharded, *w, batch);
-    const double sharded_p99_us =
-        sharded.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
-        1000.0;
-    table.add_row({"sharded", w->name, util::strf("%zu", threads), "off",
-                   util::strf("%.0f", sharded_qps),
-                   util::strf("%.2fx", sharded_qps / serial_qps), "-",
-                   util::strf("%.1f", sharded_p99_us)});
-    records.push_back({"sharded", w->name, threads, sharded_qps,
-                       sharded_qps / serial_qps, sharded_p99_us, true,
-                       sharded.window().view(obs::window_now_ns())});
+    service::ShardedEngine sharded(snapshot, {.shards = threads});
+    add_engine_row("sharded", "off", sharded,
+                   repeat([&] { return run_engine(sharded, *w, batch); }),
+                   "-");
     engine_metrics_json = obs::metrics_to_json(sharded.metrics().snapshot());
     windowed_json = obs::window_to_json(records.back().window);
     slowlog_json = obs::slowlog_to_json(sharded.slowlog().snapshot());
-    // Attribution invariant the exporter tests pin down: the answers_total
-    // family (levels + cached/self/unreachable) sums to queries_total.
-    answers_sum = 0;
-    answers_queries = 0;
-    for (const obs::MetricSample& s : sharded.metrics().snapshot()) {
-      if (s.kind != obs::MetricKind::kCounter) continue;
-      if (s.name == "answers_total") answers_sum += s.counter_value;
-      if (s.name == "queries_total") answers_queries = s.counter_value;
-    }
+    std::tie(answers_sum, answers_queries) = answers_and_queries(sharded);
 
-    service::ShardedEngineOptions cached_opts = sharded_opts;
-    cached_opts.cache_capacity = 1 << 16;
-    service::ShardedEngine cached(snapshot, cached_opts);
-    run_engine(cached, *w, batch);  // warm the LRU
+    service::ShardedEngine cached(
+        snapshot, {.shards = threads, .cache_capacity = 1 << 16});
+    run_engine(cached, *w, batch);  // warm the caches
     const std::uint64_t warm_hits = counter_value(cached, "cache_hits");
     const std::uint64_t warm_misses = counter_value(cached, "cache_misses");
-    const double cached_qps = run_engine(cached, *w, batch);
+    const Spread cached_qps =
+        repeat([&] { return run_engine(cached, *w, batch); });
     const std::uint64_t hits = counter_value(cached, "cache_hits") - warm_hits;
     const std::uint64_t misses =
         counter_value(cached, "cache_misses") - warm_misses;
     const double warm_rate =
         static_cast<double>(hits) / static_cast<double>(hits + misses);
-    const double cached_p99_us =
-        cached.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
-        1000.0;
-    table.add_row({"cached", w->name, util::strf("%zu", threads), "65536",
-                   util::strf("%.0f", cached_qps),
-                   util::strf("%.2fx", cached_qps / serial_qps),
-                   util::strf("%.1f%%", 100.0 * warm_rate),
-                   util::strf("%.1f", cached_p99_us)});
-    records.push_back({"cached", w->name, threads, cached_qps,
-                       cached_qps / serial_qps, cached_p99_us, true,
-                       cached.window().view(obs::window_now_ns())});
+    add_engine_row("cached", "65536", cached, cached_qps,
+                   util::strf("%.1f%%", 100.0 * warm_rate));
   }
 
   table.print(std::cout);
   std::printf(
-      "\nnotes: sharded and cached rows run %zu shard workers; the cached "
-      "hit-rate column is measured after a full warming pass; batches at or "
-      "below the adaptive inline cutoff are answered on the caller's thread "
-      "with chained timestamps.\n",
-      threads);
+      "\nnotes: qps is the median of %d runs (min and max beside it); "
+      "sharded and cached rows run %zu shard workers; the cached hit-rate "
+      "column is measured after a full warming pass.\n",
+      kRepeats, threads);
 
   // ---- Instrumentation overhead: raw serial loop vs. the same loop with
   // per-query obs recording, tracing off then on. Best of 3 reps each to
@@ -649,10 +658,8 @@ int main(int argc, char** argv) {
   const int reps = quick ? 1 : 3;
   double raw_qps = 0, instr_qps = 0, tracing_qps = 0, timed_qps = 0;
   obs::set_trace_enabled(false);
-  for (int r = 0; r < reps; ++r) {
-    double s = 0;
-    raw_qps = std::max(raw_qps, run_serial(*snapshot, uniform, &s));
-  }
+  for (int r = 0; r < reps; ++r)
+    raw_qps = std::max(raw_qps, run_serial(*snapshot, uniform));
   for (int r = 0; r < reps; ++r) {
     obs::MetricsRegistry registry;
     instr_qps = std::max(instr_qps,
@@ -698,37 +705,44 @@ int main(int argc, char** argv) {
       make_workload("uniform", big_queries / 2, 0.0, big_queries,
                     big_snapshot->num_vertices(), 11);
 
-  double big_serial_s = 0;
   obs::LatencyHistogram big_serial_lat;
-  const double big_serial_qps =
-      run_serial(*big_snapshot, big_w, &big_serial_s, &big_serial_lat);
+  const Spread big_serial =
+      repeat([&] { return run_serial(*big_snapshot, big_w, &big_serial_lat); });
+  const double big_serial_qps = big_serial.median;
   const std::uint64_t expected_digest = serial_digest(*big_snapshot, big_w);
 
   util::TableWriter sharded_table(
-      {"mode", "shards", "qps", "speedup", "p99_us", "win_p99_us", "digest",
-       "sum_ok"});
-  sharded_table.add_row(
-      {"serial", "1", util::strf("%.0f", big_serial_qps), "1.00x",
-       util::strf("%.1f", big_serial_lat.percentile_nanos(0.99) / 1000.0),
-       "-", hex64(expected_digest), "-"});
+      {"mode", "shards", "qps", "qps_min", "qps_max", "speedup", "p99_us",
+       "win_p99_us", "digest", "sum_ok"});
+  add_qps_row(
+      sharded_table, {"serial", "1"}, big_serial,
+      {"1.00x",
+       util::strf("%.1f", big_serial_lat.percentile_nanos(0.99) / 1000.0), "-",
+       hex64(expected_digest), "-"});
 
   std::vector<ShardedRow> sharded_rows;
   double peak_qps = big_serial_qps;
   bool digests_ok = true;
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const ShardedRow row =
-        run_sharded(big_snapshot, big_w, batch, shards, big_serial_qps);
+    ShardedRow row;  // the last run's latency view, every run's qps
+    bool digest_ok = true;  // every run must reproduce serial's digest
+    row.qps = repeat([&] {
+      row = run_sharded(big_snapshot, big_w, batch, shards);
+      digest_ok = digest_ok && row.digest == expected_digest;
+      digests_ok = digests_ok && row.answers_sum_ok;
+      return row.qps.median;
+    });
+    row.speedup = row.qps.median / big_serial_qps;
+    digests_ok = digests_ok && digest_ok;
     sharded_rows.push_back(row);
-    peak_qps = std::max(peak_qps, row.qps);
-    const bool digest_ok = row.digest == expected_digest;
-    digests_ok = digests_ok && digest_ok && row.answers_sum_ok;
-    sharded_table.add_row(
-        {"sharded", util::strf("%zu", row.shards),
-         util::strf("%.0f", row.qps), util::strf("%.2fx", row.speedup),
-         util::strf("%.1f", row.p99_us),
-         util::strf("%.1f", row.window.p99_nanos / 1e3),
-         hex64(row.digest) + (digest_ok ? "" : " MISMATCH"),
-         row.answers_sum_ok ? "yes" : "NO"});
+    peak_qps = std::max(peak_qps, row.qps.median);
+    add_qps_row(sharded_table, {"sharded", util::strf("%zu", row.shards)},
+                row.qps,
+                {util::strf("%.2fx", row.speedup),
+                 util::strf("%.1f", row.p99_us),
+                 util::strf("%.1f", row.window.p99_nanos / 1e3),
+                 hex64(row.digest) + (digest_ok ? "" : " MISMATCH"),
+                 row.answers_sum_ok ? "yes" : "NO"});
   }
 
   // Tracing-on sharded row: tail sampling must attach a nonzero exemplar
@@ -738,24 +752,9 @@ int main(int argc, char** argv) {
   std::size_t slowlog_entries = 0;
   double tracing_sharded_qps = 0;
   {
-    service::ShardedEngineOptions opts;
-    opts.shards = threads;
-    opts.cache_capacity = 0;
-    opts.slowlog_capacity = 32;
-    service::ShardedEngine engine(big_snapshot, opts);
-    std::vector<Weight> results(batch);
-    util::Timer timer;
-    for (std::size_t begin = 0; begin < big_w.queries.size();
-         begin += batch) {
-      const std::size_t size =
-          std::min(batch, big_w.queries.size() - begin);
-      engine.query_batch_into(
-          std::span<const service::Query>(big_w.queries)
-              .subspan(begin, size),
-          results.data());
-    }
-    tracing_sharded_qps =
-        static_cast<double>(big_w.queries.size()) / timer.elapsed_seconds();
+    service::ShardedEngine engine(big_snapshot,
+                                  {.shards = threads, .slowlog_capacity = 32});
+    tracing_sharded_qps = run_engine(engine, big_w, batch);
     for (const obs::SlowQuery& slow : engine.slowlog().snapshot()) {
       ++slowlog_entries;
       if (slow.span_id != 0) ++slowlog_span_entries;
@@ -765,7 +764,7 @@ int main(int argc, char** argv) {
   obs::set_trace_enabled(false);
   const std::size_t tracing_spans = obs::drain_spans().size();
   sharded_table.add_row({"sharded-tracing", util::strf("%zu", threads),
-                         util::strf("%.0f", tracing_sharded_qps),
+                         util::strf("%.0f", tracing_sharded_qps), "-", "-",
                          util::strf("%.2fx",
                                     tracing_sharded_qps / big_serial_qps),
                          "-", "-", "-",
@@ -795,10 +794,7 @@ int main(int argc, char** argv) {
   section("E14d", "open-loop arrival (latency from scheduled arrival)");
   std::vector<OpenLoopRow> open_loop_rows;
   {
-    service::ShardedEngineOptions opts;
-    opts.shards = threads;
-    opts.cache_capacity = 0;
-    service::ShardedEngine engine(big_snapshot, opts);
+    service::ShardedEngine engine(big_snapshot, {.shards = threads});
     util::TableWriter ol_table({"offered_qps", "of_peak", "achieved_qps",
                                 "p50_us", "p99_us"});
     const std::vector<double> fractions =
@@ -825,10 +821,7 @@ int main(int argc, char** argv) {
   bool net_ok = true;
 #if defined(__linux__)
   {
-    service::ShardedEngineOptions opts;
-    opts.shards = threads;
-    opts.cache_capacity = 0;
-    service::ShardedEngine engine(big_snapshot, opts);
+    service::ShardedEngine engine(big_snapshot, {.shards = threads});
     service::NetServer server(engine);
     server.start();
     net_row = run_net_loadgen("127.0.0.1", server.port(), big_w, 512);
@@ -877,6 +870,10 @@ int main(int argc, char** argv) {
   // ---- JSON record for the repo (EXPERIMENTS.md points here).
   std::ostringstream json;
   json << "{\n  \"bench\": \"bench_service\",\n"
+       << "  \"git_sha\": \"" << PATHSEP_GIT_SHA << "\", \"build_type\": \""
+       << PATHSEP_BUILD_TYPE << "\", \"hardware_concurrency\": "
+       << std::thread::hardware_concurrency() << ", \"repeats\": " << kRepeats
+       << ",\n"
        << "  \"grid_side\": " << side << ", \"epsilon\": " << eps
        << ", \"num_queries\": " << num_queries
        << ", \"distinct_pairs\": " << distinct_pairs
@@ -886,7 +883,7 @@ int main(int argc, char** argv) {
     const RunRecord& r = records[i];
     json << "    {\"mode\": \"" << r.mode << "\", \"workload\": \""
          << r.workload << "\", \"threads\": " << r.threads
-         << ", \"qps\": " << util::strf("%.0f", r.qps)
+         << ", " << qps_json(r.qps)
          << ", \"speedup\": " << util::strf("%.3f", r.speedup)
          << ", \"p99_us\": " << util::strf("%.2f", r.p99_us);
     if (r.has_window)
@@ -901,14 +898,15 @@ int main(int argc, char** argv) {
        << "  \"sharded\": {\"grid_side\": " << big_side
        << ", \"num_vertices\": " << big_side * big_side
        << ", \"num_queries\": " << big_queries
-       << ", \"serial_qps\": " << util::strf("%.0f", big_serial_qps)
+       << ", \"serial_qps\": " << util::strf("%.0f", big_serial.median)
+       << ", \"serial_qps_min\": " << util::strf("%.0f", big_serial.min)
+       << ", \"serial_qps_max\": " << util::strf("%.0f", big_serial.max)
        << ", \"digest\": \"" << hex64(expected_digest)
        << "\", \"digests_ok\": " << (digests_ok ? "true" : "false")
        << ",\n    \"runs\": [\n";
   for (std::size_t i = 0; i < sharded_rows.size(); ++i) {
     const ShardedRow& r = sharded_rows[i];
-    json << "      {\"shards\": " << r.shards
-         << ", \"qps\": " << util::strf("%.0f", r.qps)
+    json << "      {\"shards\": " << r.shards << ", " << qps_json(r.qps)
          << ", \"speedup\": " << util::strf("%.3f", r.speedup)
          << ", \"p99_us\": " << util::strf("%.2f", r.p99_us)
          << ", \"win_qps\": " << util::strf("%.0f", r.window.qps)

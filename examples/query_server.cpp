@@ -15,11 +15,12 @@
 //   # front-end); drive it with `bench_service --loadgen --connect=...`
 //   ./query_server --side=64 --serve=9917 --serve-duration=30
 //
-// Flags: --side (grid side length), --eps, --shards (engine worker count;
-// 0 = the thread budget: PATHSEP_THREADS, else all cores), --clients
-// (load-generator threads), --batch (queries per client batch), --duration
-// (seconds), --pairs (distinct query pairs), --zipf (skew exponent; 0 =
-// uniform), --cache (entries; 0 disables),
+// Flags: --side (grid side length), --eps, --shards (engine worker count,
+// at most 64; 0 = the thread budget: PATHSEP_THREADS, else all cores),
+// --clients (load-generator threads), --batch (queries per client batch),
+// --duration (seconds), --pairs (distinct query pairs), --zipf (skew
+// exponent; 0 = uniform), --cache (result-cache entries, split across the
+// shards; 0 disables),
 // --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT — 0 picks
 // an ephemeral port — and serve the length-prefixed binary protocol instead
 // of running the in-process load loop),
@@ -91,24 +92,32 @@ namespace {
 
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
-  const auto side = static_cast<std::size_t>(args.get_int("side", 64));
+  // A count flag outside [lo, hi] is an error (exit 1), never wrapped.
+  const auto count = [&args](const char* name, std::int64_t def,
+                             std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(args.get_int(name, def, lo, hi));
+  };
+  const std::size_t side = count("side", 64, 1, 65535);
   const double eps = args.get_double("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto clients = static_cast<std::size_t>(args.get_int("clients", 4));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 512));
+  const std::size_t clients = count("clients", 4, 1, 1024);
+  const std::size_t batch = count("batch", 512, 1, 1 << 20);
   const double duration = args.get_double("duration", 3.0);
-  const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 100000));
+  const std::size_t pairs = count("pairs", 100000, 1, 1 << 24);
   const double zipf_s = args.get_double("zipf", 1.1);
-  const auto cache = static_cast<std::size_t>(args.get_int("cache", 1 << 16));
+  const std::size_t cache =
+      count("cache", 1 << 16, 0, service::ResultCache::kMaxCapacity);
   const std::string save_path = args.get("save");
   const std::string load_path = args.get("load");
   const bool verify = args.get_bool("verify");
   const std::string statsz = args.get("statsz");
   const std::string trace_out = args.get("trace-out");
   const bool trace = args.get_bool("trace") || !trace_out.empty();
-  const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
+  const std::size_t shards = count("shards", 0, 0, 64);
   const bool serve = args.has("serve");
-  const auto serve_port = static_cast<std::uint16_t>(args.get_int("serve", 0));
+  // A bare --serve (no value) picks an ephemeral port, like --serve=0.
+  const auto serve_port = static_cast<std::uint16_t>(
+      args.get("serve") == "true" ? 0 : args.get_int("serve", 0, 0, 65535));
   const double serve_duration = args.get_double("serve-duration", 30.0);
   if (!statsz.empty() && statsz != "json" && statsz != "prom") {
     std::fprintf(stderr, "error: --statsz must be json or prom\n");

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Localhost round-trip smoke for the network serving path: first require
-# query_server to refuse malformed PATHSEP_THREADS values, then start
+# query_server to refuse malformed PATHSEP_THREADS and --cache values, then
+# start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
 # `bench_service --loadgen` over the length-prefixed binary protocol and
@@ -30,15 +31,18 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# Hostile thread budgets: each must be refused with an error naming the
-# variable and exit status 1, not a crash and not a silent fallback.
-for budget in 100000 0 garbage; do
+# Hostile thread budgets and flag values: each must be refused with an error
+# naming it and exit 1 — no crash, no fallback, no -1 wrapped to SIZE_MAX.
+for hostile in PATHSEP_THREADS=100000 PATHSEP_THREADS=0 \
+  PATHSEP_THREADS=garbage --cache=-1 --cache=abc; do
   status=0
-  PATHSEP_THREADS=$budget "$server" --side=16 --duration=0 >"$log" 2>&1 ||
-    status=$?
-  if [ "$status" -ne 1 ] || ! grep -q '^error: PATHSEP_THREADS' "$log"; then
-    echo "serve_smoke: PATHSEP_THREADS=$budget exited $status," \
-      "expected an error naming the variable and exit 1" >&2
+  case $hostile in
+    --*) "$server" --side=16 --duration=0 "$hostile" ;;
+    *) env "$hostile" "$server" --side=16 --duration=0 ;;
+  esac >"$log" 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^error: ${hostile%%=*} " "$log"; then
+    echo "serve_smoke: $hostile exited $status," \
+      "expected an error naming it and exit 1" >&2
     cat "$log" >&2
     exit 1
   fi
@@ -86,5 +90,5 @@ fi
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (hostile thread budgets refused, port $port, hostile" \
-  "frame rejected, $QUERIES queries digest-verified)"
+echo "serve_smoke: OK (hostile thread budgets and --cache values refused," \
+  "port $port, hostile frame rejected, $QUERIES queries digest-verified)"

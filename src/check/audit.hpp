@@ -13,7 +13,8 @@
 //                                      distance symmetry
 //   audit_connections    oracle/       ε-portal monotonicity & next hops
 //   audit_routing_tables routing/      next-hop closure of the tables
-//   audit_result_cache   service/      LRU/index agreement, key canonicality
+//   audit_result_cache   service/      key canonicality and set placement,
+//                                      recency-ordered ways, legal values
 //   audit_thread_pool    service/      queue/worker state sanity
 #pragma once
 

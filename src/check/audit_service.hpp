@@ -6,11 +6,10 @@
 
 namespace pathsep::check {
 
-/// Full-cache audit: per shard, the LRU list and the index describe the same
-/// entry set (same size, every list node indexed at itself), occupancy is
-/// within the shard's capacity, every key is canonical (low vertex id in the
-/// high half >= ... see ResultCache::key), every key hashes to the shard that
-/// holds it, and every cached value is a legal distance (>= 0 or +inf).
+/// Full-cache audit: every stored key is canonical (min vertex id in the
+/// high half, see ResultCache::key), sits in the set its hash picks and
+/// appears once in it, empty ways only follow occupied ones, and every
+/// cached value is a legal distance (>= 0 or +inf).
 void audit_result_cache(const service::ResultCache& cache);
 
 /// Pool-state audit: the running-task count never exceeds the worker count

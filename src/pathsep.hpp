@@ -30,8 +30,9 @@
 //   obs/        observability: metrics registry (counters/gauges/latency
 //               histograms, labeled families), hierarchical trace spans,
 //               JSON + Prometheus exporters, oracle space reports
-//   service/    serving layer: shard-per-core query engine with LRU
-//               result cache, oracle snapshots on disk, wire protocol
+//   service/    serving layer: shard-per-core query engine with a 4-way
+//               result cache per shard, oracle snapshots on disk, wire
+//               protocol
 #pragma once
 
 #include "doubling/dimension.hpp"

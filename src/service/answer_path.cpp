@@ -9,10 +9,9 @@
 
 namespace pathsep::service {
 
-AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, ResultCache& cache,
-                       std::size_t levels, std::size_t slowlog_capacity)
-    : cache_(cache),
-      queries_total_(&metrics.counter("queries_total")),
+AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, std::size_t levels,
+                       std::size_t slowlog_capacity)
+    : queries_total_(&metrics.counter("queries_total")),
       cache_hits_(&metrics.counter("cache_hits")),
       cache_misses_(&metrics.counter("cache_misses")),
       latency_(&metrics.histogram("query_latency_ns")),
@@ -29,28 +28,24 @@ AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, ResultCache& cache,
 }
 
 graph::Weight AnswerPath::answer_timed(const oracle::PathOracle& oracle,
-                                       graph::Vertex u, graph::Vertex v,
-                                       std::uint64_t t0,
+                                       ResultCache* cache, graph::Vertex u,
+                                       graph::Vertex v, std::uint64_t t0,
                                        std::uint64_t* t1_out) {
   graph::Weight result;
   oracle::QueryStats stats;
-  bool cached = false;
-  if (cache_.capacity() == 0) {
-    // Cache disabled: skip even the empty-shard lookup; every query is a
-    // miss so hits + misses == queries_total still holds.
+  const std::uint64_t key = ResultCache::key(u, v);
+  const std::optional<graph::Weight> hit =
+      cache != nullptr ? cache->get(key) : std::nullopt;
+  const bool cached = hit.has_value();
+  if (cached) {
+    cache_hits_->inc();
+    result = *hit;
+  } else {
+    // Without a table every query is a miss, so hits + misses ==
+    // queries_total still holds.
     cache_misses_->inc();
     result = oracle.query_stats(u, v, stats);
-  } else {
-    const std::uint64_t key = ResultCache::key(u, v);
-    if (const std::optional<graph::Weight> hit = cache_.get(key)) {
-      cache_hits_->inc();
-      result = *hit;
-      cached = true;
-    } else {
-      cache_misses_->inc();
-      result = oracle.query_stats(u, v, stats);
-      cache_.put(key, result);
-    }
+    if (cache != nullptr) cache->put(key, result);
   }
   queries_total_->inc();
 
@@ -99,22 +94,17 @@ graph::Weight AnswerPath::answer_timed(const oracle::PathOracle& oracle,
   return result;
 }
 
-graph::Weight AnswerPath::answer(const oracle::PathOracle& oracle,
-                                 graph::Vertex u, graph::Vertex v) {
-  std::uint64_t t1 = 0;
-  return answer_timed(oracle, u, v, obs::window_now_ns(), &t1);
-}
-
 void AnswerPath::answer_chunk(const oracle::PathOracle& oracle,
-                              const Query* queries, graph::Weight* results,
-                              std::size_t count) {
+                              ResultCache* cache, const Query* queries,
+                              graph::Weight* results, std::size_t count) {
   // Chained timestamps: the end reading of one query starts the next, so a
   // chunk pays count + 1 clock reads total. The inter-query gap folded into
   // each sample is a handful of loop instructions — noise next to a label
   // merge sweep.
   std::uint64_t t = obs::window_now_ns();
   for (std::size_t i = 0; i < count; ++i)
-    results[i] = answer_timed(oracle, queries[i].u, queries[i].v, t, &t);
+    results[i] =
+        answer_timed(oracle, cache, queries[i].u, queries[i].v, t, &t);
 }
 
 }  // namespace pathsep::service

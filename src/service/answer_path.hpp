@@ -1,19 +1,17 @@
-// The per-query serving path under ShardedEngine: result cache, cumulative
-// and windowed latency, the answers_total attribution family, and slow-log
-// admission with tail-sampled exemplar spans. One AnswerPath instance is
-// safe for any number of concurrent callers — counters are atomic, the
-// windowed histogram is lock-free, the slow-log is lock-striped, and the
-// cache is sharded.
+// The per-query serving path under ShardedEngine: result-cache lookup,
+// cumulative and windowed latency, the answers_total attribution family, and
+// slow-log admission with tail-sampled exemplar spans. One AnswerPath
+// instance is safe for any number of concurrent callers — counters are
+// atomic, the windowed histogram is lock-free and the slow-log is
+// lock-striped. The cache is not AnswerPath's: answer_chunk takes the calling
+// shard worker's private table, and queries answered on any other thread go
+// straight to the oracle (each counted as a cache miss).
 //
-// Two timing flavors:
-//   answer()        — brackets the query with two clock reads (the
-//                     standalone path a synchronous query() pays).
-//   answer_chunk()  — answers back-to-back queries with *chained*
-//                     timestamps: the end reading of query i is the start
-//                     reading of query i+1, so a chunk of n queries costs
-//                     n+1 clock reads instead of 2n. On sub-microsecond
-//                     oracle queries the clock reads are a large share of
-//                     the budget, so a batch must not pay them twice.
+// answer_chunk answers back-to-back queries with *chained* timestamps: the
+// end reading of query i is the start reading of query i+1, so a chunk of n
+// queries costs n+1 clock reads instead of 2n. On sub-microsecond oracle
+// queries the clock reads are a large share of the budget, so a batch must
+// not pay them twice.
 #pragma once
 
 #include <cstddef>
@@ -41,32 +39,29 @@ class AnswerPath {
   /// clamp instead of indexing out of range. `slowlog_capacity` is the
   /// number of slowest-query exemplars retained (0 disables the slow-log and
   /// its admission check entirely); the latency window is 8 x 1 s.
-  AnswerPath(obs::MetricsRegistry& metrics, ResultCache& cache,
-             std::size_t levels, std::size_t slowlog_capacity);
+  AnswerPath(obs::MetricsRegistry& metrics, std::size_t levels,
+             std::size_t slowlog_capacity);
 
   AnswerPath(const AnswerPath&) = delete;
   AnswerPath& operator=(const AnswerPath&) = delete;
 
-  /// One query through cache + metrics + tail attribution; two clock reads.
-  graph::Weight answer(const oracle::PathOracle& oracle, graph::Vertex u,
-                       graph::Vertex v);
-
-  /// queries[i] -> results[i], back-to-back with chained timestamps.
-  void answer_chunk(const oracle::PathOracle& oracle, const Query* queries,
-                    graph::Weight* results, std::size_t count);
+  /// queries[i] -> results[i], back-to-back with chained timestamps, through
+  /// `cache` (the caller's own table; null answers every query uncached).
+  void answer_chunk(const oracle::PathOracle& oracle, ResultCache* cache,
+                    const Query* queries, graph::Weight* results,
+                    std::size_t count);
 
   const obs::WindowedHistogram& window() const { return window_; }
   const obs::SlowLog& slowlog() const { return slowlog_; }
-  std::size_t num_level_counters() const { return answers_level_.size(); }
 
  private:
-  /// The shared body: answers with `t0` as the start reading and returns
-  /// the end reading through `t1_out`.
-  graph::Weight answer_timed(const oracle::PathOracle& oracle, graph::Vertex u,
+  /// One query of a chunk: answers with `t0` as the start reading and
+  /// returns the end reading through `t1_out`.
+  graph::Weight answer_timed(const oracle::PathOracle& oracle,
+                             ResultCache* cache, graph::Vertex u,
                              graph::Vertex v, std::uint64_t t0,
                              std::uint64_t* t1_out);
 
-  ResultCache& cache_;
   obs::Counter* queries_total_;
   obs::Counter* cache_hits_;
   obs::Counter* cache_misses_;

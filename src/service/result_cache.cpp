@@ -1,126 +1,104 @@
+// pathsep-lint: hot-path — get/put sit under every cached query; the table
+// is allocated once, in the constructor.
 #include "service/result_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
 #include "check/check.hpp"
 
 namespace pathsep::service {
+namespace {
 
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  if (shards == 0) shards = 1;
-  shards = std::bit_ceil(shards);
-  // No point in more shards than entries; a zero-capacity cache still gets
-  // one (always-empty) shard so lookups need no special case.
-  while (shards > 1 && capacity / shards == 0) shards /= 2;
-  mask_ = shards - 1;
-  shards_.reserve(shards);
-  const std::size_t base = capacity / shards;
-  const std::size_t extra = capacity % shards;
-  for (std::size_t s = 0; s < shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->capacity = base + (s < extra ? 1 : 0);
-  }
+bool canonical(std::uint64_t key) {
+  return (key >> 32) <= (key & 0xffffffffULL);
+}
+
+bool legal_distance(graph::Weight value) {
+  return !(value < 0) && !std::isnan(value);
+}
+
+}  // namespace
+
+ResultCache::ResultCache(std::size_t capacity)
+    : sets_(capacity < kWays ? 0 : std::bit_floor(capacity / kWays)),
+      mask_(sets_.empty() ? 0 : sets_.size() - 1) {
+  clear();
+}
+
+std::size_t ResultCache::set_index(std::uint64_t key) const {
+  // splitmix64 finalizer; the set comes from the high half, independent of
+  // the low bits shard_of reduces modulo the shard count.
+  key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(((key ^ (key >> 31)) >> 32) & mask_);
+}
+
+void ResultCache::promote(Entry* ways, std::size_t from, Entry entry) {
+  for (; from > 0; --from) ways[from] = ways[from - 1];
+  ways[0] = entry;
 }
 
 std::optional<graph::Weight> ResultCache::get(std::uint64_t key) {
-  Shard& shard = shard_for(key);
-  util::LockGuard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
+  if (sets_.empty()) return std::nullopt;
+  Entry* ways = sets_[set_index(key)].ways;
+  for (std::size_t i = 0; i < kWays; ++i)
+    if (ways[i].key == key) {
+      const Entry hit = ways[i];
+      promote(ways, i, hit);
+      return hit.value;
+    }
+  return std::nullopt;
 }
 
 void ResultCache::put(std::uint64_t key, graph::Weight value) {
   // Non-canonical keys would make the same pair hit two different entries
   // (u,v) vs (v,u) — reject at the boundary.
-  PATHSEP_ASSERT((key >> 32) <= (key & 0xffffffffULL),
-                 "non-canonical cache key: high half ", key >> 32,
-                 " exceeds low half ", key & 0xffffffffULL,
+  PATHSEP_ASSERT(canonical(key), "non-canonical cache key: high half ",
+                 key >> 32, " exceeds low half ", key & 0xffffffffULL,
                  " — use ResultCache::key(u, v)");
-  PATHSEP_ASSERT(!(value < 0) && !std::isnan(value),
+  PATHSEP_ASSERT(legal_distance(value),
                  "cached distance must be >= 0 or +inf, got ", value);
-  Shard& shard = shard_for(key);
-  if (shard.capacity == 0) return;
-  {
-    util::LockGuard lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = value;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      if (shard.lru.size() >= shard.capacity) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-      }
-      shard.lru.emplace_front(key, value);
-      shard.index.emplace(key, shard.lru.begin());
-    }
-    PATHSEP_AUDIT(audit_shard(shard, shard_index(key)));
-  }
+  if (sets_.empty()) return;
+  const std::size_t index = set_index(key);
+  Entry* ways = sets_[index].ways;
+  // A key already in the set moves up from its way; a new key pushes the
+  // least recently used (last) way out.
+  std::size_t from = 0;
+  while (from + 1 < kWays && ways[from].key != key) ++from;
+  promote(ways, from, Entry{key, value});
+  PATHSEP_AUDIT(audit_set(index));
 }
 
 void ResultCache::clear() {
-  for (auto& shard : shards_) {
-    util::LockGuard lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  for (Set& set : sets_)
+    std::fill(std::begin(set.ways), std::end(set.ways), Entry{kEmpty, 0});
 }
 
-std::size_t ResultCache::shard_index(std::uint64_t key) const {
-  // splitmix64 finalizer: decorrelates the packed vertex ids so adjacent
-  // pairs spread across shards.
-  std::uint64_t x = key;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x & mask_);
-}
-
-void ResultCache::audit_shard(const Shard& shard, std::size_t index) const {
-  // PATHSEP_REQUIRES(shard.mutex) on the declaration: callers hold the lock.
-  PATHSEP_ASSERT(shard.index.size() == shard.lru.size(), "cache shard ",
-                 index, " index holds ", shard.index.size(),
-                 " entries but LRU list holds ", shard.lru.size());
-  PATHSEP_ASSERT(shard.lru.size() <= shard.capacity, "cache shard ", index,
-                 " holds ", shard.lru.size(), " entries over its capacity ",
-                 shard.capacity);
-  for (auto it = shard.lru.begin(); it != shard.lru.end(); ++it) {
-    const std::uint64_t key = it->first;
-    PATHSEP_ASSERT((key >> 32) <= (key & 0xffffffffULL),
-                   "cache shard ", index, " holds non-canonical key ", key);
-    PATHSEP_ASSERT(shard_index(key) == index, "cache key ", key,
-                   " stored in shard ", index, " but hashes to shard ",
-                   shard_index(key));
-    const auto indexed = shard.index.find(key);
-    PATHSEP_ASSERT(indexed != shard.index.end() && indexed->second == it,
-                   "cache shard ", index, " LRU entry for key ", key,
-                   " is not indexed at itself");
-    PATHSEP_ASSERT(!(it->second < 0) && !std::isnan(it->second),
-                   "cache shard ", index, " key ", key,
-                   " caches invalid distance ", it->second);
+void ResultCache::audit_set(std::size_t index) const {
+  const Entry* ways = sets_[index].ways;
+  for (std::size_t i = 0; i < kWays; ++i) {
+    const std::uint64_t key = ways[i].key;
+    if (key == kEmpty) {  // ways fill from the front
+      PATHSEP_ASSERT(i + 1 == kWays || ways[i + 1].key == kEmpty, "cache set ",
+                     index, " holds a key behind its empty way ", i);
+      continue;
+    }
+    PATHSEP_ASSERT(canonical(key) && set_index(key) == index, "cache set ",
+                   index, " holds key ", key,
+                   ", which is non-canonical or hashes to set ",
+                   set_index(key));
+    PATHSEP_ASSERT(legal_distance(ways[i].value), "cache key ", key,
+                   " caches invalid distance ", ways[i].value);
+    for (std::size_t j = 0; j < i; ++j)
+      PATHSEP_ASSERT(ways[j].key != key, "cache set ", index, " holds key ",
+                     key, " twice");
   }
 }
 
 void ResultCache::audit() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    util::LockGuard lock(shards_[s]->mutex);
-    audit_shard(*shards_[s], s);
-  }
-}
-
-std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    util::LockGuard lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
+  for (std::size_t s = 0; s < sets_.size(); ++s) audit_set(s);
 }
 
 }  // namespace pathsep::service

@@ -1,33 +1,29 @@
-// Sharded LRU cache for distance-query results.
-//
-// Distance queries are symmetric and the oracle snapshot is immutable, so a
-// result for the canonical key (min(u,v), max(u,v)) never goes stale and can
-// be served to both query directions. Shards (power-of-two count, each with
-// its own mutex, map, and LRU list) keep lock contention low under
-// concurrent serving. Hits and misses are counted once, by the caller (the
-// cache_hits / cache_misses metrics of service::AnswerPath).
+// Result cache for distance queries: a flat 4-way set-associative table per
+// ShardedEngine shard, touched only by that shard's worker (shard_of gives
+// every canonical pair one owner), so it takes no lock. Results are keyed by
+// (min(u,v), max(u,v)) and serve both directions. A set is four {u64 key,
+// f64 value} entries, one 64-byte line, in recency order: a hit moves to the
+// front, an insert drops the last way. The capacity rounds down to 4 × a
+// power of two (below 4 every get misses). The owner clears the table when
+// the snapshot changes; service::AnswerPath counts hits and misses.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace pathsep::service {
 
 class ResultCache {
  public:
-  /// `capacity` is the total entry budget split evenly across shards;
-  /// `shards` is rounded up to a power of two. capacity == 0 is a valid
-  /// always-miss cache (used to disable caching without branching callers).
-  explicit ResultCache(std::size_t capacity, std::size_t shards = 16);
+  static constexpr std::size_t kWays = 4;
+  /// Entry cap for callers sizing a cache from outside input (256 MiB).
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 24;
+
+  explicit ResultCache(std::size_t capacity);
 
   /// Canonical symmetric key: (min(u,v), max(u,v)) packed into 64 bits.
   static std::uint64_t key(graph::Vertex u, graph::Vertex v) {
@@ -40,41 +36,33 @@ class ResultCache {
   void put(std::uint64_t key, graph::Weight value);
   void clear();
 
-  /// Deep invariant audit of every shard (LRU/index agreement, capacity,
-  /// key canonicality and placement, value sanity); fails via PATHSEP_ASSERT.
-  /// Called through check::audit_result_cache and, per touched shard, from
-  /// put() when PATHSEP_AUDIT is enabled.
+  /// Deep invariant audit of every set (key canonicality and placement, no
+  /// duplicate keys, empty ways only at the back, value sanity); fails via
+  /// PATHSEP_ASSERT. Called through check::audit_result_cache and, for the
+  /// set it touched, from put() when PATHSEP_AUDIT is enabled.
   void audit() const;
 
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-  std::size_t num_shards() const { return shards_.size(); }
+  std::size_t capacity() const { return sets_.size() * kWays; }
 
  private:
-  struct Shard {
-    util::Mutex mutex;
-    /// front = most recently used; pairs of (key, value).
-    std::list<std::pair<std::uint64_t, graph::Weight>> lru
-        PATHSEP_GUARDED_BY(mutex);
-    std::unordered_map<std::uint64_t,
-                       std::list<std::pair<std::uint64_t, graph::Weight>>::iterator>
-        index PATHSEP_GUARDED_BY(mutex);
-    /// Immutable after construction (set before the cache is shared), so
-    /// put()'s lock-free early-out read is safe.
-    std::size_t capacity = 0;
+  struct Entry {
+    std::uint64_t key;
+    graph::Weight value;
   };
+  struct alignas(64) Set {
+    Entry ways[kWays];
+  };
+  /// Marks an unused way; its high half exceeds its low half, so no
+  /// canonical key equals it.
+  static constexpr std::uint64_t kEmpty = 0xffffffff00000000ULL;
 
-  /// Shard index of `key` (splitmix64-mixed); audit checks placement with it.
-  std::size_t shard_index(std::uint64_t key) const;
+  std::size_t set_index(std::uint64_t key) const;
+  /// Moves ways [0, from) back by one and stores `entry` in front.
+  static void promote(Entry* ways, std::size_t from, Entry entry);
+  void audit_set(std::size_t index) const;
 
-  Shard& shard_for(std::uint64_t key) { return *shards_[shard_index(key)]; }
-
-  void audit_shard(const Shard& shard, std::size_t index) const
-      PATHSEP_REQUIRES(shard.mutex);
-
-  std::size_t capacity_;
-  std::uint64_t mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Set> sets_;
+  std::uint64_t mask_;  ///< sets_.size() - 1
 };
 
 }  // namespace pathsep::service

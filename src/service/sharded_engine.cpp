@@ -40,13 +40,11 @@ ShardedEngine::ShardedEngine(
     : options_(resolve_shards(options)),
       inline_cutoff_(options.inline_cutoff != 0 ? options.inline_cutoff
                                                 : options.drain_batch / 2),
-      cache_(options.cache_capacity),
       batches_total_(&metrics_.counter("batches_total")),
       intake_full_total_(&metrics_.counter("shard_intake_full_total")),
       snapshot_swaps_total_(&metrics_.counter("snapshot_swaps_total")),
       snapshot_vertices_(&metrics_.gauge("snapshot_vertices")),
-      path_(metrics_, cache_,
-            snapshot ? snapshot->num_levels() : std::size_t{1},
+      path_(metrics_, snapshot ? snapshot->num_levels() : std::size_t{1},
             options.slowlog_capacity),
       epochs_(options_.shards, /*shared=*/16) {
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
@@ -62,7 +60,8 @@ ShardedEngine::ShardedEngine(
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s)
     // pathsep-lint: allow(hot-path-alloc)
-    shards_.push_back(std::make_unique<Shard>(options.ring_capacity));
+    shards_.push_back(std::make_unique<Shard>(
+        options.ring_capacity, options.cache_capacity / shards));
   // Workers start only after every ring exists (a worker never touches a
   // sibling's ring, but shard_of spans all of shards_).
   for (std::size_t s = 0; s < shards; ++s)
@@ -111,6 +110,7 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
   std::vector<Request> requests(drain);
   std::vector<Query> queries(drain);
   std::vector<graph::Weight> answers(drain);
+  std::uint64_t seen_swaps = 0;
 
   for (;;) {
     // Load the wake counter before the drain attempt: a producer that
@@ -134,12 +134,16 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
 
     // Answer the drained batch against the epoch-pinned snapshot. The pin
     // covers exactly one drain, so a swap waits at most one batch for this
-    // worker to unpin.
+    // worker to unpin. A new swap count, loaded before the pointer, implies
+    // the new snapshot: the cleared cache refills only with its answers.
     epochs_.pin(shard_id);
+    const std::uint64_t swaps = swaps_.load(std::memory_order_acquire);
+    if (swaps != seen_swaps) shard.cache.clear();
+    seen_swaps = swaps;
     const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < n; ++i)
       queries[i] = Query{requests[i].u, requests[i].v};
-    path_.answer_chunk(*snap, queries.data(), answers.data(), n);
+    path_.answer_chunk(*snap, &shard.cache, queries.data(), answers.data(), n);
     epochs_.unpin(shard_id);
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -165,7 +169,7 @@ void ShardedEngine::dispatch_batch(const oracle::PathOracle& snap,
       // Backpressure: a full ring answers on this thread instead of
       // blocking — bounded extra work under overload, never a stall.
       intake_full_total_->inc();
-      results[i] = path_.answer(snap, q.u, q.v);
+      path_.answer_chunk(snap, nullptr, &q, &results[i], 1);
       ++answered_inline;
     }
   }
@@ -187,11 +191,12 @@ void ShardedEngine::query_batch_into(std::span<const Query> queries,
   PATHSEP_SPAN("service.sharded_batch");
   batches_total_->inc();
 
-  if (queries.size() <= inline_cutoff_ || shards_.size() <= 1) {
+  if (queries.size() <= inline_cutoff_) {
     // Adaptive inline fast path: answer on this thread under one pin.
     const std::size_t slot = epochs_.pin_any();
     const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-    path_.answer_chunk(*snap, queries.data(), results, queries.size());
+    path_.answer_chunk(*snap, nullptr, queries.data(), results,
+                       queries.size());
     epochs_.unpin(slot);
     return;
   }
@@ -230,7 +235,9 @@ void ShardedEngine::submit_batch(std::span<const Query> queries,
 graph::Weight ShardedEngine::query(graph::Vertex u, graph::Vertex v) {
   const std::size_t slot = epochs_.pin_any();
   const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-  const graph::Weight result = path_.answer(*snap, u, v);
+  const Query q{u, v};
+  graph::Weight result = 0;
+  path_.answer_chunk(*snap, nullptr, &q, &result, 1);
   epochs_.unpin(slot);
   return result;
 }
@@ -259,9 +266,9 @@ void ShardedEngine::replace_snapshot(
     std::shared_ptr<const oracle::PathOracle> old = std::move(owner_);
     owner_ = std::move(snapshot);
     epochs_.retire([retired = std::move(old)]() mutable { retired.reset(); });
+    swaps_.fetch_add(1, std::memory_order_release);  // after live_: see drain
     snapshot_swaps_total_->inc();
   }
-  cache_.clear();  // cached distances belong to the old oracle
   epochs_.try_reclaim();
 }
 

@@ -3,20 +3,23 @@
 //
 // Query ownership is partitioned by the canonical (min(u,v), max(u,v)) pair
 // hash across N shard workers. Each shard owns one bounded lock-free MPSC
-// intake ring (util/mpsc_ring.hpp): producers encode a query as a 24-byte
-// request (pair, result slot, batch completion counter) and publish it with
-// one CAS + one release store; the worker drains in batches and answers
-// back-to-back against the epoch-pinned snapshot with chained timestamps
-// (service/answer_path.hpp). Completion is a release fetch_sub on the
-// batch's counter plus a C++20 atomic notify when it hits zero — producers
-// wait on the counter value, never on a mutex or condition variable.
+// intake ring (util/mpsc_ring.hpp) and one lock-free private result cache
+// (service/result_cache.hpp): producers publish a 24-byte request (pair,
+// result slot, batch completion counter) with one CAS + one release store;
+// the worker drains in batches and answers back-to-back through its cache
+// against the epoch-pinned snapshot (service/answer_path.hpp). Completion is
+// a release fetch_sub on the batch's counter plus a C++20 atomic notify when
+// it hits zero — producers never wait on a mutex or condition variable.
 //
 // Snapshot hot-swap uses epoch-based reclamation (util/epoch.hpp): a worker
 // pins its owner slot for the duration of one drain, loads the live raw
 // pointer, and unpins when the drain's answers are written. replace_snapshot
 // stores the new pointer, retires the old owner into the reclaimer, and
 // reclaims opportunistically — the query loop never touches a shared_ptr
-// control block or a lock.
+// control block or a lock. It then bumps a swap count, which each drain
+// loads before the pointer: a worker seeing a new count clears its cache, so
+// no old answer outlives the drain that overlapped the swap. (A pointer
+// compare would not do: a reclaimed snapshot's address can be reused.)
 //
 // Wake protocol (lock-free, no lost wakeups): each shard has a version
 // counter `signal`. The worker loads it *before* attempting a drain and
@@ -30,7 +33,7 @@
 // answered inline on the producer's thread against the same epoch-pinned
 // snapshot (counted in shard_intake_full_total). Small batches skip the
 // rings entirely (see inline_cutoff): below it, dispatch costs more than it
-// buys on sub-microsecond queries.
+// buys on sub-microsecond queries. Caller-thread answers bypass the cache.
 //
 // Results are byte-identical across shard counts and thread counts: every
 // query is answered independently from one immutable snapshot, so the
@@ -65,8 +68,7 @@ struct ShardedEngineOptions {
   /// thread (dispatch costs more than it buys on sub-microsecond queries).
   /// 0 = adaptive default (drain_batch / 2).
   std::size_t inline_cutoff = 0;
-  /// Result-cache entries (0 = serving without a cache; the canonical pair
-  /// key means both query directions land on one shard either way).
+  /// Result-cache entries, split evenly into the shards' tables (0 = none).
   std::size_t cache_capacity = 0;
   /// Slowest-query exemplars the AnswerPath retains (0 disables the log).
   std::size_t slowlog_capacity = 64;
@@ -89,7 +91,7 @@ class ShardedEngine {
   /// PathOracle::query they are checked only by a debug PATHSEP_DCHECK, so
   /// callers holding untrusted ids (the wire server) validate them first.
 
-  /// Synchronous single query on the caller's thread (epoch-pinned).
+  /// Synchronous uncached query on the caller's thread (epoch-pinned).
   graph::Weight query(graph::Vertex u, graph::Vertex v);
 
   /// Answers queries[i] into results[i]; small batches inline, larger ones
@@ -136,15 +138,10 @@ class ShardedEngine {
   std::size_t shard_of(graph::Vertex u, graph::Vertex v) const;
   std::size_t inline_cutoff() const { return inline_cutoff_; }
 
-  ResultCache& cache() { return cache_; }
-  const ResultCache& cache() const { return cache_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   const obs::WindowedHistogram& window() const { return path_.window(); }
   const obs::SlowLog& slowlog() const { return path_.slowlog(); }
-  std::size_t num_level_counters() const {
-    return path_.num_level_counters();
-  }
 
  private:
   /// One intake ring entry. POD (the ring copies it twice); the pointers
@@ -158,11 +155,13 @@ class ShardedEngine {
   };
 
   struct Shard {
-    explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
+    Shard(std::size_t ring_capacity, std::size_t cache_capacity)
+        : ring(ring_capacity), cache(cache_capacity) {}
     util::MpscRing<Request> ring;
     /// Wake-protocol version counter (see file header) and sleep hint.
     alignas(64) std::atomic<std::uint64_t> signal{0};
     std::atomic<std::uint32_t> sleeping{0};
+    ResultCache cache;   ///< touched only by `worker`
     std::thread worker;  ///< joined by ~ShardedEngine before members die
   };
 
@@ -178,13 +177,12 @@ class ShardedEngine {
 
   ShardedEngineOptions options_;
   std::size_t inline_cutoff_ = 0;
-  ResultCache cache_;
   obs::MetricsRegistry metrics_;
   obs::Counter* batches_total_;
   obs::Counter* intake_full_total_;   ///< ring-full inline fallbacks
   obs::Counter* snapshot_swaps_total_;
   obs::Gauge* snapshot_vertices_;
-  AnswerPath path_;  ///< after cache_/metrics_: it resolves counters in them
+  AnswerPath path_;  ///< after metrics_: it resolves counters in it
 
   util::EpochReclaimer epochs_;  ///< slots: one per shard + shared pool
   /// The serving snapshot, epoch-protected: workers/inline paths read the
@@ -194,6 +192,9 @@ class ShardedEngine {
   /// live_'s vertex count, stored after live_ so a reader that sees a count
   /// also loads a snapshot at least that large.
   std::atomic<std::size_t> num_vertices_{0};
+  /// Completed swaps, bumped after live_ is published; a worker that sees a
+  /// new value clears its cache before answering (see file header).
+  std::atomic<std::uint64_t> swaps_{0};
   mutable util::Mutex owner_mutex_;
   std::shared_ptr<const oracle::PathOracle> owner_
       PATHSEP_GUARDED_BY(owner_mutex_);

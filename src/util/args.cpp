@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <stdexcept>
+#include <system_error>
 
 namespace pathsep::util {
 
@@ -34,16 +36,36 @@ std::string Args::get(const std::string& name, const std::string& def) const {
   return it == values_.end() ? def : it->second;
 }
 
-std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
-  queried_[name] = true;
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+namespace {
+
+/// `text` parsed whole as a T; throws naming `--name` otherwise.
+template <typename T>
+T parse(const std::string& name, const std::string& text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc{} || stop != end)
+    throw std::invalid_argument("--" + name + " expects " + what + ", got '" +
+                                text + "'");
+  return value;
+}
+
+}  // namespace
+
+std::int64_t Args::get_int(const std::string& name, std::int64_t def,
+                           std::int64_t min, std::int64_t max) const {
+  if (!has(name)) return def;
+  const std::string& text = values_.at(name);
+  const auto value = parse<std::int64_t>(name, text, "an integer");
+  if (value < min || value > max)
+    throw std::invalid_argument("--" + name + " must be in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "], got " + text);
+  return value;
 }
 
 double Args::get_double(const std::string& name, double def) const {
-  queried_[name] = true;
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  return has(name) ? parse<double>(name, values_.at(name), "a number") : def;
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {

@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for example binaries.
 //
 // Supports --name=value and --name value forms plus boolean --flag switches.
-// Unknown flags are collected so callers can report them.
+// Unknown flags are collected so callers can report them. Numeric getters
+// throw std::invalid_argument naming the flag when its value is empty, not
+// a number, carries trailing characters or falls outside the given range.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,9 @@ class Args {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def = "") const;
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  std::int64_t get_int(const std::string& name, std::int64_t def,
+                       std::int64_t min = INT64_MIN,
+                       std::int64_t max = INT64_MAX) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def = false) const;
 

@@ -362,7 +362,7 @@ TEST(AuditRouting, RejectsPortalOffPath) {
 // --------------------------------------------------------------------------
 
 TEST(AuditCache, PutRejectsNonCanonicalKeyAndBadValues) {
-  service::ResultCache cache(64, 4);
+  service::ResultCache cache(64);
   cache.put(service::ResultCache::key(2, 1), 3.5);
   EXPECT_NO_THROW(check::audit_result_cache(cache));
   EXPECT_EQ(cache.get(service::ResultCache::key(1, 2)).value_or(-1), 3.5);

@@ -1,5 +1,6 @@
-// The query service layer's building blocks: thread pool, sharded LRU
-// cache (with hits and misses counted by the AnswerPath in front of it),
+// The query service layer's building blocks: thread pool, the per-shard
+// 4-way result cache (with hits and misses counted by the AnswerPath in
+// front of it),
 // metrics, and whole-oracle snapshots — snapshot round-trips must be
 // bit-identical. The ShardedEngine itself is tested in
 // test_sharded_service.cpp.
@@ -88,7 +89,7 @@ TEST(ResultCache, KeyIsCanonicalAcrossDirections) {
 }
 
 TEST(ResultCache, GetAfterPutHitsAndCounts) {
-  ResultCache cache(8, 1);
+  ResultCache cache(8);
   const std::uint64_t k = ResultCache::key(1, 2);
   EXPECT_FALSE(cache.get(k).has_value());
   cache.put(k, 2.5);
@@ -99,73 +100,67 @@ TEST(ResultCache, GetAfterPutHitsAndCounts) {
   // Hits and misses are counted once, by the AnswerPath in front of the
   // cache: a miss on (1, 2), then a hit on the canonical (2, 1).
   const oracle::PathOracle oracle = small_oracle(40);
-  ResultCache served(8, 1);
+  ResultCache served(8);
   obs::MetricsRegistry metrics;
-  AnswerPath path(metrics, served, oracle.num_levels(), 0);
-  EXPECT_EQ(path.answer(oracle, 1, 2), oracle.query(1, 2));
-  EXPECT_EQ(path.answer(oracle, 2, 1), oracle.query(1, 2));
+  AnswerPath path(metrics, oracle.num_levels(), 0);
+  const Query queries[] = {{1, 2}, {2, 1}};
+  Weight results[2];
+  path.answer_chunk(oracle, &served, queries, results, 2);
+  EXPECT_EQ(results[0], oracle.query(1, 2));
+  EXPECT_EQ(results[1], oracle.query(1, 2));
   EXPECT_EQ(metrics.counter("cache_hits").value(), 1u);
   EXPECT_EQ(metrics.counter("cache_misses").value(), 1u);
 }
 
 TEST(ResultCache, EvictsLeastRecentlyUsed) {
-  ResultCache cache(2, 1);  // one shard so the LRU order is deterministic
-  cache.put(ResultCache::key(0, 1), 1.0);
-  cache.put(ResultCache::key(0, 2), 2.0);
+  ResultCache cache(4);  // one 4-way set, so every key competes for it
+  for (Vertex v = 1; v <= 4; ++v)
+    cache.put(ResultCache::key(0, v), static_cast<Weight>(v));
   EXPECT_TRUE(cache.get(ResultCache::key(0, 1)).has_value());  // refresh (0,1)
-  cache.put(ResultCache::key(0, 3), 3.0);  // evicts (0,2)
+  cache.put(ResultCache::key(0, 5), 5.0);  // evicts (0,2), the least recent
   EXPECT_TRUE(cache.get(ResultCache::key(0, 1)).has_value());
   EXPECT_FALSE(cache.get(ResultCache::key(0, 2)).has_value());
-  EXPECT_TRUE(cache.get(ResultCache::key(0, 3)).has_value());
-  EXPECT_EQ(cache.size(), 2u);
+  for (Vertex v = 3; v <= 5; ++v)
+    EXPECT_EQ(cache.get(ResultCache::key(0, v)).value_or(-1),
+              static_cast<Weight>(v));
+  cache.put(ResultCache::key(0, 3), 30.0);  // an update moves, never copies
+  EXPECT_EQ(cache.get(ResultCache::key(0, 3)).value_or(-1), 30.0);
+  EXPECT_TRUE(cache.get(ResultCache::key(0, 4)).has_value());
+  cache.audit();
+  cache.clear();
+  for (Vertex v = 1; v <= 5; ++v)
+    EXPECT_FALSE(cache.get(ResultCache::key(0, v)).has_value());
 }
 
 TEST(ResultCache, ZeroCapacityNeverStores) {
-  ResultCache cache(0);
-  cache.put(ResultCache::key(1, 2), 1.0);
-  EXPECT_FALSE(cache.get(ResultCache::key(1, 2)).has_value());
-  EXPECT_EQ(cache.size(), 0u);
+  // Below one 4-way set there is no table.
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{3}}) {
+    ResultCache cache(capacity);
+    EXPECT_EQ(cache.capacity(), 0u);
+    cache.put(ResultCache::key(1, 2), 1.0);
+    EXPECT_FALSE(cache.get(ResultCache::key(1, 2)).has_value());
+  }
 
-  // In front of a zero-capacity cache every query is one counted miss.
+  // In front of a zero-capacity cache, or none, every query is one counted
+  // miss.
   const oracle::PathOracle oracle = small_oracle(40);
+  ResultCache cache(0);
   obs::MetricsRegistry metrics;
-  AnswerPath path(metrics, cache, oracle.num_levels(), 0);
-  path.answer(oracle, 1, 2);
-  path.answer(oracle, 2, 1);
+  AnswerPath path(metrics, oracle.num_levels(), 0);
+  const Query queries[] = {{1, 2}, {2, 1}};
+  Weight results[2];
+  path.answer_chunk(oracle, &cache, queries, results, 2);
+  path.answer_chunk(oracle, nullptr, queries, results, 1);
   EXPECT_EQ(metrics.counter("cache_hits").value(), 0u);
-  EXPECT_EQ(metrics.counter("cache_misses").value(), 2u);
+  EXPECT_EQ(metrics.counter("cache_misses").value(), 3u);
 }
 
-TEST(ResultCache, ShardCountRoundsToPowerOfTwo) {
-  ResultCache cache(1024, 5);
-  EXPECT_EQ(cache.num_shards(), 8u);
-  ResultCache tiny(2, 16);  // shards shrink rather than exceed capacity
-  EXPECT_LE(tiny.num_shards(), 2u);
-}
-
-TEST(ResultCache, ConcurrentMixedAccessStaysConsistent) {
-  ResultCache cache(256, 4);
-  std::atomic<int> hits{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t)
-    workers.emplace_back([&cache, &hits, t] {
-      util::Rng rng(static_cast<std::uint64_t>(t));
-      for (int i = 0; i < 5000; ++i) {
-        const auto u = static_cast<Vertex>(rng.next_below(64));
-        const auto v = static_cast<Vertex>(rng.next_below(64));
-        const std::uint64_t key = ResultCache::key(u, v);
-        if (const auto hit = cache.get(key)) {
-          // Values are a pure function of the key; a hit must match it.
-          EXPECT_EQ(*hit, static_cast<Weight>(key % 97));
-          ++hits;
-        } else {
-          cache.put(key, static_cast<Weight>(key % 97));
-        }
-      }
-    });
-  for (std::thread& w : workers) w.join();
-  EXPECT_GT(hits.load(), 0);  // 2080 keys over 20000 lookups must repeat
-  EXPECT_LE(cache.size(), 256u);
+TEST(ResultCache, CapacityRoundsDownToFourTimesAPowerOfTwo) {
+  EXPECT_EQ(ResultCache(1024).capacity(), 1024u);
+  EXPECT_EQ(ResultCache(1023).capacity(), 512u);
+  EXPECT_EQ(ResultCache(65536 / 3).capacity(), 16384u);
+  EXPECT_EQ(ResultCache(7).capacity(), 4u);
+  EXPECT_EQ(ResultCache(4).capacity(), 4u);
 }
 
 // ------------------------------------------------------------------- Metrics

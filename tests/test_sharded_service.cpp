@@ -483,20 +483,22 @@ TEST(ShardedEngine, CachedServingKeepsAnswersAndSumInvariant) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 1000);
-  ShardedEngineOptions opts;
-  opts.shards = 2;
-  opts.inline_cutoff = 1;
-  opts.cache_capacity = 1 << 14;
-  ShardedEngine engine(snapshot, opts);
-  const std::vector<Weight> cold = engine.query_batch(batch);
-  const std::vector<Weight> warm = engine.query_batch(batch);
-  EXPECT_EQ(fnv_digest(cold), fnv_digest(warm));
-  const auto answers = counter_family(engine.metrics(), "answers_total");
-  EXPECT_EQ(family_sum(answers), 2 * batch.size());
-  std::uint64_t cached = 0;
-  for (const auto& [key, value] : answers)
-    if (key.find("level=cached;") != std::string::npos) cached = value;
-  EXPECT_GT(cached, 0u);
+  for (const std::size_t shards : {1u, 2u}) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.inline_cutoff = 1;
+    opts.cache_capacity = 1 << 14;
+    ShardedEngine engine(snapshot, opts);
+    const std::vector<Weight> cold = engine.query_batch(batch);
+    const std::vector<Weight> warm = engine.query_batch(batch);
+    EXPECT_EQ(fnv_digest(cold), fnv_digest(warm)) << shards << " shards";
+    const auto answers = counter_family(engine.metrics(), "answers_total");
+    EXPECT_EQ(family_sum(answers), 2 * batch.size());
+    std::uint64_t cached = 0;
+    for (const auto& [key, value] : answers)
+      if (key.find("level=cached;") != std::string::npos) cached = value;
+    EXPECT_GT(cached, 0u) << shards << " shards";
+  }
 }
 
 constexpr std::size_t kShardCounts[] = {1, 2, 8};
@@ -506,33 +508,43 @@ constexpr std::size_t kShardCounts[] = {1, 2, 8};
 TEST(QueryEngine, MatchesOracleWithAndWithoutCache) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  std::vector<Query> forward, reversed;
+  for (Vertex u = 0; u < n; u += 3)
+    for (Vertex v = 0; v < n; v += 5) {
+      forward.push_back({u, v});
+      reversed.push_back({v, u});
+    }
+  const std::uint64_t queries = forward.size();
   for (const std::size_t shards : kShardCounts) {
+    // Ring dispatch: only shard workers own a cache.
     ShardedEngineOptions cached_opts;
     cached_opts.shards = shards;
-    cached_opts.cache_capacity = 1 << 12;
-    ShardedEngineOptions uncached_opts;
-    uncached_opts.shards = shards;
+    cached_opts.inline_cutoff = 1;
+    cached_opts.cache_capacity = 1 << 16;
+    ShardedEngineOptions uncached_opts = cached_opts;
+    uncached_opts.cache_capacity = 0;
     ShardedEngine cached(snapshot, cached_opts);
     ShardedEngine uncached(snapshot, uncached_opts);
-    std::uint64_t queries = 0;
-    for (Vertex u = 0; u < n; u += 3)
-      for (Vertex v = 0; v < n; v += 5) {
-        const Weight expected = snapshot->query(u, v);
-        EXPECT_EQ(cached.query(u, v), expected);
-        EXPECT_EQ(cached.query(v, u), expected);  // served from cache
-        EXPECT_EQ(uncached.query(u, v), expected);
-        ++queries;
-      }
+    const std::vector<Weight> cold = cached.query_batch(forward);
+    const std::vector<Weight> warm = cached.query_batch(reversed);  // hits
+    const std::vector<Weight> plain = uncached.query_batch(forward);
+    for (std::size_t i = 0; i < forward.size(); ++i) {
+      const Weight expected = snapshot->query(forward[i].u, forward[i].v);
+      EXPECT_EQ(cold[i], expected);
+      EXPECT_EQ(warm[i], expected);
+      EXPECT_EQ(plain[i], expected);
+    }
     const obs::MetricsRegistry& hot = cached.metrics();
-    const obs::MetricsRegistry& cold = uncached.metrics();
+    const obs::MetricsRegistry& cold_metrics = uncached.metrics();
     // Every reversed query hits (pairs recurring in the sweep hit earlier).
     const std::uint64_t hits = family_sum(counter_family(hot, "cache_hits"));
     EXPECT_GE(hits, queries) << shards << " shards";
     EXPECT_EQ(hits + family_sum(counter_family(hot, "cache_misses")),
               2 * queries);
     // Without a cache every query is one counted miss.
-    EXPECT_EQ(family_sum(counter_family(cold, "cache_hits")), 0u);
-    EXPECT_EQ(family_sum(counter_family(cold, "cache_misses")), queries);
+    EXPECT_EQ(family_sum(counter_family(cold_metrics, "cache_hits")), 0u);
+    EXPECT_EQ(family_sum(counter_family(cold_metrics, "cache_misses")),
+              queries);
   }
 }
 
@@ -620,23 +632,81 @@ TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
   auto first = std::make_shared<const oracle::PathOracle>(grid_oracle());
   auto second =
       std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.8));
+  // Both directions of one pair: one shard owns them, so the second is a
+  // hit whenever the first was cached.
+  const std::vector<Query> pair = {{1, 2}, {2, 1}};
   for (const std::size_t shards : kShardCounts) {
     ShardedEngineOptions opts;
     opts.shards = shards;
+    opts.inline_cutoff = 1;
     opts.cache_capacity = 1 << 10;
     ShardedEngine engine(first, opts);
-    engine.query(1, 2);
-    EXPECT_GT(engine.cache().size(), 0u);
+    for (const Weight w : engine.query_batch(pair))
+      EXPECT_EQ(w, first->query(1, 2));
     engine.replace_snapshot(second);
     EXPECT_EQ(engine.snapshot().get(), second.get());
-    EXPECT_EQ(engine.cache().size(), 0u);
-    EXPECT_EQ(engine.query(1, 2), second->query(1, 2));
-    // The swap clears cached distances, not the counts: one miss before and
-    // one after, both still visible.
-    EXPECT_EQ(family_sum(counter_family(engine.metrics(), "cache_misses")),
-              2u);
+    for (const Weight w : engine.query_batch(pair))
+      EXPECT_EQ(w, second->query(1, 2));
+    // The swap clears cached distances, not the counts: one miss and one
+    // hit before, and again after.
+    const obs::MetricsRegistry& metrics = engine.metrics();
+    EXPECT_EQ(family_sum(counter_family(metrics, "cache_misses")), 2u);
+    EXPECT_EQ(family_sum(counter_family(metrics, "cache_hits")), 2u);
     EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
   }
+}
+
+TEST(QueryEngine, NoStaleCachedAnswerAfterSwap) {
+  // Two oracles over the same 12x12 grid, unit and integer weights in
+  // [2, 9], so almost every pair's answer differs between them. Hammers
+  // keep the workers draining through the swaps; once the last swap has
+  // returned, no answer cached against an earlier snapshot may be served.
+  constexpr std::size_t kSide = 12;
+  auto unit = std::make_shared<const oracle::PathOracle>(grid_oracle(kSide));
+  util::Rng weight_rng(5);
+  const graph::GridGraph weighted_grid = graph::grid(
+      kSide, kSide, graph::WeightSpec::uniform_int(2, 9), &weight_rng);
+  const hierarchy::DecompositionTree weighted_tree(
+      weighted_grid.graph,
+      separator::PlanarCycleSeparator(weighted_grid.positions));
+  auto weighted =
+      std::make_shared<const oracle::PathOracle>(weighted_tree, 0.3);
+  const std::vector<Query> batch =
+      mixed_workload(static_cast<Vertex>(kSide * kSide), 400, 53);
+
+  constexpr int kRounds = 60;
+  constexpr int kSwaps = 20;
+  int stale_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ShardedEngineOptions opts;
+    opts.shards = 2;
+    opts.inline_cutoff = 1;
+    opts.cache_capacity = 1 << 12;
+    ShardedEngine engine(unit, opts);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> hammers;
+    for (int t = 0; t < 2; ++t)
+      hammers.emplace_back([&engine, &batch, &stop] {
+        while (!stop.load(std::memory_order_acquire))
+          engine.query_batch(batch);
+      });
+    std::shared_ptr<const oracle::PathOracle> last = unit;
+    for (int swap = 0; swap < kSwaps; ++swap) {
+      last = swap % 2 == 0 ? weighted : unit;
+      engine.replace_snapshot(last);
+      engine.reclaim_retired();
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& t : hammers) t.join();
+
+    const std::vector<Weight> got = engine.query_batch(batch);
+    bool stale = false;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      stale = stale || got[i] != last->query(batch[i].u, batch[i].v);
+    stale_rounds += stale ? 1 : 0;
+  }
+  EXPECT_EQ(stale_rounds, 0) << "of " << kRounds << " rounds";
 }
 
 TEST(ShardedEngine, ReplaceSnapshotRejectsFewerVertices) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/args.hpp"
 #include "util/parallel.hpp"
@@ -152,6 +154,28 @@ TEST(ArgsTest, DefaultsAndUnused) {
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(ArgsTest, RejectsMalformedAndOutOfRangeNumbers) {
+  const char* argv[] = {"prog",      "--empty=",  "--cache=abc",
+                        "--n=12x",   "--neg=-1",  "--big=99999999999999999999",
+                        "--eps=0.5x", "--serve"};
+  Args args(8, const_cast<char**>(argv));
+  EXPECT_THROW(args.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("eps", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("serve", 0), std::invalid_argument);  // "true"
+  EXPECT_EQ(args.get_int("neg", 0), -1);
+  EXPECT_THROW(args.get_int("neg", 0, 0, 10), std::invalid_argument);
+  EXPECT_EQ(args.get_int("missing", 7, 0, 10), 7);  // defaults skip bounds
+  try {
+    args.get_int("cache", 0);
+    ADD_FAILURE() << "--cache=abc parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--cache"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(UnionFindTest, BasicMergeAndQuery) {
