@@ -34,9 +34,11 @@
 //     and the answer digest of the reloaded oracle, which must equal
 //     serial's.
 //
-// Also measures the observability layer's hot-path cost (E14b): the same
-// serial query loop re-run with per-query histogram recording plus a
-// per-batch span, tracing off then on. Results land in --out (default
+// Also measures what observing costs on the serving path (E14b): the
+// uniform workload answered in drain-sized chunks through
+// AnswerPath::answer_chunk, the code every shard worker runs, against a
+// plain PathOracle::query loop, at one thread and at four threads sharing
+// one AnswerPath, tracing off then on. Results land in --out (default
 // BENCH_service.json) for the repo record. --quick shrinks every dimension
 // for smoke runs.
 #include "common.hpp"
@@ -171,85 +173,42 @@ std::pair<std::uint64_t, std::uint64_t> answers_and_queries(
   return {answers, queries};
 }
 
-/// The serial loop of run_serial plus the obs-layer work the engine adds to
-/// the query hot path: the cost-tracking query (query_stats instead of
-/// query), three counter increments (total, miss, per-level answer), the
-/// slow-log admission-floor load, and one trace span per batch — exactly
-/// the untimed recording of the shared AnswerPath. With time_each_query the
-/// clock-read flavor is added too: the per-query latency record, the
-/// windowed-histogram record (it reuses the same t1 reading), and slow-log
-/// admission for tail queries. That cost is clock reads, not obs recording,
-/// and the bench reports it as a separate number. (The engine chains
-/// timestamps across a chunk — n+1 reads per n queries — so its clock cost
-/// is roughly *half* this serial per-query-timer number.)
-double run_serial_instrumented(const oracle::PathOracle& oracle,
-                               const Workload& w, std::size_t batch,
-                               obs::MetricsRegistry& registry,
-                               bool time_each_query) {
-  obs::Counter& total = registry.counter("queries_total");
-  obs::Counter& misses = registry.counter("cache_misses");
-  obs::LatencyHistogram& lat = registry.histogram("query_latency_ns");
-  const std::size_t levels = std::max<std::size_t>(1, oracle.num_levels());
-  std::vector<obs::Counter*> answers;
-  answers.reserve(levels);
-  for (std::size_t level = 0; level < levels; ++level)
-    answers.push_back(
-        &registry.counter("answers_total", {{"level", std::to_string(level)}}));
-  obs::Counter& unreachable =
-      registry.counter("answers_total", {{"level", "unreachable"}});
-  obs::Counter& self = registry.counter("answers_total", {{"level", "self"}});
-  obs::WindowedHistogram window;
-  obs::SlowLog slowlog;
-  std::uint64_t floor_sink = 0;  // keeps the untimed floor load observable
-  util::Timer timer;
-  Weight sink = 0;
-  for (std::size_t begin = 0; begin < w.queries.size(); begin += batch) {
-    PATHSEP_SPAN("bench.batch");
-    const std::size_t end = std::min(begin + batch, w.queries.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      const service::Query& q = w.queries[i];
-      oracle::QueryStats stats;
-      std::uint64_t t0 = 0;
-      if (time_each_query) t0 = obs::window_now_ns();
-      const Weight d = oracle.query_stats(q.u, q.v, stats);
-      sink += d;
-      total.inc();
-      misses.inc();
-      if (q.u == q.v) {
-        self.inc();
-      } else if (d == graph::kInfiniteWeight) {
-        unreachable.inc();
-      } else {
-        answers[std::min(
-                    levels - 1,
-                    static_cast<std::size_t>(
-                        std::max<std::int32_t>(0, stats.win_level)))]
-            ->inc();
-      }
-      if (time_each_query) {
-        const std::uint64_t t1 = obs::window_now_ns();
-        const std::uint64_t elapsed = t1 - t0;
-        lat.record(elapsed);
-        window.record(elapsed, t1);
-        if (elapsed >= slowlog.admission_floor()) {
-          obs::SlowQuery slow;
-          slow.u = q.u;
-          slow.v = q.v;
-          slow.latency_ns = elapsed;
-          slow.when_ns = t1;
-          slow.entries_scanned = stats.entries_scanned;
-          slow.win_node = stats.win_node;
-          slow.win_level = stats.win_level;
-          slowlog.record(slow);
+/// E14b: `threads` threads, started together, each answer one contiguous
+/// share of `w` in drain-sized chunks (ShardedEngineOptions::drain_batch);
+/// returns the total qps. With `path` null a chunk is a plain
+/// PathOracle::query loop, the baseline. Otherwise it is
+/// AnswerPath::answer_chunk without a cache: the code a shard worker runs
+/// on every drain, with its chained timestamps, metric tally, windowed
+/// histogram and slow-log admission, all threads sharing one AnswerPath as
+/// an engine's workers do.
+double run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
+                       std::size_t threads, service::AnswerPath* path) {
+  const std::size_t chunk = service::ShardedEngineOptions{}.drain_batch;
+  const std::size_t total = w.queries.size();
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t)
+    workers.emplace_back([&, t] {
+      const std::size_t end = total * (t + 1) / threads;
+      std::vector<Weight> results(chunk);
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::size_t at = total * t / threads; at < end; at += chunk) {
+        const std::size_t size = std::min(chunk, end - at);
+        const service::Query* queries = w.queries.data() + at;
+        if (path != nullptr) {
+          path->answer_chunk(oracle, nullptr, queries, results.data(), size);
+        } else {
+          for (std::size_t i = 0; i < size; ++i)
+            results[i] = oracle.query(queries[i].u, queries[i].v);
         }
-      } else {
-        floor_sink += slowlog.admission_floor();
+        util::do_not_optimize(results);
       }
-    }
-  }
-  util::do_not_optimize(sink);
-  util::do_not_optimize(floor_sink);
-  return static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
+    });
+  const util::Timer timer;
+  go.store(true, std::memory_order_release);
+  for (std::thread& worker : workers) worker.join();
+  return static_cast<double>(total) / timer.elapsed_seconds();
 }
 
 constexpr int kRepeats = 3;  ///< runs per E14 / E14c throughput row
@@ -259,13 +218,18 @@ struct Spread {
   double median = 0, min = 0, max = 0;
 };
 
+/// Median, min and max of `runs` (not empty).
+Spread spread_of(const std::vector<double>& runs) {
+  const auto [lo, hi] = std::minmax_element(runs.begin(), runs.end());
+  return {util::percentile(runs, 0.5), *lo, *hi};
+}
+
 /// Runs `measure` kRepeats times and returns the spread of its results.
 template <typename Measure>
 Spread repeat(Measure measure) {
   std::vector<double> runs;
   for (int r = 0; r < kRepeats; ++r) runs.push_back(measure());
-  const auto [lo, hi] = std::minmax_element(runs.begin(), runs.end());
-  return {util::percentile(runs, 0.5), *lo, *hi};
+  return spread_of(runs);
 }
 
 /// One table row: the `head` cells, the qps median, min and max, then the
@@ -651,45 +615,66 @@ int main(int argc, char** argv) {
       "column is measured after a full warming pass.\n",
       kRepeats, threads);
 
-  // ---- Instrumentation overhead: raw serial loop vs. the same loop with
-  // per-query obs recording, tracing off then on. Best of 3 reps each to
-  // keep the percentages from reflecting scheduler noise.
-  section("E14b", "observability hot-path overhead (serial query loop)");
-  const int reps = quick ? 1 : 3;
-  double raw_qps = 0, instr_qps = 0, tracing_qps = 0, timed_qps = 0;
-  obs::set_trace_enabled(false);
-  for (int r = 0; r < reps; ++r)
-    raw_qps = std::max(raw_qps, run_serial(*snapshot, uniform));
-  for (int r = 0; r < reps; ++r) {
-    obs::MetricsRegistry registry;
-    instr_qps = std::max(instr_qps,
-                         run_serial_instrumented(*snapshot, uniform, batch,
-                                                 registry, false));
+  // ---- E14b: what the answer path costs over a plain oracle loop, at one
+  // thread and at kOverheadThreads threads sharing one AnswerPath. The
+  // three loops of a thread count alternate within each repeat so drift on
+  // a shared box hits them alike.
+  section("E14b", "observability cost of the answer path (uniform, uncached)");
+  struct OverheadRow {
+    std::size_t threads = 1;
+    Spread raw, path, tracing;
+    std::size_t spans = 0;
+    double overhead_pct() const {
+      return 100.0 * (1.0 - path.median / raw.median);
+    }
+    double tracing_pct() const {
+      return 100.0 * (1.0 - tracing.median / raw.median);
+    }
+  };
+  constexpr std::size_t kOverheadThreads = 4;
+  std::vector<OverheadRow> overhead;
+  for (const std::size_t loop_threads : {std::size_t{1}, kOverheadThreads}) {
+    OverheadRow row;
+    row.threads = loop_threads;
+    std::vector<double> raw_runs, path_runs, tracing_runs;
+    const auto answer_path_qps = [&] {
+      obs::MetricsRegistry registry;
+      service::AnswerPath path(
+          registry, snapshot->num_levels(),
+          service::ShardedEngineOptions{}.slowlog_capacity);
+      return run_answer_path(*snapshot, uniform, loop_threads, &path);
+    };
+    for (int r = 0; r < kRepeats; ++r) {
+      raw_runs.push_back(
+          run_answer_path(*snapshot, uniform, loop_threads, nullptr));
+      path_runs.push_back(answer_path_qps());
+      obs::set_trace_enabled(true);
+      tracing_runs.push_back(answer_path_qps());
+      obs::set_trace_enabled(false);
+    }
+    row.raw = spread_of(raw_runs);
+    row.path = spread_of(path_runs);
+    row.tracing = spread_of(tracing_runs);
+    row.spans = obs::drain_spans().size();
+    overhead.push_back(row);
   }
-  obs::set_trace_enabled(true);
-  for (int r = 0; r < reps; ++r) {
-    obs::MetricsRegistry registry;
-    tracing_qps = std::max(tracing_qps,
-                           run_serial_instrumented(*snapshot, uniform, batch,
-                                                   registry, false));
+  util::TableWriter overhead_table(
+      {"threads", "loop", "qps", "qps_min", "qps_max", "overhead"});
+  for (const OverheadRow& row : overhead) {
+    const std::string threads_cell = util::strf("%zu", row.threads);
+    add_qps_row(overhead_table, {threads_cell, "raw"}, row.raw, {"-"});
+    add_qps_row(overhead_table, {threads_cell, "answer_path"}, row.path,
+                {util::strf("%+.2f%%", row.overhead_pct())});
+    add_qps_row(overhead_table, {threads_cell, "tracing"}, row.tracing,
+                {util::strf("%+.2f%%", row.tracing_pct())});
   }
-  obs::set_trace_enabled(false);
-  const std::size_t spans_recorded = obs::drain_spans().size();
-  for (int r = 0; r < reps; ++r) {
-    obs::MetricsRegistry registry;
-    timed_qps = std::max(timed_qps,
-                         run_serial_instrumented(*snapshot, uniform, batch,
-                                                 registry, true));
-  }
-  const double overhead_disabled_pct = 100.0 * (1.0 - instr_qps / raw_qps);
-  const double overhead_tracing_pct = 100.0 * (1.0 - tracing_qps / raw_qps);
-  const double per_query_timing_pct = 100.0 * (1.0 - timed_qps / raw_qps);
+  overhead_table.print(std::cout);
   std::printf(
-      "raw %.0f qps; obs recording (tracing off) %.0f qps (%+.2f%%); "
-      "tracing on %.0f qps (%+.2f%%), %zu spans; with the service's "
-      "per-query latency timer %.0f qps (%+.2f%%)\n",
-      raw_qps, instr_qps, overhead_disabled_pct, tracing_qps,
-      overhead_tracing_pct, spans_recorded, timed_qps, per_query_timing_pct);
+      "\nnotes: qps is the median of %d runs; raw answers through "
+      "PathOracle::query, answer_path through AnswerPath::answer_chunk "
+      "(tracing off, then on: %zu and %zu exemplar spans); overhead is "
+      "1 - answer_path / raw on the medians.\n",
+      kRepeats, overhead[0].spans, overhead[1].spans);
 
   // ---- E14c: shard-per-core engine on a production-sized snapshot, with
   // the digest cross-check and a tracing-on row.
@@ -961,16 +946,30 @@ int main(int argc, char** argv) {
        << ", \"queries_total\": " << answers_queries << ", \"equal\": "
        << (answers_sum == answers_queries ? "true" : "false") << "},\n"
        << "  \"instrumentation_overhead\": {\n"
-       << "    \"raw_qps\": " << util::strf("%.0f", raw_qps)
-       << ", \"instrumented_qps\": " << util::strf("%.0f", instr_qps)
-       << ", \"tracing_qps\": " << util::strf("%.0f", tracing_qps) << ",\n"
+       << "    \"raw_qps\": " << util::strf("%.0f", overhead[0].raw.median)
+       << ", \"instrumented_qps\": "
+       << util::strf("%.0f", overhead[0].path.median)
+       << ", \"tracing_qps\": "
+       << util::strf("%.0f", overhead[0].tracing.median) << ",\n"
        << "    \"overhead_disabled_pct\": "
-       << util::strf("%.2f", overhead_disabled_pct)
+       << util::strf("%.2f", overhead[0].overhead_pct())
        << ", \"overhead_tracing_pct\": "
-       << util::strf("%.2f", overhead_tracing_pct)
-       << ", \"per_query_timing_pct\": "
-       << util::strf("%.2f", per_query_timing_pct)
-       << ", \"spans_recorded\": " << spans_recorded << "\n  },\n"
+       << util::strf("%.2f", overhead[0].tracing_pct())
+       << ", \"spans_recorded\": " << overhead[0].spans << ",\n"
+       << "    \"rows\": [\n";
+  for (std::size_t i = 0; i < overhead.size(); ++i) {
+    const OverheadRow& row = overhead[i];
+    json << "      {\"threads\": " << row.threads << ", \"raw\": {"
+         << qps_json(row.raw) << "}, \"answer_path\": {"
+         << qps_json(row.path) << "}, \"tracing\": {"
+         << qps_json(row.tracing) << "}, \"overhead_disabled_pct\": "
+         << util::strf("%.2f", row.overhead_pct())
+         << ", \"overhead_tracing_pct\": "
+         << util::strf("%.2f", row.tracing_pct())
+         << ", \"spans_recorded\": " << row.spans << "}"
+         << (i + 1 < overhead.size() ? "," : "") << "\n";
+  }
+  json << "    ]\n  },\n"
        << "  \"engine_metrics\": " << engine_metrics_json << "\n}\n";
   std::ofstream out(out_path);
   out << json.str();

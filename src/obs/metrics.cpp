@@ -48,6 +48,13 @@ void LatencyHistogram::record(std::uint64_t nanos) {
   sum_.fetch_add(nanos, std::memory_order_relaxed);
 }
 
+void LatencyHistogram::record(const LatencyTally& tally) {
+  for (std::size_t i = 0; i < kBuckets; ++i)
+    if (tally.buckets[i] != 0)
+      buckets_[i].fetch_add(tally.buckets[i], std::memory_order_relaxed);
+  sum_.fetch_add(tally.sum_nanos, std::memory_order_relaxed);
+}
+
 std::uint64_t LatencyHistogram::count() const {
   std::uint64_t total = 0;
   for (const auto& bucket : buckets_)

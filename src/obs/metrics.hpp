@@ -6,7 +6,11 @@
 // MetricsRegistry that also supports labeled metric families
 // (`counter("separator_dispatch_total", {{"strategy", "planar"}})`).
 // References returned by the registry are stable for its lifetime, so hot
-// paths resolve once and then record with relaxed atomics only.
+// paths resolve once and then record with relaxed atomics only. A path that
+// records many samples in a row (a shard worker's drain) counts them first
+// in plain locals — a LatencyTally for latencies — and publishes the totals
+// with one RMW per metric, so the shared cells see one write per drain
+// instead of one per sample.
 //
 // `default_registry()` is the process-wide instance the construction
 // pipeline (hierarchy/, separator/, oracle/, sssp/) records into; the query
@@ -77,16 +81,22 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
+struct LatencyTally;
+
 /// Fixed-bucket latency histogram: bucket i counts samples in
-/// [2^i, 2^{i+1}) nanoseconds (bucket 0 includes 0). Recording is a single
-/// relaxed fetch_add; percentiles are computed on read by walking buckets
-/// and reporting the geometric midpoint of the one containing the rank, so
-/// they are bucket-resolution estimates (within 2x), not exact order stats.
+/// [2^i, 2^{i+1}) nanoseconds (bucket 0 includes 0). Recording a sample is
+/// two relaxed fetch_adds (bucket, sum); recording a tally is one per
+/// non-empty bucket plus the sum. Percentiles are computed on read by
+/// walking buckets and reporting the geometric midpoint of the one
+/// containing the rank, so they are bucket-resolution estimates (within
+/// 2x), not exact order stats.
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 48;
 
   void record(std::uint64_t nanos);
+  /// Adds every sample of `tally` (only its non-zero buckets are touched).
+  void record(const LatencyTally& tally);
 
   std::uint64_t count() const;
   std::uint64_t sum_nanos() const { return sum_.load(std::memory_order_relaxed); }
@@ -105,6 +115,22 @@ class LatencyHistogram {
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
   std::atomic<std::uint64_t> sum_{0};
+};
+
+/// Plain, single-thread latency accumulator in LatencyHistogram's bucket
+/// vocabulary: a recorder adds samples to a tally on its own stack and
+/// publishes them at once through LatencyHistogram::record(tally) or
+/// WindowedHistogram::record(tally, now) (obs/window.hpp).
+struct LatencyTally {
+  std::array<std::uint64_t, LatencyHistogram::kBuckets> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t sum_nanos = 0;
+
+  void add(std::uint64_t nanos) {
+    ++buckets[latency_bucket(nanos)];
+    ++count;
+    sum_nanos += nanos;
+  }
 };
 
 /// RAII stopwatch over util::Timer (the repo's single stopwatch): records

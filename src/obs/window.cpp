@@ -1,4 +1,4 @@
-// pathsep-lint: hot-path — record() runs once per served query; everything
+// pathsep-lint: hot-path — record() runs once per serving drain; everything
 // it touches is preallocated at construction.
 #include "obs/window.hpp"
 
@@ -20,14 +20,16 @@ WindowedHistogram::WindowedHistogram(std::uint64_t interval_ns,
   slots_.reset(new Slot[slots]);
 }
 
-void WindowedHistogram::record(std::uint64_t nanos, std::uint64_t now_ns) {
+void WindowedHistogram::record(const LatencyTally& tally,
+                               std::uint64_t now_ns) {
+  if (tally.count == 0) return;
   const std::uint64_t wid = window_index(now_ns);
   Slot& slot = slots_[wid % num_slots_];
   const std::uint64_t live = wid << 1;
   std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
   // A never-used slot is still all zeros: publish it as it is, with no
   // claim-and-reset phase for a concurrent recorder to collide with, so the
-  // first samples of a fresh histogram (a new engine's first batch) are
+  // first tallies of a fresh histogram (a new engine's first drain) are
   // never dropped. A lost CAS reloads `tag` with the winner's value.
   if (tag == 0 &&
       slot.tag.compare_exchange_strong(tag, live, std::memory_order_acq_rel))
@@ -37,13 +39,13 @@ void WindowedHistogram::record(std::uint64_t nanos, std::uint64_t now_ns) {
     // claimed by another thread). Claim it: CAS to the claiming tag, zero
     // in place, publish. A loser re-reads once — if the winner has already
     // published, it records normally; if the reset is still in flight the
-    // sample is dropped (recording into a half-zeroed slot would corrupt
-    // the window) and counted.
+    // tally is dropped (recording into a half-zeroed slot would corrupt
+    // the window) and its samples counted.
     if (tag == (live | 1) ||
         !slot.tag.compare_exchange_strong(tag, live | 1,
                                           std::memory_order_acq_rel)) {
       if (slot.tag.load(std::memory_order_acquire) != live) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        dropped_.fetch_add(tally.count, std::memory_order_relaxed);
         return;
       }
     } else {
@@ -54,9 +56,17 @@ void WindowedHistogram::record(std::uint64_t nanos, std::uint64_t now_ns) {
       slot.tag.store(live, std::memory_order_release);
     }
   }
-  slot.count.fetch_add(1, std::memory_order_relaxed);
-  slot.sum.fetch_add(nanos, std::memory_order_relaxed);
-  slot.buckets[latency_bucket(nanos)].fetch_add(1, std::memory_order_relaxed);
+  slot.count.fetch_add(tally.count, std::memory_order_relaxed);
+  slot.sum.fetch_add(tally.sum_nanos, std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kBuckets; ++b)
+    if (tally.buckets[b] != 0)
+      slot.buckets[b].fetch_add(tally.buckets[b], std::memory_order_relaxed);
+}
+
+void WindowedHistogram::record(std::uint64_t nanos, std::uint64_t now_ns) {
+  LatencyTally tally;
+  tally.add(nanos);
+  record(tally, now_ns);
 }
 
 WindowedHistogram::View WindowedHistogram::view(std::uint64_t now_ns,

@@ -1,8 +1,10 @@
-// pathsep-lint: hot-path — answer_timed sits under every served query; the
-// cache/oracle/metrics it touches are preallocated at engine construction.
+// pathsep-lint: hot-path — answer_chunk sits under every served query; the
+// cache/oracle/metrics it touches are preallocated at engine construction,
+// and a chunk's tally lives on its stack.
 #include "service/answer_path.hpp"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -10,8 +12,10 @@
 namespace pathsep::service {
 
 AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, std::size_t levels,
-                       std::size_t slowlog_capacity)
-    : queries_total_(&metrics.counter("queries_total")),
+                       std::size_t slowlog_capacity,
+                       std::uint64_t (*clock)())
+    : clock_(clock),
+      queries_total_(&metrics.counter("queries_total")),
       cache_hits_(&metrics.counter("cache_hits")),
       cache_misses_(&metrics.counter("cache_misses")),
       latency_(&metrics.histogram("query_latency_ns")),
@@ -27,84 +31,123 @@ AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, std::size_t levels,
         &metrics.counter("answers_total", {{"level", std::to_string(level)}}));
 }
 
-graph::Weight AnswerPath::answer_timed(const oracle::PathOracle& oracle,
-                                       ResultCache* cache, graph::Vertex u,
-                                       graph::Vertex v, std::uint64_t t0,
-                                       std::uint64_t* t1_out) {
-  graph::Weight result;
-  oracle::QueryStats stats;
-  const std::uint64_t key = ResultCache::key(u, v);
-  const std::optional<graph::Weight> hit =
-      cache != nullptr ? cache->get(key) : std::nullopt;
-  const bool cached = hit.has_value();
-  if (cached) {
-    cache_hits_->inc();
-    result = *hit;
-  } else {
-    // Without a table every query is a miss, so hits + misses ==
-    // queries_total still holds.
-    cache_misses_->inc();
-    result = oracle.query_stats(u, v, stats);
-    if (cache != nullptr) cache->put(key, result);
-  }
-  queries_total_->inc();
+namespace {
 
-  // Exactly one "answers_total" instance per query, so the family sums to
-  // queries_total (the invariant the exporter tests pin down).
-  obs::SlowQuery::Outcome outcome;
-  if (cached) {
-    answers_cached_->inc();
-    outcome = obs::SlowQuery::Outcome::kCached;
-  } else if (u == v) {
-    answers_self_->inc();
-    outcome = obs::SlowQuery::Outcome::kSelf;
-  } else if (result == graph::kInfiniteWeight) {
-    answers_unreachable_->inc();
-    outcome = obs::SlowQuery::Outcome::kUnreachable;
-  } else {
-    const std::size_t level = std::min(
-        answers_level_.size() - 1,
-        static_cast<std::size_t>(std::max<std::int32_t>(0, stats.win_level)));
-    answers_level_[level]->inc();
-    outcome = obs::SlowQuery::Outcome::kOracle;
-  }
+/// Levels whose answers a chunk tallies on its stack; answers won at a
+/// deeper level (a decomposition deeper than 32 levels) go straight to
+/// their counter.
+constexpr std::size_t kTallyLevels = 32;
 
-  const std::uint64_t t1 = obs::window_now_ns();
-  const std::uint64_t elapsed = t1 - t0;
-  latency_->record(elapsed);
-  window_.record(elapsed, t1);
-  // Tail check is one relaxed load; only queries slow enough to enter the
-  // log pay the stripe lock (and, when tracing, materialize their exemplar
-  // span — tail-based sampling, see obs::commit_span).
-  if (elapsed >= slowlog_.admission_floor()) {
-    obs::SlowQuery slow;
-    slow.u = u;
-    slow.v = v;
-    slow.latency_ns = elapsed;
-    slow.when_ns = t1;
-    slow.entries_scanned = stats.entries_scanned;
-    slow.win_node = stats.win_node;
-    slow.win_level = stats.win_level;
-    slow.outcome = outcome;
-    PATHSEP_OBS_ONLY(
-        slow.span_id = obs::commit_span("service.slow_query", t0, t1);)
-    slowlog_.record(slow);
+}  // namespace
+
+struct AnswerPath::Tally {
+  std::uint64_t hits = 0;  ///< also the answers_total{level="cached"} count
+  std::uint64_t misses = 0;
+  std::uint64_t self = 0;
+  std::uint64_t unreachable = 0;
+  std::array<std::uint64_t, kTallyLevels> levels{};
+  obs::LatencyTally latency;  ///< its count is the queries_total increment
+};
+
+void AnswerPath::publish(Tally& tally, std::uint64_t now_ns) {
+  if (tally.latency.count == 0) return;
+  queries_total_->inc(tally.latency.count);
+  if (tally.hits != 0) {
+    cache_hits_->inc(tally.hits);
+    answers_cached_->inc(tally.hits);
   }
-  *t1_out = t1;
-  return result;
+  if (tally.misses != 0) cache_misses_->inc(tally.misses);
+  if (tally.self != 0) answers_self_->inc(tally.self);
+  if (tally.unreachable != 0) answers_unreachable_->inc(tally.unreachable);
+  const std::size_t levels = std::min(kTallyLevels, answers_level_.size());
+  for (std::size_t level = 0; level < levels; ++level)
+    if (tally.levels[level] != 0)
+      answers_level_[level]->inc(tally.levels[level]);
+  latency_->record(tally.latency);
+  window_.record(tally.latency, now_ns);
+  tally = Tally{};
 }
 
 void AnswerPath::answer_chunk(const oracle::PathOracle& oracle,
                               ResultCache* cache, const Query* queries,
                               graph::Weight* results, std::size_t count) {
+  Tally tally;
   // Chained timestamps: the end reading of one query starts the next, so a
   // chunk pays count + 1 clock reads total. The inter-query gap folded into
   // each sample is a handful of loop instructions — noise next to a label
   // merge sweep.
-  std::uint64_t t = obs::window_now_ns();
-  for (std::size_t i = 0; i < count; ++i)
-    results[i] =
-        answer_timed(oracle, cache, queries[i].u, queries[i].v, t, &t);
+  const std::uint64_t interval = window_.interval_ns();
+  std::uint64_t t = clock_();
+  std::uint64_t window_end = (t / interval + 1) * interval;
+  for (std::size_t i = 0; i < count; ++i) {
+    const graph::Vertex u = queries[i].u;
+    const graph::Vertex v = queries[i].v;
+    graph::Weight result;
+    oracle::QueryStats stats;
+    obs::SlowQuery::Outcome outcome;
+    const std::uint64_t key = ResultCache::key(u, v);
+    const std::optional<graph::Weight> hit =
+        cache != nullptr ? cache->get(key) : std::nullopt;
+    // Exactly one answer outcome per query, so the answers_total family
+    // sums to queries_total (the invariant the exporter tests pin down).
+    if (hit.has_value()) {
+      ++tally.hits;
+      result = *hit;
+      outcome = obs::SlowQuery::Outcome::kCached;
+    } else {
+      // Without a table every query is a miss, so hits + misses ==
+      // queries_total still holds.
+      ++tally.misses;
+      result = oracle.query_stats(u, v, stats);
+      if (cache != nullptr) cache->put(key, result);
+      if (u == v) {
+        ++tally.self;
+        outcome = obs::SlowQuery::Outcome::kSelf;
+      } else if (result == graph::kInfiniteWeight) {
+        ++tally.unreachable;
+        outcome = obs::SlowQuery::Outcome::kUnreachable;
+      } else {
+        const std::size_t level =
+            std::min(answers_level_.size() - 1,
+                     static_cast<std::size_t>(
+                         std::max<std::int32_t>(0, stats.win_level)));
+        if (level < kTallyLevels)
+          ++tally.levels[level];
+        else
+          answers_level_[level]->inc();
+        outcome = obs::SlowQuery::Outcome::kOracle;
+      }
+    }
+
+    const std::uint64_t t1 = clock_();
+    if (t1 >= window_end) {
+      // Every query tallied so far ended in the window of `t`.
+      publish(tally, t);
+      window_end = (t1 / interval + 1) * interval;
+    }
+    const std::uint64_t elapsed = t1 - t;
+    tally.latency.add(elapsed);
+    // Tail check is one relaxed load; only queries slow enough to enter the
+    // log pay the stripe lock (and, when tracing, materialize their exemplar
+    // span — tail-based sampling, see obs::commit_span).
+    if (elapsed >= slowlog_.admission_floor()) {
+      obs::SlowQuery slow;
+      slow.u = u;
+      slow.v = v;
+      slow.latency_ns = elapsed;
+      slow.when_ns = t1;
+      slow.entries_scanned = stats.entries_scanned;
+      slow.win_node = stats.win_node;
+      slow.win_level = stats.win_level;
+      slow.outcome = outcome;
+      PATHSEP_OBS_ONLY(
+          slow.span_id = obs::commit_span("service.slow_query", t, t1);)
+      slowlog_.record(slow);
+    }
+    results[i] = result;
+    t = t1;
+  }
+  publish(tally, t);
 }
 
 }  // namespace pathsep::service

@@ -25,10 +25,14 @@ namespace pathsep::service {
 /// Per-connection state, owned by the event-loop thread.
 struct NetServer::Conn {
   int fd = -1;
+  bool want_epollin = true;    ///< EPOLLIN currently armed for this fd
   bool want_epollout = false;  ///< EPOLLOUT currently armed for this fd
   bool peer_eof = false;       ///< read side closed; flush then tear down
-  std::vector<std::uint8_t> in;   ///< unparsed request bytes
-  std::vector<std::uint8_t> out;  ///< encoded responses awaiting the socket
+  /// Unparsed request bytes: less than one maximal frame plus one read.
+  std::vector<std::uint8_t> in;
+  /// Encoded responses awaiting the socket: at most kMaxPendingOutput plus
+  /// the answers to one read's worth of frames.
+  std::vector<std::uint8_t> out;
   // Reused per frame so steady-state serving does not allocate.
   std::vector<Query> queries;
   std::vector<graph::Weight> answers;
@@ -37,6 +41,14 @@ struct NetServer::Conn {
 #if PATHSEP_HAVE_EPOLL
 
 namespace {
+
+/// Bytes one recv asks for.
+constexpr std::size_t kReadChunk = 16 * 1024;
+/// The longest frame, header included; `in` is read only while shorter.
+constexpr std::size_t kMaxFrameTotal = 4 + wire::kMaxFrameBytes;
+/// Pending output above which a connection is not read: a peer that does
+/// not take its replies stops being read instead of growing `out`.
+constexpr std::size_t kMaxPendingOutput = 2 * wire::kMaxFrameBytes;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -129,14 +141,17 @@ NetServer::Stats NetServer::stats() const {
   return s;
 }
 
-void NetServer::update_epollout(Conn& conn) {
-  const bool want = !conn.out.empty();
-  if (want == conn.want_epollout) return;
+void NetServer::update_events(Conn& conn) {
+  const bool want_in =
+      !conn.peer_eof && conn.out.size() <= kMaxPendingOutput;
+  const bool want_out = !conn.out.empty();
+  if (want_in == conn.want_epollin && want_out == conn.want_epollout) return;
   epoll_event ev{};
-  ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
+  ev.events = (want_in ? EPOLLIN : 0u) | (want_out ? EPOLLOUT : 0u);
   ev.data.fd = conn.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
-  conn.want_epollout = want;
+  conn.want_epollin = want_in;
+  conn.want_epollout = want_out;
 }
 
 bool NetServer::flush_conn(Conn& conn) {
@@ -161,9 +176,14 @@ bool NetServer::flush_conn(Conn& conn) {
 }
 
 bool NetServer::service_conn(Conn& conn) {
-  // Drain the socket into the intake buffer.
-  for (;;) {
-    std::uint8_t chunk[16 * 1024];
+  // Drain the socket into the intake buffer, but only while the peer takes
+  // its replies (backpressure: a peer that stops reading is not read, so
+  // `out` stays bounded) and while `in` holds less than one maximal frame
+  // (so `in` stays bounded too). Epoll is level-triggered: bytes left in
+  // the socket report the fd again once reading resumes.
+  while (!conn.peer_eof && conn.out.size() <= kMaxPendingOutput &&
+         conn.in.size() < kMaxFrameTotal) {
+    std::uint8_t chunk[kReadChunk];
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn.in.insert(conn.in.end(), chunk, chunk + n);
@@ -208,7 +228,7 @@ bool NetServer::service_conn(Conn& conn) {
 
   if (!flush_conn(conn)) return false;
   if (conn.peer_eof && conn.out.empty()) return false;  // clean teardown
-  update_epollout(conn);
+  update_events(conn);
   return true;
 }
 
@@ -329,7 +349,7 @@ void NetServer::loop() {}
 bool NetServer::service_conn(Conn&) { return false; }
 bool NetServer::flush_conn(Conn&) { return false; }
 void NetServer::close_conn(int) {}
-void NetServer::update_epollout(Conn&) {}
+void NetServer::update_events(Conn&) {}
 
 #endif  // PATHSEP_HAVE_EPOLL
 

@@ -9,6 +9,13 @@
 // a per-connection write buffer flushed opportunistically, with EPOLLOUT
 // armed only while a partial write is outstanding.
 //
+// Backpressure: a connection is not read while more than two maximal
+// frames of its responses wait for the socket, and its intake buffer never
+// holds more than one maximal frame plus one read. A peer that sends
+// without reading its replies therefore fills its own socket buffers and
+// blocks (or sees EAGAIN), instead of growing the server's memory; reading
+// resumes once its output drains.
+//
 // Graceful shutdown: stop() writes the eventfd; the loop stops accepting,
 // answers every complete frame already buffered, flushes pending responses
 // for up to ~2 seconds, then closes everything and exits. A malformed frame
@@ -81,7 +88,9 @@ class NetServer {
   bool service_conn(Conn& conn);
   bool flush_conn(Conn& conn);
   void close_conn(int fd);
-  void update_epollout(Conn& conn);
+  /// Arms EPOLLIN while the connection may be read (see the header
+  /// comment) and EPOLLOUT while output is pending.
+  void update_events(Conn& conn);
 
   ShardedEngine& engine_;
   NetServerOptions options_;

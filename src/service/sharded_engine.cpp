@@ -146,9 +146,17 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
     path_.answer_chunk(*snap, &shard.cache, queries.data(), answers.data(), n);
     epochs_.unpin(shard_id);
 
-    for (std::size_t i = 0; i < n; ++i) {
-      *requests[i].out = answers[i];
-      complete(requests[i].remaining, 1);
+    // One completion per run of consecutive requests of the same batch, not
+    // one per query. A batch cannot reach zero while this drain still holds
+    // its uncompleted entries, so its counter stays alive (and its address
+    // unreused) until the drain's last run of it: equal pointers within one
+    // drain always name the same batch.
+    for (std::size_t i = 0; i < n;) {
+      std::atomic<std::uint32_t>* const remaining = requests[i].remaining;
+      std::uint32_t run = 0;
+      for (; i < n && requests[i].remaining == remaining; ++i, ++run)
+        *requests[i].out = answers[i];
+      complete(remaining, run);
     }
   }
 }

@@ -7,9 +7,11 @@
 // (service/result_cache.hpp): producers publish a 24-byte request (pair,
 // result slot, batch completion counter) with one CAS + one release store;
 // the worker drains in batches and answers back-to-back through its cache
-// against the epoch-pinned snapshot (service/answer_path.hpp). Completion is
-// a release fetch_sub on the batch's counter plus a C++20 atomic notify when
-// it hits zero — producers never wait on a mutex or condition variable.
+// against the epoch-pinned snapshot (service/answer_path.hpp), publishing
+// the drain's serving metrics once at its end. Completion is one release
+// fetch_sub per run of consecutive drained entries of the same batch (not
+// one per query) plus a C++20 atomic notify when the counter hits zero —
+// producers never wait on a mutex or condition variable.
 //
 // Snapshot hot-swap uses epoch-based reclamation (util/epoch.hpp): a worker
 // pins its owner slot for the duration of one drain, loads the live raw

@@ -1,19 +1,25 @@
 // Randomized stress: mixed families, mixed sizes (including the tiny
 // degenerate ones), full pipeline with Definition 1 validation at every
 // node, oracle spot-checks against Dijkstra. Complements the per-module
-// suites by exploring parameter corners no hand-written case covers.
+// suites by exploring parameter corners no hand-written case covers. The
+// SnapshotFuzz and WireFuzz suites feed forged snapshot files and mutated
+// wire frames to the production parsers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/audit_oracle.hpp"
 #include "check/check.hpp"
@@ -23,6 +29,7 @@
 #include "oracle/path_oracle.hpp"
 #include "separator/finders.hpp"
 #include "separator/validate.hpp"
+#include "service/net.hpp"
 #include "service/snapshot.hpp"
 #include "sssp/dijkstra.hpp"
 
@@ -550,6 +557,133 @@ TEST(SnapshotFuzz, RandomGarbageNeverCrashes) {
     } catch (const std::runtime_error&) {
     }
   }
+}
+
+// ------------------------------------------------------------- wire frames
+
+/// The status the wire spec (service/net.hpp) gives buffer[offset:].
+service::wire::ParseStatus expected_status(
+    std::span<const std::uint8_t> buffer, std::size_t offset,
+    std::size_t num_vertices) {
+  using service::wire::ParseStatus;
+  const std::size_t available = buffer.size() - offset;
+  if (available < 4) return ParseStatus::kIncomplete;
+  const std::uint32_t len = service::wire::read_u32(&buffer[offset]);
+  if (len < 4 || len > service::wire::kMaxFrameBytes || (len - 4) % 8 != 0)
+    return ParseStatus::kMalformed;
+  if (available < 4 + std::size_t{len}) return ParseStatus::kIncomplete;
+  for (std::size_t at = offset + 8; at < offset + 4 + len; at += 4)
+    if (service::wire::read_u32(&buffer[at]) >= num_vertices)
+      return ParseStatus::kMalformed;
+  return ParseStatus::kRequest;
+}
+
+/// Parses `buffer` frame by frame from `offset`, as the server does, and
+/// checks every parse against the spec: one of the three statuses, a frame
+/// that fits the bytes available, and only in-range ids. Counts each
+/// status in `seen`.
+void expect_frames_parse_safely(std::span<const std::uint8_t> buffer,
+                                std::size_t offset, std::size_t num_vertices,
+                                std::array<std::size_t, 3>& seen) {
+  using service::wire::ParseStatus;
+  service::wire::ParsedRequest request;
+  std::vector<service::Query> queries;
+  while (offset <= buffer.size()) {
+    const ParseStatus status = service::wire::parse_request(
+        buffer, offset, num_vertices, request, queries);
+    ASSERT_TRUE(status == ParseStatus::kIncomplete ||
+                status == ParseStatus::kRequest ||
+                status == ParseStatus::kMalformed);
+    ++seen[static_cast<std::size_t>(status)];
+    ASSERT_EQ(status, expected_status(buffer, offset, num_vertices))
+        << "at offset " << offset << " of " << buffer.size();
+    if (status != ParseStatus::kRequest) return;
+    ASSERT_GE(request.frame_bytes, 8u);
+    ASSERT_LE(request.frame_bytes, buffer.size() - offset);
+    ASSERT_EQ(queries.size(), (request.frame_bytes - 8) / 8);
+    for (const service::Query& q : queries) {
+      ASSERT_LT(q.u, num_vertices);
+      ASSERT_LT(q.v, num_vertices);
+    }
+    offset += request.frame_bytes;
+  }
+}
+
+TEST(WireFuzz, MutatedFramesParseToOneStatusWithinBounds) {
+  constexpr std::size_t kVertices = 1000;
+  util::Rng rng(59);
+  std::array<std::size_t, 3> seen{};
+  for (int trial = 0; trial < 3000; ++trial) {
+    // One to three valid frames back to back, then one mutation.
+    std::vector<std::uint8_t> bytes;
+    const std::size_t frames = 1 + rng.next_below(3);
+    for (std::size_t f = 0; f < frames; ++f) {
+      std::vector<service::Query> pairs(rng.next_below(40));
+      for (service::Query& q : pairs)
+        q = {static_cast<Vertex>(rng.next_below(kVertices)),
+             static_cast<Vertex>(rng.next_below(kVertices))};
+      service::wire::append_request(
+          bytes, static_cast<std::uint32_t>(rng.next_below(1u << 31)), pairs);
+    }
+    // The start of the frame the mutation aims at (the first, usually).
+    const std::size_t at =
+        trial % 4 == 0 ? 0 : 4 * rng.next_below(bytes.size() / 4);
+    switch (trial % 5) {
+      case 0:  // truncation
+        bytes.resize(rng.next_below(bytes.size() + 1));
+        break;
+      case 1:  // bit flips
+        for (std::size_t k = 1 + rng.next_below(4); k > 0; --k)
+          bytes[rng.next_below(bytes.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.next_below(8));
+        break;
+      case 2: {  // a lying payload_len
+        const std::uint32_t truth = service::wire::read_u32(&bytes[0]);
+        const std::uint32_t lies[] = {
+            0,
+            3,
+            truth + 1,
+            truth - 8,
+            truth + 8,
+            truth + 8 * static_cast<std::uint32_t>(rng.next_below(64)),
+            static_cast<std::uint32_t>(service::wire::kMaxFrameBytes),
+            static_cast<std::uint32_t>(service::wire::kMaxFrameBytes) + 4,
+            ~std::uint32_t{0},
+            static_cast<std::uint32_t>(rng.next_below(1ull << 32))};
+        const std::uint32_t lie = lies[rng.next_below(std::size(lies))];
+        for (int b = 0; b < 4; ++b)
+          bytes[static_cast<std::size_t>(b)] =
+              static_cast<std::uint8_t>(lie >> (8 * b));
+        break;
+      }
+      case 3: {  // an out-of-range id in some pair slot
+        const std::uint32_t id =
+            rng.next_below(2) == 0
+                ? static_cast<std::uint32_t>(kVertices +
+                                             rng.next_below(1000))
+                : ~std::uint32_t{0} -
+                      static_cast<std::uint32_t>(rng.next_below(4));
+        if (bytes.size() >= 12) {
+          const std::size_t slot =
+              8 + 4 * rng.next_below((bytes.size() - 8) / 4);
+          for (int b = 0; b < 4; ++b)
+            bytes[slot + static_cast<std::size_t>(b)] =
+                static_cast<std::uint8_t>(id >> (8 * b));
+        }
+        break;
+      }
+      default:  // random garbage over a random span
+        for (std::size_t i = at; i < bytes.size() && i < at + 16; ++i)
+          bytes[i] = static_cast<std::uint8_t>(rng.next_below(256));
+        break;
+    }
+    expect_frames_parse_safely(bytes, 0, kVertices, seen);
+    if (!bytes.empty())
+      expect_frames_parse_safely(bytes, rng.next_below(bytes.size() + 1),
+                                 kVertices, seen);
+  }
+  // The mutations reach every status, not just the parser's first check.
+  for (const std::size_t count : seen) EXPECT_GT(count, 500u);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Tail-latency attribution suite: the sliding-window histogram driven by a
-// manual clock (exact, deterministic aggregates), the striped exemplar
+// manual clock (exact, deterministic aggregates), latency tallies (one
+// record of a tally equals recording its samples one by one; a tally that
+// loses the window-claim race is dropped whole), the striped exemplar
 // slow-log, the Perfetto/collapsed trace exporters (golden bytes plus a
 // mini JSON parser proving the output is well-formed trace_event JSON that
 // round-trips the span count), and the per-level answer attribution whose
 // counter family must sum exactly to queries_total regardless of worker
-// count. Labeled `obs`, so every row of the matrix — TSan and the
-// PATHSEP_OBS_DISABLED build included — runs it.
+// count, with a chunk that spans window boundaries charging each sample to
+// the window it ended in. Labeled `obs`, so every row of the matrix — TSan
+// and the PATHSEP_OBS_DISABLED build included — runs it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -267,6 +270,77 @@ TEST(ObsWindow, PercentilesMatchCumulativeHistogramOnSameStream) {
   EXPECT_DOUBLE_EQ(view.p50_nanos, cumulative.percentile_nanos(0.50));
   EXPECT_DOUBLE_EQ(view.p95_nanos, cumulative.percentile_nanos(0.95));
   EXPECT_DOUBLE_EQ(view.p99_nanos, cumulative.percentile_nanos(0.99));
+}
+
+// ------------------------------------------------------------ LatencyTally
+
+TEST(ObsTally, RecordsLikeItsSamplesOneByOne) {
+  util::Rng rng(23);
+  LatencyTally tally;
+  LatencyHistogram one_by_one, tallied;
+  WindowedHistogram window_one(1000, 4), window_tallied(1000, 4);
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t nanos = rng.next_below(2'000'000);
+    tally.add(nanos);
+    one_by_one.record(nanos);
+    window_one.record(nanos, 2500);
+  }
+  EXPECT_EQ(tally.count, 500u);
+  tallied.record(tally);
+  window_tallied.record(tally, 2500);
+  window_tallied.record(LatencyTally{}, 2500);  // an empty tally is a no-op
+
+  EXPECT_EQ(tallied.count(), one_by_one.count());
+  EXPECT_EQ(tallied.sum_nanos(), one_by_one.sum_nanos());
+  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b)
+    EXPECT_EQ(tallied.bucket_count(b), one_by_one.bucket_count(b)) << b;
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_DOUBLE_EQ(tallied.percentile_nanos(q),
+                     one_by_one.percentile_nanos(q));
+
+  const auto a = window_tallied.view(2500);
+  const auto b = window_one.view(2500);
+  EXPECT_EQ(a.count, 500u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum_nanos, b.sum_nanos);
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_DOUBLE_EQ(a.qps, b.qps);
+  EXPECT_DOUBLE_EQ(a.p50_nanos, b.p50_nanos);
+  EXPECT_DOUBLE_EQ(a.p95_nanos, b.p95_nanos);
+  EXPECT_DOUBLE_EQ(a.p99_nanos, b.p99_nanos);
+  EXPECT_EQ(window_tallied.dropped(), 0u);
+}
+
+}  // namespace
+
+/// Puts a slot in the state another recorder leaves it in mid-claim, so a
+/// test can lose the boundary race deterministically.
+struct WindowedHistogramTestPeer {
+  static void begin_claim(WindowedHistogram& window, std::uint64_t now_ns) {
+    const std::uint64_t wid = window.window_index(now_ns);
+    window.slots_[wid % window.num_slots_].tag.store(
+        (wid << 1) | 1, std::memory_order_release);
+  }
+};
+
+namespace {
+
+TEST(ObsTally, LosingTheClaimRaceDropsTheWholeTally) {
+  WindowedHistogram window(1000, 4);
+  window.record(400, 1500);  // window 2, slot 2
+  // Window 6 maps to slot 2 too; another recorder is resetting it for
+  // window 6 when this tally arrives.
+  WindowedHistogramTestPeer::begin_claim(window, 5500);
+  LatencyTally tally;
+  for (const std::uint64_t nanos : {10, 20, 30, 40, 50, 60, 70})
+    tally.add(nanos);
+  window.record(tally, 5500);
+  EXPECT_EQ(window.dropped(), 7u);
+  EXPECT_EQ(window.view(5500).count, 0u);  // the claimed slot is skipped
+  // A tally for another slot is unaffected.
+  window.record(tally, 4500);
+  EXPECT_EQ(window.dropped(), 7u);
+  EXPECT_EQ(window.view(5500).count, 7u);
 }
 
 // ------------------------------------------------------------------- SlowLog
@@ -592,7 +666,7 @@ TEST(ObsAttribution, AnswerCountersAreExactAndThreadCountInvariant) {
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 2000);
 
   std::map<std::string, std::uint64_t> baseline;
-  for (const std::size_t shards : {1u, 2u, 8u}) {
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     ShardedEngineOptions opts;
     opts.shards = shards;
     opts.cache_capacity = 0;  // attribution must not depend on cache state
@@ -611,6 +685,42 @@ TEST(ObsAttribution, AnswerCountersAreExactAndThreadCountInvariant) {
     else
       EXPECT_EQ(answers, baseline) << shards << " shards diverged";
   }
+}
+
+/// Manual clock for AnswerPath: every read advances kManualStep.
+constexpr std::uint64_t kManualStep = 400'000'000;  // 0.4 s
+std::uint64_t manual_now = 0;
+std::uint64_t manual_clock() { return manual_now += kManualStep; }
+
+TEST(ObsAttribution, ChunkAcrossWindowBoundariesChargesEachWindow) {
+  const oracle::PathOracle oracle = grid_oracle();
+  obs::MetricsRegistry registry;
+  AnswerPath path(registry, oracle.num_levels(), /*slowlog_capacity=*/0,
+                  manual_clock);
+  const std::vector<Query> chunk =
+      mixed_workload(static_cast<Vertex>(oracle.num_vertices()), 6);
+  std::vector<Weight> results(chunk.size());
+  // Reads at 0.5 s (chunk start), then query ends at 0.9 | 1.3 1.7 |
+  // 2.1 2.5 2.9 s: one, two and three samples in the windows of seconds
+  // 0, 1 and 2, every sample 0.4 s long.
+  manual_now = 100'000'000;
+  path.answer_chunk(oracle, nullptr, chunk.data(), results.data(),
+                    chunk.size());
+  manual_now = 0;
+
+  const std::uint64_t now = 2'900'000'000;
+  const obs::WindowedHistogram& window = path.window();
+  EXPECT_EQ(window.view(now, 1).count, 3u);
+  EXPECT_EQ(window.view(now, 2).count, 5u);
+  EXPECT_EQ(window.view(now, 3).count, 6u);
+  EXPECT_EQ(window.view(now, 3).sum_nanos, 6 * kManualStep);
+  EXPECT_EQ(window.dropped(), 0u);
+  // The cumulative instruments see the whole chunk once.
+  EXPECT_EQ(registry.histogram("query_latency_ns").count(), chunk.size());
+  EXPECT_EQ(registry.counter("queries_total").value(), chunk.size());
+  EXPECT_EQ(registry.counter("cache_misses").value(), chunk.size());
+  for (std::size_t i = 0; i < chunk.size(); ++i)
+    EXPECT_EQ(results[i], oracle.query(chunk[i].u, chunk[i].v)) << i;
 }
 
 TEST(ObsAttribution, CachedAnswersKeepTheSumInvariant) {

@@ -379,7 +379,12 @@ std::vector<std::uint8_t> forged_snapshot(std::int32_t node,
 /// std::runtime_error whose message contains `why`.
 void expect_rejected(const std::vector<std::uint8_t>& bytes,
                      const std::string& why) {
-  const std::string path = ::testing::TempDir() + "pathsep_forged.snapshot";
+  // One file per test: ctest runs the forged-file tests as parallel
+  // processes, which must not overwrite each other's file.
+  const std::string path =
+      ::testing::TempDir() + "pathsep_forged_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".snapshot";
   std::ofstream(path, std::ios::binary)
       .write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -30,7 +31,9 @@
 
 #if defined(__linux__)
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -933,6 +936,76 @@ TEST(NetServer, OutOfRangeVertexIdClosesOnlyThatConnection) {
     EXPECT_EQ(distances[i], snapshot->query(batch[i].u, batch[i].v)) << i;
   EXPECT_EQ(server.stats().protocol_errors, 1u);
   EXPECT_EQ(server.stats().queries_answered, batch.size());
+}
+
+TEST(NetServer, NonReadingPeerIsBackpressured) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  ShardedEngineOptions opts;
+  opts.shards = 2;
+  ShardedEngine engine(snapshot, opts);
+  NetServer server(engine);
+  server.start();
+
+  // A raw nonblocking client that sends 4096-pair frames and never reads
+  // its replies. Small socket buffers keep the kernel's share small.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int buffer_bytes = 64 * 1024;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buffer_bytes, sizeof(buffer_bytes));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buffer_bytes, sizeof(buffer_bytes));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  ASSERT_EQ(::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK), 0);
+
+  std::vector<std::uint8_t> frame;
+  wire::append_request(frame, 1, mixed_workload(n, 4096, 53));
+  // Send until the socket stays full for half a second: the server has
+  // stopped reading. An unbounded server reads everything, so the loop
+  // gives up after 64 MiB and the bytes_in check below fails.
+  constexpr std::size_t kGiveUpBytes = std::size_t{64} << 20;
+  std::size_t sent = 0, offset = 0;
+  while (sent < kGiveUpBytes) {
+    const ssize_t k = ::send(fd, frame.data() + offset, frame.size() - offset,
+                             MSG_NOSIGNAL);
+    if (k > 0) {
+      sent += static_cast<std::size_t>(k);
+      offset = (offset + static_cast<std::size_t>(k)) % frame.size();
+      continue;
+    }
+    ASSERT_TRUE(k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << "send failed: " << std::strerror(errno);
+    pollfd writable{fd, POLLOUT, 0};
+    if (::poll(&writable, 1, 500) == 0) break;  // stayed full: backpressured
+  }
+  EXPECT_LT(sent, kGiveUpBytes) << "the client was never backpressured";
+  // A response is exactly as long as its request, so what was read but not
+  // yet handed to the kernel — bytes_in - bytes_out — is what the server
+  // holds in its own buffers: at most the pending-output bound plus one
+  // read's frames and their answers. The kernel's socket buffers hold
+  // a few MiB more.
+  const NetServer::Stats stats = server.stats();
+  EXPECT_LT(stats.bytes_in, std::uint64_t{16} << 20);
+  EXPECT_LT(stats.bytes_in - stats.bytes_out, std::uint64_t{5} << 20);
+
+  // The event loop is not stuck on the full connection: a second one is
+  // still answered.
+  wire::NetClient client;
+  client.connect("127.0.0.1", server.port());
+  const std::vector<Query> batch = {{3, 5}, {0, n - 1}};
+  std::vector<Weight> distances;
+  client.query_batch(batch, distances);
+  ASSERT_EQ(distances.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(distances[i], snapshot->query(batch[i].u, batch[i].v)) << i;
+  ::close(fd);
+  client.close();
+  server.stop();
 }
 
 TEST(NetServer, StopIsIdempotentAndRestartable) {
