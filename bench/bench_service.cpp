@@ -26,6 +26,10 @@
 //     binary wire protocol on localhost, driven by the same loadgen loop
 //     that `bench_service --loadgen --connect=HOST:PORT` runs against an
 //     external server (scripts/serve_smoke.sh wires the two together).
+//   - fan-out efficiency (E14c): one caller's closed loop of 512-pair
+//     uniform frames at each shard count, p50/p90 frame latency as the
+//     median/min/max of 3 runs, beside the ideal split of the frame's
+//     serial cost (serial ns/query x 512 / shards).
 //   - a tracing-on row (E14c): the sharded engine serving with spans
 //     enabled; the bench asserts at least one admitted slow-log entry
 //     carries a nonzero exemplar span id (tail sampling actually fired).
@@ -45,6 +49,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -52,6 +57,8 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -285,6 +292,48 @@ ShardedRow run_sharded(
   return row;
 }
 
+/// E14c fan-out row: closed-loop latency of `frame`-pair batches at one
+/// shard count, as the median/min/max over kRepeats runs (a new engine
+/// each) of each run's p50 and p90.
+struct FrameLatencyRow {
+  std::size_t shards = 1;
+  Spread p50_us, p90_us;
+  double ideal_us = 0;  ///< serial ns/query x frame / shards
+};
+
+FrameLatencyRow run_frame_latency(
+    const std::shared_ptr<const oracle::PathOracle>& snapshot,
+    const Workload& w, std::size_t frame, std::size_t shards) {
+  std::vector<double> p50s, p90s;
+  std::vector<Weight> results(frame);
+  std::vector<double> latencies_us;
+  for (int r = 0; r < kRepeats; ++r) {
+    service::ShardedEngine engine(snapshot, {.shards = shards});
+    latencies_us.clear();
+    for (std::size_t begin = 0; begin + frame <= w.queries.size();
+         begin += frame) {
+      const util::Timer timer;
+      engine.query_batch_into(
+          std::span<const service::Query>(w.queries).subspan(begin, frame),
+          results.data());
+      latencies_us.push_back(static_cast<double>(timer.elapsed_ns()) / 1e3);
+      util::do_not_optimize(results);
+    }
+    p50s.push_back(util::percentile(latencies_us, 0.50));
+    p90s.push_back(util::percentile(latencies_us, 0.90));
+  }
+  FrameLatencyRow row;
+  row.shards = shards;
+  row.p50_us = spread_of(p50s);
+  row.p90_us = spread_of(p90s);
+  return row;
+}
+
+std::string spread_json(const char* name, const Spread& spread) {
+  return util::strf("\"%s\": %.1f, \"%s_min\": %.1f, \"%s_max\": %.1f",
+                    name, spread.median, name, spread.min, name, spread.max);
+}
+
 // ------------------------------------------------------------ open-loop rows
 
 struct OpenLoopRow {
@@ -457,24 +506,42 @@ std::string hex64(std::uint64_t value) {
 /// `bench_service --loadgen --connect=HOST:PORT` — drive an external server
 /// (examples/query_server --serve) over the wire protocol. With --verify the
 /// same deterministic grid oracle is built locally and the answer digest
-/// must match (scripts/serve_smoke.sh relies on this). Exits nonzero on any
-/// mismatch.
+/// must match (scripts/serve_smoke.sh relies on this). Every value is
+/// checked before anything is built or sent: the port must be an integer in
+/// [1, 65535], and --side, --queries and --batch lie in ranges the grid, the
+/// workload and one wire frame can hold. A bad value, a refused connection
+/// or a lost server is an `error: …` line and exit 1; a digest mismatch is
+/// exit 1 too.
 int run_loadgen_cli(const util::Args& args) {
   const std::string connect = args.get("connect", "127.0.0.1:9917");
   const std::size_t colon = connect.rfind(':');
-  if (colon == std::string::npos) {
-    std::fprintf(stderr, "--connect expects HOST:PORT, got %s\n",
-                 connect.c_str());
-    return 2;
-  }
+  if (colon == std::string::npos)
+    throw std::invalid_argument("--connect expects HOST:PORT, got '" +
+                                connect + "'");
   const std::string host = connect.substr(0, colon);
-  const auto port =
-      static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-  const auto side = static_cast<std::size_t>(args.get_int("side", 40));
+  const std::string port_text = connect.substr(colon + 1);
+  std::uint32_t port_value = 0;
+  const char* port_end = port_text.data() + port_text.size();
+  const auto [stop, error] =
+      std::from_chars(port_text.data(), port_end, port_value);
+  if (port_text.empty() || error != std::errc{} || stop != port_end ||
+      port_value < 1 || port_value > 65535)
+    throw std::invalid_argument(
+        "--connect port must be an integer in [1, 65535], got '" +
+        port_text + "'");
+  const auto port = static_cast<std::uint16_t>(port_value);
+  // A count flag outside [lo, hi] is an error, never wrapped.
+  const auto count = [&args](const char* name, std::int64_t def,
+                             std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(args.get_int(name, def, lo, hi));
+  };
+  const std::size_t side = count("side", 40, 1, 65535);
   const double eps = args.get_double("eps", 0.25);
-  const auto num_queries =
-      static_cast<std::size_t>(args.get_int("queries", 50000));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 512));
+  const std::size_t num_queries = count("queries", 50000, 1, 1 << 24);
+  // One frame carries at most kMaxFrameBytes of payload.
+  const std::size_t batch = count(
+      "batch", 512, 1,
+      (service::wire::kMaxFrameBytes - 4) / service::wire::kEntryBytes);
   const bool verify = args.get_bool("verify");
 
   const std::size_t n = side * side;
@@ -483,7 +550,12 @@ int run_loadgen_cli(const util::Args& args) {
                                    0.0, num_queries, n, 7);
   std::printf("loadgen: %s:%u, %zu queries (grid %zux%zu), batch %zu\n",
               host.c_str(), port, num_queries, side, side, batch);
-  const NetRow row = run_net_loadgen(host, port, w, batch);
+  NetRow row;
+  try {
+    row = run_net_loadgen(host, port, w, batch);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("--connect " + connect + ": " + e.what());
+  }
   std::printf("loadgen: %.0f qps over the wire, frame p50 %.1f us, "
               "p99 %.1f us, %llu frames, digest %s\n",
               row.qps, row.p50_us, row.p99_us,
@@ -516,7 +588,14 @@ int main(int argc, char** argv) {
   using namespace pathsep::bench;
 
   util::Args args(argc, argv);
-  if (args.get_bool("loadgen")) return run_loadgen_cli(args);
+  if (args.get_bool("loadgen")) {
+    try {
+      return run_loadgen_cli(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
+  }
 
   const bool quick = args.get_bool("quick");
   const std::string out_path = args.get("out", "BENCH_service.json");
@@ -774,6 +853,34 @@ int main(int argc, char** argv) {
     std::printf("WARNING: sharded(1) below serial (%.3fx)\n",
                 sharded_rows.front().speedup);
 
+  // Fan-out efficiency: one frame's latency against the ideal split of its
+  // serial cost over the shards.
+  constexpr std::size_t kFrame = 512;
+  const double big_serial_ns = 1e9 / big_serial_qps;
+  std::vector<FrameLatencyRow> frame_rows;
+  util::TableWriter frame_table({"shards", "frame", "p50_us", "p50_min",
+                                 "p50_max", "p90_us", "p90_min", "p90_max",
+                                 "ideal_us", "p50/ideal"});
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    FrameLatencyRow row = run_frame_latency(big_snapshot, big_w, kFrame, shards);
+    row.ideal_us = big_serial_ns * static_cast<double>(kFrame) /
+                   static_cast<double>(shards) / 1e3;
+    frame_table.add_row(
+        {util::strf("%zu", shards), util::strf("%zu", kFrame),
+         util::strf("%.1f", row.p50_us.median),
+         util::strf("%.1f", row.p50_us.min), util::strf("%.1f", row.p50_us.max),
+         util::strf("%.1f", row.p90_us.median),
+         util::strf("%.1f", row.p90_us.min), util::strf("%.1f", row.p90_us.max),
+         util::strf("%.1f", row.ideal_us),
+         util::strf("%.2f", row.p50_us.median / row.ideal_us)});
+    frame_rows.push_back(row);
+  }
+  std::printf("\nclosed-loop %zu-pair uniform frames, one caller; median/"
+              "min/max of %d runs; ideal = serial %.0f ns/query x %zu / "
+              "shards\n",
+              kFrame, kRepeats, big_serial_ns, kFrame);
+  frame_table.print(std::cout);
+
   // ---- E14d: open-loop arrival — p50/p99 from scheduled arrival time at
   // fractions of the measured closed-loop peak.
   section("E14d", "open-loop arrival (latency from scheduled arrival)");
@@ -901,6 +1008,15 @@ int main(int argc, char** argv) {
          << "\", \"answers_sum_ok\": "
          << (r.answers_sum_ok ? "true" : "false") << "}"
          << (i + 1 < sharded_rows.size() ? "," : "") << "\n";
+  }
+  json << "    ],\n    \"frame_latency\": [\n";
+  for (std::size_t i = 0; i < frame_rows.size(); ++i) {
+    const FrameLatencyRow& r = frame_rows[i];
+    json << "      {\"shards\": " << r.shards << ", \"frame\": " << kFrame
+         << ", " << spread_json("p50_us", r.p50_us) << ", "
+         << spread_json("p90_us", r.p90_us)
+         << ", \"ideal_us\": " << util::strf("%.1f", r.ideal_us) << "}"
+         << (i + 1 < frame_rows.size() ? "," : "") << "\n";
   }
   json << "    ]\n  },\n"
        << "  \"tracing_row\": {\"qps\": "

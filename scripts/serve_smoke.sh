@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Localhost round-trip smoke for the network serving path: first require
-# query_server to refuse malformed PATHSEP_THREADS and --cache values, then
-# start
+# query_server to refuse malformed PATHSEP_THREADS and --cache values and
+# `bench_service --loadgen` to refuse malformed ports, out-of-range counts
+# and an unreachable server, then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
 # `bench_service --loadgen` over the length-prefixed binary protocol and
@@ -42,6 +43,22 @@ for hostile in PATHSEP_THREADS=100000 PATHSEP_THREADS=0 \
   esac >"$log" 2>&1 || status=$?
   if [ "$status" -ne 1 ] || ! grep -q "^error: ${hostile%%=*} " "$log"; then
     echo "serve_smoke: $hostile exited $status," \
+      "expected an error naming it and exit 1" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+done
+
+# Hostile load-generator values: a malformed or out-of-range port, a port
+# nothing listens on (1 on localhost) and out-of-range counts must each be
+# an error naming the flag and exit 1 — no uncaught exception, no port
+# wrapped modulo 65536.
+for hostile in --connect=127.0.0.1:abc --connect=127.0.0.1:70000 \
+  --connect=127.0.0.1:1 --side=0 --queries=0 --batch=0 --batch=1000000; do
+  status=0
+  "$loadgen" --loadgen "$hostile" >"$log" 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^error: ${hostile%%=*} " "$log"; then
+    echo "serve_smoke: bench_service --loadgen $hostile exited $status," \
       "expected an error naming it and exit 1" >&2
     cat "$log" >&2
     exit 1
@@ -90,5 +107,5 @@ fi
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (hostile thread budgets and --cache values refused," \
-  "port $port, hostile frame rejected, $QUERIES queries digest-verified)"
+echo "serve_smoke: OK (hostile thread budgets, --cache and loadgen values" \
+  "refused, port $port, hostile frame rejected, $QUERIES queries digest-verified)"

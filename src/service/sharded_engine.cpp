@@ -6,9 +6,15 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace pathsep::service {
 namespace {
@@ -30,6 +36,33 @@ ShardedEngineOptions resolve_shards(ShardedEngineOptions options) {
   options.shards = std::min(
       kMaxShards, options.shards != 0 ? options.shards : util::threads());
   return options;
+}
+
+/// The CPUs the calling thread may run on, ascending: the mask every thread
+/// it starts inherits. Empty where the mask cannot be read.
+std::vector<int> allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof(mask), &mask) == 0)
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+      if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+#endif
+  return cpus;
+}
+
+/// Confines `thread` to `cpu`, best effort: a refusal leaves it unpinned.
+void pin_to_cpu(std::thread& thread, int cpu) {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  CPU_SET(cpu, &mask);
+  ::pthread_setaffinity_np(thread.native_handle(), sizeof(mask), &mask);
+#else
+  (void)thread;
+  (void)cpu;
+#endif
 }
 
 }  // namespace
@@ -58,14 +91,24 @@ ShardedEngine::ShardedEngine(
   }
   const std::size_t shards = options_.shards;
   shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s)
+  for (std::size_t s = 0; s < shards; ++s) {
     // pathsep-lint: allow(hot-path-alloc)
     shards_.push_back(std::make_unique<Shard>(
         options.ring_capacity, options.cache_capacity / shards));
+    shards_.back()->busy_ns_total = &metrics_.counter(
+        "shard_busy_ns_total", {{"shard", std::to_string(s)}});
+  }
   // Workers start only after every ring exists (a worker never touches a
-  // sibling's ring, but shard_of spans all of shards_).
-  for (std::size_t s = 0; s < shards; ++s)
+  // sibling's ring, but shard_of spans all of shards_). Each gets a CPU of
+  // its own when the inherited mask has one for every shard, else none is
+  // pinned (see "Core placement" in the header).
+  const std::vector<int> cpus = allowed_cpus();
+  for (std::size_t s = 0; s < shards; ++s) {
     shards_[s]->worker = std::thread([this, s] { worker_loop(s); });
+    if (shards <= cpus.size()) pin_to_cpu(shards_[s]->worker, cpus[s]);
+    metrics_.gauge("shard_cpu", {{"shard", std::to_string(s)}})
+        .set(worker_cpu(s));
+  }
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -75,6 +118,21 @@ ShardedEngine::~ShardedEngine() {
     if (shard->worker.joinable()) shard->worker.join();
   // epochs_ destroys any still-retired snapshots; owner_ releases the live
   // one. Workers are gone, so nothing is pinned.
+}
+
+int ShardedEngine::worker_cpu(std::size_t shard) const {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::pthread_getaffinity_np(shards_[shard]->worker.native_handle(),
+                               sizeof(mask), &mask) == 0 &&
+      CPU_COUNT(&mask) == 1)
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+      if (CPU_ISSET(cpu, &mask)) return cpu;
+#else
+  (void)shard;
+#endif
+  return -1;
 }
 
 std::size_t ShardedEngine::shard_of(graph::Vertex u, graph::Vertex v) const {
@@ -132,6 +190,9 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
       continue;
     }
 
+    // Busy time spans the whole drain, answers and completions: two clock
+    // reads and one counter add per drain, never per query.
+    const std::uint64_t drain_start = obs::window_now_ns();
     // Answer the drained batch against the epoch-pinned snapshot. The pin
     // covers exactly one drain, so a swap waits at most one batch for this
     // worker to unpin. A new swap count, loaded before the pointer, implies
@@ -158,6 +219,7 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
         *requests[i].out = answers[i];
       complete(remaining, run);
     }
+    shard.busy_ns_total->inc(obs::window_now_ns() - drain_start);
   }
 }
 

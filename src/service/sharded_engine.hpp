@@ -37,6 +37,24 @@
 // rings entirely (see inline_cutoff): below it, dispatch costs more than it
 // buys on sub-microsecond queries. Caller-thread answers bypass the cache.
 //
+// Core placement: each worker is pinned to a CPU of its own. A frame's
+// dispatcher plus N awake workers are N+1 runnable threads; on an N-CPU
+// host the kernel, left to itself, mostly wakes two workers onto one CPU
+// and keeps them there for the whole drain while another CPU idles, so the
+// frame waits for one worker to finish before its neighbour starts (on 4
+// vCPUs, 4 unpinned shards answered a 512-pair uniform frame no faster than
+// 3). The rule: the engine reads the CPUs its constructing thread may use
+// (sched_getaffinity, the mask the workers inherit); if there are at least
+// as many as shards, worker s is pinned to the s-th of them, otherwise no
+// worker is pinned — two workers never share a CPU on purpose, and nothing
+// is placed outside the mask the process was given. Pinning is best effort:
+// a refused pthread_setaffinity_np leaves that worker unpinned. The cost: a
+// pinned worker cannot leave a vCPU the hypervisor is stealing, so under
+// heavy steal time its share of the frame waits for that vCPU. worker_cpu()
+// and the shard_cpu{shard} gauge show the placement, and the
+// shard_busy_ns_total{shard} counter each worker's drain time (two clock
+// reads per drain, published once per drain).
+//
 // Results are byte-identical across shard counts and thread counts: every
 // query is answered independently from one immutable snapshot, so the
 // partition changes only *who* computes each answer, never the answer.
@@ -139,6 +157,9 @@ class ShardedEngine {
   /// Owning shard of a query pair (canonical: both directions agree).
   std::size_t shard_of(graph::Vertex u, graph::Vertex v) const;
   std::size_t inline_cutoff() const { return inline_cutoff_; }
+  /// The one CPU worker `shard` may run on, read back from the kernel; -1
+  /// when its affinity mask allows several (an unpinned worker).
+  int worker_cpu(std::size_t shard) const;
 
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
@@ -164,6 +185,8 @@ class ShardedEngine {
     alignas(64) std::atomic<std::uint64_t> signal{0};
     std::atomic<std::uint32_t> sleeping{0};
     ResultCache cache;   ///< touched only by `worker`
+    /// shard_busy_ns_total{shard}: drain time, added once per drain.
+    obs::Counter* busy_ns_total = nullptr;
     std::thread worker;  ///< joined by ~ShardedEngine before members die
   };
 

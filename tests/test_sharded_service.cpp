@@ -1,8 +1,9 @@
 // The shard-per-core serving stack: the lock-free MPSC intake ring, the
 // epoch-based snapshot reclaimer (manual-clock proofs that nothing is freed
 // while pinned), the ShardedEngine's exactness and determinism across shard
-// counts, its cache and metrics contract, concurrent swap-while-querying,
-// and the binary wire protocol with the epoll front-end (hostile frames
+// counts, its worker placement (one CPU each, inside the process mask), its
+// cache and metrics contract, concurrent swap-while-querying, and the
+// binary wire protocol with the epoll front-end (hostile and split frames
 // included). Runs under the `service` label, so the TSan leg of
 // scripts/check.sh executes every concurrent scenario here with race
 // detection on.
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -33,7 +35,9 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -502,6 +506,141 @@ TEST(ShardedEngine, CachedServingKeepsAnswersAndSumInvariant) {
       if (key.find("level=cached;") != std::string::npos) cached = value;
     EXPECT_GT(cached, 0u) << shards << " shards";
   }
+}
+
+#if defined(__linux__)
+
+/// The CPUs of `mask`, ascending.
+std::vector<int> cpus_of(const cpu_set_t& mask) {
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+  return cpus;
+}
+
+/// Narrows the calling thread's affinity mask (which the threads it starts
+/// inherit) to `cpus` and restores the original mask on destruction, so a
+/// failed assertion cannot leave the test process narrowed.
+class NarrowedAffinity {
+ public:
+  explicit NarrowedAffinity(const std::vector<int>& cpus) {
+    CPU_ZERO(&original_);
+    EXPECT_EQ(::sched_getaffinity(0, sizeof(original_), &original_), 0);
+    cpu_set_t narrowed;
+    CPU_ZERO(&narrowed);
+    for (const int cpu : cpus) CPU_SET(cpu, &narrowed);
+    EXPECT_EQ(::sched_setaffinity(0, sizeof(narrowed), &narrowed), 0);
+  }
+  ~NarrowedAffinity() {
+    EXPECT_EQ(::sched_setaffinity(0, sizeof(original_), &original_), 0);
+  }
+  NarrowedAffinity(const NarrowedAffinity&) = delete;
+  NarrowedAffinity& operator=(const NarrowedAffinity&) = delete;
+
+ private:
+  cpu_set_t original_;
+};
+
+// Each worker gets a CPU of its own inside the mask the engine was built
+// under, or — when that mask has fewer CPUs than shards — none is pinned.
+// Placement decides only where answers are computed, never what they are.
+TEST(ShardedEngine, WorkersPinToDistinctAllowedCpus) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const std::vector<Query> batch =
+      mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 1500, 59);
+  std::vector<Weight> expected;
+  for (const Query& q : batch) expected.push_back(snapshot->query(q.u, q.v));
+  const std::uint64_t expected_digest = fnv_digest(expected);
+
+  // Builds a `shards`-shard engine under the current mask, checks where its
+  // workers run, and answers the batch through the rings.
+  const auto check = [&](std::size_t shards) {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    EXPECT_EQ(::sched_getaffinity(0, sizeof(mask), &mask), 0);
+    const std::vector<int> allowed = cpus_of(mask);
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.inline_cutoff = 1;
+    ShardedEngine engine(snapshot, opts);
+    std::set<int> taken;
+    for (std::size_t s = 0; s < shards; ++s) {
+      const int cpu = engine.worker_cpu(s);
+      if (shards <= allowed.size()) {
+        EXPECT_TRUE(cpu >= 0 && CPU_ISSET(cpu, &mask))
+            << "shard " << s << " of " << shards << " on CPU " << cpu;
+        EXPECT_TRUE(taken.insert(cpu).second)
+            << "shard " << s << " of " << shards << " shares CPU " << cpu;
+      } else if (allowed.size() > 1) {
+        EXPECT_EQ(cpu, -1) << "shard " << s << " of " << shards
+                           << " pinned with only " << allowed.size()
+                           << " CPUs allowed";
+      }
+    }
+    EXPECT_EQ(fnv_digest(engine.query_batch(batch)), expected_digest)
+        << shards << " shards";
+  };
+
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(original), &original), 0);
+  const std::vector<int> allowed = cpus_of(original);
+  for (const std::size_t shards : {1u, 2u, 4u}) check(shards);
+
+  if (allowed.size() < 2) GTEST_SKIP() << "needs two allowed CPUs";
+  {
+    // The last two allowed CPUs, so that on a larger machine "the s-th
+    // allowed CPU" and "CPU s" differ.
+    const NarrowedAffinity two(
+        {allowed[allowed.size() - 2], allowed[allowed.size() - 1]});
+    check(2);  // pinned within the two CPUs
+    check(4);  // more shards than CPUs: nobody pinned
+  }
+  cpu_set_t restored;
+  CPU_ZERO(&restored);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(restored), &restored), 0);
+  EXPECT_TRUE(CPU_EQUAL(&restored, &original));
+}
+
+#endif  // __linux__
+
+// Per-shard observability: each worker's drain time is counted once per
+// drain, so the family sum is positive after traffic and bounded by wall
+// time times shards; the shard_cpu gauges repeat worker_cpu().
+TEST(ShardedEngine, ShardBusyTimeAndCpuGaugesAreExported) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const std::vector<Query> batch =
+      mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 2000, 61);
+  constexpr std::size_t kShards = 2;
+  ShardedEngineOptions opts;
+  opts.shards = kShards;
+  opts.inline_cutoff = 1;
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t busy = 0;
+  {
+    ShardedEngine engine(snapshot, opts);
+    for (int round = 0; round < 3; ++round) engine.query_batch(batch);
+    busy = family_sum(counter_family(engine.metrics(), "shard_busy_ns_total"));
+    std::size_t gauges = 0;
+    for (const obs::MetricSample& sample : engine.metrics().snapshot()) {
+      if (sample.kind != obs::MetricKind::kGauge || sample.name != "shard_cpu")
+        continue;
+      ASSERT_EQ(sample.labels.size(), 1u);
+      const std::size_t shard = std::stoul(sample.labels[0].second);
+      ASSERT_LT(shard, kShards);
+      EXPECT_EQ(sample.gauge_value, engine.worker_cpu(shard));
+      ++gauges;
+    }
+    EXPECT_EQ(gauges, kShards);
+    EXPECT_EQ(counter_family(engine.metrics(), "shard_busy_ns_total").size(),
+              kShards);
+  }
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  EXPECT_GT(busy, 0u);
+  EXPECT_LE(busy, wall_ns * kShards);
 }
 
 constexpr std::size_t kShardCounts[] = {1, 2, 8};
@@ -1005,6 +1144,80 @@ TEST(NetServer, NonReadingPeerIsBackpressured) {
     EXPECT_EQ(distances[i], snapshot->query(batch[i].u, batch[i].v)) << i;
   ::close(fd);
   client.close();
+  server.stop();
+}
+
+// A request frame may arrive in any number of pieces. Delivered split at
+// every byte boundary, and one byte per send, with TCP_NODELAY so each send
+// leaves as its own segment, it must be answered exactly as when sent
+// whole: byte-identical responses, no protocol error, no early answer from
+// a partial frame and no stall.
+TEST(NetServer, FramesSplitAtEveryByteAnswerLikeWholeFrames) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  ShardedEngineOptions opts;
+  opts.shards = 2;
+  opts.inline_cutoff = 1;  // through the rings, not the caller's thread
+  ShardedEngine engine(snapshot, opts);
+  NetServer server(engine);
+  server.start();
+
+  const std::vector<Query> batch = mixed_workload(n, 5, 67);
+  std::vector<std::uint8_t> frame;
+  wire::append_request(frame, 77, batch);
+  std::vector<std::uint8_t> expected;
+  wire::append_response(expected, 77, engine.query_batch(batch));
+  ASSERT_EQ(expected.size(), frame.size());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int one = 1;
+  ASSERT_EQ(::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+
+  // Sends frame[begin, end); then, unless the frame is complete, gives the
+  // server a moment to read the piece and checks it did not answer yet.
+  const auto send_piece = [&](std::size_t begin, std::size_t end) {
+    ASSERT_EQ(::send(fd, frame.data() + begin, end - begin, MSG_NOSIGNAL),
+              static_cast<ssize_t>(end - begin));
+    if (end == frame.size()) return;
+    pollfd readable{fd, POLLIN, 0};
+    ASSERT_EQ(::poll(&readable, 1, 2), 0)
+        << "answered after " << end << " of " << frame.size() << " bytes";
+  };
+  // Reads one response, failing instead of hanging when it does not come.
+  const auto read_response = [&](const std::string& delivery) {
+    std::vector<std::uint8_t> got(expected.size());
+    std::size_t have = 0;
+    while (have < got.size()) {
+      pollfd readable{fd, POLLIN, 0};
+      ASSERT_EQ(::poll(&readable, 1, 5000), 1) << delivery << ": stalled";
+      const ssize_t k = ::recv(fd, got.data() + have, got.size() - have, 0);
+      ASSERT_GT(k, 0) << delivery << ": connection closed";
+      have += static_cast<std::size_t>(k);
+    }
+    EXPECT_EQ(got, expected) << delivery;
+  };
+
+  for (std::size_t split = 1; split < frame.size(); ++split) {
+    send_piece(0, split);
+    send_piece(split, frame.size());
+    read_response("split at byte " + std::to_string(split));
+  }
+  for (std::size_t at = 0; at < frame.size(); ++at) send_piece(at, at + 1);
+  read_response("one byte per send");
+
+  const NetServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(stats.frames_in, frame.size());  // frame.size() - 1 splits + 1
+  EXPECT_EQ(stats.queries_answered, frame.size() * batch.size());
+  ::close(fd);
   server.stop();
 }
 
