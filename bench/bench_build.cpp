@@ -8,9 +8,10 @@
 // guarantee: every thread count must produce the same digest (enforced with
 // --require-equal-digests, which exits non-zero on any mismatch). Results go
 // to stdout as a table and to --out (default BENCH_build.json) as JSON for
-// the repo record, stamped with the git sha and build type. Each row sets
-// the process-wide thread budget (util::set_threads), so a row of N threads
-// runs on at most N cores.
+// the repo record, stamped with the git sha and build type, each row with
+// the host's CPU steal over its window (/proc/stat; -1 where unmeasured).
+// Each row sets the process-wide thread budget (util::set_threads), so a
+// row of N threads runs on at most N cores.
 //
 // Usage:
 //   bench_build [--out=BENCH_build.json] [--grid-side=320] [--planar-n=60000]
@@ -57,6 +58,7 @@ struct Run {
   double connections_seconds = 0;  ///< projections + portal Dijkstras
   double assemble_seconds = 0;     ///< per-vertex label assembly
   double speedup = 0;  ///< total vs the threads=1 total of the same family
+  double steal_pct = 0;  ///< host steal over the row's window (StealWindow)
   std::uint64_t digest = 0;
 };
 
@@ -67,6 +69,7 @@ Run measure(const Instance& inst, std::size_t threads, double epsilon) {
   run.threads = threads;
 
   util::set_threads(threads);
+  const StealWindow steal;
   util::Timer timer;
   const hierarchy::DecompositionTree tree(inst.graph, *inst.finder);
   run.tree_seconds = timer.elapsed_seconds();
@@ -77,6 +80,7 @@ Run measure(const Instance& inst, std::size_t threads, double epsilon) {
   run.label_seconds = timer.elapsed_seconds();
   run.connections_seconds = stats.connections_seconds;
   run.assemble_seconds = stats.assemble_seconds;
+  run.steal_pct = steal.pct();
   run.digest = label_digest(labels);
   return run;
 }
@@ -178,7 +182,9 @@ int run_main(int argc, char** argv) {
         << r.tree_seconds << ", \"connections_seconds\": "
         << r.connections_seconds << ", \"assemble_seconds\": "
         << r.assemble_seconds << ", \"label_seconds\": " << r.label_seconds
-        << ", \"speedup_vs_first\": " << r.speedup << ", \"label_digest\": \""
+        << ", \"speedup_vs_first\": " << r.speedup
+        << ", \"steal_pct\": " << util::strf("%.1f", r.steal_pct)
+        << ", \"label_digest\": \""
         << std::hex << r.digest << std::dec << "\"}"
         << (i + 1 < runs.size() ? "," : "") << "\n";
   }

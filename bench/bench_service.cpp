@@ -44,7 +44,8 @@
 // plain PathOracle::query loop, at one thread and at four threads sharing
 // one AnswerPath, tracing off then on. Results land in --out (default
 // BENCH_service.json) for the repo record. --quick shrinks every dimension
-// for smoke runs.
+// for smoke runs. Every JSON row also records the host's CPU steal over the
+// row's run window (steal_pct, from /proc/stat; -1 where unmeasured).
 #include "common.hpp"
 
 #include <algorithm>
@@ -261,6 +262,7 @@ struct RunRecord {
   double speedup = 1.0, p99_us = 0;
   bool has_window = false;  ///< engine modes carry a windowed-tail view
   obs::WindowedHistogram::View window{};
+  double steal_pct = -1;  ///< host steal over the row's runs (StealWindow)
 };
 
 // --------------------------------------------------------- sharded closed loop
@@ -272,6 +274,7 @@ struct ShardedRow {
   std::uint64_t digest = 0;
   obs::WindowedHistogram::View window{};
   bool answers_sum_ok = true;
+  double steal_pct = -1;  ///< over all repeats of the row
 };
 
 ShardedRow run_sharded(
@@ -299,6 +302,7 @@ struct FrameLatencyRow {
   std::size_t shards = 1;
   Spread p50_us, p90_us;
   double ideal_us = 0;  ///< serial ns/query x frame / shards
+  double steal_pct = -1;
 };
 
 FrameLatencyRow run_frame_latency(
@@ -307,6 +311,7 @@ FrameLatencyRow run_frame_latency(
   std::vector<double> p50s, p90s;
   std::vector<Weight> results(frame);
   std::vector<double> latencies_us;
+  const StealWindow steal;
   for (int r = 0; r < kRepeats; ++r) {
     service::ShardedEngine engine(snapshot, {.shards = shards});
     latencies_us.clear();
@@ -326,6 +331,7 @@ FrameLatencyRow run_frame_latency(
   row.shards = shards;
   row.p50_us = spread_of(p50s);
   row.p90_us = spread_of(p90s);
+  row.steal_pct = steal.pct();
   return row;
 }
 
@@ -340,6 +346,7 @@ struct OpenLoopRow {
   double offered_qps = 0, achieved_qps = 0;
   double p50_us = 0, p99_us = 0;
   std::size_t queries = 0;
+  double steal_pct = -1;
 };
 
 /// Submits `batch`-sized slices on a fixed arrival schedule and measures
@@ -360,6 +367,7 @@ OpenLoopRow run_open_loop(service::ShardedEngine& engine, const Workload& w,
   const double interval_ns =
       1e9 * static_cast<double>(batch) / offered_qps;
 
+  const StealWindow steal;
   const std::uint64_t t_start = obs::window_now_ns();
   std::uint64_t last_done = t_start;
   auto harvest = [&inflight, &latencies_us, &last_done](bool block) {
@@ -422,6 +430,7 @@ OpenLoopRow run_open_loop(service::ShardedEngine& engine, const Workload& w,
   row.achieved_qps = static_cast<double>(total) / seconds;
   row.p50_us = util::percentile(latencies_us, 0.50);
   row.p99_us = util::percentile(latencies_us, 0.99);
+  row.steal_pct = steal.pct();
   return row;
 }
 
@@ -431,6 +440,7 @@ struct NetRow {
   double qps = 0, p50_us = 0, p99_us = 0;
   std::uint64_t frames = 0;
   std::uint64_t digest = 0;
+  double steal_pct = -1;
 };
 
 /// Closed-loop wire-protocol load generator: frames of `batch` pairs, one
@@ -444,6 +454,7 @@ NetRow run_net_loadgen(const std::string& host, std::uint16_t port,
   std::vector<double> latencies_us;
   FnvDigest digest;
   NetRow row;
+  const StealWindow steal;
   util::Timer timer;
   for (std::size_t begin = 0; begin < w.queries.size(); begin += batch) {
     const std::size_t size = std::min(batch, w.queries.size() - begin);
@@ -461,6 +472,7 @@ NetRow run_net_loadgen(const std::string& host, std::uint16_t port,
   row.p50_us = util::percentile(latencies_us, 0.50);
   row.p99_us = util::percentile(latencies_us, 0.99);
   row.digest = digest.h;
+  row.steal_pct = steal.pct();
   return row;
 }
 
@@ -469,6 +481,7 @@ struct SnapshotRow {
   double disk_bytes_per_vertex = 0;      ///< snapshot file size / n
   double memory_bytes_per_vertex = 0;    ///< label arena bytes / n
   std::uint64_t reload_digest = 0;       ///< serial digest of the reload
+  double steal_pct = -1;
 };
 
 /// Saves (validated) and reloads `oracle` `reps` times through a file in
@@ -480,6 +493,7 @@ SnapshotRow run_snapshot(const oracle::PathOracle& oracle, const Workload& w,
       (std::filesystem::temp_directory_path() / "bench_service.snapshot")
           .string();
   const double n = static_cast<double>(oracle.num_vertices());
+  const StealWindow steal;
   for (int i = 0; i < reps; ++i) {
     util::Timer timer;
     service::save_snapshot(oracle, path);
@@ -489,6 +503,7 @@ SnapshotRow run_snapshot(const oracle::PathOracle& oracle, const Workload& w,
     row.load_ms.push_back(timer.elapsed_seconds() * 1e3);
     if (i == 0) row.reload_digest = serial_digest(loaded, w);
   }
+  row.steal_pct = steal.pct();
   row.disk_bytes_per_vertex =
       static_cast<double>(std::filesystem::file_size(path)) / n;
   row.memory_bytes_per_vertex =
@@ -536,7 +551,7 @@ int run_loadgen_cli(const util::Args& args) {
     return static_cast<std::size_t>(args.get_int(name, def, lo, hi));
   };
   const std::size_t side = count("side", 40, 1, 65535);
-  const double eps = args.get_double("eps", 0.25);
+  const double eps = args.get_positive("eps", 0.25);
   const std::size_t num_queries = count("queries", 50000, 1, 1 << 24);
   // One frame carries at most kMaxFrameBytes of payload.
   const std::size_t batch = count(
@@ -638,6 +653,7 @@ int main(int argc, char** argv) {
 
   for (const Workload* w : {&uniform, &zipf}) {
     obs::LatencyHistogram serial_lat;
+    const StealWindow serial_steal;
     const Spread serial =
         repeat([&] { return run_serial(*snapshot, *w, &serial_lat); });
     const double serial_qps = serial.median;
@@ -645,10 +661,12 @@ int main(int argc, char** argv) {
     add_qps_row(table, {"serial", w->name, "1", "off"}, serial,
                 {"1.00x", "-", util::strf("%.1f", serial_p99_us)});
     records.push_back({"serial", w->name, 1, serial, 1.0, serial_p99_us});
+    records.back().steal_pct = serial_steal.pct();
     // One engine row: its qps spread, hit-rate cell, p99 and window.
     const auto add_engine_row = [&](const char* mode, const char* cache,
                                     service::ShardedEngine& engine,
-                                    const Spread& qps, std::string hit_rate) {
+                                    const Spread& qps, std::string hit_rate,
+                                    double steal_pct) {
       const double p99_us = engine.metrics()
                                 .histogram("query_latency_ns")
                                 .percentile_nanos(0.99) /
@@ -659,13 +677,16 @@ int main(int argc, char** argv) {
                   {util::strf("%.2fx", speedup), std::move(hit_rate),
                    util::strf("%.1f", p99_us)});
       records.push_back({mode, w->name, threads, qps, speedup, p99_us, true,
-                         engine.window().view(obs::window_now_ns())});
+                         engine.window().view(obs::window_now_ns()),
+                         steal_pct});
     };
 
     service::ShardedEngine sharded(snapshot, {.shards = threads});
-    add_engine_row("sharded", "off", sharded,
-                   repeat([&] { return run_engine(sharded, *w, batch); }),
-                   "-");
+    const StealWindow sharded_steal;
+    const Spread sharded_qps =
+        repeat([&] { return run_engine(sharded, *w, batch); });
+    add_engine_row("sharded", "off", sharded, sharded_qps, "-",
+                   sharded_steal.pct());
     engine_metrics_json = obs::metrics_to_json(sharded.metrics().snapshot());
     windowed_json = obs::window_to_json(records.back().window);
     slowlog_json = obs::slowlog_to_json(sharded.slowlog().snapshot());
@@ -676,6 +697,7 @@ int main(int argc, char** argv) {
     run_engine(cached, *w, batch);  // warm the caches
     const std::uint64_t warm_hits = counter_value(cached, "cache_hits");
     const std::uint64_t warm_misses = counter_value(cached, "cache_misses");
+    const StealWindow cached_steal;
     const Spread cached_qps =
         repeat([&] { return run_engine(cached, *w, batch); });
     const std::uint64_t hits = counter_value(cached, "cache_hits") - warm_hits;
@@ -684,7 +706,7 @@ int main(int argc, char** argv) {
     const double warm_rate =
         static_cast<double>(hits) / static_cast<double>(hits + misses);
     add_engine_row("cached", "65536", cached, cached_qps,
-                   util::strf("%.1f%%", 100.0 * warm_rate));
+                   util::strf("%.1f%%", 100.0 * warm_rate), cached_steal.pct());
   }
 
   table.print(std::cout);
@@ -703,6 +725,7 @@ int main(int argc, char** argv) {
     std::size_t threads = 1;
     Spread raw, path, tracing;
     std::size_t spans = 0;
+    double steal_pct = -1;
     double overhead_pct() const {
       return 100.0 * (1.0 - path.median / raw.median);
     }
@@ -723,6 +746,7 @@ int main(int argc, char** argv) {
           service::ShardedEngineOptions{}.slowlog_capacity);
       return run_answer_path(*snapshot, uniform, loop_threads, &path);
     };
+    const StealWindow steal;
     for (int r = 0; r < kRepeats; ++r) {
       raw_runs.push_back(
           run_answer_path(*snapshot, uniform, loop_threads, nullptr));
@@ -734,6 +758,7 @@ int main(int argc, char** argv) {
     row.raw = spread_of(raw_runs);
     row.path = spread_of(path_runs);
     row.tracing = spread_of(tracing_runs);
+    row.steal_pct = steal.pct();
     row.spans = obs::drain_spans().size();
     overhead.push_back(row);
   }
@@ -770,9 +795,11 @@ int main(int argc, char** argv) {
                     big_snapshot->num_vertices(), 11);
 
   obs::LatencyHistogram big_serial_lat;
+  const StealWindow big_serial_steal;
   const Spread big_serial =
       repeat([&] { return run_serial(*big_snapshot, big_w, &big_serial_lat); });
   const double big_serial_qps = big_serial.median;
+  const double big_serial_steal_pct = big_serial_steal.pct();
   const std::uint64_t expected_digest = serial_digest(*big_snapshot, big_w);
 
   util::TableWriter sharded_table(
@@ -790,6 +817,7 @@ int main(int argc, char** argv) {
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     ShardedRow row;  // the last run's latency view, every run's qps
     bool digest_ok = true;  // every run must reproduce serial's digest
+    const StealWindow steal;
     row.qps = repeat([&] {
       row = run_sharded(big_snapshot, big_w, batch, shards);
       digest_ok = digest_ok && row.digest == expected_digest;
@@ -797,6 +825,7 @@ int main(int argc, char** argv) {
       return row.qps.median;
     });
     row.speedup = row.qps.median / big_serial_qps;
+    row.steal_pct = steal.pct();
     digests_ok = digests_ok && digest_ok;
     sharded_rows.push_back(row);
     peak_qps = std::max(peak_qps, row.qps.median);
@@ -815,10 +844,13 @@ int main(int argc, char** argv) {
   std::size_t slowlog_span_entries = 0;
   std::size_t slowlog_entries = 0;
   double tracing_sharded_qps = 0;
+  double tracing_steal_pct = -1;
   {
+    const StealWindow steal;
     service::ShardedEngine engine(big_snapshot,
                                   {.shards = threads, .slowlog_capacity = 32});
     tracing_sharded_qps = run_engine(engine, big_w, batch);
+    tracing_steal_pct = steal.pct();
     for (const obs::SlowQuery& slow : engine.slowlog().snapshot()) {
       ++slowlog_entries;
       if (slow.span_id != 0) ++slowlog_span_entries;
@@ -984,7 +1016,8 @@ int main(int argc, char** argv) {
            << util::strf("%.2f", r.window.p50_nanos / 1e3)
            << ", \"win_p99_us\": "
            << util::strf("%.2f", r.window.p99_nanos / 1e3);
-    json << "}" << (i + 1 < records.size() ? "," : "") << "\n";
+    json << ", \"steal_pct\": " << util::strf("%.1f", r.steal_pct) << "}"
+         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
        << "  \"sharded\": {\"grid_side\": " << big_side
@@ -993,6 +1026,8 @@ int main(int argc, char** argv) {
        << ", \"serial_qps\": " << util::strf("%.0f", big_serial.median)
        << ", \"serial_qps_min\": " << util::strf("%.0f", big_serial.min)
        << ", \"serial_qps_max\": " << util::strf("%.0f", big_serial.max)
+       << ", \"serial_steal_pct\": "
+       << util::strf("%.1f", big_serial_steal_pct)
        << ", \"digest\": \"" << hex64(expected_digest)
        << "\", \"digests_ok\": " << (digests_ok ? "true" : "false")
        << ",\n    \"runs\": [\n";
@@ -1006,7 +1041,8 @@ int main(int argc, char** argv) {
          << util::strf("%.2f", r.window.p99_nanos / 1e3)
          << ", \"digest\": \"" << hex64(r.digest)
          << "\", \"answers_sum_ok\": "
-         << (r.answers_sum_ok ? "true" : "false") << "}"
+         << (r.answers_sum_ok ? "true" : "false")
+         << ", \"steal_pct\": " << util::strf("%.1f", r.steal_pct) << "}"
          << (i + 1 < sharded_rows.size() ? "," : "") << "\n";
   }
   json << "    ],\n    \"frame_latency\": [\n";
@@ -1015,7 +1051,8 @@ int main(int argc, char** argv) {
     json << "      {\"shards\": " << r.shards << ", \"frame\": " << kFrame
          << ", " << spread_json("p50_us", r.p50_us) << ", "
          << spread_json("p90_us", r.p90_us)
-         << ", \"ideal_us\": " << util::strf("%.1f", r.ideal_us) << "}"
+         << ", \"ideal_us\": " << util::strf("%.1f", r.ideal_us)
+         << ", \"steal_pct\": " << util::strf("%.1f", r.steal_pct) << "}"
          << (i + 1 < frame_rows.size() ? "," : "") << "\n";
   }
   json << "    ]\n  },\n"
@@ -1023,14 +1060,17 @@ int main(int argc, char** argv) {
        << util::strf("%.0f", tracing_sharded_qps)
        << ", \"slowlog_entries\": " << slowlog_entries
        << ", \"slowlog_span_entries\": " << slowlog_span_entries
-       << ", \"spans_recorded\": " << tracing_spans << "},\n"
+       << ", \"spans_recorded\": " << tracing_spans
+       << ", \"steal_pct\": " << util::strf("%.1f", tracing_steal_pct)
+       << "},\n"
        << "  \"open_loop\": [\n";
   for (std::size_t i = 0; i < open_loop_rows.size(); ++i) {
     const OpenLoopRow& r = open_loop_rows[i];
     json << "    {\"offered_qps\": " << util::strf("%.0f", r.offered_qps)
          << ", \"achieved_qps\": " << util::strf("%.0f", r.achieved_qps)
          << ", \"p50_us\": " << util::strf("%.2f", r.p50_us)
-         << ", \"p99_us\": " << util::strf("%.2f", r.p99_us) << "}"
+         << ", \"p99_us\": " << util::strf("%.2f", r.p99_us)
+         << ", \"steal_pct\": " << util::strf("%.1f", r.steal_pct) << "}"
          << (i + 1 < open_loop_rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
@@ -1038,7 +1078,9 @@ int main(int argc, char** argv) {
        << ", \"p50_us\": " << util::strf("%.2f", net_row.p50_us)
        << ", \"p99_us\": " << util::strf("%.2f", net_row.p99_us)
        << ", \"frames\": " << net_row.frames << ", \"digest_ok\": "
-       << (net_ok ? "true" : "false") << "},\n"
+       << (net_ok ? "true" : "false")
+       << ", \"steal_pct\": " << util::strf("%.1f", net_row.steal_pct)
+       << "},\n"
        << "  \"snapshot\": {\"num_vertices\": " << big_snapshot->num_vertices()
        << ", \"save_ms\": " << util::strf("%.1f", save_ms)
        << ", \"load_ms\": " << util::strf("%.1f", load_ms)
@@ -1055,6 +1097,7 @@ int main(int argc, char** argv) {
        << ", \"serial_ns_per_query\": "
        << util::strf("%.0f", serial_ns_per_query)
        << ", \"reload_digest_ok\": " << (reload_ok ? "true" : "false")
+       << ", \"steal_pct\": " << util::strf("%.1f", snap_row.steal_pct)
        << "},\n"
        << "  \"windowed\": " << windowed_json << ",\n"
        << "  \"slowlog\": " << slowlog_json << ",\n"
@@ -1082,7 +1125,8 @@ int main(int argc, char** argv) {
          << util::strf("%.2f", row.overhead_pct())
          << ", \"overhead_tracing_pct\": "
          << util::strf("%.2f", row.tracing_pct())
-         << ", \"spans_recorded\": " << row.spans << "}"
+         << ", \"spans_recorded\": " << row.spans
+         << ", \"steal_pct\": " << util::strf("%.1f", row.steal_pct) << "}"
          << (i + 1 < overhead.size() ? "," : "") << "\n";
   }
   json << "    ]\n  },\n"

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -78,6 +80,50 @@ inline Instance make_outerplanar(std::size_t n, std::uint64_t seed) {
   return {"outerplanar", std::move(gg.graph),
           std::make_unique<separator::PlanarCycleSeparator>(gg.positions)};
 }
+
+/// The share of CPU time the hypervisor stole from this machine's vCPUs
+/// over one run window, from the aggregate "cpu" line of /proc/stat (the
+/// only file it reads). Construct at the start of the window; pct() is the
+/// stolen share of all CPU time since then, in percent, or -1 where
+/// /proc/stat cannot be read or the window is shorter than one clock tick.
+/// Bench rows record it so a slow row can be told from a row that ran on
+/// stolen time.
+class StealWindow {
+ public:
+  StealWindow() : start_(read()) {}
+
+  double pct() const {
+    const Ticks end = read();
+    if (!start_.ok || !end.ok || end.total <= start_.total) return -1;
+    return 100.0 * static_cast<double>(end.steal - start_.steal) /
+           static_cast<double>(end.total - start_.total);
+  }
+
+ private:
+  struct Ticks {
+    std::uint64_t total = 0, steal = 0;
+    bool ok = false;
+  };
+
+  /// user nice system idle iowait irq softirq steal: the first eight
+  /// fields sum to all CPU time (guest time is already inside user).
+  static Ticks read() {
+    std::ifstream stat("/proc/stat");
+    std::string cpu;
+    Ticks ticks;
+    if (!(stat >> cpu) || cpu != "cpu") return ticks;
+    for (int field = 0; field < 8; ++field) {
+      std::uint64_t value = 0;
+      if (!(stat >> value)) return ticks;
+      ticks.total += value;
+      if (field == 7) ticks.steal = value;
+    }
+    ticks.ok = true;
+    return ticks;
+  }
+
+  Ticks start_;
+};
 
 /// Prints a section header in a stable, grep-friendly format.
 inline void section(const std::string& experiment, const std::string& title) {

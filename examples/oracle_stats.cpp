@@ -100,7 +100,7 @@ int run(int argc, char** argv) {
   const std::string family = args.get("graph", "grid");
   const auto side = static_cast<std::size_t>(args.get_int("side", 32));
   const auto n = static_cast<std::size_t>(args.get_int("n", 2048));
-  const double eps = args.get_double("eps", 0.25);
+  const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string format = args.get("format", "text");
   const std::string metrics = args.get("metrics", "report");
@@ -139,6 +139,21 @@ int run(int argc, char** argv) {
   } else {
     std::printf("%s: built in %.3fs\n%s", inst.description.c_str(),
                 build_seconds, obs::format_report(report).c_str());
+    // Counted once per decomposition node by the build (zero when
+    // observability is compiled out).
+    const std::uint64_t generated =
+        obs::default_registry()
+            .counter("oracle_connections_generated_total")
+            .value();
+    const std::uint64_t kept =
+        obs::default_registry().counter("oracle_connections_kept_total").value();
+    if (generated > 0)
+      std::printf("connections: kept %llu of %llu generated (%.1f%%), "
+                  "dropping the dominated ones\n",
+                  static_cast<unsigned long long>(kept),
+                  static_cast<unsigned long long>(generated),
+                  100.0 * static_cast<double>(kept) /
+                      static_cast<double>(generated));
   }
 
   if (metrics == "report") {

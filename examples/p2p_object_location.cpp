@@ -6,6 +6,7 @@
 //   ./p2p_object_location [--n=3000] [--objects=20] [--replicas=3]
 //                         [--eps=0.25] [--seed=7]
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <string>
 
@@ -17,12 +18,14 @@
 
 using namespace pathsep;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 3000));
   const auto num_objects = static_cast<std::size_t>(args.get_int("objects", 20));
   const auto replicas = static_cast<std::size_t>(args.get_int("replicas", 3));
-  const double eps = args.get_double("eps", 0.25);
+  const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
 
   util::Rng rng(seed);
@@ -80,4 +83,15 @@ int main(int argc, char** argv) {
       "eps-stretch in routing)\n",
       pick_quality.mean(), pick_quality.max(), (1 + eps) * (1 + eps));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

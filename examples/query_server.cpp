@@ -98,7 +98,7 @@ int run(int argc, char** argv) {
     return static_cast<std::size_t>(args.get_int(name, def, lo, hi));
   };
   const std::size_t side = count("side", 64, 1, 65535);
-  const double eps = args.get_double("eps", 0.25);
+  const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::size_t clients = count("clients", 4, 1, 1024);
   const std::size_t batch = count("batch", 512, 1, 1 << 20);

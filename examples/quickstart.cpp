@@ -4,6 +4,7 @@
 //   ./quickstart [--n=2000] [--eps=0.25] [--seed=1]
 #include <cmath>
 #include <cstdio>
+#include <exception>
 
 #include "graph/generators.hpp"
 #include "hierarchy/decomposition_tree.hpp"
@@ -15,10 +16,12 @@
 
 using namespace pathsep;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("n", 2000));
-  const double eps = args.get_double("eps", 0.25);
+  const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   // 1. A random weighted planar triangulation with a straight-line drawing.
@@ -60,4 +63,15 @@ int main(int argc, char** argv) {
                 exact > 0 ? est / exact : 1.0);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

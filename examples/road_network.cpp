@@ -6,6 +6,7 @@
 //
 //   ./road_network [--side=48] [--eps=0.2] [--pairs=200] [--seed=3]
 #include <cstdio>
+#include <exception>
 
 #include "graph/generators.hpp"
 #include "routing/simulator.hpp"
@@ -15,10 +16,12 @@
 
 using namespace pathsep;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const auto side = static_cast<std::size_t>(args.get_int("side", 48));
-  const double eps = args.get_double("eps", 0.2);
+  const double eps = args.get_positive("eps", 0.2);
   const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 200));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
 
@@ -60,4 +63,15 @@ int main(int argc, char** argv) {
     std::printf(" %u", route.route[i]);
   std::printf("%s\n", route.route.size() > 12 ? " ..." : "");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

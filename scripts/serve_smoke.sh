@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Localhost round-trip smoke for the network serving path: first require
-# query_server to refuse malformed PATHSEP_THREADS and --cache values and
-# `bench_service --loadgen` to refuse malformed ports, out-of-range counts
-# and an unreachable server, then start
+# query_server to refuse malformed PATHSEP_THREADS, --cache and --eps values
+# and `bench_service --loadgen` to refuse malformed ports, out-of-range
+# counts, a non-finite --eps and an unreachable server, then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
 # `bench_service --loadgen` over the length-prefixed binary protocol and
@@ -33,9 +33,11 @@ cleanup() {
 trap cleanup EXIT
 
 # Hostile thread budgets and flag values: each must be refused with an error
-# naming it and exit 1 — no crash, no fallback, no -1 wrapped to SIZE_MAX.
+# naming it and exit 1 — no crash, no fallback, no -1 wrapped to SIZE_MAX, no
+# oracle built for an epsilon that is not a finite number > 0.
 for hostile in PATHSEP_THREADS=100000 PATHSEP_THREADS=0 \
-  PATHSEP_THREADS=garbage --cache=-1 --cache=abc; do
+  PATHSEP_THREADS=garbage --cache=-1 --cache=abc --eps=nan --eps=inf \
+  --eps=0; do
   status=0
   case $hostile in
     --*) "$server" --side=16 --duration=0 "$hostile" ;;
@@ -54,7 +56,8 @@ done
 # an error naming the flag and exit 1 — no uncaught exception, no port
 # wrapped modulo 65536.
 for hostile in --connect=127.0.0.1:abc --connect=127.0.0.1:70000 \
-  --connect=127.0.0.1:1 --side=0 --queries=0 --batch=0 --batch=1000000; do
+  --connect=127.0.0.1:1 --side=0 --queries=0 --batch=0 --batch=1000000 \
+  --eps=nan; do
   status=0
   "$loadgen" --loadgen "$hostile" >"$log" 2>&1 || status=$?
   if [ "$status" -ne 1 ] || ! grep -q "^error: ${hostile%%=*} " "$log"; then
@@ -107,5 +110,5 @@ fi
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (hostile thread budgets, --cache and loadgen values" \
+echo "serve_smoke: OK (hostile thread budgets, --cache, --eps and loadgen values" \
   "refused, port $port, hostile frame rejected, $QUERIES queries digest-verified)"

@@ -50,6 +50,22 @@ void audit_labels(const oracle::LabelArena& arena) {
   }
 }
 
+void audit_built_labels(const oracle::LabelArena& arena) {
+  audit_labels(arena);
+  for (std::size_t p = 0; p < arena.num_parts(); ++p)
+    for (std::uint64_t c = arena.parts[p].begin + 1;
+         c < arena.parts[p + 1].begin; ++c) {
+      const oracle::HotEntry& prev = arena.hot[c - 1];
+      const oracle::HotEntry& cur = arena.hot[c];
+      PATHSEP_ASSERT(prev.dist - prev.prefix > cur.dist - cur.prefix &&
+                         prev.dist + prev.prefix < cur.dist + cur.prefix,
+                     "label part ", p, " (node ", arena.parts[p].node,
+                     ", path ", arena.parts[p].path, ") keeps dominated ",
+                     "connection ", c - 1 - arena.parts[p].begin, " or ",
+                     c - arena.parts[p].begin);
+    }
+}
+
 void audit_connections(const hierarchy::DecompositionNode& node,
                        const oracle::NodeConnections& conns) {
   PATHSEP_ASSERT(conns.paths.size() == node.paths.size(),

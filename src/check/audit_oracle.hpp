@@ -14,6 +14,12 @@ namespace pathsep::check {
 /// query(v,u), and no decoded distance between distinct vertices is <= 0.
 void audit_labels(const oracle::LabelArena& arena);
 
+/// audit_labels plus what the build guarantees and a loaded snapshot need
+/// not (oracle::drop_dominated): no connection is dominated under the tie
+/// rule, i.e. along every part dist − prefix strictly falls and
+/// dist + prefix strictly rises.
+void audit_built_labels(const oracle::LabelArena& arena);
+
 /// Portal monotonicity for one node's connection lists: per (path, vertex),
 /// portal indices strictly increase and prefixes match the path's prefix
 /// sums; distances are finite, >= 0, and zero exactly when the vertex is the

@@ -130,7 +130,9 @@ std::vector<std::pair<int, int>> lattice_net(int a0, int b0, std::size_t ea,
 
 DoublingOracle::DoublingOracle(const graph::Mesh3D& mesh, double epsilon)
     : epsilon_(epsilon) {
-  if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
+  // !(x > 0) also rejects NaN.
+  if (!(epsilon > 0) || !std::isfinite(epsilon))
+    throw std::invalid_argument("epsilon must be a finite number > 0");
   const std::size_t n = mesh.graph.num_vertices();
   parts_.assign(n, {});
   const Mesh3DDecomposition decomposition(mesh);

@@ -7,6 +7,7 @@
 
 #include "check/audit_oracle.hpp"
 #include "check/check.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -105,26 +106,44 @@ void validate_arena(const LabelArena& arena) {
 
 namespace {
 
-/// min over p in a, q in b of a.dist + |a.prefix - b.prefix| + b.dist,
-/// in O(|a| + |b|) using the prefix-sorted order.
+/// min over p in a, q in b of d(p) + |prefix(p) - prefix(q)| + d(q), in one
+/// ascending merge of the two prefix-sorted lists. ma and mb are the running
+/// minima of dist - prefix on each side; an entry x met in the merge closes
+/// every pair with an earlier entry of the other side at
+/// m_other + x.prefix + x.dist. Entries at a shared prefix all update their
+/// side's minimum before any of them is a candidate, so an equal-prefix pair
+/// is read both ways round, exactly as the swapped call reads it:
+/// sweep_pair(a, b) and sweep_pair(b, a) are bit-identical.
 Weight sweep_pair(std::span<const HotEntry> a, std::span<const HotEntry> b) {
-  Weight best = graph::kInfiniteWeight;
-  // Forward: q to the right of p. best_left = min over already-passed p of
-  // (dist_p - prefix_p); candidate = best_left + prefix_q + dist_q.
-  for (int dir = 0; dir < 2; ++dir) {
-    const auto& from = dir == 0 ? a : b;
-    const auto& to = dir == 0 ? b : a;
-    Weight best_left = graph::kInfiniteWeight;
-    std::size_t i = 0;
-    for (const HotEntry& q : to) {
-      while (i < from.size() && from[i].prefix <= q.prefix) {
-        best_left = std::min(best_left, from[i].dist - from[i].prefix);
-        ++i;
-      }
-      if (best_left != graph::kInfiniteWeight)
-        best = std::min(best, best_left + q.prefix + q.dist);
+  constexpr Weight kInf = graph::kInfiniteWeight;
+  Weight best = kInf, ma = kInf, mb = kInf;
+  const HotEntry* x = a.data();
+  const HotEntry* const x_end = x + a.size();
+  const HotEntry* y = b.data();
+  const HotEntry* const y_end = y + b.size();
+  while (x != x_end && y != y_end) {
+    if (x->prefix < y->prefix) {
+      ma = std::min(ma, x->dist - x->prefix);
+      best = std::min(best, mb + x->prefix + x->dist);
+      ++x;
+    } else if (y->prefix < x->prefix) {
+      mb = std::min(mb, y->dist - y->prefix);
+      best = std::min(best, ma + y->prefix + y->dist);
+      ++y;
+    } else {
+      const Weight prefix = x->prefix;
+      const HotEntry* x_run = x;
+      const HotEntry* y_run = y;
+      for (; x_run != x_end && x_run->prefix == prefix; ++x_run)
+        ma = std::min(ma, x_run->dist - prefix);
+      for (; y_run != y_end && y_run->prefix == prefix; ++y_run)
+        mb = std::min(mb, y_run->dist - prefix);
+      for (; x != x_run; ++x) best = std::min(best, mb + prefix + x->dist);
+      for (; y != y_run; ++y) best = std::min(best, ma + prefix + y->dist);
     }
   }
+  for (; x != x_end; ++x) best = std::min(best, mb + x->prefix + x->dist);
+  for (; y != y_end; ++y) best = std::min(best, ma + y->prefix + y->dist);
   return best;
 }
 
@@ -181,9 +200,66 @@ Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost) {
   });
 }
 
+std::size_t drop_dominated(std::span<Connection> list) {
+  // Left to right: an earlier entry p' dominates p when
+  // d(p') + prefix(p) - prefix(p') <= d(p), i.e. when its dist - prefix is
+  // no larger. The key only falls along the kept entries, so the last kept
+  // key is the running minimum. Of two equal entries the first stays.
+  Weight low = graph::kInfiniteWeight;
+  std::size_t kept = 0;
+  for (const Connection& conn : list) {
+    const Weight key = conn.dist - conn.prefix;
+    if (low <= key) continue;
+    low = key;
+    list[kept++] = conn;
+  }
+  // Right to left over the survivors: a later entry dominates when its
+  // dist + prefix is no larger. No two survivors are equal any more, so
+  // this pass cannot drop both of a pair that dominate each other.
+  low = graph::kInfiniteWeight;
+  std::size_t first = kept;
+  for (std::size_t i = kept; i-- > 0;) {
+    const Weight key = list[i].dist + list[i].prefix;
+    if (low <= key) continue;
+    low = key;
+    list[--first] = list[i];
+  }
+  for (std::size_t i = first; i < kept; ++i) list[i - first] = list[i];
+  return kept - first;
+}
+
+namespace {
+
+/// Drops the dominated connections of every (path, vertex) list of a node,
+/// compacting each path's flat array in place; returns how many remain.
+std::size_t drop_dominated(NodeConnections& nc) {
+  std::size_t total = 0;
+  for (NodeConnections::PathLists& lists : nc.paths) {
+    std::size_t out = 0;
+    std::size_t begin = 0;
+    for (std::size_t v = 0; v + 1 < lists.offsets.size(); ++v) {
+      const std::size_t end = lists.offsets[v + 1];
+      const std::span<Connection> list(lists.entries.data() + begin,
+                                       end - begin);
+      const std::size_t kept = drop_dominated(list);
+      for (std::size_t i = 0; i < kept; ++i) lists.entries[out + i] = list[i];
+      out += kept;
+      lists.offsets[v + 1] = out;
+      begin = end;
+    }
+    lists.entries.resize(out);
+    lists.entries.shrink_to_fit();
+    total += out;
+  }
+  return total;
+}
+
+}  // namespace
+
 LabelArena build_labels(const hierarchy::DecompositionTree& tree,
                         double epsilon, BuildLabelsStats* stats) {
   PATHSEP_SPAN("oracle.build_labels");
+  check_epsilon(epsilon);
   const std::size_t n = tree.root_graph().num_vertices();
 
   // Per-node connection computation is independent. Scheduling is
@@ -213,8 +289,21 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
       [&](std::size_t oi) {
         PATHSEP_OBS_ONLY(obs::SpanParentGuard trace_parent(build_span);)
         const std::size_t node_id = order[oi];
-        per_node[node_id] =
-            compute_connections(tree.node(static_cast<int>(node_id)), epsilon);
+        NodeConnections& nc = per_node[node_id];
+        nc = compute_connections(tree.node(static_cast<int>(node_id)), epsilon);
+        [[maybe_unused]] std::size_t generated = 0;
+        for (const NodeConnections::PathLists& lists : nc.paths)
+          generated += lists.entries.size();
+        [[maybe_unused]] const std::size_t kept = drop_dominated(nc);
+        PATHSEP_OBS_ONLY({
+          static obs::Counter& generated_total =
+              obs::default_registry().counter(
+                  "oracle_connections_generated_total");
+          static obs::Counter& kept_total = obs::default_registry().counter(
+              "oracle_connections_kept_total");
+          generated_total.inc(generated);
+          kept_total.inc(kept);
+        })
       },
       /*grain=*/1);
   if (stats) stats->connections_seconds = phase_timer.elapsed_seconds();
@@ -276,7 +365,7 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
             });
       });
   if (stats) stats->assemble_seconds = phase_timer.elapsed_seconds();
-  PATHSEP_AUDIT(check::audit_labels(arena));
+  PATHSEP_AUDIT(check::audit_built_labels(arena));
   return arena;
 }
 

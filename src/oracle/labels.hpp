@@ -9,8 +9,20 @@
 //   min over common paths, portals p of u, q of v of
 //       d_J(u,p) + |prefix(p) - prefix(q)| + d_J(q,v)
 // is sandwiched between d(u,v) and (1+ε)·d(u,v). The inner minimum is
-// evaluated in O(|C_u| + |C_v|) by a two-directional sweep over the
-// prefix-sorted connection lists.
+// evaluated in O(|C_u| + |C_v|) by one ascending merge of the two
+// prefix-sorted lists: it carries the running minimum of dist − prefix on
+// each side, and each entry x closes its pairs with the other side's earlier
+// entries at that minimum + x.prefix + x.dist. Entries at a shared prefix
+// update both minima before either side's candidates are read, so a query
+// answers bit-identically both ways round.
+//
+// Built labels are dominance-free: a connection (v, p) is dropped when
+// another portal p′ of the same part has d(v,p′) + |prefix(p) − prefix(p′)|
+// <= d(v,p), because by the triangle inequality along the path p′ is then
+// no worse than p for every partner portal (DESIGN.md §3). Of two equal
+// connections (two portals at one prefix, through a zero-weight path edge)
+// exactly one survives. The sweep does not rely on it: labels
+// with dominated connections (older snapshots) answer the same.
 //
 // Representation: every label of an oracle lives in one LabelArena — a
 // handful of contiguous arrays in CSR form (vertex → parts → connections),
@@ -177,6 +189,16 @@ struct QueryCost {
 /// Same estimate as the plain overload, filling `cost` as a side effect.
 Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost);
 
+/// Drops the dominated connections of one prefix-sorted connection list in
+/// place; the survivors keep their order at the front of `list`, and their
+/// count is returned. Two linear passes: left to right an entry goes when an
+/// earlier kept one has dist − prefix no larger (so of two equal entries
+/// the first survives); right to left over the survivors, an entry goes
+/// when a later kept one has dist + prefix no larger. Along the survivors
+/// dist − prefix strictly falls and dist + prefix strictly rises — the
+/// invariant check::audit_built_labels checks.
+std::size_t drop_dominated(std::span<Connection> list);
+
 /// Per-phase wall-clock breakdown of one build_labels call, for benchmarks
 /// and regression attribution (bench_build records it per run).
 struct BuildLabelsStats {
@@ -184,10 +206,13 @@ struct BuildLabelsStats {
   double assemble_seconds = 0;     ///< count, prefix-sum and fill the arena
 };
 
-/// Builds all labels of the graph underlying `tree`. Work fans out within
-/// the thread budget (util::threads()) at two levels — nodes largest-first,
-/// and the portal Dijkstras inside each node's stages — and arena assembly
-/// is parallel over vertices; the arena is byte-identical for every budget.
+/// Builds all labels of the graph underlying `tree`, dominance-free (every
+/// node's lists go through drop_dominated before assembly). Work fans out
+/// within the thread budget (util::threads()) at two levels — nodes
+/// largest-first, and the portal Dijkstras inside each node's stages — and
+/// arena assembly is parallel over vertices; the arena is byte-identical
+/// for every budget. Throws std::invalid_argument unless epsilon is finite
+/// and > 0 (check_epsilon).
 LabelArena build_labels(const hierarchy::DecompositionTree& tree,
                         double epsilon, BuildLabelsStats* stats = nullptr);
 

@@ -17,6 +17,7 @@ PathOracle::PathOracle(const hierarchy::DecompositionTree& tree,
 
 PathOracle::PathOracle(LabelArena arena, double epsilon)
     : epsilon_(epsilon), arena_(std::move(arena)) {
+  check_epsilon(epsilon);
   validate_arena(arena_);
   derive_levels_from_labels();
 }

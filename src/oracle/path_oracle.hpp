@@ -28,7 +28,8 @@ class PathOracle {
   /// Adopts a prebuilt arena (snapshot loading; see service/snapshot.hpp).
   /// The arena may come from outside the process: validate_arena runs
   /// first, so a malformed one throws std::runtime_error before any label
-  /// is read.
+  /// is read. It need not be dominance-free. A non-finite or non-positive
+  /// epsilon throws std::invalid_argument (check_epsilon).
   PathOracle(LabelArena arena, double epsilon);
 
   /// (1+ε)-approximate distance between root-graph vertices. Never

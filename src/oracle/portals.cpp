@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "check/audit_oracle.hpp"
 #include "check/check.hpp"
@@ -49,6 +50,13 @@ void push_unique(std::vector<std::uint32_t>& out, std::uint32_t idx) {
 
 }  // namespace
 
+void check_epsilon(double epsilon) {
+  // !(x > 0) also rejects NaN.
+  if (!(epsilon > 0) || !std::isfinite(epsilon))
+    throw std::invalid_argument("epsilon must be a finite number > 0, got " +
+                                std::to_string(epsilon));
+}
+
 void epsilon_ladder_into(std::span<const Weight> prefix, std::uint32_t anchor,
                          Weight d, double epsilon,
                          std::vector<std::uint32_t>& out) {
@@ -61,7 +69,7 @@ void epsilon_ladder_into(std::span<const Weight> prefix, std::uint32_t anchor,
     // sums, so the vertex itself is the only portal needed.
     return;
   }
-  if (epsilon <= 0) throw std::invalid_argument("epsilon must be positive");
+  check_epsilon(epsilon);
   const Weight right_len = prefix.back() - prefix[anchor];
   const Weight left_len = prefix[anchor] - prefix.front();
   const double step = epsilon / 2.0;

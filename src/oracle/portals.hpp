@@ -37,6 +37,10 @@ struct Connection {
   Weight prefix;             ///< portal's prefix position on the path
 };
 
+/// Throws std::invalid_argument unless epsilon is a finite number > 0: NaN
+/// or +inf would build labels whose (1+ε) bound means nothing.
+void check_epsilon(double epsilon);
+
 /// ε-ladder indices on a path: prefix sums `prefix`, anchor index, base
 /// distance d >= 0. Sorted ascending, deduplicated, always contains anchor.
 std::vector<std::uint32_t> epsilon_ladder(std::span<const Weight> prefix,

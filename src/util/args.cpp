@@ -1,6 +1,7 @@
 #include "util/args.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <system_error>
 
@@ -66,6 +67,15 @@ std::int64_t Args::get_int(const std::string& name, std::int64_t def,
 
 double Args::get_double(const std::string& name, double def) const {
   return has(name) ? parse<double>(name, values_.at(name), "a number") : def;
+}
+
+double Args::get_positive(const std::string& name, double def) const {
+  const double value = get_double(name, def);
+  // !(x > 0) also rejects NaN.
+  if (!(value > 0) || !std::isfinite(value))
+    throw std::invalid_argument("--" + name + " must be a finite number > 0, "
+                                "got " + get(name));
+  return value;
 }
 
 bool Args::get_bool(const std::string& name, bool def) const {

@@ -23,6 +23,9 @@ class Args {
                        std::int64_t min = INT64_MIN,
                        std::int64_t max = INT64_MAX) const;
   double get_double(const std::string& name, double def) const;
+  /// get_double that also throws unless the value is finite and > 0 (NaN
+  /// and inf parse as numbers).
+  double get_positive(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def = false) const;
 
   /// Non-flag positional arguments in order.

@@ -271,6 +271,38 @@ class AuditLabelsTest : public ::testing::Test {
 
 TEST_F(AuditLabelsTest, AcceptsBuiltLabels) {
   EXPECT_NO_THROW(check::audit_labels(labels_));
+  EXPECT_NO_THROW(check::audit_built_labels(labels_));
+}
+
+TEST_F(AuditLabelsTest, RejectsDominatedConnection) {
+  // Real weights keep several portals per part, so a connection can be
+  // made dominated by its left neighbour without touching anything else.
+  util::Rng rng(17);
+  const auto gg = graph::random_apollonian(200, rng);
+  const hierarchy::DecompositionTree tree(
+      gg.graph, separator::PlanarCycleSeparator(gg.positions));
+  const oracle::LabelArena built = oracle::build_labels(tree, 0.25);
+  ASSERT_NO_THROW(check::audit_built_labels(built));
+  std::size_t c = built.num_connections();
+  for (std::size_t p = 0; p < built.num_parts() && c == built.num_connections();
+       ++p)
+    if (built.parts[p + 1].begin - built.parts[p].begin >= 2)
+      c = built.parts[p].begin;
+  ASSERT_LT(c, built.num_connections()) << "no part with two connections";
+
+  // d(c+1) = d(c) + (prefix(c+1) - prefix(c)) + 1: a route through c's
+  // portal is shorter for every partner.
+  oracle::LabelArena dominated = built;
+  dominated.hot[c + 1].dist =
+      built.hot[c].dist + (built.hot[c + 1].prefix - built.hot[c].prefix) + 1;
+  EXPECT_NO_THROW(check::audit_labels(dominated));
+  EXPECT_THROW(check::audit_built_labels(dominated), CheckFailure);
+
+  // Two equal connections dominate each other; the build keeps only one.
+  oracle::LabelArena twins = built;
+  twins.hot[c + 1] = twins.hot[c];
+  EXPECT_NO_THROW(check::audit_labels(twins));
+  EXPECT_THROW(check::audit_built_labels(twins), CheckFailure);
 }
 
 TEST_F(AuditLabelsTest, RejectsNonMonotonePartOffsets) {

@@ -414,6 +414,26 @@ TEST(ObsInstrumentation, ConstructionRecordsPipelineCounters) {
       default_registry().histogram("oracle_connections_ns").count(), 0u);
 }
 
+TEST(ObsInstrumentation, BuildCountsGeneratedAndKeptConnections) {
+  Counter& generated =
+      default_registry().counter("oracle_connections_generated_total");
+  Counter& kept = default_registry().counter("oracle_connections_kept_total");
+  const std::uint64_t generated_before = generated.value();
+  const std::uint64_t kept_before = kept.value();
+
+  const graph::GridGraph gg = graph::grid(20, 20);
+  const hierarchy::DecompositionTree tree(
+      gg.graph, separator::GridLineSeparator(20, 20));
+  const oracle::LabelArena labels = oracle::build_labels(tree, 0.25);
+
+  const std::uint64_t generated_delta = generated.value() - generated_before;
+  const std::uint64_t kept_delta = kept.value() - kept_before;
+  EXPECT_EQ(kept_delta, labels.num_connections());
+  EXPECT_LE(kept_delta, generated_delta);
+  // Unit grids are where the ε-ladder rungs are dominated by the anchor.
+  EXPECT_LT(kept_delta, generated_delta);
+}
+
 TEST(ObsInstrumentation, SnapshotSaveAndLoadRecordLayerTimers) {
   // save_ms and load_ms split into these four stages in --statsz output.
   const char* const stages[] = {"snapshot_encode_ns", "snapshot_checksum_ns",

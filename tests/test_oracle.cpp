@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "oracle/exact_oracle.hpp"
@@ -10,6 +14,7 @@
 #include "oracle/thorup_zwick.hpp"
 #include "separator/finders.hpp"
 #include "sssp/apsp.hpp"
+#include "sssp/dijkstra.hpp"
 
 namespace pathsep::oracle {
 namespace {
@@ -211,6 +216,180 @@ TEST(PathOracle, ParallelBuildIsDeterministic) {
         EXPECT_EQ(la.connection(p, c).path_index,
                   lb.connection(p, c).path_index);
         EXPECT_EQ(la.connection(p, c).dist, lb.connection(p, c).dist);
+      }
+    }
+  }
+}
+
+// ---- dominance-free labels and the one-pass sweep -----------------------
+
+/// A one-part label (node 0, path 0) holding `hot` as its connections.
+DistanceLabel one_part_label(Vertex vertex, const std::vector<HotEntry>& hot) {
+  std::vector<Connection> conns;
+  for (const HotEntry& h : hot)
+    conns.push_back(Connection{0, graph::kInvalidVertex, h.dist, h.prefix});
+  DistanceLabel label;
+  label.vertex = vertex;
+  label.add_part(0, 0, conns);
+  return label;
+}
+
+/// Every pair of the two lists, each summed in the sweep's own order: the
+/// entry with the smaller prefix contributes dist - prefix, then the other
+/// entry's prefix and dist are added; an equal-prefix pair is read both ways
+/// round.
+Weight brute_force_sweep(const std::vector<HotEntry>& a,
+                         const std::vector<HotEntry>& b) {
+  Weight best = graph::kInfiniteWeight;
+  for (const HotEntry& x : a)
+    for (const HotEntry& y : b) {
+      if (x.prefix <= y.prefix)
+        best = std::min(best, (x.dist - x.prefix) + y.prefix + y.dist);
+      if (y.prefix <= x.prefix)
+        best = std::min(best, (y.dist - y.prefix) + x.prefix + x.dist);
+    }
+  return best;
+}
+
+TEST(LabelSweep, OnePassMatchesBruteForce) {
+  util::Rng rng(2024);
+  // Prefixes come from a few values, so runs of equal prefixes — within one
+  // list and across the two — are common; half the trials use real-valued
+  // distances so the two read orders of an equal-prefix pair can round
+  // differently.
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto random_list = [&] {
+      std::vector<HotEntry> list(1 + rng.next_below(9));
+      for (HotEntry& h : list) {
+        h.prefix = static_cast<Weight>(rng.next_below(6)) *
+                   (trial % 2 == 0 ? 1.0 : 0.1);
+        h.dist = trial % 2 == 0 ? static_cast<Weight>(rng.next_below(8))
+                                : rng.next_double() * 3.0;
+      }
+      std::sort(list.begin(), list.end(),
+                [](const HotEntry& x, const HotEntry& y) {
+                  return x.prefix < y.prefix;
+                });
+      return list;
+    };
+    const std::vector<HotEntry> a = random_list();
+    const std::vector<HotEntry> b = random_list();
+    const DistanceLabel la = one_part_label(0, a);
+    const DistanceLabel lb = one_part_label(1, b);
+    const Weight ab = query_labels(la.view(), lb.view());
+    const Weight ba = query_labels(lb.view(), la.view());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ab), std::bit_cast<std::uint64_t>(ba))
+        << "trial " << trial << ": " << ab << " vs " << ba;
+    ASSERT_EQ(ab, brute_force_sweep(a, b)) << "trial " << trial;
+  }
+}
+
+TEST(LabelSweep, DropDominatedKeepsExactlyOneOfEqualEntries) {
+  // (prefix, dist) = (1,3) (1,3) (2,5) (3,4) (4,3). The first two are equal
+  // (a zero-weight path edge puts two portals at one prefix) and dominate
+  // each other; (2,5) is dominated from the left by (1,3); (3,4) from the
+  // right by (4,3), with equality: 3 + |3 - 4| = 4.
+  const auto entry = [](std::uint32_t index, Weight prefix, Weight dist) {
+    return Connection{index, graph::kInvalidVertex, dist, prefix};
+  };
+  std::vector<Connection> list = {entry(0, 1, 3), entry(1, 1, 3),
+                                  entry(2, 2, 5), entry(3, 3, 4),
+                                  entry(4, 4, 3)};
+  const std::size_t kept = drop_dominated(list);
+  ASSERT_EQ(kept, 2u);
+  EXPECT_EQ(list[0].path_index, 0u);  // the first of the equal pair
+  EXPECT_EQ(list[1].path_index, 4u);
+  // A dominance-free list is a fixpoint.
+  EXPECT_EQ(drop_dominated(std::span<Connection>(list).first(kept)), kept);
+}
+
+/// The Theorem 2 estimate for (u, v) from the unpruned compute_connections
+/// lists of every node on both chains: min over common (node, path) parts
+/// and every pair of their portals, in the sweep's own terms.
+class UnprunedEstimate {
+ public:
+  UnprunedEstimate(const hierarchy::DecompositionTree& tree, double epsilon)
+      : tree_(tree) {
+    for (const hierarchy::DecompositionNode& node : tree.nodes())
+      per_node_.push_back(compute_connections(node, epsilon));
+  }
+
+  Weight operator()(Vertex u, Vertex v) const {
+    if (u == v) return 0;
+    Weight best = graph::kInfiniteWeight;
+    for (const auto& [node_u, local_u] : tree_.chain(u))
+      for (const auto& [node_v, local_v] : tree_.chain(v)) {
+        if (node_u != node_v) continue;
+        const NodeConnections& nc = per_node_[static_cast<std::size_t>(node_u)];
+        for (std::size_t pi = 0; pi < nc.paths.size(); ++pi) {
+          std::vector<HotEntry> a, b;
+          for (const Connection& c : nc.list(pi, local_u))
+            a.push_back({c.prefix, c.dist});
+          for (const Connection& c : nc.list(pi, local_v))
+            b.push_back({c.prefix, c.dist});
+          best = std::min(best, brute_force_sweep(a, b));
+        }
+      }
+    return best;
+  }
+
+  std::size_t connections() const {
+    std::size_t total = 0;
+    for (const NodeConnections& nc : per_node_)
+      for (const NodeConnections::PathLists& lists : nc.paths)
+        total += lists.entries.size();
+    return total;
+  }
+
+ private:
+  const hierarchy::DecompositionTree& tree_;
+  std::vector<NodeConnections> per_node_;
+};
+
+TEST(PathOracle, DominanceFreeLabelsKeepEveryAnswer) {
+  constexpr double kEps = 0.25;
+  {
+    // Unit grid: integer prefixes and distances, so every sum is exact and
+    // dropping a dominated portal cannot move an answer by a single bit.
+    const graph::GridGraph gg = graph::grid(40, 40);
+    const hierarchy::DecompositionTree tree(
+        gg.graph, separator::GridLineSeparator(40, 40));
+    const PathOracle oracle(tree, kEps);
+    const UnprunedEstimate unpruned(tree, kEps);
+    // The ε-ladder rungs of a unit grid are mostly dominated by the anchor.
+    EXPECT_LT(oracle.arena().num_connections() * 10, unpruned.connections() * 7);
+    util::Rng rng(5);
+    for (int i = 0; i < 3000; ++i) {
+      const auto u = static_cast<Vertex>(rng.next_below(1600));
+      const auto v = static_cast<Vertex>(rng.next_below(1600));
+      ASSERT_EQ(oracle.query(u, v), unpruned(u, v)) << u << "->" << v;
+    }
+  }
+  {
+    // Real weights: an answer may rise in its last bits when the argmin
+    // moves to the dominating portal, whose sum rounds differently. It
+    // never falls: the sweep adds the same terms in the same order, over
+    // fewer candidates. Against Dijkstra both bounds allow rounding: a
+    // label sum and a shortest-path search add the same edge weights in
+    // different orders.
+    util::Rng rng(31);
+    const auto gg = graph::random_apollonian(
+        600, rng, graph::WeightSpec::uniform_real(1, 10));
+    const hierarchy::DecompositionTree tree(
+        gg.graph, separator::PlanarCycleSeparator(gg.positions));
+    const PathOracle oracle(tree, kEps);
+    const UnprunedEstimate unpruned(tree, kEps);
+    EXPECT_LT(oracle.arena().num_connections(), unpruned.connections());
+    for (Vertex u = 0; u < 600; u += 9) {
+      const sssp::ShortestPaths truth = sssp::dijkstra(gg.graph, u);
+      for (Vertex v = 0; v < 600; v += 5) {
+        const Weight est = oracle.query(u, v);
+        const Weight full = unpruned(u, v);
+        const Weight d = truth.dist[v];
+        EXPECT_GE(est, d * (1 - 1e-12)) << u << "->" << v;
+        EXPECT_LE(est, (1 + kEps) * d * (1 + 1e-12)) << u << "->" << v;
+        EXPECT_GE(est, full) << u << "->" << v;
+        EXPECT_LE(est - full, 1e-12 * full) << u << "->" << v;
       }
     }
   }

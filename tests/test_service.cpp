@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "check/audit_oracle.hpp"
+#include "check/check.hpp"
 #include "graph/generators.hpp"
 #include "hierarchy/decomposition_tree.hpp"
 #include "obs/metrics.hpp"
@@ -349,6 +351,74 @@ TEST(Snapshot, NonMonotoneOffsetsRejected) {
   labels.part_offsets[1] = labels.part_offsets[2] + 1;
   EXPECT_THROW(oracle::PathOracle(std::move(labels), built.epsilon()),
                std::runtime_error);
+}
+
+/// The label arena builds wrote before labels were pruned: every unpruned
+/// compute_connections list along each vertex's chain.
+oracle::LabelArena unpruned_arena(const hierarchy::DecompositionTree& tree,
+                                  double epsilon) {
+  std::vector<oracle::NodeConnections> per_node;
+  for (const hierarchy::DecompositionNode& node : tree.nodes())
+    per_node.push_back(oracle::compute_connections(node, epsilon));
+  oracle::LabelArena arena;
+  for (Vertex v = 0; v < tree.root_graph().num_vertices(); ++v) {
+    for (const auto& [node, local] : tree.chain(v)) {
+      const oracle::NodeConnections& nc =
+          per_node[static_cast<std::size_t>(node)];
+      for (std::size_t pi = 0; pi < nc.paths.size(); ++pi)
+        if (const auto list = nc.list(pi, local); !list.empty())
+          arena.add_part(node, static_cast<std::int32_t>(pi), list);
+    }
+    arena.part_offsets.push_back(arena.num_parts());
+  }
+  return arena;
+}
+
+TEST(Snapshot, DominatedConnectionsStillLoadAndAnswerTheSame) {
+  // Files written before labels were pruned hold dominated connections. The
+  // loader must not require dominance-freedom, and the sweep must not
+  // assume it: such labels answer as the pruned ones do.
+  const auto load_unpruned = [](const hierarchy::DecompositionTree& tree,
+                                const oracle::PathOracle& built) {
+    oracle::LabelArena unpruned = unpruned_arena(tree, built.epsilon());
+    EXPECT_GT(unpruned.num_connections(), built.arena().num_connections());
+    EXPECT_EQ(unpruned.num_parts(), built.arena().num_parts());
+    EXPECT_NO_THROW(oracle::validate_arena(unpruned));
+    EXPECT_THROW(check::audit_built_labels(unpruned), check::CheckFailure);
+    return deserialize_oracle(serialize_oracle(
+        oracle::PathOracle(std::move(unpruned), built.epsilon())));
+  };
+  {
+    // Unit grid: every sum is exact, so the answers are bit-identical.
+    const graph::GridGraph gg = graph::grid(16, 16);
+    const hierarchy::DecompositionTree tree(
+        gg.graph, separator::GridLineSeparator(16, 16));
+    const oracle::PathOracle built(tree, 0.25);
+    const oracle::PathOracle loaded = load_unpruned(tree, built);
+    for (Vertex u = 0; u < built.num_vertices(); ++u)
+      for (Vertex v = 0; v < built.num_vertices(); ++v)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(loaded.query(u, v)),
+                  std::bit_cast<std::uint64_t>(built.query(u, v)))
+            << u << "->" << v;
+  }
+  {
+    // Real weights: the unpruned labels read every pruned candidate and
+    // more, so they never answer above the pruned ones, and only rounding
+    // separates the two minima.
+    const oracle::PathOracle built = small_oracle(200, 0.25);
+    util::Rng rng(7);
+    const auto gg = graph::random_apollonian(200, rng);
+    const hierarchy::DecompositionTree tree(
+        gg.graph, separator::PlanarCycleSeparator(gg.positions));
+    const oracle::PathOracle loaded = load_unpruned(tree, built);
+    for (Vertex u = 0; u < built.num_vertices(); ++u)
+      for (Vertex v = 0; v < built.num_vertices(); ++v) {
+        const Weight old_answer = loaded.query(u, v);
+        const Weight answer = built.query(u, v);
+        ASSERT_LE(old_answer, answer) << u << "->" << v;
+        ASSERT_LE(answer - old_answer, 1e-12 * old_answer) << u << "->" << v;
+      }
+  }
 }
 
 /// A hand-built, well-checksummed one-vertex snapshot: a single part on
