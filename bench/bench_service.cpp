@@ -182,7 +182,7 @@ std::pair<std::uint64_t, std::uint64_t> answers_and_queries(
 }
 
 /// E14b: `threads` threads, started together, each answer one contiguous
-/// share of `w` in drain-sized chunks (ShardedEngineOptions::drain_batch);
+/// share of `w` in drain-sized chunks (ShardedEngine::kDrainBatch);
 /// returns the total qps. With `path` null a chunk is a plain
 /// PathOracle::query loop, the baseline. Otherwise it is
 /// AnswerPath::answer_chunk without a cache: the code a shard worker runs
@@ -191,7 +191,7 @@ std::pair<std::uint64_t, std::uint64_t> answers_and_queries(
 /// an engine's workers do.
 double run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
                        std::size_t threads, service::AnswerPath* path) {
-  const std::size_t chunk = service::ShardedEngineOptions{}.drain_batch;
+  constexpr std::size_t chunk = service::ShardedEngine::kDrainBatch;
   const std::size_t total = w.queries.size();
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
@@ -741,9 +741,8 @@ int main(int argc, char** argv) {
     std::vector<double> raw_runs, path_runs, tracing_runs;
     const auto answer_path_qps = [&] {
       obs::MetricsRegistry registry;
-      service::AnswerPath path(
-          registry, snapshot->num_levels(),
-          service::ShardedEngineOptions{}.slowlog_capacity);
+      service::AnswerPath path(registry, snapshot->num_levels(),
+                               service::ShardedEngine::kSlowlogCapacity);
       return run_answer_path(*snapshot, uniform, loop_threads, &path);
     };
     const StealWindow steal;
@@ -847,8 +846,7 @@ int main(int argc, char** argv) {
   double tracing_steal_pct = -1;
   {
     const StealWindow steal;
-    service::ShardedEngine engine(big_snapshot,
-                                  {.shards = threads, .slowlog_capacity = 32});
+    service::ShardedEngine engine(big_snapshot, {.shards = threads});
     tracing_sharded_qps = run_engine(engine, big_w, batch);
     tracing_steal_pct = steal.pct();
     for (const obs::SlowQuery& slow : engine.slowlog().snapshot()) {

@@ -1,40 +1,39 @@
-// Query server: build or load a distance-oracle snapshot, then serve
-// (u, v) distance queries through the shard-per-core ShardedEngine under a
-// closed-loop multi-threaded load generator.
+// Query server: build a distance oracle over a planar grid or load its
+// snapshot, optionally save and verify it, then serve (u, v) distance
+// queries over a TCP port through the shard-per-core ShardedEngine. Load
+// comes from outside: `bench_service --loadgen --connect=...` or
+// perfbench's loadgen.
 //
-//   # build from a planar grid, save the snapshot, serve for 3 seconds
-//   ./query_server --side=64 --eps=0.25 --save=grid.snapshot --duration=3
+//   # build from a planar grid and save the snapshot
+//   ./query_server --side=64 --eps=0.25 --save=grid.snapshot
 //
-//   # cold-start from the snapshot (no rebuild) and serve again
-//   ./query_server --load=grid.snapshot --duration=3
-//
-//   # prove the loaded oracle is bit-identical to a fresh build
+//   # prove a cold-started snapshot is bit-identical to a fresh build
 //   ./query_server --load=grid.snapshot --side=64 --eps=0.25 --verify
 //
-//   # serve the binary wire protocol on a TCP port (sharded engine + epoll
-//   # front-end); drive it with `bench_service --loadgen --connect=...`
-//   ./query_server --side=64 --serve=9917 --serve-duration=30
+//   # serve the snapshot on a TCP port for 30 seconds
+//   ./query_server --load=grid.snapshot --serve=9917 --serve-duration=30
 //
-// Flags: --side (grid side length), --eps, --shards (engine worker count,
-// at most 64; 0 = the thread budget: PATHSEP_THREADS, else all cores),
-// --clients (load-generator threads), --batch (queries per client batch),
-// --duration (seconds), --pairs (distinct query pairs), --zipf (skew
-// exponent; 0 = uniform), --cache (result-cache entries, split across the
-// shards; 0 disables),
-// --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT — 0 picks
-// an ephemeral port — and serve the length-prefixed binary protocol instead
-// of running the in-process load loop),
-// --serve-duration (seconds to stay up; default 30), --statsz=json|prom
-// (render the /statsz payload — engine metrics merged with the process-wide
-// obs registry, plus the windowed latency view and slow-log in json format —
-// after serving), --trace (record trace spans while serving: batch spans
-// plus tail-sampled slow-query exemplars), --trace-out=<path> (write the
-// recorded spans as Perfetto-loadable Chrome trace_event JSON; implies
-// --trace).
+// Flags: --side (grid side length), --eps, --seed (--verify's sampled
+// pairs), --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT
+// — 0 or a bare --serve picks an ephemeral port — and serve the
+// length-prefixed binary protocol). Serving flags, which need --serve:
+// --serve-duration (seconds to stay up, a finite number >= 0; default 30),
+// --shards (engine worker count, at most 64; 0 = the thread budget:
+// PATHSEP_THREADS, else all cores), --cache (result-cache entries, split
+// across the shards; 0 disables), --statsz=json|prom (render the /statsz
+// payload — engine metrics merged with the process-wide obs registry, plus
+// the windowed latency view and slow-log in json format — after serving),
+// --trace (record trace spans while serving: batch spans plus tail-sampled
+// slow-query exemplars), --trace-out=<path> (write the recorded spans as
+// Perfetto-loadable Chrome trace_event JSON at exit; implies --trace).
+// Any other flag is an error.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,11 +66,9 @@ oracle::PathOracle build_grid_oracle(std::size_t side, double eps) {
 /// registry (construction pipeline counters), one exporter format per call.
 /// The json flavor also carries the query-path tail sections — the windowed
 /// latency view and the exemplar slow-log (prom stays pure metric samples).
-std::string render_statsz(const obs::MetricsRegistry& metrics,
-                          const obs::WindowedHistogram& window,
-                          const obs::SlowLog& slowlog,
+std::string render_statsz(const service::ShardedEngine& engine,
                           const std::string& format) {
-  obs::MetricsSnapshot merged = metrics.snapshot();
+  obs::MetricsSnapshot merged = engine.metrics().snapshot();
   const obs::MetricsSnapshot process = obs::default_registry().snapshot();
   merged.insert(merged.end(), process.begin(), process.end());
   if (format == "prom") return obs::metrics_to_prometheus(merged);
@@ -80,15 +77,11 @@ std::string render_statsz(const obs::MetricsRegistry& metrics,
   // brace.
   json.erase(json.find_last_of('}'));
   json += ",\n  \"windowed\": " +
-          obs::window_to_json(window.view(obs::window_now_ns())) +
+          obs::window_to_json(engine.window().view(obs::window_now_ns())) +
           ",\n  \"slowlog\": " +
-          obs::slowlog_to_json(slowlog.snapshot()) + "\n}\n";
+          obs::slowlog_to_json(engine.slowlog().snapshot()) + "\n}\n";
   return json;
 }
-
-}  // namespace
-
-namespace {
 
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
@@ -100,11 +93,6 @@ int run(int argc, char** argv) {
   const std::size_t side = count("side", 64, 1, 65535);
   const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::size_t clients = count("clients", 4, 1, 1024);
-  const std::size_t batch = count("batch", 512, 1, 1 << 20);
-  const double duration = args.get_double("duration", 3.0);
-  const std::size_t pairs = count("pairs", 100000, 1, 1 << 24);
-  const double zipf_s = args.get_double("zipf", 1.1);
   const std::size_t cache =
       count("cache", 1 << 16, 0, service::ResultCache::kMaxCapacity);
   const std::string save_path = args.get("save");
@@ -119,10 +107,27 @@ int run(int argc, char** argv) {
   const auto serve_port = static_cast<std::uint16_t>(
       args.get("serve") == "true" ? 0 : args.get_int("serve", 0, 0, 65535));
   const double serve_duration = args.get_double("serve-duration", 30.0);
-  if (!statsz.empty() && statsz != "json" && statsz != "prom") {
-    std::fprintf(stderr, "error: --statsz must be json or prom\n");
-    return 1;
-  }
+  // !(x >= 0) also rejects NaN. Zero is valid: build, save, listen, exit.
+  if (!(serve_duration >= 0) || !std::isfinite(serve_duration))
+    throw std::invalid_argument(
+        "--serve-duration must be a finite number >= 0, got " +
+        args.get("serve-duration"));
+  if (!statsz.empty() && statsz != "json" && statsz != "prom")
+    throw std::invalid_argument("--statsz must be json or prom, got " +
+                                statsz);
+  // Every flag has been read, so what is left is a typo or a flag this
+  // binary does not have: refuse it before any build work.
+  const std::vector<std::string> unknown = args.unused();
+  if (!unknown.empty())
+    throw std::invalid_argument("--" + unknown.front() +
+                                " is not a query_server flag");
+  // The serving flags act only on the serving window.
+  if (!serve)
+    for (const char* flag :
+         {"shards", "cache", "serve-duration", "statsz", "trace", "trace-out"})
+      if (args.has(flag))
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --serve");
   util::threads();  // rejects a malformed PATHSEP_THREADS before any work
 
   // 1. Obtain the oracle: cold-start from disk, or build from the grid.
@@ -178,151 +183,55 @@ int run(int argc, char** argv) {
     std::printf("verify: all labels and 1000 sampled queries bit-identical\n");
   }
 
+  if (!serve) return 0;
+
+  // 3. --serve: expose the engine over the binary wire protocol on a TCP
+  // port and stay up for --serve-duration seconds. The listening line is
+  // printed (and flushed) first so a wrapper script can parse the port
+  // before pointing a load generator at it.
   service::ShardedEngineOptions engine_options;
   engine_options.shards = shards;
   engine_options.cache_capacity = cache;
   service::ShardedEngine engine(snapshot, engine_options);
-
-  // 3a. --serve: expose the engine over the binary wire protocol on a TCP
-  // port and stay up for --serve-duration seconds. The listening line is
-  // printed (and flushed) first so a wrapper script can parse the port
-  // before pointing a load generator at it.
-  if (serve) {
-    service::NetServerOptions net_options;
-    net_options.port = serve_port;
-    service::NetServer server(engine, net_options);
-    server.start();
-    std::printf("listening on %s:%u (%zu shards, %.1fs)\n",
-                server.host().c_str(), server.port(), engine.num_shards(),
-                serve_duration);
-    std::fflush(stdout);
-    const util::Timer wall;
-    while (wall.elapsed_seconds() < serve_duration)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    server.stop();
-    const service::NetServer::Stats stats = server.stats();
-    std::printf(
-        "served %llu queries in %llu frames over %llu connections "
-        "(%llu protocol errors, %.1f MiB in, %.1f MiB out)\n",
-        static_cast<unsigned long long>(stats.queries_answered),
-        static_cast<unsigned long long>(stats.frames_in),
-        static_cast<unsigned long long>(stats.connections_accepted),
-        static_cast<unsigned long long>(stats.protocol_errors),
-        static_cast<double>(stats.bytes_in) / (1024.0 * 1024.0),
-        static_cast<double>(stats.bytes_out) / (1024.0 * 1024.0));
-    const auto& latency = engine.metrics().histogram("query_latency_ns");
-    std::printf("  latency p50 %.1f us, p99 %.1f us\n",
-                latency.percentile_nanos(0.50) / 1000.0,
-                latency.percentile_nanos(0.99) / 1000.0);
-    if (!statsz.empty())
-      std::printf("\nstatsz (%s):\n%s", statsz.c_str(),
-                  render_statsz(engine.metrics(), engine.window(),
-                                engine.slowlog(), statsz)
-                      .c_str());
-    return 0;
-  }
-
-  if (duration <= 0) return 0;
-
-  // 3b. Closed-loop load generation: each client thread draws pairs from a
-  // Zipf-ranked pool (the skew a real object-location service sees) and
-  // submits fixed-size batches until the deadline.
-
-  const auto n = static_cast<std::uint64_t>(snapshot->num_vertices());
-  util::Rng pool_rng(seed);
-  std::vector<service::Query> pair_pool;
-  pair_pool.reserve(pairs);
-  for (std::size_t i = 0; i < pairs; ++i)
-    pair_pool.push_back({static_cast<graph::Vertex>(pool_rng.next_below(n)),
-                         static_cast<graph::Vertex>(pool_rng.next_below(n))});
-  const util::ZipfSampler zipf(pair_pool.size(), zipf_s);
-
-  std::printf(
-      "serving: %zu shards, %zu clients, batch %zu, %zu pairs "
-      "(zipf s=%.2f), cache %zu entries, %.1fs...%s\n",
-      engine.num_shards(), clients, batch, pairs, zipf_s, cache, duration,
-      trace ? " (tracing)" : "");
+  service::NetServerOptions net_options;
+  net_options.port = serve_port;
+  service::NetServer server(engine, net_options);
   if (trace) obs::set_trace_enabled(true);
-
-  std::vector<std::thread> load;
-  std::vector<std::uint64_t> answered(clients, 0);
-  util::Timer wall;
-  for (std::size_t c = 0; c < clients; ++c)
-    load.emplace_back([&, c] {
-      util::Rng rng(seed + 1000 * (c + 1));
-      std::vector<service::Query> queries(batch);
-      while (wall.elapsed_seconds() < duration) {
-        for (service::Query& q : queries) q = pair_pool[zipf.sample(rng)];
-        answered[c] += engine.query_batch(queries).size();
-      }
-    });
-  for (std::thread& t : load) t.join();
-  const double elapsed = wall.elapsed_seconds();
-
-  std::uint64_t total = 0;
-  for (const std::uint64_t a : answered) total += a;
-  // Non-const: MetricsRegistry::histogram/counter are get-or-create.
-  obs::MetricsRegistry& engine_metrics = engine.metrics();
-  const auto& latency = engine_metrics.histogram("query_latency_ns");
-  const std::uint64_t hits = engine_metrics.counter("cache_hits").value();
-  const std::uint64_t misses = engine_metrics.counter("cache_misses").value();
-  std::printf("\nserved %llu queries in %.2fs\n",
-              static_cast<unsigned long long>(total), elapsed);
-  std::printf("  QPS            %.0f\n",
-              static_cast<double>(total) / elapsed);
-  std::printf("  latency p50    %.1f us\n",
-              latency.percentile_nanos(0.50) / 1000.0);
-  std::printf("  latency p95    %.1f us\n",
-              latency.percentile_nanos(0.95) / 1000.0);
-  std::printf("  latency p99    %.1f us\n",
+  server.start();
+  std::printf("listening on %s:%u (%zu shards, %.1fs)\n",
+              server.host().c_str(), server.port(), engine.num_shards(),
+              serve_duration);
+  std::fflush(stdout);
+  const util::Timer wall;
+  while (wall.elapsed_seconds() < serve_duration)
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.stop();
+  const service::NetServer::Stats stats = server.stats();
+  std::printf(
+      "served %llu queries in %llu frames over %llu connections "
+      "(%llu protocol errors, %.1f MiB in, %.1f MiB out)\n",
+      static_cast<unsigned long long>(stats.queries_answered),
+      static_cast<unsigned long long>(stats.frames_in),
+      static_cast<unsigned long long>(stats.connections_accepted),
+      static_cast<unsigned long long>(stats.protocol_errors),
+      static_cast<double>(stats.bytes_in) / (1024.0 * 1024.0),
+      static_cast<double>(stats.bytes_out) / (1024.0 * 1024.0));
+  const auto& latency = engine.metrics().histogram("query_latency_ns");
+  std::printf("  latency p50 %.1f us, p99 %.1f us\n",
+              latency.percentile_nanos(0.50) / 1000.0,
               latency.percentile_nanos(0.99) / 1000.0);
-  std::printf("  cache hit rate %.1f%% (%llu hits / %llu misses)\n",
-              hits + misses == 0
-                  ? 0.0
-                  : 100.0 * static_cast<double>(hits) /
-                        static_cast<double>(hits + misses),
-              static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(misses));
-
-  // Tail attribution: the rolling windowed view next to the cumulative
-  // percentiles above, and the slowest exemplars with their cost stats.
-  const obs::WindowedHistogram::View wview =
-      engine.window().view(obs::window_now_ns());
-  std::printf("  windowed       qps %.0f, p50 %.1f us, p99 %.1f us "
-              "(last %zu x %.0fs window%s)\n",
-              wview.qps, wview.p50_nanos / 1000.0, wview.p99_nanos / 1000.0,
-              wview.windows, static_cast<double>(wview.interval_ns) / 1e9,
-              wview.windows == 1 ? "" : "s");
-  const std::vector<obs::SlowQuery> slow = engine.slowlog().snapshot();
-  const auto outcome_name = [](obs::SlowQuery::Outcome outcome) {
-    switch (outcome) {
-      case obs::SlowQuery::Outcome::kCached: return "cached";
-      case obs::SlowQuery::Outcome::kSelf: return "self";
-      case obs::SlowQuery::Outcome::kUnreachable: return "unreachable";
-      default: return "oracle";
-    }
-  };
-  std::printf("\nslow-log (top %zu of %llu admitted):\n",
-              std::min<std::size_t>(slow.size(), 5),
-              static_cast<unsigned long long>(engine.slowlog().admitted()));
-  for (std::size_t i = 0; i < slow.size() && i < 5; ++i)
-    std::printf("  (%u, %u) %.1f us, %u entries scanned, level %d, %s%s\n",
-                slow[i].u, slow[i].v,
-                static_cast<double>(slow[i].latency_ns) / 1000.0,
-                slow[i].entries_scanned, slow[i].win_level,
-                outcome_name(slow[i].outcome),
-                slow[i].span_id != 0 ? " [exemplar span]" : "");
-
-  std::printf("\nmetrics:\n%s", engine_metrics.report().c_str());
 
   if (trace) {
     const std::vector<obs::SpanRecord> spans = obs::drain_spans();
     obs::set_trace_enabled(false);
-    std::printf("\ntrace: %zu spans recorded, %llu dropped\n", spans.size(),
+    std::printf("trace: %zu spans recorded, %llu dropped\n", spans.size(),
                 static_cast<unsigned long long>(obs::dropped_spans()));
     if (!trace_out.empty()) {
       std::ofstream trace_file(trace_out);
       trace_file << obs::trace_to_perfetto(spans);
+      if (!trace_file.flush())
+        throw std::runtime_error("cannot write --trace-out file " +
+                                 trace_out);
       std::printf("wrote trace_event JSON to %s (load in ui.perfetto.dev "
                   "or chrome://tracing)\n",
                   trace_out.c_str());
@@ -331,13 +240,7 @@ int run(int argc, char** argv) {
 
   if (!statsz.empty())
     std::printf("\nstatsz (%s):\n%s", statsz.c_str(),
-                render_statsz(engine_metrics, engine.window(),
-                              engine.slowlog(), statsz)
-                    .c_str());
-
-  const auto unused = args.unused();
-  for (const std::string& flag : unused)
-    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
+                render_statsz(engine, statsz).c_str());
   return 0;
 }
 

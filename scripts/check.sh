@@ -21,13 +21,14 @@
 #            budget changes the label digest or the bytes of a query_server
 #            snapshot file (catches scheduling regressions that break the
 #            byte-identical-labels guarantee)
-#   smoke    query_server must refuse malformed PATHSEP_THREADS and --cache
-#            values with an error and exit 1; then a localhost serving
-#            round-trip: query_server --serve on an ephemeral port must
-#            survive a frame with an out-of-range vertex id, then answer
-#            bench_service --loadgen --verify, so the epoll front-end + wire
-#            codec + sharded engine answer real socket traffic with
-#            digest-checked results (scripts/serve_smoke.sh)
+#   smoke    query_server must refuse malformed PATHSEP_THREADS, --cache,
+#            --eps and --serve-duration values and an unknown flag with an
+#            error and exit 1, and write --trace-out while serving; then a
+#            localhost serving round-trip: query_server --serve on an
+#            ephemeral port must survive a frame with an out-of-range vertex
+#            id, then answer bench_service --loadgen --verify, so the epoll
+#            front-end + wire codec + sharded engine answer real socket
+#            traffic with digest-checked results (scripts/serve_smoke.sh)
 #   tsa      Clang Thread Safety Analysis: clang++ build with -Wthread-safety
 #            -Werror=thread-safety-analysis over the PATHSEP_GUARDED_BY /
 #            PATHSEP_REQUIRES annotations (util/thread_annotations.hpp) —

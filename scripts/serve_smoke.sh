@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Localhost round-trip smoke for the network serving path: first require
-# query_server to refuse malformed PATHSEP_THREADS, --cache and --eps values
-# and `bench_service --loadgen` to refuse malformed ports, out-of-range
-# counts, a non-finite --eps and an unreachable server, then start
+# query_server to refuse malformed PATHSEP_THREADS, --cache, --eps and
+# --serve-duration values and an unknown flag, and `bench_service --loadgen`
+# to refuse malformed ports, out-of-range counts, a non-finite --eps and an
+# unreachable server; require a short `--serve --trace-out=F` run to write
+# its trace to F; then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
 # `bench_service --loadgen` over the length-prefixed binary protocol and
@@ -25,23 +27,27 @@ if [ ! -x "$server" ] || [ ! -x "$loadgen" ]; then
 fi
 
 log=$(mktemp)
+trace=$(mktemp)
 server_pid=""
 cleanup() {
   [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-  rm -f "$log"
+  rm -f "$log" "$trace"
 }
 trap cleanup EXIT
 
-# Hostile thread budgets and flag values: each must be refused with an error
-# naming it and exit 1 — no crash, no fallback, no -1 wrapped to SIZE_MAX, no
-# oracle built for an epsilon that is not a finite number > 0.
+# Hostile thread budgets, flag values and flag names: each must be refused
+# with an error naming it and exit 1 — no crash, no fallback, no -1 wrapped
+# to SIZE_MAX, no oracle built for an epsilon that is not a finite number
+# > 0, no serving window that is not a finite number of seconds >= 0, no
+# misspelt flag (--cahce) ignored while the default applies.
 for hostile in PATHSEP_THREADS=100000 PATHSEP_THREADS=0 \
   PATHSEP_THREADS=garbage --cache=-1 --cache=abc --eps=nan --eps=inf \
-  --eps=0; do
+  --eps=0 --cahce=0 --serve-duration=nan --serve-duration=-5 \
+  --serve-duration=inf; do
   status=0
   case $hostile in
-    --*) "$server" --side=16 --duration=0 "$hostile" ;;
-    *) env "$hostile" "$server" --side=16 --duration=0 ;;
+    --*) "$server" --side=16 "$hostile" ;;
+    *) env "$hostile" "$server" --side=16 ;;
   esac >"$log" 2>&1 || status=$?
   if [ "$status" -ne 1 ] || ! grep -q "^error: ${hostile%%=*} " "$log"; then
     echo "serve_smoke: $hostile exited $status," \
@@ -67,6 +73,18 @@ for hostile in --connect=127.0.0.1:abc --connect=127.0.0.1:70000 \
     exit 1
   fi
 done
+
+# Tracing covers the serving window: a short --serve run with --trace-out
+# must leave a Perfetto trace_event file behind.
+status=0
+"$server" --side=16 --serve=0 --serve-duration=0.5 --trace-out="$trace" \
+  >"$log" 2>&1 || status=$?
+if [ "$status" -ne 0 ] || ! grep -q traceEvents "$trace"; then
+  echo "serve_smoke: --serve --trace-out exited $status and wrote no" \
+    "trace_event JSON" >&2
+  cat "$log" >&2
+  exit 1
+fi
 
 # --serve-duration is a watchdog, not the test length: the loadgen finishes
 # in well under a second and the trap kills the server immediately after.
@@ -110,5 +128,6 @@ fi
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (hostile thread budgets, --cache, --eps and loadgen values" \
-  "refused, port $port, hostile frame rejected, $QUERIES queries digest-verified)"
+echo "serve_smoke: OK (hostile thread budgets, flag values, an unknown flag" \
+  "and loadgen values refused, --trace-out written, port $port, hostile" \
+  "frame rejected, $QUERIES queries digest-verified)"

@@ -21,11 +21,11 @@
 // query, all on cells every shard worker shares. It also publishes early
 // when a query's end reading falls in a new window of the windowed
 // histogram, so every sample is charged to the window it ended in. A
-// shard worker's chunk is one drain (≤ drain_batch queries), so exported
-// serving metrics lag the answers by at most one drain and are exact once
-// traffic stops: a chunk publishes before its answers are handed back.
+// shard worker's chunk is one drain (≤ ShardedEngine::kDrainBatch
+// queries), so exported serving metrics lag the answers by at most one
+// drain and are exact once traffic stops: a chunk publishes before its
+// answers are handed back.
 // Slow-log admission stays per query (one relaxed load of the floor).
-#pragma once
 #pragma once
 
 #include <cstddef>

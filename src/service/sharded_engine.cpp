@@ -71,14 +71,12 @@ ShardedEngine::ShardedEngine(
     std::shared_ptr<const oracle::PathOracle> snapshot,
     ShardedEngineOptions options)
     : options_(resolve_shards(options)),
-      inline_cutoff_(options.inline_cutoff != 0 ? options.inline_cutoff
-                                                : options.drain_batch / 2),
       batches_total_(&metrics_.counter("batches_total")),
       intake_full_total_(&metrics_.counter("shard_intake_full_total")),
       snapshot_swaps_total_(&metrics_.counter("snapshot_swaps_total")),
       snapshot_vertices_(&metrics_.gauge("snapshot_vertices")),
       path_(metrics_, snapshot ? snapshot->num_levels() : std::size_t{1},
-            options.slowlog_capacity),
+            kSlowlogCapacity),
       epochs_(options_.shards, /*shared=*/16) {
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
   snapshot_vertices_->set(
@@ -163,11 +161,10 @@ void ShardedEngine::wake_shard(Shard& shard) {
 
 void ShardedEngine::worker_loop(std::size_t shard_id) {
   Shard& shard = *shards_[shard_id];
-  const std::size_t drain = std::max<std::size_t>(1, options_.drain_batch);
   // Per-worker scratch, sized once before the first drain.
-  std::vector<Request> requests(drain);
-  std::vector<Query> queries(drain);
-  std::vector<graph::Weight> answers(drain);
+  std::vector<Request> requests(kDrainBatch);
+  std::vector<Query> queries(kDrainBatch);
+  std::vector<graph::Weight> answers(kDrainBatch);
   std::uint64_t seen_swaps = 0;
 
   for (;;) {
@@ -175,7 +172,7 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
     // publishes after this load also bumps the counter after it, so the
     // wait below falls through instead of sleeping over new work.
     const std::uint64_t sig = shard.signal.load(std::memory_order_acquire);
-    const std::size_t n = shard.ring.pop_batch(requests.data(), drain);
+    const std::size_t n = shard.ring.pop_batch(requests.data(), kDrainBatch);
     if (n == 0) {
       if (stop_.load(std::memory_order_acquire)) return;
       // Brief spin catches back-to-back batches without a futex round-trip.
@@ -261,8 +258,8 @@ void ShardedEngine::query_batch_into(std::span<const Query> queries,
   PATHSEP_SPAN("service.sharded_batch");
   batches_total_->inc();
 
-  if (queries.size() <= inline_cutoff_) {
-    // Adaptive inline fast path: answer on this thread under one pin.
+  if (queries.size() <= kInlineCutoff) {
+    // Inline fast path: answer on this thread under one pin.
     const std::size_t slot = epochs_.pin_any();
     const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
     path_.answer_chunk(*snap, nullptr, queries.data(), results,
@@ -300,16 +297,6 @@ void ShardedEngine::submit_batch(std::span<const Query> queries,
   const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
   dispatch_batch(*snap, queries, results, remaining);
   epochs_.unpin(slot);
-}
-
-graph::Weight ShardedEngine::query(graph::Vertex u, graph::Vertex v) {
-  const std::size_t slot = epochs_.pin_any();
-  const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-  const Query q{u, v};
-  graph::Weight result = 0;
-  path_.answer_chunk(*snap, nullptr, &q, &result, 1);
-  epochs_.unpin(slot);
-  return result;
 }
 
 std::shared_ptr<const oracle::PathOracle> ShardedEngine::snapshot() const {

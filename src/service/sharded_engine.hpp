@@ -33,9 +33,10 @@
 //
 // Backpressure: a full ring never blocks the producer — the query is
 // answered inline on the producer's thread against the same epoch-pinned
-// snapshot (counted in shard_intake_full_total). Small batches skip the
-// rings entirely (see inline_cutoff): below it, dispatch costs more than it
-// buys on sub-microsecond queries. Caller-thread answers bypass the cache.
+// snapshot (counted in shard_intake_full_total). Batches of at most
+// kInlineCutoff queries skip the rings entirely: for small frames the
+// dispatch and wake cost more than the sub-microsecond queries they spread
+// (measured in DESIGN §5c). Caller-thread answers bypass the cache.
 //
 // Core placement: each worker is pinned to a CPU of its own. A frame's
 // dispatcher plus N awake workers are N+1 runnable threads; on an N-CPU
@@ -82,20 +83,20 @@ struct ShardedEngineOptions {
   std::size_t shards = 0;
   /// Intake ring entries per shard (rounded up to a power of two).
   std::size_t ring_capacity = 8192;
-  /// Max queries one drain answers back-to-back before rechecking intake.
-  std::size_t drain_batch = 256;
-  /// Batches at or below this size are answered inline on the caller's
-  /// thread (dispatch costs more than it buys on sub-microsecond queries).
-  /// 0 = adaptive default (drain_batch / 2).
-  std::size_t inline_cutoff = 0;
   /// Result-cache entries, split evenly into the shards' tables (0 = none).
   std::size_t cache_capacity = 0;
-  /// Slowest-query exemplars the AnswerPath retains (0 disables the log).
-  std::size_t slowlog_capacity = 64;
 };
 
 class ShardedEngine {
  public:
+  /// Max queries one drain answers back-to-back before rechecking intake.
+  static constexpr std::size_t kDrainBatch = 256;
+  /// Batches of at most this many queries are answered inline on the
+  /// caller's thread, uncached (see "Backpressure" in the file header).
+  static constexpr std::size_t kInlineCutoff = kDrainBatch / 2;
+  /// Slowest-query exemplars the AnswerPath's slow-log retains.
+  static constexpr std::size_t kSlowlogCapacity = 64;
+
   explicit ShardedEngine(std::shared_ptr<const oracle::PathOracle> snapshot,
                          ShardedEngineOptions options = {});
 
@@ -110,9 +111,6 @@ class ShardedEngine {
   /// Every query entry point takes in-range ids (< num_vertices()); like
   /// PathOracle::query they are checked only by a debug PATHSEP_DCHECK, so
   /// callers holding untrusted ids (the wire server) validate them first.
-
-  /// Synchronous uncached query on the caller's thread (epoch-pinned).
-  graph::Weight query(graph::Vertex u, graph::Vertex v);
 
   /// Answers queries[i] into results[i]; small batches inline, larger ones
   /// through the shard rings. Blocks until the whole batch is answered.
@@ -156,7 +154,6 @@ class ShardedEngine {
   std::size_t num_shards() const { return shards_.size(); }
   /// Owning shard of a query pair (canonical: both directions agree).
   std::size_t shard_of(graph::Vertex u, graph::Vertex v) const;
-  std::size_t inline_cutoff() const { return inline_cutoff_; }
   /// The one CPU worker `shard` may run on, read back from the kernel; -1
   /// when its affinity mask allows several (an unpinned worker).
   int worker_cpu(std::size_t shard) const;
@@ -201,7 +198,6 @@ class ShardedEngine {
                        std::uint32_t answered);
 
   ShardedEngineOptions options_;
-  std::size_t inline_cutoff_ = 0;
   obs::MetricsRegistry metrics_;
   obs::Counter* batches_total_;
   obs::Counter* intake_full_total_;   ///< ring-full inline fallbacks

@@ -747,7 +747,6 @@ TEST(ObsAttribution, EngineWindowAndSlowLogSeeTheWorkload) {
   ShardedEngineOptions opts;
   opts.shards = 2;
   opts.cache_capacity = 0;
-  opts.slowlog_capacity = 8;
   ShardedEngine engine(snapshot, opts);
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 500);
@@ -758,7 +757,7 @@ TEST(ObsAttribution, EngineWindowAndSlowLogSeeTheWorkload) {
   EXPECT_EQ(view.count, batch.size());
   const std::vector<obs::SlowQuery> top = engine.slowlog().snapshot();
   ASSERT_FALSE(top.empty());
-  ASSERT_LE(top.size(), 8u);
+  ASSERT_LE(top.size(), ShardedEngine::kSlowlogCapacity);
   for (const obs::SlowQuery& e : top) {
     EXPECT_LT(e.u, snapshot->num_vertices());
     EXPECT_GT(e.latency_ns, 0u);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -388,8 +389,6 @@ TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
   for (const std::size_t shards : {1u, 2u, 8u}) {
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;  // force the ring path even for this batch
-    opts.drain_batch = 64;
     ShardedEngine engine(snapshot, opts);
     EXPECT_EQ(engine.num_shards(), shards);
     const std::vector<Weight> got = engine.query_batch(batch);
@@ -400,23 +399,44 @@ TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
   }
 }
 
-TEST(ShardedEngine, InlineAndSingleQueryPathsAgreeWithTheRings) {
+// Batches of up to kInlineCutoff queries are answered on the caller's
+// thread, which has no result cache; one query more goes through the shard
+// rings, whose workers each own one. Both sides of the cutoff answer
+// bit-identically to the oracle, and the cache counters show which side
+// answered a repeated frame.
+TEST(ShardedEngine, InlineCutoffSplitsCallerThreadFromRings) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
-  const std::vector<Query> batch = mixed_workload(n, 256, 31);
+  constexpr std::size_t kCutoff = ShardedEngine::kInlineCutoff;
+  const std::vector<Query> batch = mixed_workload(n, kCutoff + 1, 31);
 
   ShardedEngineOptions opts;
   opts.shards = 2;
-  ShardedEngine engine(snapshot, opts);
-  ASSERT_GT(engine.inline_cutoff(), 0u);
-
-  // Below the cutoff: answered inline on this thread.
-  const std::vector<Query> small(batch.begin(), batch.begin() + 4);
-  const std::vector<Weight> small_results = engine.query_batch(small);
-  for (std::size_t i = 0; i < small.size(); ++i)
-    EXPECT_EQ(small_results[i], engine.query(small[i].u, small[i].v));
+  opts.cache_capacity = 1 << 12;
+  for (const std::size_t size : {std::size_t{1}, kCutoff, kCutoff + 1}) {
+    ShardedEngine engine(snapshot, opts);
+    const std::span<const Query> frame(batch.data(), size);
+    for (int round = 0; round < 2; ++round) {
+      const std::vector<Weight> got = engine.query_batch(frame);
+      for (std::size_t i = 0; i < size; ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(
+                      snapshot->query(frame[i].u, frame[i].v)))
+            << size << "-query frame, query " << i;
+    }
+    const std::uint64_t hits =
+        family_sum(counter_family(engine.metrics(), "cache_hits"));
+    const std::uint64_t misses =
+        family_sum(counter_family(engine.metrics(), "cache_misses"));
+    EXPECT_EQ(hits + misses, 2 * size);
+    if (size <= kCutoff)
+      EXPECT_EQ(hits, 0u) << size << "-query frame went through the rings";
+    else  // the repeat is answered from the shards' caches
+      EXPECT_GE(hits, size) << size << "-query frame was answered inline";
+  }
 
   // shard_of is symmetric, so both directions of a pair share an owner.
+  ShardedEngine engine(snapshot, opts);
   EXPECT_EQ(engine.shard_of(3, 17), engine.shard_of(17, 3));
 }
 
@@ -427,7 +447,6 @@ TEST(ShardedEngine, SubmitBatchCompletesAsynchronously) {
 
   ShardedEngineOptions opts;
   opts.shards = 2;
-  opts.inline_cutoff = 1;
   ShardedEngine engine(snapshot, opts);
   const std::vector<Weight> expected = engine.query_batch(batch);
 
@@ -449,7 +468,6 @@ TEST(ShardedEngine, TinyRingsFallBackInlineAndStayExact) {
   ShardedEngineOptions opts;
   opts.shards = 2;
   opts.ring_capacity = 2;  // overflow is guaranteed at this batch size
-  opts.inline_cutoff = 1;
   ShardedEngineOptions reference_opts;
   reference_opts.shards = 1;
   ShardedEngine reference(snapshot, reference_opts);
@@ -471,7 +489,6 @@ TEST(ShardedEngine, AnswerFamilySumsToQueriesAtEveryShardCount) {
   for (const std::size_t shards : {1u, 2u, 8u}) {
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;
     ShardedEngine engine(snapshot, opts);
     engine.query_batch(batch);
     const auto answers = counter_family(engine.metrics(), "answers_total");
@@ -493,7 +510,6 @@ TEST(ShardedEngine, CachedServingKeepsAnswersAndSumInvariant) {
   for (const std::size_t shards : {1u, 2u}) {
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;
     opts.cache_capacity = 1 << 14;
     ShardedEngine engine(snapshot, opts);
     const std::vector<Weight> cold = engine.query_batch(batch);
@@ -561,7 +577,6 @@ TEST(ShardedEngine, WorkersPinToDistinctAllowedCpus) {
     const std::vector<int> allowed = cpus_of(mask);
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;
     ShardedEngine engine(snapshot, opts);
     std::set<int> taken;
     for (std::size_t s = 0; s < shards; ++s) {
@@ -614,7 +629,6 @@ TEST(ShardedEngine, ShardBusyTimeAndCpuGaugesAreExported) {
   constexpr std::size_t kShards = 2;
   ShardedEngineOptions opts;
   opts.shards = kShards;
-  opts.inline_cutoff = 1;
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t busy = 0;
   {
@@ -658,10 +672,9 @@ TEST(QueryEngine, MatchesOracleWithAndWithoutCache) {
     }
   const std::uint64_t queries = forward.size();
   for (const std::size_t shards : kShardCounts) {
-    // Ring dispatch: only shard workers own a cache.
+    // Batches larger than kInlineCutoff: only shard workers own a cache.
     ShardedEngineOptions cached_opts;
     cached_opts.shards = shards;
-    cached_opts.inline_cutoff = 1;
     cached_opts.cache_capacity = 1 << 16;
     ShardedEngineOptions uncached_opts = cached_opts;
     uncached_opts.cache_capacity = 0;
@@ -697,13 +710,11 @@ TEST(QueryEngine, BatchMatchesSingleQueries) {
   for (const std::size_t shards : kShardCounts) {
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;  // force ring dispatch
-    opts.drain_batch = 16;   // many drains per batch
     ShardedEngine engine(snapshot, opts);
-    const std::vector<Weight> results = engine.query_batch(batch);
+    const std::vector<Weight> results = engine.query_batch(batch);  // rings
     ASSERT_EQ(results.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      EXPECT_EQ(results[i], engine.query(batch[i].u, batch[i].v))
+    for (std::size_t i = 0; i < batch.size(); ++i)  // inline, one at a time
+      EXPECT_EQ(results[i], engine.query_batch({&batch[i], 1}).front())
           << shards << " shards, query " << i;
   }
 }
@@ -713,7 +724,6 @@ TEST(QueryEngine, EmptyBatchIsFine) {
   for (const std::size_t shards : kShardCounts) {
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;
     ShardedEngine engine(snapshot, opts);
     EXPECT_TRUE(engine.query_batch({}).empty());
     std::atomic<std::uint32_t> remaining{0};
@@ -733,7 +743,6 @@ TEST(QueryEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
     ShardedEngineOptions opts;
     opts.shards = shards;
     opts.cache_capacity = 512;
-    opts.inline_cutoff = 32;
     ShardedEngine engine(snapshot, opts);
     std::atomic<int> mismatches{0};
     std::vector<std::thread> clients;
@@ -745,7 +754,10 @@ TEST(QueryEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
           const auto u = static_cast<Vertex>(rng.next_below(n));
           const auto v = static_cast<Vertex>(rng.next_below(n));
           if (i % 3 == 0) {
-            if (engine.query(u, v) != snapshot->query(u, v)) ++mismatches;
+            const Query single{u, v};
+            if (engine.query_batch({&single, 1}).front() !=
+                snapshot->query(u, v))
+              ++mismatches;
           } else {
             batch.push_back({u, v});
           }
@@ -774,13 +786,15 @@ TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
   auto first = std::make_shared<const oracle::PathOracle>(grid_oracle());
   auto second =
       std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.8));
-  // Both directions of one pair: one shard owns them, so the second is a
-  // hit whenever the first was cached.
-  const std::vector<Query> pair = {{1, 2}, {2, 1}};
+  // One pair in both directions, more times than kInlineCutoff so the
+  // frame goes through the rings: one shard owns every copy, so all but the
+  // first are hits whenever the first was cached.
+  std::vector<Query> pair;
+  for (std::size_t i = 0; i <= ShardedEngine::kInlineCutoff; ++i)
+    pair.push_back(i % 2 == 0 ? Query{1, 2} : Query{2, 1});
   for (const std::size_t shards : kShardCounts) {
     ShardedEngineOptions opts;
     opts.shards = shards;
-    opts.inline_cutoff = 1;
     opts.cache_capacity = 1 << 10;
     ShardedEngine engine(first, opts);
     for (const Weight w : engine.query_batch(pair))
@@ -789,11 +803,12 @@ TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
     EXPECT_EQ(engine.snapshot().get(), second.get());
     for (const Weight w : engine.query_batch(pair))
       EXPECT_EQ(w, second->query(1, 2));
-    // The swap clears cached distances, not the counts: one miss and one
-    // hit before, and again after.
+    // The swap clears cached distances, not the counts: one miss and the
+    // rest hits before, and again after.
     const obs::MetricsRegistry& metrics = engine.metrics();
     EXPECT_EQ(family_sum(counter_family(metrics, "cache_misses")), 2u);
-    EXPECT_EQ(family_sum(counter_family(metrics, "cache_hits")), 2u);
+    EXPECT_EQ(family_sum(counter_family(metrics, "cache_hits")),
+              2 * (pair.size() - 1));
     EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
   }
 }
@@ -822,7 +837,6 @@ TEST(QueryEngine, NoStaleCachedAnswerAfterSwap) {
   for (int round = 0; round < kRounds; ++round) {
     ShardedEngineOptions opts;
     opts.shards = 2;
-    opts.inline_cutoff = 1;
     opts.cache_capacity = 1 << 12;
     ShardedEngine engine(unit, opts);
     std::atomic<bool> stop{false};
@@ -904,8 +918,7 @@ TEST(ShardedEngine, ConcurrentSwapWhileQueryingStaysValid) {
   }
 
   ShardedEngineOptions opts;
-  opts.shards = 2;
-  opts.inline_cutoff = 1;  // ring path: workers hold the epoch pins
+  opts.shards = 2;  // 400-query frames: workers hold the epoch pins
   opts.cache_capacity = 0;  // a cached answer would mask which snapshot won
   ShardedEngine engine(coarse, opts);
 
@@ -1030,7 +1043,7 @@ TEST(NetServer, MalformedFrameClosesOnlyThatConnection) {
   std::vector<Weight> distances;
   client.query_batch(std::vector<Query>{{0, 3}}, distances);
   ASSERT_EQ(distances.size(), 1u);
-  EXPECT_EQ(distances[0], engine.query(0, 3));
+  EXPECT_EQ(distances[0], snapshot->query(0, 3));
   EXPECT_EQ(server.stats().protocol_errors, 1u);
 }
 
@@ -1151,13 +1164,14 @@ TEST(NetServer, NonReadingPeerIsBackpressured) {
 // every byte boundary, and one byte per send, with TCP_NODELAY so each send
 // leaves as its own segment, it must be answered exactly as when sent
 // whole: byte-identical responses, no protocol error, no early answer from
-// a partial frame and no stall.
+// a partial frame and no stall. The frame stays small, 5 pairs, because
+// every byte boundary costs a round trip; so small a frame is answered
+// inline rather than through the rings, which reassembly does not touch.
 TEST(NetServer, FramesSplitAtEveryByteAnswerLikeWholeFrames) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
   ShardedEngineOptions opts;
   opts.shards = 2;
-  opts.inline_cutoff = 1;  // through the rings, not the caller's thread
   ShardedEngine engine(snapshot, opts);
   NetServer server(engine);
   server.start();
