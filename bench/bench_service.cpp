@@ -1,5 +1,5 @@
 // E14 — query service throughput: serial dispatch vs. the shard-per-core
-// ShardedEngine (lock-free MPSC intake + epoch-swapped snapshots) with and
+// ShardedEngine (claimable frames + epoch-swapped snapshots) with and
 // without its per-shard result caches, and the engine at 1/2/4/8 shard
 // workers on a >=100k-vertex grid, each as the median/min/max of 3 runs.
 //
@@ -7,8 +7,8 @@
 // family) serving a fixed number of (u, v) queries, drawn either uniformly
 // or Zipf-skewed from a fixed pool of distinct pairs — the repeat-heavy
 // popularity distribution an object-location service sees. Serial answers
-// on one thread straight from PathOracle::query; sharded routes each pair
-// to its owning worker through the intake rings; cached adds the result
+// on one thread straight from PathOracle::query; sharded hands each batch
+// to the shard workers as a claimable frame; cached adds the result
 // cache on top (warmed by one pass). Speedups are relative to serial QPS on
 // the same workload. Every engine row carries the observability surface:
 // windowed qps/p50/p99, slow-log exemplars, and the answers_total-level
@@ -29,7 +29,10 @@
 //   - fan-out efficiency (E14c): one caller's closed loop of 512-pair
 //     uniform frames at each shard count, p50/p90 frame latency as the
 //     median/min/max of 3 runs, beside the ideal split of the frame's
-//     serial cost (serial ns/query x 512 / shards).
+//     serial cost (serial ns/query x 512 / shards). The 4-shard row runs
+//     once more under a steal rig: one forked busy-loop child that pins
+//     only itself to shard worker 0's CPU for the row, then is killed and
+//     reaped — the loss a stolen vCPU causes, made on our own processes.
 //   - a tracing-on row (E14c): the sharded engine serving with spans
 //     enabled; the bench asserts at least one admitted slow-log entry
 //     carries a nonzero exemplar span id (tail sampling actually fired).
@@ -39,7 +42,7 @@
 //     serial's.
 //
 // Also measures what observing costs on the serving path (E14b): the
-// uniform workload answered in drain-sized chunks through
+// uniform workload answered in 256-query chunks through
 // AnswerPath::answer_chunk, the code every shard worker runs, against a
 // plain PathOracle::query loop, at one thread and at four threads sharing
 // one AnswerPath, tracing off then on. Results land in --out (default
@@ -50,6 +53,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cstring>
@@ -74,8 +78,85 @@
 #include "util/args.hpp"
 #include "util/parallel.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
+
 namespace pathsep::bench {
 namespace {
+
+/// The E14c steal rig: one forked child that pins only itself to `cpu` and
+/// spins until the rig is destroyed, which kills and reaps it. It takes
+/// half of that CPU from whatever else is pinned there, as host steal
+/// would. A negative `cpu` (or a platform without fork) starts nothing; a
+/// child that cannot pin itself is reaped at once and the rig does not
+/// run. The child also dies with the forking thread, so a bench that exits
+/// without running the destructor leaves no spinner behind.
+class StealRig {
+ public:
+  explicit StealRig(int cpu) {
+#if defined(__linux__)
+    if (cpu < 0) return;
+    int ready[2];
+    if (::pipe(ready) != 0) return;
+    const pid_t parent = ::getpid();
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      // The child only makes system calls: safe after fork in a
+      // multithreaded parent.
+      ::close(ready[0]);
+      ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+      cpu_set_t mask;
+      CPU_ZERO(&mask);
+      CPU_SET(cpu, &mask);
+      // A parent that died before prctl() sends no signal: check it.
+      const bool ok = ::getppid() == parent &&
+                      ::sched_setaffinity(0, sizeof(mask), &mask) == 0;
+      const char pinned = ok ? 1 : 0;
+      const bool told = ::write(ready[1], &pinned, 1) == 1;
+      ::close(ready[1]);
+      if (pinned == 0 || !told) ::_exit(1);
+      volatile std::uint64_t spin = 0;
+      for (;;) spin = spin + 1;
+    }
+    ::close(ready[1]);
+    char pinned = 0;
+    ssize_t got = -1;
+    if (pid_ > 0) {
+      do {
+        got = ::read(ready[0], &pinned, 1);
+      } while (got < 0 && errno == EINTR);
+    }
+    ::close(ready[0]);
+    if (got != 1 || pinned != 1) stop();
+#else
+    (void)cpu;
+#endif
+  }
+  ~StealRig() { stop(); }
+  StealRig(const StealRig&) = delete;
+  StealRig& operator=(const StealRig&) = delete;
+
+  /// True while a child pinned to the rig's CPU spins.
+  bool running() const { return pid_ > 0; }
+
+ private:
+  void stop() {
+#if defined(__linux__)
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      ::waitpid(pid_, nullptr, 0);
+    }
+#endif
+    pid_ = -1;
+  }
+
+  int pid_ = -1;
+};
 
 struct Workload {
   std::string name;
@@ -182,16 +263,16 @@ std::pair<std::uint64_t, std::uint64_t> answers_and_queries(
 }
 
 /// E14b: `threads` threads, started together, each answer one contiguous
-/// share of `w` in drain-sized chunks (ShardedEngine::kDrainBatch);
-/// returns the total qps. With `path` null a chunk is a plain
-/// PathOracle::query loop, the baseline. Otherwise it is
+/// share of `w` in 256-query chunks (one shard's share of a 1024-pair
+/// frame at 4 shards); returns the total qps. With `path` null a chunk is a
+/// plain PathOracle::query loop, the baseline. Otherwise it is
 /// AnswerPath::answer_chunk without a cache: the code a shard worker runs
-/// on every drain, with its chained timestamps, metric tally, windowed
-/// histogram and slow-log admission, all threads sharing one AnswerPath as
-/// an engine's workers do.
+/// on every frame it works on, with its chained timestamps, metric tally
+/// published once, windowed histogram and slow-log admission, all threads
+/// sharing one AnswerPath as an engine's workers do.
 double run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
                        std::size_t threads, service::AnswerPath* path) {
-  constexpr std::size_t chunk = service::ShardedEngine::kDrainBatch;
+  constexpr std::size_t chunk = 256;
   const std::size_t total = w.queries.size();
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
@@ -297,9 +378,13 @@ ShardedRow run_sharded(
 
 /// E14c fan-out row: closed-loop latency of `frame`-pair batches at one
 /// shard count, as the median/min/max over kRepeats runs (a new engine
-/// each) of each run's p50 and p90.
+/// each) of each run's p50 and p90; with `steal_rig`, a StealRig spins on
+/// worker 0's CPU through every run.
 struct FrameLatencyRow {
   std::size_t shards = 1;
+  /// false also when worker 0 had no CPU of its own, or the rig could not
+  /// pin itself there
+  bool steal_rig = false;
   Spread p50_us, p90_us;
   double ideal_us = 0;  ///< serial ns/query x frame / shards
   double steal_pct = -1;
@@ -307,13 +392,18 @@ struct FrameLatencyRow {
 
 FrameLatencyRow run_frame_latency(
     const std::shared_ptr<const oracle::PathOracle>& snapshot,
-    const Workload& w, std::size_t frame, std::size_t shards) {
+    const Workload& w, std::size_t frame, std::size_t shards,
+    bool steal_rig = false) {
   std::vector<double> p50s, p90s;
   std::vector<Weight> results(frame);
   std::vector<double> latencies_us;
+  FrameLatencyRow row;
+  row.steal_rig = steal_rig;  // stays true only if every run had the rig
   const StealWindow steal;
   for (int r = 0; r < kRepeats; ++r) {
     service::ShardedEngine engine(snapshot, {.shards = shards});
+    const StealRig rig(steal_rig ? engine.worker_cpu(0) : -1);
+    row.steal_rig = row.steal_rig && rig.running();
     latencies_us.clear();
     for (std::size_t begin = 0; begin + frame <= w.queries.size();
          begin += frame) {
@@ -327,7 +417,6 @@ FrameLatencyRow run_frame_latency(
     p50s.push_back(util::percentile(latencies_us, 0.50));
     p90s.push_back(util::percentile(latencies_us, 0.90));
   }
-  FrameLatencyRow row;
   row.shards = shards;
   row.p50_us = spread_of(p50s);
   row.p90_us = spread_of(p90s);
@@ -558,6 +647,7 @@ int run_loadgen_cli(const util::Args& args) {
       "batch", 512, 1,
       (service::wire::kMaxFrameBytes - 4) / service::wire::kEntryBytes);
   const bool verify = args.get_bool("verify");
+  args.reject_unused("bench_service --loadgen");
 
   const std::size_t n = side * side;
   const Workload w = make_workload("loadgen", std::max<std::size_t>(
@@ -614,6 +704,12 @@ int main(int argc, char** argv) {
 
   const bool quick = args.get_bool("quick");
   const std::string out_path = args.get("out", "BENCH_service.json");
+  try {
+    args.reject_unused("bench_service");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   const std::size_t side = quick ? 24 : 40;  // E14 small grid
   const double eps = 0.25;
   const std::size_t num_queries = quick ? 40000 : 400000;
@@ -781,7 +877,7 @@ int main(int argc, char** argv) {
 
   // ---- E14c: shard-per-core engine on a production-sized snapshot, with
   // the digest cross-check and a tracing-on row.
-  section("E14c", "sharded engine (lock-free intake, epoch snapshots)");
+  section("E14c", "sharded engine (claimable frames, epoch snapshots)");
   std::printf("building grid %zux%zu (n=%zu) snapshot...\n", big_side,
               big_side, big_side * big_side);
   Instance big_inst = make_grid(big_side);
@@ -888,15 +984,24 @@ int main(int argc, char** argv) {
   constexpr std::size_t kFrame = 512;
   const double big_serial_ns = 1e9 / big_serial_qps;
   std::vector<FrameLatencyRow> frame_rows;
-  util::TableWriter frame_table({"shards", "frame", "p50_us", "p50_min",
-                                 "p50_max", "p90_us", "p90_min", "p90_max",
-                                 "ideal_us", "p50/ideal"});
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    FrameLatencyRow row = run_frame_latency(big_snapshot, big_w, kFrame, shards);
+  util::TableWriter frame_table({"shards", "rig", "frame", "p50_us",
+                                 "p50_min", "p50_max", "p90_us", "p90_min",
+                                 "p90_max", "ideal_us", "p50/ideal"});
+  for (const auto& [shards, rig] :
+       {std::pair<std::size_t, bool>{1, false}, {2, false}, {4, false},
+        {4, true}, {8, false}}) {
+    FrameLatencyRow row =
+        run_frame_latency(big_snapshot, big_w, kFrame, shards, rig);
+    if (rig && !row.steal_rig) {
+      std::printf("steal rig skipped: shard worker 0 has no CPU of its own, "
+                  "or the rig could not pin itself there\n");
+      continue;
+    }
     row.ideal_us = big_serial_ns * static_cast<double>(kFrame) /
                    static_cast<double>(shards) / 1e3;
     frame_table.add_row(
-        {util::strf("%zu", shards), util::strf("%zu", kFrame),
+        {util::strf("%zu", shards), row.steal_rig ? "on" : "off",
+         util::strf("%zu", kFrame),
          util::strf("%.1f", row.p50_us.median),
          util::strf("%.1f", row.p50_us.min), util::strf("%.1f", row.p50_us.max),
          util::strf("%.1f", row.p90_us.median),
@@ -907,7 +1012,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nclosed-loop %zu-pair uniform frames, one caller; median/"
               "min/max of %d runs; ideal = serial %.0f ns/query x %zu / "
-              "shards\n",
+              "shards; rig on = a busy-loop process pinned to worker 0's "
+              "CPU\n",
               kFrame, kRepeats, big_serial_ns, kFrame);
   frame_table.print(std::cout);
 
@@ -1046,7 +1152,8 @@ int main(int argc, char** argv) {
   json << "    ],\n    \"frame_latency\": [\n";
   for (std::size_t i = 0; i < frame_rows.size(); ++i) {
     const FrameLatencyRow& r = frame_rows[i];
-    json << "      {\"shards\": " << r.shards << ", \"frame\": " << kFrame
+    json << "      {\"shards\": " << r.shards << ", \"steal_rig\": "
+         << (r.steal_rig ? "true" : "false") << ", \"frame\": " << kFrame
          << ", " << spread_json("p50_us", r.p50_us) << ", "
          << spread_json("p90_us", r.p90_us)
          << ", \"ideal_us\": " << util::strf("%.1f", r.ideal_us)

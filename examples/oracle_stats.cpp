@@ -108,6 +108,7 @@ int run(int argc, char** argv) {
   const std::string trace_out = args.get("trace-out");
   const bool trace = args.get_bool("trace") || !trace_out.empty() ||
                      args.has("trace-format");
+  args.reject_unused("oracle_stats");
 
   if (format != "text" && format != "json") {
     std::fprintf(stderr, "error: --format must be text or json\n");
@@ -194,10 +195,6 @@ int run(int argc, char** argv) {
                   rendered.c_str());
     }
   }
-
-  const auto unused = args.unused();
-  for (const std::string& flag : unused)
-    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
 
   // The cross-check that makes the report trustworthy: per-level bytes plus
   // header overhead must reproduce serialize_label() totals exactly.

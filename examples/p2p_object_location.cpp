@@ -27,6 +27,7 @@ int run(int argc, char** argv) {
   const auto replicas = static_cast<std::size_t>(args.get_int("replicas", 3));
   const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  args.reject_unused("p2p_object_location");
 
   util::Rng rng(seed);
   const graph::GeometricGraph net =

@@ -117,10 +117,7 @@ int run(int argc, char** argv) {
                                 statsz);
   // Every flag has been read, so what is left is a typo or a flag this
   // binary does not have: refuse it before any build work.
-  const std::vector<std::string> unknown = args.unused();
-  if (!unknown.empty())
-    throw std::invalid_argument("--" + unknown.front() +
-                                " is not a query_server flag");
+  args.reject_unused("query_server");
   // The serving flags act only on the serving window.
   if (!serve)
     for (const char* flag :

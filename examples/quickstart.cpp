@@ -23,6 +23,7 @@ int run(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(args.get_int("n", 2000));
   const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.reject_unused("quickstart");
 
   // 1. A random weighted planar triangulation with a straight-line drawing.
   util::Rng rng(seed);

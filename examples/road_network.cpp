@@ -24,6 +24,7 @@ int run(int argc, char** argv) {
   const double eps = args.get_positive("eps", 0.2);
   const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 200));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  args.reject_unused("road_network");
 
   util::Rng rng(seed);
   const graph::GeometricGraph road = graph::road_network(side, side, rng);

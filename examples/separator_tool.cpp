@@ -40,6 +40,8 @@ int run(int argc, char** argv) {
   const std::string finder_name = args.get("finder", "auto");
   const double balance_eps = args.get_double("balance-eps", 0.0);
   const bool pareto = args.get_bool("pareto");
+  const std::string save = args.get("save");
+  args.reject_unused("separator_tool");
   util::Rng rng(seed);
 
   graph::Graph g;
@@ -67,13 +69,10 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "unknown --family=%s\n", family.c_str());
     return 1;
   }
-  const std::string save = args.get("save");
   if (!save.empty()) {
     graph::save_edge_list(save, g);
     std::printf("saved graph to %s\n", save.c_str());
   }
-  for (const std::string& flag : args.unused())
-    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
 
   if (!graph::is_connected(g)) {
     std::fprintf(stderr, "graph is disconnected; decomposing requires a "

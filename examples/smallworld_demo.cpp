@@ -6,6 +6,7 @@
 //   ./smallworld_demo [--side=64] [--pairs=150] [--seed=5]
 #include <cmath>
 #include <cstdio>
+#include <exception>
 
 #include "graph/generators.hpp"
 #include "separator/finders.hpp"
@@ -16,11 +17,14 @@
 
 using namespace pathsep;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const auto side = static_cast<std::size_t>(args.get_int("side", 64));
   const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 150));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  args.reject_unused("smallworld_demo");
 
   const graph::GridGraph gg = graph::grid(side, side);
   const std::size_t n = side * side;
@@ -62,4 +66,15 @@ int main(int argc, char** argv) {
       "\npaper: expected O(k^2 log^2 n log^2 Delta) hops — on an unweighted\n"
       "grid k = 1 and the hops/log2^2(n) column is the relevant constant.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

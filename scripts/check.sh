@@ -23,7 +23,8 @@
 #            byte-identical-labels guarantee)
 #   smoke    query_server must refuse malformed PATHSEP_THREADS, --cache,
 #            --eps and --serve-duration values and an unknown flag with an
-#            error and exit 1, and write --trace-out while serving; then a
+#            error and exit 1, every other example and bench_service a
+#            misspelt flag, and write --trace-out while serving; then a
 #            localhost serving round-trip: query_server --serve on an
 #            ephemeral port must survive a frame with an out-of-range vertex
 #            id, then answer bench_service --loadgen --verify, so the epoll
@@ -106,7 +107,9 @@ fi
 if want smoke; then
   banner "smoke: query_server --serve / bench_service --loadgen round-trip"
   cmake --preset release
-  cmake --build build --target query_server bench_service -j "$JOBS"
+  cmake --build build --target query_server quickstart road_network \
+    smallworld_demo p2p_object_location oracle_stats separator_tool \
+    bench_service -j "$JOBS"
   scripts/serve_smoke.sh
 fi
 

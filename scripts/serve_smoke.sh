@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Localhost round-trip smoke for the network serving path: first require
 # query_server to refuse malformed PATHSEP_THREADS, --cache, --eps and
-# --serve-duration values and an unknown flag, and `bench_service --loadgen`
+# --serve-duration values and an unknown flag, `bench_service --loadgen`
 # to refuse malformed ports, out-of-range counts, a non-finite --eps and an
-# unreachable server; require a short `--serve --trace-out=F` run to write
+# unreachable server, and every other example (and bench_service) to refuse
+# a misspelt flag; require a short `--serve --trace-out=F` run to write
 # its trace to F; then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
@@ -21,10 +22,12 @@ QUERIES=${QUERIES:-20000}
 
 server="$BUILD/examples/query_server"
 loadgen="$BUILD/bench/bench_service"
-if [ ! -x "$server" ] || [ ! -x "$loadgen" ]; then
-  echo "serve_smoke: build the query_server and bench_service targets first" >&2
-  exit 1
-fi
+for binary in "$server" "$loadgen" "$BUILD"/examples/{quickstart,road_network,smallworld_demo,p2p_object_location,oracle_stats,separator_tool}; do
+  if [ ! -x "$binary" ]; then
+    echo "serve_smoke: build the example targets and bench_service first" >&2
+    exit 1
+  fi
+done
 
 log=$(mktemp)
 trace=$(mktemp)
@@ -69,6 +72,26 @@ for hostile in --connect=127.0.0.1:abc --connect=127.0.0.1:70000 \
   if [ "$status" -ne 1 ] || ! grep -q "^error: ${hostile%%=*} " "$log"; then
     echo "serve_smoke: bench_service --loadgen $hostile exited $status," \
       "expected an error naming it and exit 1" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+done
+
+# Misspelt flags in the other binaries: each must be an error naming the
+# flag and exit 1 before any work, not a run on the default value.
+for hostile in "quickstart --n=300 --epss=0.9" "road_network --sidee=8" \
+  "smallworld_demo --pair=3" "p2p_object_location --objets=5" \
+  "oracle_stats --sidee=8" "separator_tool --famly=tree" \
+  "bench_service --quik" "bench_service --loadgen --verfy"; do
+  set -- $hostile
+  binary="$BUILD/examples/$1"
+  [ "$1" = bench_service ] && binary="$loadgen"
+  flag=${!#}
+  status=0
+  "$binary" "${@:2}" >"$log" 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^error: ${flag%%=*} is not a" "$log"; then
+    echo "serve_smoke: $hostile exited $status, expected an error naming" \
+      "${flag%%=*} and exit 1" >&2
     cat "$log" >&2
     exit 1
   fi
@@ -128,6 +151,6 @@ fi
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
-echo "serve_smoke: OK (hostile thread budgets, flag values, an unknown flag" \
+echo "serve_smoke: OK (hostile thread budgets, flag values, unknown flags" \
   "and loadgen values refused, --trace-out written, port $port, hostile" \
   "frame rejected, $QUERIES queries digest-verified)"

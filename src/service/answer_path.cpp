@@ -31,25 +31,7 @@ AnswerPath::AnswerPath(obs::MetricsRegistry& metrics, std::size_t levels,
         &metrics.counter("answers_total", {{"level", std::to_string(level)}}));
 }
 
-namespace {
-
-/// Levels whose answers a chunk tallies on its stack; answers won at a
-/// deeper level (a decomposition deeper than 32 levels) go straight to
-/// their counter.
-constexpr std::size_t kTallyLevels = 32;
-
-}  // namespace
-
-struct AnswerPath::Tally {
-  std::uint64_t hits = 0;  ///< also the answers_total{level="cached"} count
-  std::uint64_t misses = 0;
-  std::uint64_t self = 0;
-  std::uint64_t unreachable = 0;
-  std::array<std::uint64_t, kTallyLevels> levels{};
-  obs::LatencyTally latency;  ///< its count is the queries_total increment
-};
-
-void AnswerPath::publish(Tally& tally, std::uint64_t now_ns) {
+void AnswerPath::flush(Tally& tally, std::uint64_t now_ns) {
   if (tally.latency.count == 0) return;
   queries_total_->inc(tally.latency.count);
   if (tally.hits != 0) {
@@ -65,21 +47,29 @@ void AnswerPath::publish(Tally& tally, std::uint64_t now_ns) {
       answers_level_[level]->inc(tally.levels[level]);
   latency_->record(tally.latency);
   window_.record(tally.latency, now_ns);
+  const std::uint64_t last_ns = tally.last_ns;
+  const std::uint64_t window_end = tally.window_end;
   tally = Tally{};
+  tally.last_ns = last_ns;
+  tally.window_end = window_end;
 }
 
-void AnswerPath::answer_chunk(const oracle::PathOracle& oracle,
-                              ResultCache* cache, const Query* queries,
-                              graph::Weight* results, std::size_t count) {
-  Tally tally;
-  // Chained timestamps: the end reading of one query starts the next, so a
-  // chunk pays count + 1 clock reads total. The inter-query gap folded into
-  // each sample is a handful of loop instructions — noise next to a label
-  // merge sweep.
+void AnswerPath::answer(const oracle::PathOracle& oracle, ResultCache* cache,
+                        const Query* queries, const std::uint32_t* order,
+                        std::size_t count, graph::Weight* results,
+                        Tally& tally) {
+  // Chained timestamps: the end reading of one query starts the next, also
+  // across the calls that share `tally`, so n queries pay n + 1 clock reads
+  // total. The gap folded into each sample is a handful of loop
+  // instructions (or one chunk claim) — noise next to a label merge sweep.
   const std::uint64_t interval = window_.interval_ns();
-  std::uint64_t t = clock_();
-  std::uint64_t window_end = (t / interval + 1) * interval;
-  for (std::size_t i = 0; i < count; ++i) {
+  std::uint64_t t = tally.last_ns;
+  if (t == 0) {
+    t = clock_();
+    tally.window_end = (t / interval + 1) * interval;
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t i = order != nullptr ? order[k] : k;
     const graph::Vertex u = queries[i].u;
     const graph::Vertex v = queries[i].v;
     graph::Weight result;
@@ -120,10 +110,10 @@ void AnswerPath::answer_chunk(const oracle::PathOracle& oracle,
     }
 
     const std::uint64_t t1 = clock_();
-    if (t1 >= window_end) {
+    if (t1 >= tally.window_end) {
       // Every query tallied so far ended in the window of `t`.
-      publish(tally, t);
-      window_end = (t1 / interval + 1) * interval;
+      flush(tally, t);
+      tally.window_end = (t1 / interval + 1) * interval;
     }
     const std::uint64_t elapsed = t1 - t;
     tally.latency.add(elapsed);
@@ -147,7 +137,7 @@ void AnswerPath::answer_chunk(const oracle::PathOracle& oracle,
     results[i] = result;
     t = t1;
   }
-  publish(tally, t);
+  tally.last_ns = t;
 }
 
 }  // namespace pathsep::service

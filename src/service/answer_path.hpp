@@ -14,21 +14,23 @@
 // queries the clock reads are a large share of the budget, so a batch must
 // not pay them twice.
 //
-// For the same reason a chunk does not touch the shared metrics per query.
-// It tallies hits, misses, answer outcomes and latencies in plain locals
-// (obs::LatencyTally for the latencies) and publishes them once, at chunk
-// end — one relaxed RMW per non-zero field instead of about eight per
-// query, all on cells every shard worker shares. It also publishes early
-// when a query's end reading falls in a new window of the windowed
-// histogram, so every sample is charged to the window it ended in. A
-// shard worker's chunk is one drain (≤ ShardedEngine::kDrainBatch
-// queries), so exported serving metrics lag the answers by at most one
-// drain and are exact once traffic stops: a chunk publishes before its
-// answers are handed back.
+// For the same reason answering does not touch the shared metrics per
+// query. It tallies hits, misses, answer outcomes and latencies in a Tally
+// of plain fields (obs::LatencyTally for the latencies) that the caller
+// keeps across answer() calls and publishes once — one relaxed RMW per
+// non-zero field instead of about eight per query, all on cells every
+// shard worker shares. It also publishes early when a query's end reading
+// falls in a new window of the windowed histogram, so every sample is
+// charged to the window it ended in. A shard worker publishes once per
+// frame it worked on, before it counts its answers done, so exported
+// serving metrics lag the answers by at most one frame's share and are
+// exact once traffic stops.
 // Slow-log admission stays per query (one relaxed load of the floor).
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "obs/slowlog.hpp"
@@ -61,22 +63,52 @@ class AnswerPath {
   AnswerPath(const AnswerPath&) = delete;
   AnswerPath& operator=(const AnswerPath&) = delete;
 
+  /// Levels whose answers a Tally counts in place; answers won at a deeper
+  /// level (a decomposition deeper than 32 levels) go straight to their
+  /// counter.
+  static constexpr std::size_t kTallyLevels = 32;
+
+  /// Unpublished counts of one or more answer() calls, and the chain point
+  /// of their timestamps. Lives on the answering thread's stack.
+  struct Tally {
+    std::uint64_t hits = 0;  ///< also the answers_total{level="cached"} count
+    std::uint64_t misses = 0;
+    std::uint64_t self = 0;
+    std::uint64_t unreachable = 0;
+    std::array<std::uint64_t, kTallyLevels> levels{};
+    obs::LatencyTally latency;  ///< its count is the queries_total increment
+    std::uint64_t last_ns = 0;     ///< previous end reading; 0 before any
+    std::uint64_t window_end = 0;  ///< end of last_ns's latency window
+  };
+
+  /// For k < count, with i = order[k] (i = k when `order` is null):
   /// queries[i] -> results[i], back-to-back with chained timestamps, through
   /// `cache` (the caller's own table; null answers every query uncached).
-  /// The chunk's metrics are published before it returns.
+  /// Counts go to `tally`; nothing is published unless a window ends.
+  void answer(const oracle::PathOracle& oracle, ResultCache* cache,
+              const Query* queries, const std::uint32_t* order,
+              std::size_t count, graph::Weight* results, Tally& tally);
+
+  /// Adds `tally`'s counts to the shared metrics and empties it.
+  void publish(Tally& tally) { flush(tally, tally.last_ns); }
+
+  /// queries[i] -> results[i] for i < count as one tally, published before
+  /// it returns.
   void answer_chunk(const oracle::PathOracle& oracle, ResultCache* cache,
                     const Query* queries, graph::Weight* results,
-                    std::size_t count);
+                    std::size_t count) {
+    Tally tally;
+    answer(oracle, cache, queries, nullptr, count, results, tally);
+    publish(tally);
+  }
 
   const obs::WindowedHistogram& window() const { return window_; }
   const obs::SlowLog& slowlog() const { return slowlog_; }
 
  private:
-  /// A chunk's unpublished counts (defined in answer_path.cpp).
-  struct Tally;
-  /// Adds `tally` to the shared metrics, charging its latencies to the
-  /// window of `now_ns`, and empties it.
-  void publish(Tally& tally, std::uint64_t now_ns);
+  /// Adds `tally`'s counts to the shared metrics, charging its latencies
+  /// to the window of `now_ns`, and empties them (the chain point stays).
+  void flush(Tally& tally, std::uint64_t now_ns);
 
   std::uint64_t (*clock_)();
   obs::Counter* queries_total_;

@@ -1,5 +1,6 @@
 #include "service/net.hpp"
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -14,54 +15,89 @@
 #endif
 
 namespace pathsep::service::wire {
+namespace {
+
+/// `value` in little-endian byte order (the identity on little-endian
+/// hosts; decided at compile time, so there is one code path per build).
+template <typename U>
+U little_endian(U value) {
+  static_assert(sizeof(U) == 4 || sizeof(U) == 8);
+  if constexpr (std::endian::native == std::endian::little)
+    return value;
+  else if constexpr (sizeof(U) == 4)
+    return __builtin_bswap32(value);
+  else
+    return __builtin_bswap64(value);
+}
+
+template <typename U>
+void store_le(std::uint8_t* p, U value) {
+  value = little_endian(value);
+  std::memcpy(p, &value, sizeof(value));
+}
+
+template <typename U>
+U load_le(const std::uint8_t* p) {
+  U value = 0;
+  std::memcpy(&value, p, sizeof(value));
+  return little_endian(value);
+}
+
+/// Grows `out` by `bytes` and returns where the new bytes start.
+std::uint8_t* extend(std::vector<std::uint8_t>& out, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  return out.data() + at;
+}
+
+/// Writes a frame header: payload length (request id plus `entries`
+/// 8-byte entries), then the request id.
+std::uint8_t* store_header(std::uint8_t* p, std::uint32_t request_id,
+                           std::size_t entries) {
+  store_le(p, static_cast<std::uint32_t>(4 + entries * kEntryBytes));
+  store_le(p + 4, request_id);
+  return p + kHeaderBytes;
+}
+
+}  // namespace
 
 void append_u32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value));
-  out.push_back(static_cast<std::uint8_t>(value >> 8));
-  out.push_back(static_cast<std::uint8_t>(value >> 16));
-  out.push_back(static_cast<std::uint8_t>(value >> 24));
+  store_le(extend(out, 4), value);
 }
 
 void append_f64(std::vector<std::uint8_t>& out, double value) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>(bits >> shift));
+  store_le(extend(out, 8), std::bit_cast<std::uint64_t>(value));
 }
 
 std::uint32_t read_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+  return load_le<std::uint32_t>(p);
 }
 
 double read_f64(const std::uint8_t* p) {
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i)
-    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+  return std::bit_cast<double>(load_le<std::uint64_t>(p));
 }
 
 void append_request(std::vector<std::uint8_t>& out, std::uint32_t request_id,
                     std::span<const Query> queries) {
-  append_u32(out, static_cast<std::uint32_t>(4 + queries.size() * kEntryBytes));
-  append_u32(out, request_id);
+  std::uint8_t* p = store_header(
+      extend(out, kHeaderBytes + queries.size() * kEntryBytes), request_id,
+      queries.size());
   for (const Query& q : queries) {
-    append_u32(out, static_cast<std::uint32_t>(q.u));
-    append_u32(out, static_cast<std::uint32_t>(q.v));
+    store_le(p, static_cast<std::uint32_t>(q.u));
+    store_le(p + 4, static_cast<std::uint32_t>(q.v));
+    p += kEntryBytes;
   }
 }
 
 void append_response(std::vector<std::uint8_t>& out, std::uint32_t request_id,
                      std::span<const graph::Weight> distances) {
-  append_u32(out,
-             static_cast<std::uint32_t>(4 + distances.size() * kEntryBytes));
-  append_u32(out, request_id);
-  for (const graph::Weight d : distances) append_f64(out, d);
+  std::uint8_t* p = store_header(
+      extend(out, kHeaderBytes + distances.size() * kEntryBytes), request_id,
+      distances.size());
+  for (const graph::Weight d : distances) {
+    store_le(p, std::bit_cast<std::uint64_t>(d));
+    p += kEntryBytes;
+  }
 }
 
 ParseStatus parse_request(std::span<const std::uint8_t> buffer,
@@ -82,8 +118,9 @@ ParseStatus parse_request(std::span<const std::uint8_t> buffer,
   queries.resize(n);
   const std::uint8_t* p = base + 8;
   for (std::size_t i = 0; i < n; ++i, p += kEntryBytes) {
-    queries[i] = Query{static_cast<graph::Vertex>(read_u32(p)),
-                       static_cast<graph::Vertex>(read_u32(p + 4))};
+    queries[i] = Query{static_cast<graph::Vertex>(load_le<std::uint32_t>(p)),
+                       static_cast<graph::Vertex>(
+                           load_le<std::uint32_t>(p + 4))};
     if (queries[i].u >= num_vertices || queries[i].v >= num_vertices)
       return ParseStatus::kMalformed;
   }

@@ -16,8 +16,10 @@
 // clients use it to match pipelined responses to send timestamps. An empty
 // batch (n = 0) is valid and answered with an empty response (a ping).
 //
-// The codec reads and writes byte-by-byte (shifts, not memcpy-of-struct), so
-// the format is identical on any host endianness.
+// The codec moves each field as one whole word through a little-endian
+// store/load helper (a plain copy on little-endian hosts, a byte swap chosen
+// at compile time elsewhere), so the format is identical on any host
+// endianness, and a frame is encoded into one resize of the output buffer.
 #pragma once
 
 #include <cstddef>

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/window.hpp"
 #include "service/net.hpp"
 
 #if defined(__linux__)
@@ -50,6 +51,11 @@ constexpr std::size_t kMaxFrameTotal = 4 + wire::kMaxFrameBytes;
 /// not take its replies stops being read instead of growing `out`.
 constexpr std::size_t kMaxPendingOutput = 2 * wire::kMaxFrameBytes;
 
+obs::LatencyHistogram& phase_histogram(ShardedEngine& engine,
+                                       const char* phase) {
+  return engine.metrics().histogram("net_frame_phase_ns", {{"phase", phase}});
+}
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -58,7 +64,12 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 NetServer::NetServer(ShardedEngine& engine, NetServerOptions options)
-    : engine_(engine), options_(std::move(options)) {}
+    : engine_(engine),
+      options_(std::move(options)),
+      decode_ns_(&phase_histogram(engine, "decode")),
+      engine_ns_(&phase_histogram(engine, "engine")),
+      encode_ns_(&phase_histogram(engine, "encode")),
+      write_ns_(&phase_histogram(engine, "write")) {}
 
 NetServer::~NetServer() { stop(); }
 
@@ -201,8 +212,10 @@ bool NetServer::service_conn(Conn& conn) {
   }
 
   // Answer every complete frame already buffered (also the ones that raced
-  // in just before EOF).
+  // in just before EOF), timing each phase with chained clock readings.
   std::size_t offset = 0;
+  std::uint64_t t = obs::window_now_ns();
+  bool answered = false;
   for (;;) {
     wire::ParsedRequest request;
     // Ids are checked against the live snapshot here, before the engine
@@ -219,14 +232,23 @@ bool NetServer::service_conn(Conn& conn) {
     frames_in_.fetch_add(1, std::memory_order_relaxed);
     queries_answered_.fetch_add(conn.queries.size(),
                                 std::memory_order_relaxed);
+    const std::uint64_t decoded = obs::window_now_ns();
+    decode_ns_->record(decoded - t);
     conn.answers.resize(conn.queries.size());
     engine_.query_batch_into(conn.queries, conn.answers.data());
+    const std::uint64_t computed = obs::window_now_ns();
+    engine_ns_->record(computed - decoded);
     wire::append_response(conn.out, request.request_id, conn.answers);
+    t = obs::window_now_ns();
+    encode_ns_->record(t - computed);
+    answered = true;
   }
   conn.in.erase(conn.in.begin(),
                 conn.in.begin() + static_cast<std::ptrdiff_t>(offset));
 
-  if (!flush_conn(conn)) return false;
+  const bool flushed = flush_conn(conn);
+  if (answered) write_ns_->record(obs::window_now_ns() - t);
+  if (!flushed) return false;
   if (conn.peer_eof && conn.out.empty()) return false;  // clean teardown
   update_events(conn);
   return true;

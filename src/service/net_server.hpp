@@ -16,6 +16,13 @@
 // blocks (or sees EAGAIN), instead of growing the server's memory; reading
 // resumes once its output drains.
 //
+// Phase timers: each answered frame adds one sample to each of the engine
+// registry's net_frame_phase_ns{phase="decode"|"engine"|"encode"} histograms
+// (parse and id check, ShardedEngine::query_batch_into, response encode),
+// and each read event that answered frames adds one phase="write" sample
+// (the flush of its responses). The readings are chained, so a read event
+// answering one frame costs five clock reads.
+//
 // Graceful shutdown: stop() writes the eventfd; the loop stops accepting,
 // answers every complete frame already buffered, flushes pending responses
 // for up to ~2 seconds, then closes everything and exits. A malformed frame
@@ -94,6 +101,11 @@ class NetServer {
 
   ShardedEngine& engine_;
   NetServerOptions options_;
+  /// net_frame_phase_ns{phase} in the engine's registry (see the header).
+  obs::LatencyHistogram* decode_ns_ = nullptr;
+  obs::LatencyHistogram* engine_ns_ = nullptr;
+  obs::LatencyHistogram* encode_ns_ = nullptr;
+  obs::LatencyHistogram* write_ns_ = nullptr;
   std::uint16_t port_ = 0;
 
   int listen_fd_ = -1;

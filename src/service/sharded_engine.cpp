@@ -1,10 +1,12 @@
 // pathsep-lint: hot-path — dispatch_batch and worker_loop sit under every
-// sharded query; rings, buffers and counters are preallocated at engine
-// construction (the per-worker scratch vectors are sized once at thread
+// sharded query; rings, frame slots and counters are preallocated at engine
+// construction (a slot's index arrays grow to the largest frame it has
+// carried, then stay; the per-worker ticket buffer is sized once at thread
 // start, before the first drain).
 #include "service/sharded_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -28,7 +30,12 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-constexpr std::size_t kMaxShards = 64;  ///< dispatch tracks shards in a u64
+constexpr std::size_t kMaxShards = FrameTable::kMaxOwners;
+/// Tickets per shard ring: every frame slot's, twice over, so stale
+/// tickets of a descheduled worker rarely fill it.
+constexpr std::size_t kRingCapacity = 2 * ShardedEngine::kFrameSlots;
+/// Tickets one drain pops.
+constexpr std::size_t kTicketBatch = 32;
 
 /// `options` with the shard count resolved: 0 becomes the thread budget,
 /// and the count is clamped to kMaxShards.
@@ -77,7 +84,8 @@ ShardedEngine::ShardedEngine(
       snapshot_vertices_(&metrics_.gauge("snapshot_vertices")),
       path_(metrics_, snapshot ? snapshot->num_levels() : std::size_t{1},
             kSlowlogCapacity),
-      epochs_(options_.shards, /*shared=*/16) {
+      epochs_(options_.shards, /*shared=*/16),
+      frames_(kFrameSlots, options_.shards) {
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
   snapshot_vertices_->set(
       static_cast<std::int64_t>(snapshot->num_vertices()));
@@ -92,14 +100,17 @@ ShardedEngine::ShardedEngine(
   for (std::size_t s = 0; s < shards; ++s) {
     // pathsep-lint: allow(hot-path-alloc)
     shards_.push_back(std::make_unique<Shard>(
-        options.ring_capacity, options.cache_capacity / shards));
-    shards_.back()->busy_ns_total = &metrics_.counter(
-        "shard_busy_ns_total", {{"shard", std::to_string(s)}});
+        kRingCapacity, options.cache_capacity / shards));
+    const std::string label = std::to_string(s);
+    shards_.back()->busy_ns_total =
+        &metrics_.counter("shard_busy_ns_total", {{"shard", label}});
+    shards_.back()->claimed_total =
+        &metrics_.counter("queries_claimed_total", {{"shard", label}});
   }
-  // Workers start only after every ring exists (a worker never touches a
-  // sibling's ring, but shard_of spans all of shards_). Each gets a CPU of
-  // its own when the inherited mask has one for every shard, else none is
-  // pinned (see "Core placement" in the header).
+  // Workers start only after every ring and frame slot exists (a worker
+  // helps with any shard's slice). Each gets a CPU of its own when the
+  // inherited mask has one for every shard, else none is pinned (see "Core
+  // placement" in the header).
   const std::vector<int> cpus = allowed_cpus();
   for (std::size_t s = 0; s < shards; ++s) {
     shards_[s]->worker = std::thread([this, s] { worker_loop(s); });
@@ -138,16 +149,6 @@ std::size_t ShardedEngine::shard_of(graph::Vertex u, graph::Vertex v) const {
                                   shards_.size());
 }
 
-void ShardedEngine::complete(std::atomic<std::uint32_t>* remaining,
-                             std::uint32_t answered) {
-  // Release pairs with the waiter's acquire: by the time it observes zero,
-  // every result slot write is visible. Notify only on the last decrement —
-  // the waiter checks the value before sleeping, so a notify can never be
-  // lost between its load and its wait.
-  if (remaining->fetch_sub(answered, std::memory_order_acq_rel) == answered)
-    remaining->notify_all();
-}
-
 void ShardedEngine::wake_shard(Shard& shard) {
   // Version bump first (release: pairs with the worker's acquire load to
   // publish the ring entries), then the futex syscall only when the worker
@@ -159,12 +160,26 @@ void ShardedEngine::wake_shard(Shard& shard) {
     shard.signal.notify_one();
 }
 
+std::uint32_t ShardedEngine::answer_slice(FrameTable::Ticket ticket,
+                                          std::size_t shard,
+                                          const oracle::PathOracle& snap,
+                                          ResultCache* cache,
+                                          AnswerPath::Tally& tally) {
+  std::uint32_t answered = 0;
+  FrameTable::Chunk chunk;
+  while (frames_.claim(ticket, shard, chunk)) {
+    path_.answer(snap, cache, chunk.queries, chunk.order, chunk.count,
+                 chunk.results, tally);
+    answered += chunk.count;
+  }
+  return answered;
+}
+
 void ShardedEngine::worker_loop(std::size_t shard_id) {
   Shard& shard = *shards_[shard_id];
+  const std::size_t shards = shards_.size();
   // Per-worker scratch, sized once before the first drain.
-  std::vector<Request> requests(kDrainBatch);
-  std::vector<Query> queries(kDrainBatch);
-  std::vector<graph::Weight> answers(kDrainBatch);
+  std::vector<FrameTable::Ticket> tickets(kTicketBatch);
   std::uint64_t seen_swaps = 0;
 
   for (;;) {
@@ -172,7 +187,7 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
     // publishes after this load also bumps the counter after it, so the
     // wait below falls through instead of sleeping over new work.
     const std::uint64_t sig = shard.signal.load(std::memory_order_acquire);
-    const std::size_t n = shard.ring.pop_batch(requests.data(), kDrainBatch);
+    const std::size_t n = shard.ring.pop_batch(tickets.data(), kTicketBatch);
     if (n == 0) {
       if (stop_.load(std::memory_order_acquire)) return;
       // Brief spin catches back-to-back batches without a futex round-trip.
@@ -190,32 +205,32 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
     // Busy time spans the whole drain, answers and completions: two clock
     // reads and one counter add per drain, never per query.
     const std::uint64_t drain_start = obs::window_now_ns();
-    // Answer the drained batch against the epoch-pinned snapshot. The pin
-    // covers exactly one drain, so a swap waits at most one batch for this
-    // worker to unpin. A new swap count, loaded before the pointer, implies
-    // the new snapshot: the cleared cache refills only with its answers.
+    // Answer against the epoch-pinned snapshot. The pin covers exactly one
+    // drain, so a swap waits at most one drain for this worker to unpin. A
+    // new swap count, loaded before the pointer, implies the new snapshot:
+    // the cleared cache refills only with its answers.
     epochs_.pin(shard_id);
     const std::uint64_t swaps = swaps_.load(std::memory_order_acquire);
     if (swaps != seen_swaps) shard.cache.clear();
     seen_swaps = swaps;
     const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n; ++i)
-      queries[i] = Query{requests[i].u, requests[i].v};
-    path_.answer_chunk(*snap, &shard.cache, queries.data(), answers.data(), n);
-    epochs_.unpin(shard_id);
-
-    // One completion per run of consecutive requests of the same batch, not
-    // one per query. A batch cannot reach zero while this drain still holds
-    // its uncompleted entries, so its counter stays alive (and its address
-    // unreused) until the drain's last run of it: equal pointers within one
-    // drain always name the same batch.
-    for (std::size_t i = 0; i < n;) {
-      std::atomic<std::uint32_t>* const remaining = requests[i].remaining;
-      std::uint32_t run = 0;
-      for (; i < n && requests[i].remaining == remaining; ++i, ++run)
-        *requests[i].out = answers[i];
-      complete(remaining, run);
+    for (std::size_t i = 0; i < n; ++i) {
+      const FrameTable::Ticket ticket = tickets[i];
+      AnswerPath::Tally tally;
+      // Own slice first, through the cache; then whatever is left of the
+      // frame's other slices, uncached, next shard first.
+      const std::uint32_t own =
+          answer_slice(ticket, shard_id, *snap, &shard.cache, tally);
+      std::uint32_t claimed = 0;
+      for (std::size_t k = 1; k < shards; ++k)
+        claimed += answer_slice(ticket, (shard_id + k) % shards, *snap,
+                                nullptr, tally);
+      if (own + claimed == 0) continue;  // a stale ticket
+      path_.publish(tally);
+      if (claimed != 0) shard.claimed_total->inc(claimed);
+      frames_.finish(ticket, own + claimed);
     }
+    epochs_.unpin(shard_id);
     shard.busy_ns_total->inc(obs::window_now_ns() - drain_start);
   }
 }
@@ -224,32 +239,44 @@ void ShardedEngine::dispatch_batch(const oracle::PathOracle& snap,
                                    std::span<const Query> queries,
                                    graph::Weight* results,
                                    std::atomic<std::uint32_t>* remaining) {
-  std::uint64_t touched = 0;  // bitmask of shards that received entries
-  std::uint32_t answered_inline = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const Query& q = queries[i];
-    const std::size_t s = shard_of(q.u, q.v);
-    const Request request{q.u, q.v, &results[i], remaining};
-    if (shards_[s]->ring.try_push(request)) {
-      touched |= std::uint64_t{1} << s;
-    } else {
-      // Backpressure: a full ring answers on this thread instead of
-      // blocking — bounded extra work under overload, never a stall.
-      intake_full_total_->inc();
-      path_.answer_chunk(snap, nullptr, &q, &results[i], 1);
-      ++answered_inline;
-    }
+  const auto size = static_cast<std::uint32_t>(queries.size());
+  std::uint64_t touched = 0;  // bit s: shard s has a non-empty slice
+  const std::optional<FrameTable::Ticket> ticket = frames_.open(
+      queries, results, remaining,
+      [&](std::size_t i) { return shard_of(queries[i].u, queries[i].v); },
+      touched);
+  if (!ticket) {
+    // Every slot is in flight: answer on this thread instead of blocking —
+    // bounded extra work under overload, never a stall.
+    intake_full_total_->inc(size);
+    path_.answer_chunk(snap, nullptr, queries.data(), results, size);
+    FrameTable::complete(remaining, size);
+    return;
   }
-  // One wake per touched shard per batch (not per query).
-  while (touched != 0) {
-    const int s = __builtin_ctzll(touched);
-    touched &= touched - 1;
-    wake_shard(*shards_[static_cast<std::size_t>(s)]);
+
+  // One ticket per touched shard, each woken right after its push. From the
+  // first push on the frame may complete at any time; only the ticket is
+  // used below.
+  std::uint64_t unsent = 0;
+  for (; touched != 0; touched &= touched - 1) {
+    const auto s = static_cast<std::size_t>(__builtin_ctzll(touched));
+    if (shards_[s]->ring.try_push(*ticket))
+      wake_shard(*shards_[s]);
+    else
+      unsent |= std::uint64_t{1} << s;
   }
-  // The dispatcher's own answers complete after the wakes so a batch that
-  // was fully inline still reaches zero (the caller is not waiting yet —
-  // notify order does not matter, the count does).
-  if (answered_inline != 0) complete(remaining, answered_inline);
+  if (unsent == 0) return;
+  // A full ring (its worker is far behind): claim that slice here.
+  AnswerPath::Tally tally;
+  std::uint32_t answered = 0;
+  for (; unsent != 0; unsent &= unsent - 1)
+    answered += answer_slice(
+        *ticket, static_cast<std::size_t>(__builtin_ctzll(unsent)), snap,
+        nullptr, tally);
+  if (answered == 0) return;
+  path_.publish(tally);
+  intake_full_total_->inc(answered);
+  frames_.finish(*ticket, answered);
 }
 
 void ShardedEngine::query_batch_into(std::span<const Query> queries,

@@ -93,4 +93,11 @@ std::vector<std::string> Args::unused() const {
   return out;
 }
 
+void Args::reject_unused(const std::string& program) const {
+  const std::vector<std::string> unknown = unused();
+  if (!unknown.empty())
+    throw std::invalid_argument("--" + unknown.front() + " is not a " +
+                                program + " flag");
+}
+
 }  // namespace pathsep::util

@@ -35,6 +35,11 @@ class Args {
   /// warn about typos like --episilon.
   std::vector<std::string> unused() const;
 
+  /// Throws std::invalid_argument("--NAME is not a PROGRAM flag") naming
+  /// the first flag no getter has read. Binaries call it once every flag is
+  /// read, before any work, so a typo fails instead of running on defaults.
+  void reject_unused(const std::string& program) const;
+
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> queried_;

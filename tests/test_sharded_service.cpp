@@ -1,4 +1,6 @@
 // The shard-per-core serving stack: the lock-free MPSC intake ring, the
+// claimable frames (stale tickets, a stale claim across a slot's reuse,
+// exactly-once claims, slot exhaustion, a full ring, a busy owner), the
 // epoch-based snapshot reclaimer (manual-clock proofs that nothing is freed
 // while pinned), the ShardedEngine's exactness and determinism across shard
 // counts, its worker placement (one CPU each, inside the process mask), its
@@ -9,6 +11,7 @@
 // detection on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -17,7 +20,9 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "hierarchy/decomposition_tree.hpp"
 #include "separator/finders.hpp"
 #include "service/net.hpp"
+#include "service/frame_table.hpp"
 #include "service/net_server.hpp"
 #include "service/sharded_engine.hpp"
 #include "util/epoch.hpp"
@@ -120,6 +126,243 @@ TEST(MpscRing, ConcurrentProducersDeliverEveryItemExactlyOnce) {
   for (int i = 0; i < kProducers * kPerProducer; ++i)
     EXPECT_EQ(seen[i], 1) << "item " << i;
   ring.audit();
+}
+
+// ------------------------------------------------------------ FrameTable
+
+}  // namespace
+
+/// Runs a claim and an open() step by step, so a test can interleave a
+/// stale claimer with the reuse of its slot deterministically.
+struct FrameTableTestPeer {
+  /// A claim's first step: the claim word it loads.
+  static std::uint64_t claim_word(FrameTable& table, FrameTable::Ticket ticket,
+                                  std::size_t owner) {
+    return table.frames_[ticket.slot].claims[owner].word.load(
+        std::memory_order_acquire);
+  }
+  /// The rest of the claim, from a word loaded earlier.
+  static bool claim_from(FrameTable& table, FrameTable::Ticket ticket,
+                         std::size_t owner, std::uint64_t word,
+                         FrameTable::Chunk& chunk) {
+    return table.claim(ticket, owner, word, chunk);
+  }
+  /// open() up to its publish: a slot is taken and its slices rewritten
+  /// for a frame of `size` pairs. Returns the slot's index, or -1.
+  template <typename OwnerOf>
+  static int open_unpublished(FrameTable& table, std::size_t size,
+                              OwnerOf owner_of) {
+    FrameTable::Frame* const frame = table.acquire();
+    if (frame == nullptr) return -1;
+    std::uint64_t touched = 0;
+    table.bucket(*frame, size, owner_of, touched);
+    return static_cast<int>(frame - table.frames_.get());
+  }
+  /// open()'s last step for a slot open_unpublished() took.
+  static FrameTable::Ticket publish(FrameTable& table, int slot,
+                                    std::span<const Query> queries,
+                                    Weight* results,
+                                    std::atomic<std::uint32_t>* remaining) {
+    return table.publish(table.frames_[slot], queries, results, remaining);
+  }
+};
+
+namespace {
+
+/// Claims every chunk of `owner`'s slice of `ticket`'s frame; returns the
+/// pair indices claimed, in claim order.
+std::vector<std::uint32_t> claim_all(FrameTable& table,
+                                     FrameTable::Ticket ticket,
+                                     std::size_t owner) {
+  std::vector<std::uint32_t> indices;
+  FrameTable::Chunk chunk;
+  while (table.claim(ticket, owner, chunk)) {
+    EXPECT_GE(chunk.count, 1u);
+    EXPECT_LE(chunk.count, FrameTable::kChunk);
+    indices.insert(indices.end(), chunk.order, chunk.order + chunk.count);
+  }
+  return indices;
+}
+
+// A ticket claims only its own frame: once the frame completed, or its slot
+// carries a newer frame, the old ticket claims nothing.
+TEST(FrameTable, StaleTicketsClaimNothing) {
+  FrameTable table(/*slots=*/1, /*owners=*/2);
+  const auto owner_of = [](std::size_t i) { return i % 3 == 0 ? 1u : 0u; };
+  std::vector<Query> first(40, Query{1, 2});
+  std::vector<Weight> first_results(first.size());
+  std::atomic<std::uint32_t> first_remaining{40};
+  std::uint64_t touched = 0;
+  const std::optional<FrameTable::Ticket> old = table.open(
+      first, first_results.data(), &first_remaining, owner_of, touched);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(touched, 3u);
+
+  // Each slice holds exactly its owner's indices, in ascending order.
+  const std::vector<std::uint32_t> zero = claim_all(table, *old, 0);
+  const std::vector<std::uint32_t> one = claim_all(table, *old, 1);
+  EXPECT_EQ(zero.size() + one.size(), first.size());
+  EXPECT_TRUE(std::is_sorted(zero.begin(), zero.end()));
+  for (const std::uint32_t i : zero) EXPECT_EQ(owner_of(i), 0u);
+  for (const std::uint32_t i : one) EXPECT_EQ(owner_of(i), 1u);
+
+  // The only slot is busy until the frame is counted done.
+  std::vector<Query> second(20, Query{3, 4});
+  std::vector<Weight> second_results(second.size());
+  std::atomic<std::uint32_t> second_remaining{20};
+  EXPECT_FALSE(table
+                   .open(second, second_results.data(), &second_remaining,
+                         owner_of, touched)
+                   .has_value());
+  table.finish(*old, 30);
+  EXPECT_EQ(first_remaining.load(), 40u) << "completed before every count";
+  table.finish(*old, 10);
+  EXPECT_EQ(first_remaining.load(), 0u);
+
+  // Completed: nothing left to claim.
+  FrameTable::Chunk chunk;
+  EXPECT_FALSE(table.claim(*old, 0, chunk));
+  EXPECT_FALSE(table.claim(*old, 1, chunk));
+
+  // Reused: the old ticket names the slot but not the generation.
+  const std::optional<FrameTable::Ticket> fresh = table.open(
+      second, second_results.data(), &second_remaining, owner_of, touched);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->slot, old->slot);
+  EXPECT_NE(fresh->gen, old->gen);
+  EXPECT_FALSE(table.claim(*old, 0, chunk));
+  EXPECT_FALSE(table.claim(*old, 1, chunk));
+  ASSERT_TRUE(table.claim(*fresh, 0, chunk));
+  EXPECT_EQ(chunk.queries, second.data());
+  EXPECT_EQ(chunk.results, second_results.data());
+  EXPECT_EQ(first_remaining.load(), 0u) << "the old caller's counter moved";
+}
+
+// A claimer that loaded its claim word before its frame completed, and reads
+// the slice bounds only after the slot's next use rewrote them, claims
+// nothing: its old, exhausted cursor would fit the new, longer slice, but the
+// completed frame's claim words were closed before the slot was freed.
+TEST(FrameTable, StaleClaimAcrossASlotReuseClaimsNothing) {
+  FrameTable table(/*slots=*/1, /*owners=*/2);
+  const auto owner_of = [](std::size_t i) { return i % 3 == 0 ? 1u : 0u; };
+  std::vector<Query> first(40, Query{1, 2});
+  std::vector<Weight> first_results(first.size());
+  std::atomic<std::uint32_t> first_remaining{40};
+  std::uint64_t touched = 0;
+  const std::optional<FrameTable::Ticket> old = table.open(
+      first, first_results.data(), &first_remaining, owner_of, touched);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(claim_all(table, *old, 0).size(), 26u);
+  EXPECT_EQ(claim_all(table, *old, 1).size(), 14u);
+
+  // The stale claimer's first step, while the frame is still in flight.
+  const std::uint64_t word = FrameTableTestPeer::claim_word(table, *old, 0);
+  table.finish(*old, 40);
+  ASSERT_EQ(first_remaining.load(), 0u);
+
+  // The slot's next use: 200 pairs, all owner 0's, bucketed but not yet
+  // published.
+  std::vector<Query> second(200, Query{3, 4});
+  std::vector<Weight> second_results(second.size(), -1.0);
+  std::atomic<std::uint32_t> second_remaining{200};
+  const int slot = FrameTableTestPeer::open_unpublished(
+      table, second.size(), [](std::size_t) { return 0u; });
+  ASSERT_EQ(slot, static_cast<int>(old->slot));
+
+  // The stale claimer resumes against the rewritten bounds.
+  FrameTable::Chunk chunk;
+  EXPECT_FALSE(FrameTableTestPeer::claim_from(table, *old, 0, word, chunk))
+      << "a completed frame's ticket claimed a chunk of the slot's next use";
+  EXPECT_FALSE(table.claim(*old, 0, chunk));
+  EXPECT_FALSE(table.claim(*old, 1, chunk));
+
+  // Published, the new frame's slice is whole and completes only its
+  // caller.
+  const FrameTable::Ticket fresh = FrameTableTestPeer::publish(
+      table, slot, second, second_results.data(), &second_remaining);
+  EXPECT_NE(fresh.gen, old->gen);
+  EXPECT_EQ(claim_all(table, fresh, 0).size(), second.size());
+  EXPECT_TRUE(claim_all(table, fresh, 1).empty());
+  table.finish(fresh, 200);
+  EXPECT_EQ(second_remaining.load(), 0u);
+  EXPECT_EQ(first_remaining.load(), 0u) << "the old caller's counter moved";
+}
+
+// Threads that each claim their own slice first and then any other slice,
+// as shard workers do, answer every index of every frame exactly once, and
+// each frame completes exactly when its last index is counted.
+TEST(FrameTable, ConcurrentClaimersAnswerEveryIndexExactlyOnce) {
+  constexpr std::size_t kOwners = 4;
+  constexpr std::size_t kFrames = 40;
+  constexpr std::size_t kSize = 3000;
+  FrameTable table(/*slots=*/2, kOwners);
+  // Skewed: owner 0 holds half of every frame.
+  const auto owner_of = [](std::size_t i) {
+    return i % 2 == 0 ? std::size_t{0} : 1 + i % 3;
+  };
+  const std::vector<Query> queries(kSize);
+  std::vector<std::atomic<std::uint32_t>> answered(kFrames * kSize);
+  std::vector<Weight> results(kFrames * kSize, -1.0);
+  std::vector<std::atomic<std::uint32_t>> remaining(kFrames);
+  util::MpscRing<FrameTable::Ticket> tickets[kOwners] = {
+      util::MpscRing<FrameTable::Ticket>(64),
+      util::MpscRing<FrameTable::Ticket>(64),
+      util::MpscRing<FrameTable::Ticket>(64),
+      util::MpscRing<FrameTable::Ticket>(64)};
+  std::atomic<bool> stop{false};
+
+  std::vector<std::thread> claimers;
+  for (std::size_t self = 0; self < kOwners; ++self)
+    claimers.emplace_back([&, self] {
+      FrameTable::Ticket ticket;
+      while (!stop.load(std::memory_order_acquire)) {
+        if (tickets[self].pop_batch(&ticket, 1) == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        std::uint32_t count = 0;
+        for (std::size_t k = 0; k < kOwners; ++k) {
+          FrameTable::Chunk chunk;
+          while (table.claim(ticket, (self + k) % kOwners, chunk)) {
+            // Each frame answers into its own kSize-entry block.
+            const auto frame = static_cast<std::size_t>(
+                (chunk.results - results.data()) / kSize);
+            for (std::uint32_t j = 0; j < chunk.count; ++j) {
+              const std::uint32_t i = chunk.order[j];
+              answered[frame * kSize + i].fetch_add(1);
+              chunk.results[i] = static_cast<Weight>(i);
+            }
+            count += chunk.count;
+          }
+        }
+        if (count != 0) table.finish(ticket, count);
+      }
+    });
+
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    remaining[f].store(kSize);
+    std::uint64_t touched = 0;
+    std::optional<FrameTable::Ticket> ticket;
+    while (!(ticket = table.open(queries, results.data() + f * kSize,
+                                 &remaining[f], owner_of, touched)))
+      std::this_thread::yield();  // both slots in flight
+    EXPECT_EQ(touched, 0xfu);
+    for (std::size_t s = 0; s < kOwners; ++s)
+      while (!tickets[s].try_push(*ticket)) std::this_thread::yield();
+  }
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    std::uint32_t left;
+    while ((left = remaining[f].load(std::memory_order_acquire)) != 0)
+      remaining[f].wait(left, std::memory_order_acquire);
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& claimer : claimers) claimer.join();
+  for (std::size_t f = 0; f < kFrames; ++f)
+    for (std::size_t i = 0; i < kSize; ++i) {
+      ASSERT_EQ(answered[f * kSize + i].load(), 1u)
+          << "frame " << f << ", index " << i;
+      ASSERT_EQ(results[f * kSize + i], static_cast<Weight>(i));
+    }
 }
 
 // ------------------------------------------------------- EpochReclaimer
@@ -374,6 +617,13 @@ std::uint64_t family_sum(const std::map<std::string, std::uint64_t>& family) {
   return sum;
 }
 
+/// Queries the engine's workers answered from other shards' slices:
+/// uncached, so each can cost its owner's cache one hit.
+std::uint64_t claimed_total(const ShardedEngine& engine) {
+  return family_sum(
+      counter_family(engine.metrics(), "queries_claimed_total"));
+}
+
 // The reference digest is the serial PathOracle::query loop, so every shard
 // count is checked against the oracle itself.
 TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
@@ -400,10 +650,11 @@ TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
 }
 
 // Batches of up to kInlineCutoff queries are answered on the caller's
-// thread, which has no result cache; one query more goes through the shard
-// rings, whose workers each own one. Both sides of the cutoff answer
+// thread, which has no result cache; one query more becomes a frame for the
+// shard workers, which each own one. Both sides of the cutoff answer
 // bit-identically to the oracle, and the cache counters show which side
-// answered a repeated frame.
+// answered a repeated frame. One shard, so no other worker claims (and
+// answers uncached) part of the frame.
 TEST(ShardedEngine, InlineCutoffSplitsCallerThreadFromRings) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
@@ -411,7 +662,7 @@ TEST(ShardedEngine, InlineCutoffSplitsCallerThreadFromRings) {
   const std::vector<Query> batch = mixed_workload(n, kCutoff + 1, 31);
 
   ShardedEngineOptions opts;
-  opts.shards = 2;
+  opts.shards = 1;
   opts.cache_capacity = 1 << 12;
   for (const std::size_t size : {std::size_t{1}, kCutoff, kCutoff + 1}) {
     ShardedEngine engine(snapshot, opts);
@@ -430,12 +681,13 @@ TEST(ShardedEngine, InlineCutoffSplitsCallerThreadFromRings) {
         family_sum(counter_family(engine.metrics(), "cache_misses"));
     EXPECT_EQ(hits + misses, 2 * size);
     if (size <= kCutoff)
-      EXPECT_EQ(hits, 0u) << size << "-query frame went through the rings";
+      EXPECT_EQ(hits, 0u) << size << "-query frame went to the workers";
     else  // the repeat is answered from the shards' caches
       EXPECT_GE(hits, size) << size << "-query frame was answered inline";
   }
 
   // shard_of is symmetric, so both directions of a pair share an owner.
+  opts.shards = 2;
   ShardedEngine engine(snapshot, opts);
   EXPECT_EQ(engine.shard_of(3, 17), engine.shard_of(17, 3));
 }
@@ -460,24 +712,190 @@ TEST(ShardedEngine, SubmitBatchCompletesAsynchronously) {
   EXPECT_EQ(fnv_digest(results), fnv_digest(expected));
 }
 
-TEST(ShardedEngine, TinyRingsFallBackInlineAndStayExact) {
+// More frames in flight than the engine has slots: the overflow is
+// answered on the submitting thread (counted in shard_intake_full_total)
+// and every answer stays exact. The one worker is first handed a frame of
+// 500000 pairs (a long job), so the small frames submitted right after it
+// stay in flight until the slots run out.
+TEST(ShardedEngine, FrameSlotsRunOutFallBackInlineAndStayExact) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
-  const std::vector<Query> batch = mixed_workload(n, 4000, 41);
+  ShardedEngine engine(snapshot, {.shards = 1});
 
-  ShardedEngineOptions opts;
-  opts.shards = 2;
-  opts.ring_capacity = 2;  // overflow is guaranteed at this batch size
-  ShardedEngineOptions reference_opts;
-  reference_opts.shards = 1;
-  ShardedEngine reference(snapshot, reference_opts);
-  ShardedEngine engine(snapshot, opts);
-  EXPECT_EQ(fnv_digest(engine.query_batch(batch)),
-            fnv_digest(reference.query_batch(batch)));
-  // Backpressure must have taken the inline fallback at least once.
-  const auto fallbacks =
-      counter_family(engine.metrics(), "shard_intake_full_total");
-  EXPECT_GT(family_sum(fallbacks), 0u);
+  const std::vector<Query> long_frame = mixed_workload(n, 500000, 41);
+  std::vector<Weight> long_results(long_frame.size());
+  std::atomic<std::uint32_t> long_remaining{
+      static_cast<std::uint32_t>(long_frame.size())};
+  engine.submit_batch(long_frame, long_results.data(), &long_remaining);
+
+  const std::vector<Query> batch =
+      mixed_workload(n, ShardedEngine::kInlineCutoff + 1, 42);
+  std::vector<Weight> expected;
+  for (const Query& q : batch) expected.push_back(snapshot->query(q.u, q.v));
+  constexpr std::size_t kFrames = ShardedEngine::kFrameSlots + 32;
+  std::vector<std::vector<Weight>> results(kFrames,
+                                           std::vector<Weight>(batch.size()));
+  std::vector<std::atomic<std::uint32_t>> remaining(kFrames);
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    remaining[f].store(static_cast<std::uint32_t>(batch.size()));
+    engine.submit_batch(batch, results[f].data(), &remaining[f]);
+  }
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    std::uint32_t left;
+    while ((left = remaining[f].load(std::memory_order_acquire)) != 0)
+      remaining[f].wait(left, std::memory_order_acquire);
+    ASSERT_EQ(fnv_digest(results[f]), fnv_digest(expected)) << "frame " << f;
+  }
+  std::uint32_t left;
+  while ((left = long_remaining.load(std::memory_order_acquire)) != 0)
+    long_remaining.wait(left, std::memory_order_acquire);
+  for (std::size_t i = 0; i < long_frame.size(); i += 997)
+    ASSERT_EQ(long_results[i],
+              snapshot->query(long_frame[i].u, long_frame[i].v));
+
+  const std::uint64_t inline_answers = family_sum(
+      counter_family(engine.metrics(), "shard_intake_full_total"));
+  EXPECT_GT(inline_answers, 0u);
+  EXPECT_EQ(inline_answers % batch.size(), 0u)
+      << "a frame without a slot is answered whole on the caller's thread";
+  EXPECT_EQ(family_sum(counter_family(engine.metrics(), "queries_total")),
+            long_frame.size() + kFrames * batch.size());
+}
+
+// A worker that is busy stops taking tickets once its ring (2 ×
+// kFrameSlots tickets) fills with those of frames the other threads finished
+// for it. The dispatcher then claims that shard's slice itself, counted in
+// shard_intake_full_total, and every answer stays exact. Worker 1 is handed
+// a long frame that only shard 1 owns; meanwhile more frames than its ring
+// holds, each touching both shards, go in asynchronously (at most half the
+// slots in flight, so none runs out of slots), and worker 0 and the
+// dispatcher answer them. The last frame only shard 1 owns, so the
+// dispatcher answers it whole. Returns whether worker 1 was still busy
+// after that frame; only then is its ring sure to have been full.
+bool full_ring_round(
+    const std::shared_ptr<const oracle::PathOracle>& snapshot) {
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  ShardedEngine engine(snapshot, {.shards = 2});
+
+  std::vector<Query> owned;  // pairs of shard 1
+  for (const Query& q : mixed_workload(n, 4000, 53))
+    if (engine.shard_of(q.u, q.v) == 1) owned.push_back(q);
+  EXPECT_GT(owned.size(), ShardedEngine::kInlineCutoff);
+  if (owned.size() <= ShardedEngine::kInlineCutoff) return true;
+  std::vector<Query> long_frame;
+  while (long_frame.size() < 1000000)
+    long_frame.push_back(owned[long_frame.size() % owned.size()]);
+  std::vector<Weight> long_results(long_frame.size());
+  std::atomic<std::uint32_t> long_remaining{
+      static_cast<std::uint32_t>(long_frame.size())};
+  engine.submit_batch(long_frame, long_results.data(), &long_remaining);
+
+  const std::vector<Query> batch =
+      mixed_workload(n, ShardedEngine::kInlineCutoff + 1, 59);
+  std::set<std::size_t> shards;
+  for (const Query& q : batch) shards.insert(engine.shard_of(q.u, q.v));
+  EXPECT_EQ(shards.size(), 2u);
+  std::vector<Weight> expected;
+  for (const Query& q : batch) expected.push_back(snapshot->query(q.u, q.v));
+  constexpr std::size_t kFrames = 3 * ShardedEngine::kFrameSlots;
+  constexpr std::size_t kWindow = ShardedEngine::kFrameSlots / 2;
+  std::vector<std::vector<Weight>> results(kWindow,
+                                           std::vector<Weight>(batch.size()));
+  std::vector<std::atomic<std::uint32_t>> remaining(kWindow);
+  std::size_t wrong = 0;
+  const auto collect = [&](std::size_t w) {
+    std::uint32_t left;
+    while ((left = remaining[w].load(std::memory_order_acquire)) != 0)
+      remaining[w].wait(left, std::memory_order_acquire);
+    if (fnv_digest(results[w]) != fnv_digest(expected)) ++wrong;
+  };
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    const std::size_t w = f % kWindow;
+    if (f >= kWindow) collect(w);
+    remaining[w].store(static_cast<std::uint32_t>(batch.size()));
+    engine.submit_batch(batch, results[w].data(), &remaining[w]);
+  }
+  for (std::size_t w = 0; w < kWindow; ++w) collect(w);
+  EXPECT_EQ(wrong, 0u) << "frames with a wrong answer";
+
+  const std::vector<Query> mine(
+      owned.begin(), owned.begin() + ShardedEngine::kInlineCutoff + 1);
+  const std::vector<Weight> got = engine.query_batch(mine);
+  const bool kept_busy = long_remaining.load(std::memory_order_acquire) > 0;
+  for (std::size_t i = 0; i < mine.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(
+                  snapshot->query(mine[i].u, mine[i].v)))
+        << "query " << i;
+  if (kept_busy) {
+    EXPECT_GE(family_sum(counter_family(engine.metrics(),
+                                        "shard_intake_full_total")),
+              mine.size());
+  }
+
+  std::uint32_t left;
+  while ((left = long_remaining.load(std::memory_order_acquire)) != 0)
+    long_remaining.wait(left, std::memory_order_acquire);
+  for (std::size_t i = 0; i < long_frame.size(); i += 997)
+    EXPECT_EQ(long_results[i],
+              snapshot->query(long_frame[i].u, long_frame[i].v));
+  EXPECT_EQ(family_sum(counter_family(engine.metrics(), "queries_total")),
+            long_frame.size() + kFrames * batch.size() + mine.size());
+  return kept_busy;
+}
+
+// On a loaded machine worker 1 may finish the long frame early; a round
+// where it did proves nothing about a full ring, so up to three are run.
+TEST(ShardedEngine, FullRingSliceIsClaimedByTheDispatcherAndStaysExact) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  bool kept_busy = false;
+  for (int round = 0; round < 3 && !kept_busy; ++round)
+    kept_busy = full_ring_round(snapshot);
+  EXPECT_TRUE(kept_busy)
+      << "the long frame finished first in every round; worker 1 was never "
+         "kept busy";
+}
+
+// A frame does not wait for a busy owner: while worker 0 answers a long
+// frame that only it holds a ticket for, the other workers answer a second
+// frame whole, claiming worker 0's slice of it, bit-identically to the
+// oracle.
+TEST(ShardedEngine, FrameCompletesWhileItsOwnerIsKeptBusy) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
+  ShardedEngine engine(snapshot, {.shards = 4});
+
+  // The long frame: 200000 pairs all owned by shard 0, so only worker 0 is
+  // handed it, answered uncached (no cache): tens of milliseconds of work.
+  std::vector<Query> owned;
+  for (const Query& q : mixed_workload(n, 4000, 43))
+    if (engine.shard_of(q.u, q.v) == 0) owned.push_back(q);
+  ASSERT_FALSE(owned.empty());
+  std::vector<Query> long_frame;
+  while (long_frame.size() < 200000)
+    long_frame.push_back(owned[long_frame.size() % owned.size()]);
+  std::vector<Weight> long_results(long_frame.size());
+  std::atomic<std::uint32_t> long_remaining{
+      static_cast<std::uint32_t>(long_frame.size())};
+  engine.submit_batch(long_frame, long_results.data(), &long_remaining);
+
+  const std::vector<Query> frame = mixed_workload(n, 512, 47);
+  const std::vector<Weight> got = engine.query_batch(frame);
+  EXPECT_GT(long_remaining.load(std::memory_order_acquire), 0u)
+      << "the long frame finished first; worker 0 was not kept busy";
+  for (std::size_t i = 0; i < frame.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(
+                  snapshot->query(frame[i].u, frame[i].v)))
+        << "query " << i;
+  EXPECT_GT(claimed_total(engine), 0u);
+
+  std::uint32_t left;
+  while ((left = long_remaining.load(std::memory_order_acquire)) != 0)
+    long_remaining.wait(left, std::memory_order_acquire);
+  for (std::size_t i = 0; i < long_frame.size(); i += 997)
+    ASSERT_EQ(long_results[i],
+              snapshot->query(long_frame[i].u, long_frame[i].v));
 }
 
 TEST(ShardedEngine, AnswerFamilySumsToQueriesAtEveryShardCount) {
@@ -520,7 +938,9 @@ TEST(ShardedEngine, CachedServingKeepsAnswersAndSumInvariant) {
     std::uint64_t cached = 0;
     for (const auto& [key, value] : answers)
       if (key.find("level=cached;") != std::string::npos) cached = value;
-    EXPECT_GT(cached, 0u) << shards << " shards";
+    // The warm pass hits on every query no worker claimed in either pass.
+    EXPECT_GE(cached + claimed_total(engine), batch.size())
+        << shards << " shards";
   }
 }
 
@@ -569,7 +989,7 @@ TEST(ShardedEngine, WorkersPinToDistinctAllowedCpus) {
   const std::uint64_t expected_digest = fnv_digest(expected);
 
   // Builds a `shards`-shard engine under the current mask, checks where its
-  // workers run, and answers the batch through the rings.
+  // workers run, and answers the batch as a frame.
   const auto check = [&](std::size_t shards) {
     cpu_set_t mask;
     CPU_ZERO(&mask);
@@ -691,9 +1111,11 @@ TEST(QueryEngine, MatchesOracleWithAndWithoutCache) {
     }
     const obs::MetricsRegistry& hot = cached.metrics();
     const obs::MetricsRegistry& cold_metrics = uncached.metrics();
-    // Every reversed query hits (pairs recurring in the sweep hit earlier).
+    // Every reversed query hits (pairs recurring in the sweep hit earlier),
+    // except where a worker claimed it, or its forward twin, from another
+    // shard's slice and answered it uncached.
     const std::uint64_t hits = family_sum(counter_family(hot, "cache_hits"));
-    EXPECT_GE(hits, queries) << shards << " shards";
+    EXPECT_GE(hits + claimed_total(cached), queries) << shards << " shards";
     EXPECT_EQ(hits + family_sum(counter_family(hot, "cache_misses")),
               2 * queries);
     // Without a cache every query is one counted miss.
@@ -787,7 +1209,7 @@ TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
   auto second =
       std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.8));
   // One pair in both directions, more times than kInlineCutoff so the
-  // frame goes through the rings: one shard owns every copy, so all but the
+  // batch becomes a frame: one shard owns every copy, so all but the
   // first are hits whenever the first was cached.
   std::vector<Query> pair;
   for (std::size_t i = 0; i <= ShardedEngine::kInlineCutoff; ++i)
@@ -985,6 +1407,19 @@ TEST(NetServer, RoundTripsBatchesOverLocalhost) {
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
 
+  // One decode, engine and encode sample per frame, and one write sample
+  // per read event that answered frames.
+  obs::MetricsRegistry& metrics = engine.metrics();
+  for (const char* phase : {"decode", "engine", "encode"})
+    EXPECT_EQ(metrics.histogram("net_frame_phase_ns", {{"phase", phase}})
+                  .count(),
+              stats.frames_in)
+        << phase;
+  const std::uint64_t writes =
+      metrics.histogram("net_frame_phase_ns", {{"phase", "write"}}).count();
+  EXPECT_GE(writes, 1u);
+  EXPECT_LE(writes, stats.frames_in);
+
   client.close();
   server.stop();
   EXPECT_FALSE(server.running());
@@ -1166,7 +1601,7 @@ TEST(NetServer, NonReadingPeerIsBackpressured) {
 // whole: byte-identical responses, no protocol error, no early answer from
 // a partial frame and no stall. The frame stays small, 5 pairs, because
 // every byte boundary costs a round trip; so small a frame is answered
-// inline rather than through the rings, which reassembly does not touch.
+// inline rather than as a frame, which reassembly does not touch.
 TEST(NetServer, FramesSplitAtEveryByteAnswerLikeWholeFrames) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());

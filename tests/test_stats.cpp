@@ -156,6 +156,21 @@ TEST(ArgsTest, DefaultsAndUnused) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(ArgsTest, RejectUnusedNamesTheFirstUnreadFlag) {
+  const char* argv[] = {"prog", "--n=5", "--epss=0.9"};
+  Args args(3, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("n", 0), 5);
+  try {
+    args.reject_unused("prog");
+    FAIL() << "an unread flag must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--epss is not a prog flag");
+  }
+  // Once every flag is read there is nothing to reject.
+  EXPECT_DOUBLE_EQ(args.get_double("epss", 0), 0.9);
+  EXPECT_NO_THROW(args.reject_unused("prog"));
+}
+
 TEST(ArgsTest, RejectsMalformedAndOutOfRangeNumbers) {
   const char* argv[] = {"prog",      "--empty=",  "--cache=abc",
                         "--n=12x",   "--neg=-1",  "--big=99999999999999999999",
