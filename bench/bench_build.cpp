@@ -22,10 +22,12 @@
 // --big-grid-side adds a large perturbed-grid instance (side 1024 = 1,048,576
 // vertices) measured only at the --big-threads counts, so the million-vertex
 // record does not multiply the whole default thread sweep.
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -85,17 +87,30 @@ Run measure(const Instance& inst, std::size_t threads, double epsilon) {
   return run;
 }
 
-std::vector<std::size_t> parse_threads(const std::string& spec) {
+/// Flag `--name`'s comma-separated thread budgets; throws
+/// std::invalid_argument naming the flag unless each is a whole number in
+/// [1, util::kMaxThreads].
+std::vector<std::size_t> parse_threads(const std::string& name,
+                                       const std::string& spec) {
   std::vector<std::size_t> out;
   std::istringstream in(spec);
   std::string tok;
-  while (std::getline(in, tok, ','))
-    if (!tok.empty()) out.push_back(std::stoul(tok));
+  while (std::getline(in, tok, ',')) {
+    if (tok.empty()) continue;
+    std::size_t value = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [at, ec] = std::from_chars(tok.data(), end, value);
+    if (ec != std::errc{} || at != end || value == 0 ||
+        value > util::kMaxThreads)
+      throw std::invalid_argument(
+          "--" + name + " expects thread counts in [1, " +
+          std::to_string(util::kMaxThreads) + "], got '" + spec + "'");
+    out.push_back(value);
+  }
   return out;
 }
 
-int run_main(int argc, char** argv) {
-  util::Args args(argc, argv);
+int run_main(const util::Args& args) {
   const std::string out_path = args.get("out", "BENCH_build.json");
   const std::size_t grid_side =
       static_cast<std::size_t>(args.get_int("grid-side", 320));
@@ -105,12 +120,11 @@ int run_main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("big-grid-side", 0));
   const double epsilon = args.get_double("epsilon", 0.5);
   const std::vector<std::size_t> thread_counts =
-      parse_threads(args.get("threads", "1,2,4,8"));
+      parse_threads("threads", args.get("threads", "1,2,4,8"));
   const std::vector<std::size_t> big_thread_counts =
-      parse_threads(args.get("big-threads", "1,8"));
+      parse_threads("big-threads", args.get("big-threads", "1,8"));
   const bool require_equal_digests = args.get_bool("require-equal-digests");
-  for (const std::string& flag : args.unused())
-    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
+  args.reject_unused("bench_build");
 
   section("E15", "end-to-end construction: tree + labels vs thread count");
   std::printf("hardware_concurrency=%u default_threads=%zu build=%s sha=%s\n",
@@ -201,4 +215,12 @@ int run_main(int argc, char** argv) {
 }  // namespace
 }  // namespace pathsep::bench
 
-int main(int argc, char** argv) { return pathsep::bench::run_main(argc, argv); }
+int main(int argc, char** argv) {
+  // A misspelt or malformed flag fails before any build work.
+  try {
+    return pathsep::bench::run_main(pathsep::util::Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}

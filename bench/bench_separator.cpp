@@ -12,6 +12,7 @@
 // paper predicts: trees and unweighted meshes k = 1, planar k <= 3
 // (strong), treewidth-w graphs k <= w+1 (strong).
 #include <fstream>
+#include <stdexcept>
 
 #include "common.hpp"
 #include "flow/flow_separator.hpp"
@@ -122,17 +123,8 @@ bool dominates_at_p3(const flow::ParetoFront& front, std::size_t n,
          flow_root.largest_component <= n / 2;
 }
 
-int run_e16(int argc, char** argv) {
-  util::Args args(argc, argv);
-  const std::string out_path = args.get("out", "BENCH_separator.json");
-  const auto road_side =
-      static_cast<std::size_t>(args.get_int("road-side", 320));
-  const auto label_side =
-      static_cast<std::size_t>(args.get_int("label-side", 96));
-  const double epsilon = args.get_double("epsilon", 0.5);
-  for (const std::string& flag : args.unused())
-    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
-
+int run_e16(const std::string& out_path, std::size_t road_side,
+            std::size_t label_side, double epsilon) {
   section("E16", "flow cutter vs structural/greedy finders (perturbed grid)");
   util::Rng rng(101);
   const graph::GeometricGraph gg = graph::road_network(road_side, road_side, rng);
@@ -250,6 +242,23 @@ int run_e16(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // E16's flags are read here, so a misspelt or malformed one fails before
+  // any build work.
+  std::string out_path;
+  std::size_t road_side = 0, label_side = 0;
+  double epsilon = 0;
+  try {
+    const util::Args args(argc, argv);
+    out_path = args.get("out", "BENCH_separator.json");
+    road_side = static_cast<std::size_t>(args.get_int("road-side", 320));
+    label_side = static_cast<std::size_t>(args.get_int("label-side", 96));
+    epsilon = args.get_double("epsilon", 0.5);
+    args.reject_unused("bench_separator");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+
   section("E1", "k-path separator sizes per graph family (Thm 1/6.1/7)");
   util::TableWriter table({"family", "n", "m", "k_measured", "k_paper",
                            "root_balance", "depth", "log2n+1", "build_s"});
@@ -293,5 +302,5 @@ int main(int argc, char** argv) {
                    util::strf("%zu", report.largest_component)});
   }
   check.print(std::cout);
-  return run_e16(argc, argv);
+  return run_e16(out_path, road_side, label_side, epsilon);
 }

@@ -44,8 +44,11 @@
 // Also measures what observing costs on the serving path (E14b): the
 // uniform workload answered in 256-query chunks through
 // AnswerPath::answer_chunk, the code every shard worker runs, against a
-// plain PathOracle::query loop, at one thread and at four threads sharing
-// one AnswerPath, tracing off then on. Results land in --out (default
+// plain PathOracle::query loop with the same prefetch, at one thread and at
+// four threads sharing one AnswerPath, tracing off then on: 31 short
+// interleaved trials each, timed in wall and thread CPU time, reported as
+// the median paired overhead with a 95% interval against the 5% bar.
+// Results land in --out (default
 // BENCH_service.json) for the repo record. --quick shrinks every dimension
 // for smoke runs. Every JSON row also records the host's CPU steal over the
 // row's run window (steal_pct, from /proc/stat; -1 where unmeasured).
@@ -57,6 +60,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -262,19 +266,36 @@ std::pair<std::uint64_t, std::uint64_t> answers_and_queries(
   return {answers, queries};
 }
 
+/// CPU time the calling thread has used, in nanoseconds.
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+/// One E14b trial of one loop: wall-clock qps over all threads, and the
+/// threads' summed CPU time per query.
+struct LoopTrial {
+  double qps = 0;
+  double cpu_ns_per_query = 0;
+};
+
 /// E14b: `threads` threads, started together, each answer one contiguous
 /// share of `w` in 256-query chunks (one shard's share of a 1024-pair
-/// frame at 4 shards); returns the total qps. With `path` null a chunk is a
-/// plain PathOracle::query loop, the baseline. Otherwise it is
+/// frame at 4 shards). With `path` null a chunk is a plain PathOracle::query
+/// loop, the baseline, with the answer path's next-query prefetch, so the
+/// difference prices observing alone. Otherwise it is
 /// AnswerPath::answer_chunk without a cache: the code a shard worker runs
-/// on every frame it works on, with its chained timestamps, metric tally
-/// published once, windowed histogram and slow-log admission, all threads
-/// sharing one AnswerPath as an engine's workers do.
-double run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
-                       std::size_t threads, service::AnswerPath* path) {
+/// on every frame it works on, with its one clock read per 16-query unit,
+/// metric tally published once, windowed histogram and slow-log admission,
+/// all threads sharing one AnswerPath as an engine's workers do.
+LoopTrial run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
+                          std::size_t threads, service::AnswerPath* path) {
   constexpr std::size_t chunk = 256;
   const std::size_t total = w.queries.size();
   std::atomic<bool> go{false};
+  std::vector<std::uint64_t> cpu_ns(threads);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t)
@@ -282,22 +303,57 @@ double run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
       const std::size_t end = total * (t + 1) / threads;
       std::vector<Weight> results(chunk);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const std::uint64_t cpu_start = thread_cpu_ns();
       for (std::size_t at = total * t / threads; at < end; at += chunk) {
         const std::size_t size = std::min(chunk, end - at);
         const service::Query* queries = w.queries.data() + at;
         if (path != nullptr) {
           path->answer_chunk(oracle, nullptr, queries, results.data(), size);
         } else {
-          for (std::size_t i = 0; i < size; ++i)
+          for (std::size_t i = 0; i < size; ++i) {
+            if (i + 2 < size)
+              oracle.prefetch_offsets(queries[i + 2].u, queries[i + 2].v);
+            if (i + 1 < size)
+              oracle.prefetch(queries[i + 1].u, queries[i + 1].v);
             results[i] = oracle.query(queries[i].u, queries[i].v);
+          }
         }
         util::do_not_optimize(results);
       }
+      cpu_ns[t] = thread_cpu_ns() - cpu_start;
     });
   const util::Timer timer;
   go.store(true, std::memory_order_release);
   for (std::thread& worker : workers) worker.join();
-  return static_cast<double>(total) / timer.elapsed_seconds();
+  const double seconds = timer.elapsed_seconds();
+  std::uint64_t cpu_total = 0;
+  for (const std::uint64_t ns : cpu_ns) cpu_total += ns;
+  return {static_cast<double>(total) / seconds,
+          static_cast<double>(cpu_total) / static_cast<double>(total)};
+}
+
+/// The median of `values` (not empty) with a distribution-free 95%
+/// interval: the order statistics x_(k) and x_(n+1-k) for the largest k
+/// with P(Binomial(n, 1/2) < k) <= 0.025, so the interval holds the true
+/// median with probability >= 0.95: k = 10 of n = 31, and k = 1 (the whole
+/// range) below n = 9.
+struct MedianInterval {
+  double median = 0, lo = 0, hi = 0;
+};
+
+MedianInterval median_interval(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  std::size_t k = 1;
+  double pmf = std::pow(0.5, static_cast<double>(n));  // P(B = 0)
+  double below = 0;                                    // P(B < j)
+  for (std::size_t j = 1; 2 * j <= n; ++j) {
+    below += pmf;
+    pmf *= static_cast<double>(n - j + 1) / static_cast<double>(j);
+    if (below > 0.025) break;
+    k = j;
+  }
+  return {util::percentile(values, 0.5), values[k - 1], values[n - k]};
 }
 
 constexpr int kRepeats = 3;  ///< runs per E14 / E14c throughput row
@@ -813,67 +869,103 @@ int main(int argc, char** argv) {
       kRepeats, threads);
 
   // ---- E14b: what the answer path costs over a plain oracle loop, at one
-  // thread and at kOverheadThreads threads sharing one AnswerPath. The
-  // three loops of a thread count alternate within each repeat so drift on
-  // a shared box hits them alike.
+  // thread and at kOverheadThreads threads sharing one AnswerPath. One trial
+  // runs the raw loop and the answer path back to back (alternating which
+  // goes first), then the answer path with tracing on; each trial's paired
+  // overhead, in wall time and in the threads' CPU time, feeds a median
+  // with a 95% interval, judged against the 5% bar.
   section("E14b", "observability cost of the answer path (uniform, uncached)");
+  constexpr double kOverheadBarPct = 5.0;
+  const int overhead_trials = quick ? 9 : 31;
   struct OverheadRow {
     std::size_t threads = 1;
-    Spread raw, path, tracing;
+    Spread raw, path, tracing;  ///< qps over the trials
+    /// Per-trial 100 x (1 - loop qps / raw qps), and the same in CPU time
+    /// per query (100 x (loop cpu / raw cpu - 1)).
+    MedianInterval overhead, overhead_cpu, tracing_overhead;
     std::size_t spans = 0;
     double steal_pct = -1;
-    double overhead_pct() const {
-      return 100.0 * (1.0 - path.median / raw.median);
-    }
-    double tracing_pct() const {
-      return 100.0 * (1.0 - tracing.median / raw.median);
-    }
   };
   constexpr std::size_t kOverheadThreads = 4;
   std::vector<OverheadRow> overhead;
   for (const std::size_t loop_threads : {std::size_t{1}, kOverheadThreads}) {
     OverheadRow row;
     row.threads = loop_threads;
-    std::vector<double> raw_runs, path_runs, tracing_runs;
-    const auto answer_path_qps = [&] {
+    std::vector<double> raw_qps, path_qps, tracing_qps;
+    std::vector<double> wall_pct, cpu_pct, tracing_pct;
+    const auto answer_path_trial = [&] {
       obs::MetricsRegistry registry;
       service::AnswerPath path(registry, snapshot->num_levels(),
                                service::ShardedEngine::kSlowlogCapacity);
       return run_answer_path(*snapshot, uniform, loop_threads, &path);
     };
+    const auto raw_trial = [&] {
+      return run_answer_path(*snapshot, uniform, loop_threads, nullptr);
+    };
     const StealWindow steal;
-    for (int r = 0; r < kRepeats; ++r) {
-      raw_runs.push_back(
-          run_answer_path(*snapshot, uniform, loop_threads, nullptr));
-      path_runs.push_back(answer_path_qps());
+    for (int r = 0; r < overhead_trials; ++r) {
+      LoopTrial raw, path;
+      if (r % 2 == 0) {
+        raw = raw_trial();
+        path = answer_path_trial();
+      } else {
+        path = answer_path_trial();
+        raw = raw_trial();
+      }
       obs::set_trace_enabled(true);
-      tracing_runs.push_back(answer_path_qps());
+      const LoopTrial tracing = answer_path_trial();
       obs::set_trace_enabled(false);
+      raw_qps.push_back(raw.qps);
+      path_qps.push_back(path.qps);
+      tracing_qps.push_back(tracing.qps);
+      wall_pct.push_back(100.0 * (1.0 - path.qps / raw.qps));
+      cpu_pct.push_back(
+          100.0 * (path.cpu_ns_per_query / raw.cpu_ns_per_query - 1.0));
+      tracing_pct.push_back(100.0 * (1.0 - tracing.qps / raw.qps));
     }
-    row.raw = spread_of(raw_runs);
-    row.path = spread_of(path_runs);
-    row.tracing = spread_of(tracing_runs);
+    row.raw = spread_of(raw_qps);
+    row.path = spread_of(path_qps);
+    row.tracing = spread_of(tracing_qps);
+    row.overhead = median_interval(wall_pct);
+    row.overhead_cpu = median_interval(cpu_pct);
+    row.tracing_overhead = median_interval(tracing_pct);
     row.steal_pct = steal.pct();
     row.spans = obs::drain_spans().size();
     overhead.push_back(row);
   }
-  util::TableWriter overhead_table(
-      {"threads", "loop", "qps", "qps_min", "qps_max", "overhead"});
+  const auto pct_cell = [](const MedianInterval& m) {
+    return util::strf("%+.2f%% [%+.2f, %+.2f]", m.median, m.lo, m.hi);
+  };
+  const auto verdict = [&](const MedianInterval& m) {
+    return m.hi <= kOverheadBarPct  ? "under"
+           : m.lo > kOverheadBarPct ? "over"
+                                    : "undecided";
+  };
+  util::TableWriter overhead_table({"threads", "loop", "qps", "qps_min",
+                                    "qps_max", "overhead (wall)",
+                                    "overhead (cpu)", "5% bar"});
   for (const OverheadRow& row : overhead) {
     const std::string threads_cell = util::strf("%zu", row.threads);
-    add_qps_row(overhead_table, {threads_cell, "raw"}, row.raw, {"-"});
+    add_qps_row(overhead_table, {threads_cell, "raw"}, row.raw,
+                {"-", "-", "-"});
     add_qps_row(overhead_table, {threads_cell, "answer_path"}, row.path,
-                {util::strf("%+.2f%%", row.overhead_pct())});
+                {pct_cell(row.overhead), pct_cell(row.overhead_cpu),
+                 verdict(row.overhead)});
     add_qps_row(overhead_table, {threads_cell, "tracing"}, row.tracing,
-                {util::strf("%+.2f%%", row.tracing_pct())});
+                {pct_cell(row.tracing_overhead), "-",
+                 verdict(row.tracing_overhead)});
   }
   overhead_table.print(std::cout);
   std::printf(
-      "\nnotes: qps is the median of %d runs; raw answers through "
-      "PathOracle::query, answer_path through AnswerPath::answer_chunk "
-      "(tracing off, then on: %zu and %zu exemplar spans); overhead is "
-      "1 - answer_path / raw on the medians.\n",
-      kRepeats, overhead[0].spans, overhead[1].spans);
+      "\nnotes: %d interleaved trials per thread count; qps is the median "
+      "(min, max) over them. raw answers through PathOracle::query with the "
+      "answer path's next-query prefetch, answer_path through "
+      "AnswerPath::answer_chunk (tracing off, then on: %zu and %zu exemplar "
+      "spans). An overhead is the median of the per-trial paired figures "
+      "with its 95%% interval: wall is 1 - answer_path qps / raw qps, cpu is "
+      "the threads' CPU time per query over raw's, minus 1. The bar column "
+      "says whether the wall interval lies under, over or across %.0f%%.\n",
+      overhead_trials, overhead[0].spans, overhead[1].spans, kOverheadBarPct);
 
   // ---- E14c: shard-per-core engine on a production-sized snapshot, with
   // the digest cross-check and a tracing-on row.
@@ -1210,26 +1302,35 @@ int main(int argc, char** argv) {
        << ", \"queries_total\": " << answers_queries << ", \"equal\": "
        << (answers_sum == answers_queries ? "true" : "false") << "},\n"
        << "  \"instrumentation_overhead\": {\n"
-       << "    \"raw_qps\": " << util::strf("%.0f", overhead[0].raw.median)
+       << "    \"trials\": " << overhead_trials
+       << ", \"bar_pct\": " << util::strf("%.1f", kOverheadBarPct)
+       << ", \"raw_qps\": " << util::strf("%.0f", overhead[0].raw.median)
        << ", \"instrumented_qps\": "
        << util::strf("%.0f", overhead[0].path.median)
        << ", \"tracing_qps\": "
        << util::strf("%.0f", overhead[0].tracing.median) << ",\n"
        << "    \"overhead_disabled_pct\": "
-       << util::strf("%.2f", overhead[0].overhead_pct())
+       << util::strf("%.2f", overhead[0].overhead.median)
        << ", \"overhead_tracing_pct\": "
-       << util::strf("%.2f", overhead[0].tracing_pct())
+       << util::strf("%.2f", overhead[0].tracing_overhead.median)
        << ", \"spans_recorded\": " << overhead[0].spans << ",\n"
        << "    \"rows\": [\n";
+  const auto interval_json = [](const char* name, const MedianInterval& m) {
+    return util::strf("\"%s\": %.2f, \"%s_ci95\": [%.2f, %.2f]", name,
+                      m.median, name, m.lo, m.hi);
+  };
   for (std::size_t i = 0; i < overhead.size(); ++i) {
     const OverheadRow& row = overhead[i];
     json << "      {\"threads\": " << row.threads << ", \"raw\": {"
          << qps_json(row.raw) << "}, \"answer_path\": {"
          << qps_json(row.path) << "}, \"tracing\": {"
-         << qps_json(row.tracing) << "}, \"overhead_disabled_pct\": "
-         << util::strf("%.2f", row.overhead_pct())
-         << ", \"overhead_tracing_pct\": "
-         << util::strf("%.2f", row.tracing_pct())
+         << qps_json(row.tracing) << "},\n       "
+         << interval_json("overhead_disabled_pct", row.overhead) << ", "
+         << interval_json("overhead_disabled_cpu_pct", row.overhead_cpu)
+         << ",\n       "
+         << interval_json("overhead_tracing_pct", row.tracing_overhead)
+         << ", \"under_bar\": "
+         << (row.overhead.hi <= kOverheadBarPct ? "true" : "false")
          << ", \"spans_recorded\": " << row.spans
          << ", \"steal_pct\": " << util::strf("%.1f", row.steal_pct) << "}"
          << (i + 1 < overhead.size() ? "," : "") << "\n";

@@ -109,7 +109,7 @@ if want smoke; then
   cmake --preset release
   cmake --build build --target query_server quickstart road_network \
     smallworld_demo p2p_object_location oracle_stats separator_tool \
-    bench_service -j "$JOBS"
+    bench_service bench_build bench_separator -j "$JOBS"
   scripts/serve_smoke.sh
 fi
 

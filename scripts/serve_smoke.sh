@@ -3,8 +3,9 @@
 # query_server to refuse malformed PATHSEP_THREADS, --cache, --eps and
 # --serve-duration values and an unknown flag, `bench_service --loadgen`
 # to refuse malformed ports, out-of-range counts, a non-finite --eps and an
-# unreachable server, and every other example (and bench_service) to refuse
-# a misspelt flag; require a short `--serve --trace-out=F` run to write
+# unreachable server, and every other example (and bench_service,
+# bench_build and bench_separator) to refuse a misspelt flag; require a
+# short `--serve --trace-out=F` run to write
 # its trace to F; then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
@@ -22,9 +23,10 @@ QUERIES=${QUERIES:-20000}
 
 server="$BUILD/examples/query_server"
 loadgen="$BUILD/bench/bench_service"
-for binary in "$server" "$loadgen" "$BUILD"/examples/{quickstart,road_network,smallworld_demo,p2p_object_location,oracle_stats,separator_tool}; do
+for binary in "$server" "$loadgen" "$BUILD"/bench/bench_{build,separator} "$BUILD"/examples/{quickstart,road_network,smallworld_demo,p2p_object_location,oracle_stats,separator_tool}; do
   if [ ! -x "$binary" ]; then
-    echo "serve_smoke: build the example targets and bench_service first" >&2
+    echo "serve_smoke: build the example targets, bench_service," \
+      "bench_build and bench_separator first" >&2
     exit 1
   fi
 done
@@ -82,10 +84,11 @@ done
 for hostile in "quickstart --n=300 --epss=0.9" "road_network --sidee=8" \
   "smallworld_demo --pair=3" "p2p_object_location --objets=5" \
   "oracle_stats --sidee=8" "separator_tool --famly=tree" \
-  "bench_service --quik" "bench_service --loadgen --verfy"; do
+  "bench_service --quik" "bench_service --loadgen --verfy" \
+  "bench_build --grid-sidee=8" "bench_separator --road-sid=8"; do
   set -- $hostile
   binary="$BUILD/examples/$1"
-  [ "$1" = bench_service ] && binary="$loadgen"
+  [ "${1#bench_}" != "$1" ] && binary="$BUILD/bench/$1"
   flag=${!#}
   status=0
   "$binary" "${@:2}" >"$log" 2>&1 || status=$?

@@ -131,6 +131,16 @@ struct LatencyTally {
     ++count;
     sum_nanos += nanos;
   }
+
+  /// Adds `samples` samples that took `total_nanos` together, each in the
+  /// bucket of their mean: `count` and `sum_nanos` stay exact, only the
+  /// spread among them is lost. No-op when `samples` is 0.
+  void add_n(std::uint64_t samples, std::uint64_t total_nanos) {
+    if (samples == 0) return;
+    buckets[latency_bucket(total_nanos / samples)] += samples;
+    count += samples;
+    sum_nanos += total_nanos;
+  }
 };
 
 /// RAII stopwatch over util::Timer (the repo's single stopwatch): records

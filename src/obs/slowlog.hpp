@@ -1,9 +1,11 @@
 // Exemplar slow-log: a bounded, lock-striped record of the slowest queries.
 //
-// The serving hot path measures every query; the slow-log keeps only the
-// tail. Admission is a single relaxed atomic load (the current floor — the
+// The serving hot path measures every unit of up to 16 queries
+// (service/answer_path.hpp); the slow-log keeps only the tail, one entry per
+// admitted unit: its costliest query, with the unit's mean latency.
+// Admission is a single relaxed atomic load (the current floor — the
 // smallest latency the log would still keep), so the fast path for a
-// non-tail query is one compare-and-branch. An admitted query locks one of
+// non-tail unit is one compare-and-branch. An admitted entry locks one of
 // a handful of stripes, replaces that stripe's minimum, and refreshes the
 // floor; contention is bounded by how often queries actually land in the
 // tail, not by throughput.
@@ -31,8 +33,10 @@ namespace pathsep::obs {
 struct SlowQuery {
   std::uint32_t u = 0;
   std::uint32_t v = 0;
+  /// The mean over the query's timed unit (service::AnswerPath::kUnit
+  /// queries at most), not the query's own time.
   std::uint64_t latency_ns = 0;
-  std::uint64_t when_ns = 0;  ///< window_now_ns() at completion
+  std::uint64_t when_ns = 0;  ///< window_now_ns() when its unit completed
   std::uint32_t entries_scanned = 0;  ///< label connections the sweep read
   std::int32_t win_node = -1;   ///< decomposition node of the winning portal
   std::int32_t win_level = -1;  ///< its depth; -1 = no finite answer

@@ -61,6 +61,17 @@ class PathOracle {
     return d;
   }
 
+  /// Prefetch hints for a loop of query* calls (see LabelArena): issue
+  /// prefetch_offsets two queries ahead and prefetch one query ahead.
+  [[gnu::always_inline]] void prefetch_offsets(Vertex u, Vertex v) const {
+    arena_.prefetch_offsets(u);
+    arena_.prefetch_offsets(v);
+  }
+  [[gnu::always_inline]] void prefetch(Vertex u, Vertex v) const {
+    arena_.prefetch_parts(u);
+    arena_.prefetch_parts(v);
+  }
+
   /// Level (depth) of a decomposition node, or -1 for out-of-range ids
   /// (including the -1 "no winner" sentinel). Exact tree depths when the
   /// oracle was built from a tree; reconstructed from label chain order

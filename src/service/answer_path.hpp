@@ -8,24 +8,31 @@
 // table, and queries answered on any other thread go straight to the oracle
 // (each counted as a cache miss).
 //
-// answer_chunk answers back-to-back queries with *chained* timestamps: the
-// end reading of query i is the start reading of query i+1, so a chunk of n
-// queries costs n+1 clock reads instead of 2n. On sub-microsecond oracle
-// queries the clock reads are a large share of the budget, so a batch must
-// not pay them twice.
+// Timing is per unit, not per query: answer() times each run of at most
+// kUnit queries (one claimed FrameTable chunk) with one clock read, chained
+// so the end reading of one unit is the start reading of the next, also
+// across the calls that share a tally. A clock read is ordered: it keeps the
+// next query's label loads from overlapping the current query, so reading
+// the clock per query cost about as much as a third of a uniform query.
+// Every query of a unit is charged the unit's mean (LatencyTally::add_n):
+// the query_latency_ns histogram's count and sum stay exact, but its
+// buckets, the windowed histogram and the slow-log see unit means, never a
+// single query's own time. Slow-log admission is one check per unit, against
+// that mean; the exemplar names the unit's costliest query (most entries
+// scanned) with the mean as its latency. While one query is answered the
+// next one's labels and cache set are prefetched.
 //
 // For the same reason answering does not touch the shared metrics per
 // query. It tallies hits, misses, answer outcomes and latencies in a Tally
 // of plain fields (obs::LatencyTally for the latencies) that the caller
 // keeps across answer() calls and publishes once — one relaxed RMW per
 // non-zero field instead of about eight per query, all on cells every
-// shard worker shares. It also publishes early when a query's end reading
+// shard worker shares. It also publishes early when a unit's end reading
 // falls in a new window of the windowed histogram, so every sample is
 // charged to the window it ended in. A shard worker publishes once per
 // frame it worked on, before it counts its answers done, so exported
 // serving metrics lag the answers by at most one frame's share and are
 // exact once traffic stops.
-// Slow-log admission stays per query (one relaxed load of the floor).
 #pragma once
 
 #include <array>
@@ -63,13 +70,17 @@ class AnswerPath {
   AnswerPath(const AnswerPath&) = delete;
   AnswerPath& operator=(const AnswerPath&) = delete;
 
+  /// Queries one clock reading times at most: a histogram or slow-log
+  /// sample never covers more. FrameTable claims chunks of this size.
+  static constexpr std::size_t kUnit = 16;
+
   /// Levels whose answers a Tally counts in place; answers won at a deeper
   /// level (a decomposition deeper than 32 levels) go straight to their
   /// counter.
   static constexpr std::size_t kTallyLevels = 32;
 
   /// Unpublished counts of one or more answer() calls, and the chain point
-  /// of their timestamps. Lives on the answering thread's stack.
+  /// of their clock readings. Lives on the answering thread's stack.
   struct Tally {
     std::uint64_t hits = 0;  ///< also the answers_total{level="cached"} count
     std::uint64_t misses = 0;
@@ -82,9 +93,10 @@ class AnswerPath {
   };
 
   /// For k < count, with i = order[k] (i = k when `order` is null):
-  /// queries[i] -> results[i], back-to-back with chained timestamps, through
-  /// `cache` (the caller's own table; null answers every query uncached).
-  /// Counts go to `tally`; nothing is published unless a window ends.
+  /// queries[i] -> results[i], through `cache` (the caller's own table; null
+  /// answers every query uncached), timed in units of at most kUnit queries
+  /// with one chained clock read each. Counts go to `tally`; nothing is
+  /// published unless a window ends.
   void answer(const oracle::PathOracle& oracle, ResultCache* cache,
               const Query* queries, const std::uint32_t* order,
               std::size_t count, graph::Weight* results, Tally& tally);
@@ -92,8 +104,8 @@ class AnswerPath {
   /// Adds `tally`'s counts to the shared metrics and empties it.
   void publish(Tally& tally) { flush(tally, tally.last_ns); }
 
-  /// queries[i] -> results[i] for i < count as one tally, published before
-  /// it returns.
+  /// queries[i] -> results[i] for i < count as one tally (so 1 + ceil(count
+  /// / kUnit) clock reads), published before it returns.
   void answer_chunk(const oracle::PathOracle& oracle, ResultCache* cache,
                     const Query* queries, graph::Weight* results,
                     std::size_t count) {

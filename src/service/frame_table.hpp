@@ -60,8 +60,8 @@ namespace pathsep::service {
 
 class FrameTable {
  public:
-  /// Queries one claim takes from a slice.
-  static constexpr std::size_t kChunk = 16;
+  /// Queries one claim takes from a slice: one timed AnswerPath unit.
+  static constexpr std::size_t kChunk = AnswerPath::kUnit;
   /// Owners one frame can have (open() tracks them in a 64-bit mask).
   static constexpr std::size_t kMaxOwners = 64;
 

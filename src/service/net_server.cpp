@@ -69,7 +69,8 @@ NetServer::NetServer(ShardedEngine& engine, NetServerOptions options)
       decode_ns_(&phase_histogram(engine, "decode")),
       engine_ns_(&phase_histogram(engine, "engine")),
       encode_ns_(&phase_histogram(engine, "encode")),
-      write_ns_(&phase_histogram(engine, "write")) {}
+      write_ns_(&phase_histogram(engine, "write")),
+      connections_open_(&engine.metrics().gauge("net_connections_open")) {}
 
 NetServer::~NetServer() { stop(); }
 
@@ -261,6 +262,7 @@ void NetServer::close_conn(int fd) {
       ::close(fd);
       conn.reset();
       connections_closed_.fetch_add(1, std::memory_order_relaxed);
+      connections_open_->sub(1);
       return;
     }
   }
@@ -299,6 +301,7 @@ void NetServer::loop() {
         if (!conn) continue;
         ::close(conn->fd);
         connections_closed_.fetch_add(1, std::memory_order_relaxed);
+        connections_open_->sub(1);
         conn.reset();
       }
       return;
@@ -332,6 +335,7 @@ void NetServer::loop() {
           ev.data.fd = client;
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client, &ev);
           connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+          connections_open_->add(1);
           // Reuse a freed table slot before growing the table.
           bool placed = false;
           for (std::unique_ptr<Conn>& slot : conns_) {

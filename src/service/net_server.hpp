@@ -21,7 +21,8 @@
 // (parse and id check, ShardedEngine::query_batch_into, response encode),
 // and each read event that answered frames adds one phase="write" sample
 // (the flush of its responses). The readings are chained, so a read event
-// answering one frame costs five clock reads.
+// answering one frame costs five clock reads. The engine registry's
+// net_connections_open gauge counts the live connections.
 //
 // Graceful shutdown: stop() writes the eventfd; the loop stops accepting,
 // answers every complete frame already buffered, flushes pending responses
@@ -106,6 +107,9 @@ class NetServer {
   obs::LatencyHistogram* engine_ns_ = nullptr;
   obs::LatencyHistogram* encode_ns_ = nullptr;
   obs::LatencyHistogram* write_ns_ = nullptr;
+  /// net_connections_open in the engine's registry: up on accept, down on
+  /// close.
+  obs::Gauge* connections_open_ = nullptr;
   std::uint16_t port_ = 0;
 
   int listen_fd_ = -1;

@@ -52,6 +52,10 @@ std::optional<graph::Weight> ResultCache::get(std::uint64_t key) {
   return std::nullopt;
 }
 
+void ResultCache::prefetch(std::uint64_t key) const {
+  if (!sets_.empty()) __builtin_prefetch(&sets_[set_index(key)]);
+}
+
 void ResultCache::put(std::uint64_t key, graph::Weight value) {
   // Non-canonical keys would make the same pair hit two different entries
   // (u,v) vs (v,u) — reject at the boundary.

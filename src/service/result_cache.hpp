@@ -34,6 +34,9 @@ class ResultCache {
 
   std::optional<graph::Weight> get(std::uint64_t key);
   void put(std::uint64_t key, graph::Weight value);
+  /// Starts loading the set of `key` for a get() or put() soon after; only
+  /// a hint, it changes nothing.
+  void prefetch(std::uint64_t key) const;
   void clear();
 
   /// Deep invariant audit of every set (key canonicality and placement, no

@@ -6,8 +6,8 @@
 // mini JSON parser proving the output is well-formed trace_event JSON that
 // round-trips the span count), and the per-level answer attribution whose
 // counter family must sum exactly to queries_total regardless of worker
-// count, with a chunk that spans window boundaries charging each sample to
-// the window it ended in. Labeled `obs`, so every row of the matrix — TSan
+// count, with a chunk that spans window boundaries charging each timed unit
+// to the window it ended in. Labeled `obs`, so every row of the matrix — TSan
 // and the PATHSEP_OBS_DISABLED build included — runs it.
 #include <gtest/gtest.h>
 
@@ -687,40 +687,155 @@ TEST(ObsAttribution, AnswerCountersAreExactAndThreadCountInvariant) {
   }
 }
 
-/// Manual clock for AnswerPath: every read advances kManualStep.
-constexpr std::uint64_t kManualStep = 400'000'000;  // 0.4 s
+/// Manual clock for AnswerPath: every read advances manual_step and is
+/// counted in manual_reads. Single-threaded tests only.
 std::uint64_t manual_now = 0;
-std::uint64_t manual_clock() { return manual_now += kManualStep; }
+std::uint64_t manual_step = 0;
+std::uint64_t manual_reads = 0;
+std::uint64_t manual_clock() {
+  ++manual_reads;
+  return manual_now += manual_step;
+}
+void set_manual_clock(std::uint64_t now, std::uint64_t step) {
+  manual_now = now;
+  manual_step = step;
+  manual_reads = 0;
+}
 
+std::uint64_t answers_sum(const obs::MetricsRegistry& registry) {
+  std::uint64_t sum = 0;
+  for (const obs::MetricSample& sample : registry.snapshot())
+    if (sample.kind == obs::MetricKind::kCounter &&
+        sample.name == "answers_total")
+      sum += sample.counter_value;
+  return sum;
+}
+
+// A unit of AnswerPath::kUnit queries is timed as one: with every clock read
+// 0.4 s apart, each of its samples is charged 0.4 s / kUnit, and each unit
+// lands in the window its end reading falls in.
 TEST(ObsAttribution, ChunkAcrossWindowBoundariesChargesEachWindow) {
   const oracle::PathOracle oracle = grid_oracle();
   obs::MetricsRegistry registry;
   AnswerPath path(registry, oracle.num_levels(), /*slowlog_capacity=*/0,
                   manual_clock);
-  const std::vector<Query> chunk =
-      mixed_workload(static_cast<Vertex>(oracle.num_vertices()), 6);
+  constexpr std::uint64_t kStep = 400'000'000;  // 0.4 s
+  const std::vector<Query> chunk = mixed_workload(
+      static_cast<Vertex>(oracle.num_vertices()), 6 * AnswerPath::kUnit);
   std::vector<Weight> results(chunk.size());
-  // Reads at 0.5 s (chunk start), then query ends at 0.9 | 1.3 1.7 |
-  // 2.1 2.5 2.9 s: one, two and three samples in the windows of seconds
-  // 0, 1 and 2, every sample 0.4 s long.
-  manual_now = 100'000'000;
+  // Reads at 0.5 s (chunk start), then unit ends at 0.9 | 1.3 1.7 |
+  // 2.1 2.5 2.9 s: one, two and three units in the windows of seconds 0, 1
+  // and 2.
+  set_manual_clock(100'000'000, kStep);
   path.answer_chunk(oracle, nullptr, chunk.data(), results.data(),
                     chunk.size());
-  manual_now = 0;
+  EXPECT_EQ(manual_reads, 7u);
 
   const std::uint64_t now = 2'900'000'000;
   const obs::WindowedHistogram& window = path.window();
-  EXPECT_EQ(window.view(now, 1).count, 3u);
-  EXPECT_EQ(window.view(now, 2).count, 5u);
-  EXPECT_EQ(window.view(now, 3).count, 6u);
-  EXPECT_EQ(window.view(now, 3).sum_nanos, 6 * kManualStep);
+  EXPECT_EQ(window.view(now, 1).count, 3 * AnswerPath::kUnit);
+  EXPECT_EQ(window.view(now, 2).count, 5 * AnswerPath::kUnit);
+  EXPECT_EQ(window.view(now, 3).count, 6 * AnswerPath::kUnit);
+  EXPECT_EQ(window.view(now, 3).sum_nanos, 6 * kStep);
   EXPECT_EQ(window.dropped(), 0u);
   // The cumulative instruments see the whole chunk once.
-  EXPECT_EQ(registry.histogram("query_latency_ns").count(), chunk.size());
+  const obs::LatencyHistogram& latency =
+      registry.histogram("query_latency_ns");
+  EXPECT_EQ(latency.count(), chunk.size());
+  EXPECT_EQ(latency.sum_nanos(), 6 * kStep);
+  EXPECT_EQ(latency.bucket_count(obs::latency_bucket(kStep /
+                                                     AnswerPath::kUnit)),
+            chunk.size());
   EXPECT_EQ(registry.counter("queries_total").value(), chunk.size());
   EXPECT_EQ(registry.counter("cache_misses").value(), chunk.size());
   for (std::size_t i = 0; i < chunk.size(); ++i)
     EXPECT_EQ(results[i], oracle.query(chunk[i].u, chunk[i].v)) << i;
+}
+
+// One clock read per unit plus one per tally start: claimed chunks that
+// share a tally chain their readings, and answer_chunk splits a long input
+// into units. The histogram still counts every query, its sum is exactly
+// the elapsed time, answers_total sums to queries_total, and every answer
+// is PathOracle::query's.
+TEST(ObsAttribution, OneClockReadPerUnitKeepsCountsAndSumsExact) {
+  const oracle::PathOracle oracle = grid_oracle();
+  obs::MetricsRegistry registry;
+  AnswerPath path(registry, oracle.num_levels(), /*slowlog_capacity=*/0,
+                  manual_clock);
+  ResultCache cache(256);
+  const std::vector<Query> queries =
+      mixed_workload(static_cast<Vertex>(oracle.num_vertices()), 77);
+  std::vector<Weight> results(queries.size(), -1);
+  // Claimed-chunk shape: 37 queries visited through a reversed order, as
+  // chunks of 16, 16 and 5 sharing one tally.
+  std::vector<std::uint32_t> order(37);
+  for (std::uint32_t k = 0; k < order.size(); ++k)
+    order[k] = static_cast<std::uint32_t>(order.size() - 1 - k);
+  constexpr std::uint64_t kStep = 1001;  // not a multiple of any unit size
+  set_manual_clock(1'000'000, kStep);
+  AnswerPath::Tally tally;
+  for (std::size_t begin = 0; begin < order.size();
+       begin += AnswerPath::kUnit) {
+    const std::size_t count =
+        std::min(AnswerPath::kUnit, order.size() - begin);
+    path.answer(oracle, &cache, queries.data(), order.data() + begin, count,
+                results.data(), tally);
+  }
+  path.publish(tally);
+  EXPECT_EQ(manual_reads, 1u + 3u);
+  // The rest as one uncached input: 40 queries are units of 16, 16 and 8.
+  path.answer_chunk(oracle, nullptr, queries.data() + 37, results.data() + 37,
+                    40);
+  EXPECT_EQ(manual_reads, 4u + 1u + 3u);
+
+  const obs::LatencyHistogram& latency =
+      registry.histogram("query_latency_ns");
+  EXPECT_EQ(latency.count(), queries.size());
+  EXPECT_EQ(latency.sum_nanos(), 6 * kStep);
+  EXPECT_EQ(registry.counter("queries_total").value(), queries.size());
+  EXPECT_EQ(answers_sum(registry), queries.size());
+  EXPECT_EQ(registry.counter("cache_hits").value() +
+                registry.counter("cache_misses").value(),
+            queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    EXPECT_EQ(results[i], oracle.query(queries[i].u, queries[i].v)) << i;
+}
+
+// A unit admitted to the slow-log is logged once, as its costliest query
+// (most entries scanned, the first on ties) at the unit's mean latency.
+TEST(ObsAttribution, SlowUnitExemplarNamesItsCostliestQuery) {
+  const oracle::PathOracle oracle = grid_oracle();
+  const std::vector<Query> unit = mixed_workload(
+      static_cast<Vertex>(oracle.num_vertices()), AnswerPath::kUnit);
+  std::size_t worst = 0;
+  oracle::QueryStats worst_stats;
+  for (std::size_t k = 0; k < unit.size(); ++k) {
+    oracle::QueryStats stats;
+    oracle.query_stats(unit[k].u, unit[k].v, stats);
+    if (k == 0 || stats.entries_scanned > worst_stats.entries_scanned) {
+      worst = k;
+      worst_stats = stats;
+    }
+  }
+  ASSERT_GT(worst_stats.entries_scanned, 0u);
+
+  obs::MetricsRegistry registry;
+  AnswerPath path(registry, oracle.num_levels(),
+                  ShardedEngine::kSlowlogCapacity, manual_clock);
+  std::vector<Weight> results(unit.size());
+  set_manual_clock(1'000'000, 1600 * AnswerPath::kUnit);
+  path.answer_chunk(oracle, nullptr, unit.data(), results.data(),
+                    unit.size());
+  const std::vector<obs::SlowQuery> logged = path.slowlog().snapshot();
+  ASSERT_EQ(logged.size(), 1u);  // one entry per unit, not per query
+  EXPECT_EQ(logged[0].u, unit[worst].u);
+  EXPECT_EQ(logged[0].v, unit[worst].v);
+  EXPECT_EQ(logged[0].latency_ns, 1600u);
+  EXPECT_EQ(logged[0].when_ns, 1'000'000 + 2 * 1600 * AnswerPath::kUnit);
+  EXPECT_EQ(logged[0].entries_scanned, worst_stats.entries_scanned);
+  EXPECT_EQ(logged[0].win_node, worst_stats.win_node);
+  EXPECT_EQ(logged[0].win_level, worst_stats.win_level);
+  EXPECT_EQ(logged[0].outcome, obs::SlowQuery::Outcome::kOracle);
 }
 
 TEST(ObsAttribution, CachedAnswersKeepTheSumInvariant) {

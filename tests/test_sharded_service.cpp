@@ -1419,10 +1419,14 @@ TEST(NetServer, RoundTripsBatchesOverLocalhost) {
       metrics.histogram("net_frame_phase_ns", {{"phase", "write"}}).count();
   EXPECT_GE(writes, 1u);
   EXPECT_LE(writes, stats.frames_in);
+  // The live connection count: one until the server closes it.
+  const obs::Gauge& open = metrics.gauge("net_connections_open");
+  EXPECT_EQ(open.value(), 1);
 
   client.close();
   server.stop();
   EXPECT_FALSE(server.running());
+  EXPECT_EQ(open.value(), 0);
 }
 
 TEST(NetServer, PipelinedFramesComeBackInOrder) {
