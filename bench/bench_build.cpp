@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "git_sha.h"  // PATHSEP_GIT_SHA, written at build time
 #include "oracle/labels.hpp"
 #include "oracle/serialize.hpp"
 #include "util/args.hpp"
@@ -113,11 +114,11 @@ std::vector<std::size_t> parse_threads(const std::string& name,
 int run_main(const util::Args& args) {
   const std::string out_path = args.get("out", "BENCH_build.json");
   const std::size_t grid_side =
-      static_cast<std::size_t>(args.get_int("grid-side", 320));
+      static_cast<std::size_t>(args.get_int("grid-side", 320, 2, 2048));
   const std::size_t planar_n =
-      static_cast<std::size_t>(args.get_int("planar-n", 60000));
+      static_cast<std::size_t>(args.get_int("planar-n", 60000, 3, 1 << 22));
   const std::size_t big_grid_side =
-      static_cast<std::size_t>(args.get_int("big-grid-side", 0));
+      static_cast<std::size_t>(args.get_int("big-grid-side", 0, 0, 2048));
   const double epsilon = args.get_double("epsilon", 0.5);
   const std::vector<std::size_t> thread_counts =
       parse_threads("threads", args.get("threads", "1,2,4,8"));

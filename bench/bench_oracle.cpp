@@ -2,7 +2,8 @@
 //
 // Reports, per family / n / ε: total space in words against the
 // O(k/ε · n log n) claim (shown as words per n·log2(n)), query time, the
-// number of connections scanned per query against O(k/ε · log n), and the
+// number of connections scanned per query against O(k/ε · log n), the
+// merge walk's steps (part-header pairs compared) per query, and the
 // observed stretch (must stay within [1, 1+ε]; max over sampled pairs).
 #include "common.hpp"
 
@@ -38,12 +39,13 @@ void run(util::TableWriter& table, Instance instance, double epsilon,
   const double query_us =
       query_timer.elapsed_seconds() * 1e6 / static_cast<double>(pairs);
   util::do_not_optimize(sink);
-  // ...then stretch and visited-connection accounting.
-  util::OnlineStats stretch, visited_stats;
+  // ...then stretch, visited-connection and walk-step accounting.
+  util::OnlineStats stretch, visited_stats, step_stats;
   for (const auto& [u, v] : sampled) {
-    std::size_t visited = 0;
-    const Weight est = oracle.query_counted(u, v, &visited);
-    visited_stats.add(static_cast<double>(visited));
+    oracle::QueryStats stats;
+    const Weight est = oracle.query_stats(u, v, stats);
+    visited_stats.add(static_cast<double>(stats.entries_scanned));
+    step_stats.add(static_cast<double>(stats.walk_steps));
     const Weight truth = sssp::distance(instance.graph, u, v);
     if (truth > 0) stretch.add(est / truth);
   }
@@ -55,6 +57,7 @@ void run(util::TableWriter& table, Instance instance, double epsilon,
                  util::strf("%zu", oracle.size_in_words()),
                  util::strf("%.2f", oracle.size_in_words() / nlogn),
                  util::strf("%.1f", visited_stats.mean()),
+                 util::strf("%.2f", step_stats.mean()),
                  util::strf("%.1f", query_us),
                  util::strf("%.4f", stretch.mean()),
                  util::strf("%.4f", stretch.max()),
@@ -66,8 +69,8 @@ void run(util::TableWriter& table, Instance instance, double epsilon,
 int main() {
   section("E2", "(1+eps)-approximate distance oracle (Thm 2)");
   util::TableWriter table({"family", "n", "eps", "words", "words/nlog2n",
-                           "conns/query", "query_us", "stretch_avg",
-                           "stretch_max", "build_s"});
+                           "conns/query", "steps/query", "query_us",
+                           "stretch_avg", "stretch_max", "build_s"});
 
   // epsilon sweep at a fixed size (the 1/eps factor of the space bound).
   for (double eps : {1.0, 0.5, 0.25, 0.1})

@@ -250,8 +250,10 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv);
     out_path = args.get("out", "BENCH_separator.json");
-    road_side = static_cast<std::size_t>(args.get_int("road-side", 320));
-    label_side = static_cast<std::size_t>(args.get_int("label-side", 96));
+    road_side =
+        static_cast<std::size_t>(args.get_int("road-side", 320, 2, 2048));
+    label_side =
+        static_cast<std::size_t>(args.get_int("label-side", 96, 2, 2048));
     epsilon = args.get_double("epsilon", 0.5);
     args.reject_unused("bench_separator");
   } catch (const std::invalid_argument& e) {

@@ -53,6 +53,7 @@
 // for smoke runs. Every JSON row also records the host's CPU steal over the
 // row's run window (steal_pct, from /proc/stat; -1 where unmeasured).
 #include "common.hpp"
+#include "git_sha.h"  // PATHSEP_GIT_SHA, written at build time
 
 #include <algorithm>
 #include <atomic>
@@ -284,7 +285,7 @@ struct LoopTrial {
 /// E14b: `threads` threads, started together, each answer one contiguous
 /// share of `w` in 256-query chunks (one shard's share of a 1024-pair
 /// frame at 4 shards). With `path` null a chunk is a plain PathOracle::query
-/// loop, the baseline, with the answer path's next-query prefetch, so the
+/// loop, the baseline, with the answer path's prefetch pipeline, so the
 /// difference prices observing alone. Otherwise it is
 /// AnswerPath::answer_chunk without a cache: the code a shard worker runs
 /// on every frame it works on, with its one clock read per 16-query unit,
@@ -311,10 +312,12 @@ LoopTrial run_answer_path(const oracle::PathOracle& oracle, const Workload& w,
           path->answer_chunk(oracle, nullptr, queries, results.data(), size);
         } else {
           for (std::size_t i = 0; i < size; ++i) {
+            if (i + 3 < size)
+              oracle.prefetch_offsets(queries[i + 3].u, queries[i + 3].v);
             if (i + 2 < size)
-              oracle.prefetch_offsets(queries[i + 2].u, queries[i + 2].v);
+              oracle.prefetch(queries[i + 2].u, queries[i + 2].v);
             if (i + 1 < size)
-              oracle.prefetch(queries[i + 1].u, queries[i + 1].v);
+              oracle.prefetch_hot(queries[i + 1].u, queries[i + 1].v);
             results[i] = oracle.query(queries[i].u, queries[i].v);
           }
         }
@@ -959,7 +962,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nnotes: %d interleaved trials per thread count; qps is the median "
       "(min, max) over them. raw answers through PathOracle::query with the "
-      "answer path's next-query prefetch, answer_path through "
+      "answer path's prefetch pipeline, answer_path through "
       "AnswerPath::answer_chunk (tracing off, then on: %zu and %zu exemplar "
       "spans). An overhead is the median of the per-trial paired figures "
       "with its 95%% interval: wall is 1 - answer_path qps / raw qps, cpu is "

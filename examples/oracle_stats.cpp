@@ -98,8 +98,8 @@ bool verify_report_bytes(const obs::OracleReport& report,
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const std::string family = args.get("graph", "grid");
-  const auto side = static_cast<std::size_t>(args.get_int("side", 32));
-  const auto n = static_cast<std::size_t>(args.get_int("n", 2048));
+  const auto side = static_cast<std::size_t>(args.get_int("side", 32, 2, 1024));
+  const auto n = static_cast<std::size_t>(args.get_int("n", 2048, 2, 1 << 20));
   const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const std::string format = args.get("format", "text");

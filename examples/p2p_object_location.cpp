@@ -22,9 +22,11 @@ namespace {
 
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 3000));
-  const auto num_objects = static_cast<std::size_t>(args.get_int("objects", 20));
-  const auto replicas = static_cast<std::size_t>(args.get_int("replicas", 3));
+  const auto n = static_cast<std::size_t>(args.get_int("n", 3000, 3, 1 << 20));
+  const auto num_objects =
+      static_cast<std::size_t>(args.get_int("objects", 20, 0, 1 << 16));
+  const auto replicas =
+      static_cast<std::size_t>(args.get_int("replicas", 3, 1, 64));
   const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
   args.reject_unused("p2p_object_location");

@@ -20,7 +20,7 @@ namespace {
 
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 2000));
+  const auto n = static_cast<std::size_t>(args.get_int("n", 2000, 3, 1 << 20));
   const double eps = args.get_positive("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   args.reject_unused("quickstart");

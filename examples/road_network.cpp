@@ -20,9 +20,10 @@ namespace {
 
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
-  const auto side = static_cast<std::size_t>(args.get_int("side", 48));
+  const auto side = static_cast<std::size_t>(args.get_int("side", 48, 2, 1024));
   const double eps = args.get_positive("eps", 0.2);
-  const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 200));
+  const auto pairs =
+      static_cast<std::size_t>(args.get_int("pairs", 200, 0, 1 << 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
   args.reject_unused("road_network");
 

@@ -33,10 +33,10 @@ int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const std::string load = args.get("load");
   const std::string family = args.get("family", "apollonian");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 2000));
+  const auto n = static_cast<std::size_t>(args.get_int("n", 2000, 3, 1 << 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const auto max_levels =
-      static_cast<std::uint32_t>(args.get_int("max-levels", 6));
+      static_cast<std::uint32_t>(args.get_int("max-levels", 6, 0, 64));
   const std::string finder_name = args.get("finder", "auto");
   const double balance_eps = args.get_double("balance-eps", 0.0);
   const bool pareto = args.get_bool("pareto");

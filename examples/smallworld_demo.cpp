@@ -21,8 +21,9 @@ namespace {
 
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
-  const auto side = static_cast<std::size_t>(args.get_int("side", 64));
-  const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 150));
+  const auto side = static_cast<std::size_t>(args.get_int("side", 64, 2, 1024));
+  const auto pairs =
+      static_cast<std::size_t>(args.get_int("pairs", 150, 0, 1 << 20));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
   args.reject_unused("smallworld_demo");
 

@@ -4,8 +4,9 @@
 # --serve-duration values and an unknown flag, `bench_service --loadgen`
 # to refuse malformed ports, out-of-range counts, a non-finite --eps and an
 # unreachable server, and every other example (and bench_service,
-# bench_build and bench_separator) to refuse a misspelt flag; require a
-# short `--serve --trace-out=F` run to write
+# bench_build and bench_separator) to refuse a misspelt flag and a size
+# flag out of its range; require a short `--serve --trace-out=F` run to
+# write
 # its trace to F; then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), then drive the same server with
@@ -95,6 +96,28 @@ for hostile in "quickstart --n=300 --epss=0.9" "road_network --sidee=8" \
   if [ "$status" -ne 1 ] || ! grep -q "^error: ${flag%%=*} is not a" "$log"; then
     echo "serve_smoke: $hostile exited $status, expected an error naming" \
       "${flag%%=*} and exit 1" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+done
+
+# Size flags are range-checked before any work: a negative or absurd size
+# must name its flag and exit 1, not hang, grow without bound or crash
+# (timeout bounds a regression).
+for hostile in "quickstart --n=-5" "separator_tool --n=-1" \
+  "bench_separator --road-side=-1" "bench_build --grid-side=-1" \
+  "road_network --side=100000" "p2p_object_location --n=-1" \
+  "p2p_object_location --replicas=0"; do
+  set -- $hostile
+  binary="$BUILD/examples/$1"
+  [ "${1#bench_}" != "$1" ] && binary="$BUILD/bench/$1"
+  flag=${!#}
+  status=0
+  timeout 10 "$binary" "${@:2}" >"$log" 2>&1 || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^error: ${flag%%=*} must be in" "$log"
+  then
+    echo "serve_smoke: $hostile exited $status, expected a range error" \
+      "naming ${flag%%=*} and exit 1" >&2
     cat "$log" >&2
     exit 1
   fi

@@ -11,7 +11,8 @@
 //   audit_decomposition  hierarchy/    cover & disjointness, links, chains
 //   audit_labels         oracle/       label well-formedness + decoded
 //                                      distance symmetry
-//   audit_built_labels   oracle/       audit_labels + no dominated
+//   audit_built_labels   oracle/       audit_labels + tree depths in the
+//                                      part headers + no dominated
 //                                      connection (build output only)
 //   audit_connections    oracle/       ε-portal monotonicity & next hops
 //   audit_routing_tables routing/      next-hop closure of the tables

@@ -24,7 +24,7 @@ void audit_labels(const oracle::LabelArena& arena) {
          ++c)
       if (arena.hot[c].dist == 0) ++zero_dist;
     PATHSEP_ASSERT(zero_dist <= 1, "label part ", p, " (node ",
-                   arena.parts[p].node, ", path ", arena.parts[p].path,
+                   arena.parts[p].node, ", path ", arena.parts[p].path(),
                    ") claims ", zero_dist, " distinct zero-distance portals");
   }
 
@@ -50,8 +50,17 @@ void audit_labels(const oracle::LabelArena& arena) {
   }
 }
 
-void audit_built_labels(const oracle::LabelArena& arena) {
+void audit_built_labels(const oracle::LabelArena& arena,
+                        const hierarchy::DecompositionTree& tree) {
   audit_labels(arena);
+  for (std::size_t p = 0; p < arena.num_parts(); ++p) {
+    const oracle::LabelPart& part = arena.parts[p];
+    const std::uint32_t depth = tree.node(part.node).depth;
+    PATHSEP_ASSERT(static_cast<std::uint32_t>(part.depth()) == depth,
+                   "label part ", p, " (node ", part.node, ", path ",
+                   part.path(), ") carries depth ", part.depth(),
+                   ", its node sits at depth ", depth);
+  }
   for (std::size_t p = 0; p < arena.num_parts(); ++p)
     for (std::uint64_t c = arena.parts[p].begin + 1;
          c < arena.parts[p + 1].begin; ++c) {
@@ -60,7 +69,7 @@ void audit_built_labels(const oracle::LabelArena& arena) {
       PATHSEP_ASSERT(prev.dist - prev.prefix > cur.dist - cur.prefix &&
                          prev.dist + prev.prefix < cur.dist + cur.prefix,
                      "label part ", p, " (node ", arena.parts[p].node,
-                     ", path ", arena.parts[p].path, ") keeps dominated ",
+                     ", path ", arena.parts[p].path(), ") keeps dominated ",
                      "connection ", c - 1 - arena.parts[p].begin, " or ",
                      c - arena.parts[p].begin);
     }

@@ -14,11 +14,13 @@ namespace pathsep::check {
 /// query(v,u), and no decoded distance between distinct vertices is <= 0.
 void audit_labels(const oracle::LabelArena& arena);
 
-/// audit_labels plus what the build guarantees and a loaded snapshot need
-/// not (oracle::drop_dominated): no connection is dominated under the tie
-/// rule, i.e. along every part dist − prefix strictly falls and
-/// dist + prefix strictly rises.
-void audit_built_labels(const oracle::LabelArena& arena);
+/// audit_labels plus what the build from `tree` guarantees and a loaded
+/// snapshot need not: every part's depth is its tree node's depth, and
+/// (oracle::drop_dominated) no connection is dominated under the tie rule,
+/// i.e. along every part dist − prefix strictly falls and dist + prefix
+/// strictly rises.
+void audit_built_labels(const oracle::LabelArena& arena,
+                        const hierarchy::DecompositionTree& tree);
 
 /// Portal monotonicity for one node's connection lists: per (path, vertex),
 /// portal indices strictly increase and prefixes match the path's prefix

@@ -26,11 +26,12 @@ void audit_routing_tables(const hierarchy::DecompositionTree& tree,
                              tree.nodes().size(),
                      "vertex ", v, " references unknown node ", part.node);
       const hierarchy::DecompositionNode& node = tree.node(part.node);
-      PATHSEP_ASSERT(part.path >= 0 && static_cast<std::size_t>(part.path) <
-                                           node.paths.size(),
-                     "vertex ", v, " references unknown path ", part.path,
+      PATHSEP_ASSERT(part.path() >= 0 &&
+                         static_cast<std::size_t>(part.path()) <
+                             node.paths.size(),
+                     "vertex ", v, " references unknown path ", part.path(),
                      " of node ", part.node);
-      const NodePath& path = node.paths[static_cast<std::size_t>(part.path)];
+      const NodePath& path = node.paths[static_cast<std::size_t>(part.path())];
 
       // The vertex's chain must visit the node (else the local next-hop ids
       // are meaningless to it).
@@ -49,12 +50,12 @@ void audit_routing_tables(const hierarchy::DecompositionTree& tree,
           for (Vertex u : p.verts) removed[u] = true;
       PATHSEP_ASSERT(!removed[local], "vertex ", v,
                      " has connections on node ", part.node, " path ",
-                     part.path, " but is removed before that stage");
+                     part.path(), " but is removed before that stage");
 
       for (std::size_t ci = 0; ci < label.hot(pi).size(); ++ci) {
         const Connection conn = label.connection(pi, ci);
         PATHSEP_ASSERT(conn.path_index < path.verts.size(), "vertex ", v,
-                       " node ", part.node, " path ", part.path,
+                       " node ", part.node, " path ", part.path(),
                        " portal index ", conn.path_index, " out of range");
         const Vertex portal = path.verts[conn.path_index];
         if (conn.next_hop == graph::kInvalidVertex) {

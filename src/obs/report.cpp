@@ -40,12 +40,17 @@ OracleReport oracle_report(const oracle::PathOracle& oracle,
                               oracle::varint_size(label.num_parts());
     report.label_header_bytes += label_bytes;
     std::int32_t prev_node = 0;
+    std::int32_t prev_depth = 0;
     for (std::size_t p = 0; p < label.num_parts(); ++p) {
       const oracle::LabelPart& part = label.part(p);
       std::size_t part_bytes =
           oracle::varint_size(oracle::node_delta(part.node, prev_node));
       prev_node = part.node;
-      part_bytes += oracle::varint_size(static_cast<std::uint64_t>(part.path));
+      part_bytes +=
+          oracle::varint_size(static_cast<std::uint64_t>(part.path()));
+      part_bytes +=
+          oracle::varint_size(oracle::node_delta(part.depth(), prev_depth));
+      prev_depth = part.depth();
       const std::span<const oracle::ColdEntry> cold = label.cold(p);
       part_bytes += oracle::varint_size(cold.size());
       for (const oracle::ColdEntry& entry : cold) {

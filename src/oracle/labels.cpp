@@ -14,12 +14,25 @@
 
 namespace pathsep::oracle {
 
-void LabelArena::add_part(std::int32_t node, std::int32_t path,
+LabelPart LabelPart::make(std::int32_t node, std::int64_t path,
+                          std::int64_t depth, std::uint64_t begin) {
+  if (path < 0 || path > kMaxPath || depth < 0 || depth > kMaxDepth)
+    throw std::overflow_error(
+        "label part (path " + std::to_string(path) + ", depth " +
+        std::to_string(depth) + ") does not fit the part header's " +
+        std::to_string(kMaxPath) + " paths and " + std::to_string(kMaxDepth) +
+        " levels");
+  return LabelPart{node,
+                   static_cast<std::uint32_t>(path) |
+                       static_cast<std::uint32_t>(depth) << 16,
+                   begin};
+}
+
+void LabelArena::add_part(std::int32_t node, std::int64_t path,
+                          std::int64_t depth,
                           std::span<const Connection> connections) {
   // The sentinel becomes the new part; a fresh sentinel closes it.
-  LabelPart& part = parts.back();
-  part.node = node;
-  part.path = path;
+  parts.back() = LabelPart::make(node, path, depth, parts.back().begin);
   for (const Connection& conn : connections) {
     hot.push_back(HotEntry{conn.prefix, conn.dist});
     cold.push_back(ColdEntry{conn.path_index, conn.next_hop});
@@ -57,10 +70,15 @@ void validate_arena(const LabelArena& arena) {
   if (arena.part_offsets.front() != 0 || arena.part_offsets.back() != num_parts)
     reject("part offsets do not span the part array");
   const LabelPart& sentinel = arena.parts.back();
-  if (sentinel.node != 0 || sentinel.path != 0 || sentinel.begin != num_conns)
+  if (sentinel.node != 0 || sentinel.path_depth != 0 ||
+      sentinel.begin != num_conns)
     reject("sentinel part is not {0, 0, connection count}");
   if (arena.parts.front().begin != 0)
     reject("first part does not start at connection 0");
+  // Depth of every node seen so far (-1: none yet); num_nodes <= n bounds
+  // the table by the part_offsets array already held.
+  std::vector<std::int32_t> node_depth(
+      static_cast<std::size_t>(arena.num_nodes), -1);
   for (std::size_t v = 0; v < n; ++v) {
     const std::uint64_t first = arena.part_offsets[v];
     const std::uint64_t last = arena.part_offsets[v + 1];
@@ -68,19 +86,32 @@ void validate_arena(const LabelArena& arena) {
       reject("part offsets not monotone at vertex " + std::to_string(v));
     for (std::uint64_t p = first; p < last; ++p) {
       const LabelPart& part = arena.parts[p];
+      const auto where = [&] {
+        return "vertex " + std::to_string(v) + " part " + std::to_string(p);
+      };
+      // A chain of depth d holds d + 1 distinct nodes, so d < num_nodes.
       if (part.node < 0 ||
           static_cast<std::uint64_t>(part.node) >= arena.num_nodes ||
-          part.path < 0)
-        reject("vertex " + std::to_string(v) + " part " + std::to_string(p) +
-               " has ids (node=" + std::to_string(part.node) +
-               ", path=" + std::to_string(part.path) + ") out of range");
+          part.path_depth >> 31 != 0 ||
+          static_cast<std::uint64_t>(part.depth()) >= arena.num_nodes)
+        reject(where() + " has ids (node=" + std::to_string(part.node) +
+               ", path|depth<<16=" + std::to_string(part.path_depth) +
+               ") out of range");
+      std::int32_t& depth = node_depth[static_cast<std::size_t>(part.node)];
+      if (depth >= 0 && depth != part.depth())
+        reject(where() + " puts node " + std::to_string(part.node) +
+               " at depth " + std::to_string(part.depth()) +
+               ", another part at " + std::to_string(depth));
+      depth = part.depth();
       if (p > first) {
         const LabelPart& prev = arena.parts[p - 1];
         if (!(prev.node < part.node ||
-              (prev.node == part.node && prev.path < part.path)))
-          reject("vertex " + std::to_string(v) +
-                 " parts not strictly sorted by (node, path) at part " +
-                 std::to_string(p));
+              (prev.node == part.node && prev.path() < part.path())))
+          reject(where() + " not strictly sorted by (node, path)");
+        if (prev.node != part.node && prev.depth() >= part.depth())
+          reject(where() + " does not descend the chain (depth " +
+                 std::to_string(prev.depth()) + " then " +
+                 std::to_string(part.depth()) + ")");
       }
     }
   }
@@ -147,57 +178,91 @@ Weight sweep_pair(std::span<const HotEntry> a, std::span<const HotEntry> b) {
   return best;
 }
 
-/// The one merge walk of Theorem 2: steps through both labels' (node, path)
-/// parts in lockstep and sweeps every common pair. `sink(pu, pv, pair, best)`
-/// sees each matched pair's hot spans and sweep minimum before it is folded
-/// into `best`, so each caller's cost accounting is a template argument, not
-/// a branch.
+/// The one merge walk of Theorem 2: steps through both labels' parts in
+/// lockstep, sweeps every common (node, path) pair, and stops where the
+/// chains diverge. Parts are sorted by (node, path), the depth rises with
+/// the node along a label, and common nodes are a prefix of both chains.
+/// So when the cursors sit on different nodes, the shallower part cannot
+/// be common (every later part of the other label is deeper), and at equal
+/// depths the chains have left each other's subtree, so no later part can
+/// be common. On one node the packed path-and-depth words order the parts
+/// as their paths do. `sink.pair(part, scanned, pair, best)` sees each
+/// matched pair's sweep minimum before it is folded into `best`, and
+/// `sink.done(steps)` the number of part-header pairs compared, so each
+/// caller's accounting is a template argument, not a branch.
 template <typename Sink>
 Weight merge_walk(const LabelView& u, const LabelView& v, Sink&& sink) {
   if (u.vertex() == v.vertex()) return 0;
   Weight best = graph::kInfiniteWeight;
-  std::size_t iu = 0, iv = 0;
-  while (iu < u.num_parts() && iv < v.num_parts()) {
-    const LabelPart& pu = u.part(iu);
-    const LabelPart& pv = v.part(iv);
-    if (pu.node != pv.node) {
-      (pu.node < pv.node ? iu : iv)++;
+  const LabelPart* pu = u.parts();
+  const LabelPart* const u_end = pu + u.num_parts();
+  const LabelPart* pv = v.parts();
+  const LabelPart* const v_end = pv + v.num_parts();
+  const HotEntry* const hot_u = u.hot_data();
+  const HotEntry* const hot_v = v.hot_data();
+  std::uint32_t steps = 0;
+  while (pu != u_end && pv != v_end) {
+    ++steps;
+    if (pu->node != pv->node) {
+      const std::int32_t du = pu->depth();
+      const std::int32_t dv = pv->depth();
+      if (du == dv) break;
+      if (du < dv)
+        ++pu;
+      else
+        ++pv;
       continue;
     }
-    if (pu.path != pv.path) {
-      (pu.path < pv.path ? iu : iv)++;
+    if (pu->path_depth != pv->path_depth) {
+      if (pu->path_depth < pv->path_depth)
+        ++pu;
+      else
+        ++pv;
       continue;
     }
-    const std::span<const HotEntry> hu = u.hot(iu);
-    const std::span<const HotEntry> hv = v.hot(iv);
-    const Weight pair = sweep_pair(hu, hv);
-    sink(pu, hu.size() + hv.size(), pair, best);
+    const std::span<const HotEntry> a(hot_u + pu->begin,
+                                      pu[1].begin - pu->begin);
+    const std::span<const HotEntry> b(hot_v + pv->begin,
+                                      pv[1].begin - pv->begin);
+    const Weight pair = sweep_pair(a, b);
+    sink.pair(*pu, a.size() + b.size(), pair, best);
     best = std::min(best, pair);
-    ++iu;
-    ++iv;
+    ++pu;
+    ++pv;
   }
+  sink.done(steps);
   return best;
 }
 
+struct NoSink {
+  void pair(const LabelPart&, std::size_t, Weight, Weight) {}
+  void done(std::uint32_t) {}
+};
+
+struct StatsSink {
+  QueryStats& stats;
+  void pair(const LabelPart& part, std::size_t scanned, Weight pair,
+            Weight best) {
+    stats.entries_scanned += static_cast<std::uint32_t>(scanned);
+    // Selects, not a branch: which common part wins is data, and a
+    // mispredicted branch costs more than three conditional moves.
+    const bool wins = pair < best;
+    stats.win_node = wins ? part.node : stats.win_node;
+    stats.win_path = wins ? part.path() : stats.win_path;
+    stats.win_level = wins ? part.depth() : stats.win_level;
+  }
+  void done(std::uint32_t steps) { stats.walk_steps = steps; }
+};
+
 }  // namespace
 
-Weight query_labels(const LabelView& u, const LabelView& v,
-                    std::size_t* visited) {
-  return merge_walk(u, v, [visited](const LabelPart&, std::size_t scanned,
-                                    Weight, Weight) {
-    if (visited) *visited += scanned;
-  });
+Weight query_labels(const LabelView& u, const LabelView& v) {
+  return merge_walk(u, v, NoSink{});
 }
 
-Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost) {
-  return merge_walk(u, v, [&cost](const LabelPart& pu, std::size_t scanned,
-                                  Weight pair, Weight best) {
-    cost.entries_scanned += static_cast<std::uint32_t>(scanned);
-    if (pair < best) {
-      cost.win_node = pu.node;
-      cost.win_path = pu.path;
-    }
-  });
+Weight query_labels(const LabelView& u, const LabelView& v,
+                    QueryStats& stats) {
+  return merge_walk(u, v, StatsSink{stats});
 }
 
 std::size_t drop_dominated(std::span<Connection> list) {
@@ -355,8 +420,9 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
         for_each_list(
             static_cast<Vertex>(v),
             [&](int node_id, std::size_t pi, std::span<const Connection> l) {
-              arena.parts[p++] = LabelPart{
-                  node_id, static_cast<std::int32_t>(pi), c};
+              arena.parts[p++] = LabelPart::make(
+                  node_id, static_cast<std::int64_t>(pi),
+                  tree.node(node_id).depth, c);
               for (const Connection& conn : l) {
                 arena.hot[c] = HotEntry{conn.prefix, conn.dist};
                 arena.cold[c] = ColdEntry{conn.path_index, conn.next_hop};
@@ -365,7 +431,7 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
             });
       });
   if (stats) stats->assemble_seconds = phase_timer.elapsed_seconds();
-  PATHSEP_AUDIT(check::audit_built_labels(arena));
+  PATHSEP_AUDIT(check::audit_built_labels(arena, tree));
   return arena;
 }
 

@@ -24,6 +24,14 @@
 // exactly one survives. The sweep does not rely on it: labels
 // with dominated connections (older snapshots) answer the same.
 //
+// Common paths sit only at common ancestors in the decomposition tree, and
+// those are a prefix of both labels' chains. Every part header carries its
+// node's depth, so the merge walk stops where the chains diverge: when the
+// two parts under its cursors sit at the same depth on different nodes,
+// every later part of either label lies below one of those two nodes, and
+// no later part can be common. On a 160² grid the walk takes about 3 steps
+// instead of the 16 a walk to the end of one label takes (DESIGN.md §3).
+//
 // Representation: every label of an oracle lives in one LabelArena — a
 // handful of contiguous arrays in CSR form (vertex → parts → connections),
 // with the (prefix, dist) pairs the sweep reads in a hot stream apart from
@@ -41,11 +49,29 @@
 namespace pathsep::oracle {
 
 /// One (node, path) part of a label. Its connections are the arena entries
-/// [begin, begin of the next part); every part has at least one.
+/// [begin, begin of the next part); every part has at least one. The second
+/// word packs the path index (low 16 bits) and the node's depth in the
+/// decomposition tree (the next 15 bits; P3 bounds it by log2 n + 1); the
+/// top bit is always clear.
 struct LabelPart {
-  std::int32_t node = 0;    ///< decomposition node id
-  std::int32_t path = 0;    ///< path index within the node
-  std::uint64_t begin = 0;  ///< first connection in the hot/cold streams
+  static constexpr std::uint32_t kMaxPath = 0xffff;
+  static constexpr std::uint32_t kMaxDepth = 0x7fff;
+
+  std::int32_t node = 0;       ///< decomposition node id
+  std::uint32_t path_depth = 0;  ///< path | depth << 16 (see make)
+  std::uint64_t begin = 0;     ///< first connection in the hot/cold streams
+
+  /// Packs a part; throws std::overflow_error rather than truncate a path
+  /// or depth that does not fit its bits.
+  static LabelPart make(std::int32_t node, std::int64_t path,
+                        std::int64_t depth, std::uint64_t begin);
+
+  std::int32_t path() const {
+    return static_cast<std::int32_t>(path_depth & kMaxPath);
+  }
+  std::int32_t depth() const {
+    return static_cast<std::int32_t>(path_depth >> 16);
+  }
 };
 
 /// The two connection fields the query sweep reads.
@@ -78,6 +104,11 @@ class LabelView {
   Vertex vertex() const { return vertex_; }
   std::size_t num_parts() const { return num_parts_; }
   const LabelPart& part(std::size_t i) const { return parts_[i]; }
+  /// The raw arrays the merge walk steps over: parts()[num_parts()] is the
+  /// entry that ends the last part, and part p's hot entries are
+  /// hot_data()[parts()[p].begin .. parts()[p + 1].begin).
+  const LabelPart* parts() const { return parts_; }
+  const HotEntry* hot_data() const { return hot_; }
 
   std::span<const HotEntry> hot(std::size_t i) const {
     return {hot_ + parts_[i].begin, parts_[i + 1].begin - parts_[i].begin};
@@ -112,14 +143,15 @@ class LabelView {
 
 /// All labels of an oracle in CSR form. Vertex v's parts are
 /// parts[part_offsets[v] .. part_offsets[v+1]); `parts` ends with one
-/// sentinel {0, 0, num_connections()} so every part's connections end at the
+/// sentinel {0, 0, num_connections()} (node 0, path 0, depth 0) so every
+/// part's connections end at the
 /// next entry's begin. hot[i] and cold[i] are the two halves of connection
 /// i. Every array element is a whole number of 8-byte words with no padding
 /// bytes, so the arrays' bytes are fully determined by their values.
 struct LabelArena {
   std::uint64_t num_nodes = 0;  ///< part node ids lie in [0, num_nodes)
   std::vector<std::uint64_t> part_offsets{0};
-  std::vector<LabelPart> parts{LabelPart{0, 0, 0}};
+  std::vector<LabelPart> parts{LabelPart{}};
   std::vector<HotEntry> hot;
   std::vector<ColdEntry> cold;
 
@@ -133,27 +165,31 @@ struct LabelArena {
                      hot.data(), cold.data());
   }
 
-  /// Prefetch hints for a query loop, which change nothing: the first starts
-  /// loading part_offsets[v]; the second reads it and starts loading the
-  /// first three 64-byte lines of v's part headers (a grid label has about
-  /// 11 16-byte parts; a prefetch past the arena never faults), so issue the
-  /// first a query earlier. Always inlined: GCC deems a call whose body is
-  /// only prefetches free of side effects and deletes it.
+  /// Prefetch hints for a query loop, a pipeline of three stages that
+  /// change nothing: prefetch_offsets starts loading part_offsets[v];
+  /// prefetch_parts reads it and starts loading the 64-byte line of v's
+  /// first part headers (the walk stops where two chains diverge, about 3
+  /// steps on a grid, so the first four 16-byte parts are what it reads);
+  /// prefetch_hot reads the first header and starts loading the line of v's
+  /// first hot entries, where the common parts' connections begin. Issue
+  /// each stage a query after the one before. Always inlined: GCC deems a
+  /// call whose body is only prefetches free of side effects and deletes
+  /// it; a prefetch past the arena never faults.
   [[gnu::always_inline]] void prefetch_offsets(Vertex v) const {
     __builtin_prefetch(part_offsets.data() + v);
   }
   [[gnu::always_inline]] void prefetch_parts(Vertex v) const {
-    const auto* first =
-        reinterpret_cast<const char*>(parts.data() + part_offsets[v]);
-    __builtin_prefetch(first);
-    __builtin_prefetch(first + 64);
-    __builtin_prefetch(first + 128);
+    __builtin_prefetch(parts.data() + part_offsets[v]);
+  }
+  [[gnu::always_inline]] void prefetch_hot(Vertex v) const {
+    __builtin_prefetch(hot.data() + parts[part_offsets[v]].begin);
   }
 
   /// Appends a part after the last one, leaving part_offsets alone: how a
   /// DistanceLabel is assembled. build_labels fills the arrays in parallel
   /// instead.
-  void add_part(std::int32_t node, std::int32_t path,
+  /// Throws std::overflow_error as LabelPart::make does.
+  void add_part(std::int32_t node, std::int64_t path, std::int64_t depth,
                 std::span<const Connection> connections);
 
   /// Heap bytes of the arrays (the in-memory size of the oracle's labels).
@@ -162,13 +198,18 @@ struct LabelArena {
 
 /// Structural validation of an arena from outside the process: offsets
 /// start at 0, are monotone and end at the array sizes; every part has a
-/// node id in [0, num_nodes) and a path id >= 0, a non-empty connection
-/// list, and sorts strictly after its predecessor in the same label;
-/// connection prefixes and distances are finite and >= 0 and prefixes
-/// ascend within a part; the sentinel is {0, 0, num_connections()}; and
-/// num_nodes <= num_vertices (every decomposition node removes at least one
-/// vertex). Throws std::runtime_error naming the first violation. After it
-/// passes, every LabelView of the arena stays in bounds.
+/// node id in [0, num_nodes), a path-and-depth word with its top bit clear
+/// and a depth below num_nodes, a non-empty connection list, and sorts
+/// strictly after its predecessor in the same label; within a label the
+/// depth rises exactly when the node changes, and all parts of one node
+/// carry one depth across the arena; connection prefixes and distances are
+/// finite and >= 0 and prefixes ascend within a part; the sentinel is
+/// {0, 0, num_connections()}; and num_nodes <= num_vertices (every
+/// decomposition node removes at least one vertex). Throws
+/// std::runtime_error naming the first violation. After it passes, every
+/// LabelView of the arena stays in bounds. Depths it cannot check against
+/// a tree (a lying file) can make the walk stop early and an answer wrong,
+/// never read out of bounds.
 void validate_arena(const LabelArena& arena);
 
 /// One label detached from any oracle: what the distributed codec
@@ -177,9 +218,9 @@ struct DistanceLabel {
   Vertex vertex = graph::kInvalidVertex;  ///< root-graph id
   LabelArena arena;                       ///< parts only; no part_offsets
 
-  void add_part(std::int32_t node, std::int32_t path,
+  void add_part(std::int32_t node, std::int64_t path, std::int64_t depth,
                 std::span<const Connection> connections) {
-    arena.add_part(node, path, connections);
+    arena.add_part(node, path, depth, connections);
   }
   LabelView view() const {
     return LabelView(vertex, arena.parts.data(), arena.num_parts(),
@@ -188,23 +229,25 @@ struct DistanceLabel {
 };
 
 /// d(u,v) upper estimate from two labels; kInfiniteWeight when the labels
-/// share no usable path (different components). `visited` (optional)
-/// accumulates the number of connections scanned — the measured query cost.
-Weight query_labels(const LabelView& u, const LabelView& v,
-                    std::size_t* visited = nullptr);
+/// share no usable path (different components).
+Weight query_labels(const LabelView& u, const LabelView& v);
 
 /// Cost attribution of one query_labels call, for tail-latency analysis:
-/// how many connections the sweeps read, and which (node, path) pair's
-/// sweep produced the winning minimum. win_node/win_path stay -1 when no
-/// finite estimate exists (disconnected endpoints, or no common part).
-struct QueryCost {
+/// how many part-header pairs the walk compared and connections the sweeps
+/// read, and which (node, path) pair's sweep produced the winning minimum,
+/// at which depth of the decomposition tree (deep levels mean long chains,
+/// long sweeps, tail latency). The win_* fields stay -1 when no finite
+/// estimate exists (disconnected endpoints, or no common part).
+struct QueryStats {
+  std::uint32_t walk_steps = 0;
   std::uint32_t entries_scanned = 0;
   std::int32_t win_node = -1;
   std::int32_t win_path = -1;
+  std::int32_t win_level = -1;
 };
 
-/// Same estimate as the plain overload, filling `cost` as a side effect.
-Weight query_labels(const LabelView& u, const LabelView& v, QueryCost& cost);
+/// Same estimate as the plain overload, filling `stats` as a side effect.
+Weight query_labels(const LabelView& u, const LabelView& v, QueryStats& stats);
 
 /// Drops the dominated connections of one prefix-sorted connection list in
 /// place; the survivors keep their order at the front of `list`, and their

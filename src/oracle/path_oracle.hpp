@@ -9,17 +9,6 @@
 
 namespace pathsep::oracle {
 
-/// Cost attribution of one oracle query: what query_labels measured plus
-/// the decomposition level of the winning portal's node — the quantity the
-/// serving layer aggregates per level (deep levels mean long chains, long
-/// sweeps, tail latency).
-struct QueryStats {
-  std::uint32_t entries_scanned = 0;
-  std::int32_t win_node = -1;   ///< decomposition node of the winning sweep
-  std::int32_t win_path = -1;   ///< path index within that node
-  std::int32_t win_level = -1;  ///< its level (depth); -1 = no finite answer
-};
-
 class PathOracle {
  public:
   /// Builds the oracle for the graph underlying `tree` (root ids).
@@ -43,26 +32,16 @@ class PathOracle {
     return query_labels(label(u), label(v));
   }
 
-  /// Same, also reporting the number of connections scanned.
-  Weight query_counted(Vertex u, Vertex v, std::size_t* visited) const {
-    check_ids(u, v);
-    return query_labels(label(u), label(v), visited);
-  }
-
-  /// Same estimate, with full cost attribution.
+  /// Same estimate, with its cost attribution (QueryStats): the serving
+  /// layer aggregates answers per win_level.
   Weight query_stats(Vertex u, Vertex v, QueryStats& stats) const {
     check_ids(u, v);
-    QueryCost cost;
-    const Weight d = query_labels(label(u), label(v), cost);
-    stats.entries_scanned = cost.entries_scanned;
-    stats.win_node = cost.win_node;
-    stats.win_path = cost.win_path;
-    stats.win_level = node_level(cost.win_node);
-    return d;
+    return query_labels(label(u), label(v), stats);
   }
 
   /// Prefetch hints for a loop of query* calls (see LabelArena): issue
-  /// prefetch_offsets two queries ahead and prefetch one query ahead.
+  /// prefetch_offsets three queries ahead, prefetch two ahead and
+  /// prefetch_hot one ahead.
   [[gnu::always_inline]] void prefetch_offsets(Vertex u, Vertex v) const {
     arena_.prefetch_offsets(u);
     arena_.prefetch_offsets(v);
@@ -71,21 +50,13 @@ class PathOracle {
     arena_.prefetch_parts(u);
     arena_.prefetch_parts(v);
   }
-
-  /// Level (depth) of a decomposition node, or -1 for out-of-range ids
-  /// (including the -1 "no winner" sentinel). Exact tree depths when the
-  /// oracle was built from a tree; reconstructed from label chain order
-  /// when loaded from a snapshot (node ids increase down every chain, so a
-  /// node's level is its rank among the distinct node ids of any label that
-  /// reaches it — levels a label skips make the reconstruction a lower
-  /// bound, exact in practice because every chain contributes its prefix).
-  std::int32_t node_level(std::int32_t node) const {
-    if (node < 0 || static_cast<std::size_t>(node) >= node_levels_.size())
-      return -1;
-    return node_levels_[static_cast<std::size_t>(node)];
+  [[gnu::always_inline]] void prefetch_hot(Vertex u, Vertex v) const {
+    arena_.prefetch_hot(u);
+    arena_.prefetch_hot(v);
   }
 
-  /// 1 + the largest known level (0 for an empty oracle).
+  /// 1 + the largest depth any label part carries (0 for an oracle without
+  /// parts): the decomposition tree's height.
   std::size_t num_levels() const { return num_levels_; }
 
   double epsilon() const { return epsilon_; }
@@ -108,11 +79,9 @@ class PathOracle {
                    "query ids (", u, ", ", v, ") out of range for ",
                    num_vertices(), " vertices");
   }
-  void derive_levels_from_labels();
 
   double epsilon_;
   LabelArena arena_;
-  std::vector<std::int32_t> node_levels_;  ///< indexed by node id
   std::size_t num_levels_ = 0;
 };
 

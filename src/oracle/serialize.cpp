@@ -67,12 +67,16 @@ std::vector<std::uint8_t> serialize_label(const LabelView& label) {
   append_varint(out, label.vertex());
   append_varint(out, label.num_parts());
   std::int32_t prev_node = 0;
+  std::int32_t prev_depth = 0;
   for (std::size_t p = 0; p < label.num_parts(); ++p) {
     const LabelPart& part = label.part(p);
-    // Parts are sorted by (node, path): node ids delta-encode compactly.
+    // Parts are sorted by (node, path) and descend the chain: node ids and
+    // depths delta-encode compactly.
     append_varint(out, node_delta(part.node, prev_node));
     prev_node = part.node;
-    append_varint(out, static_cast<std::uint64_t>(part.path));
+    append_varint(out, static_cast<std::uint64_t>(part.path()));
+    append_varint(out, node_delta(part.depth(), prev_depth));
+    prev_depth = part.depth();
     const std::span<const HotEntry> hot = label.hot(p);
     const std::span<const ColdEntry> cold = label.cold(p);
     append_varint(out, hot.size());
@@ -93,23 +97,28 @@ DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes) {
   std::size_t offset = 0;
   label.vertex = static_cast<Vertex>(read_varint(bytes, offset));
   const std::uint64_t num_parts = read_varint(bytes, offset);
-  // A part encodes at least 3 varint bytes; a connection at least 2 varint
+  // A part encodes at least 4 varint bytes; a connection at least 2 varint
   // bytes plus two 8-byte doubles. Counts exceeding what the remaining
   // buffer could possibly hold are corruption — reject them up front so a
   // flipped bit in a count can neither drive a near-endless parse loop nor
   // balloon allocations.
-  if (num_parts > (bytes.size() - std::min(offset, bytes.size())) / 3)
+  if (num_parts > (bytes.size() - std::min(offset, bytes.size())) / 4)
     throw std::runtime_error("label part count exceeds buffer");
   std::int32_t prev_node = 0;
+  std::int32_t prev_depth = 0;
   std::vector<Connection> connections;
-  for (std::uint64_t p = 0; p < num_parts; ++p) {
-    // Deltas wrap modulo 2^32 (as the encoder's do), so a hostile delta
-    // cannot overflow; validity of the ids is the caller's concern.
-    prev_node = static_cast<std::int32_t>(
-        static_cast<std::uint32_t>(prev_node) +
+  // Deltas wrap modulo 2^32 (as the encoder's do), so a hostile delta
+  // cannot overflow; validity of the node ids is the caller's concern.
+  const auto add_delta = [&](std::int32_t& prev) {
+    prev = static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(prev) +
         static_cast<std::uint32_t>(read_varint(bytes, offset)));
-    const std::int32_t node = prev_node;
-    const auto path = static_cast<std::int32_t>(read_varint(bytes, offset));
+    return prev;
+  };
+  for (std::uint64_t p = 0; p < num_parts; ++p) {
+    const std::int32_t node = add_delta(prev_node);
+    const std::uint64_t path = read_varint(bytes, offset);
+    const std::int32_t depth = add_delta(prev_depth);
     const std::uint64_t num_conns = read_varint(bytes, offset);
     if (num_conns > (bytes.size() - std::min(offset, bytes.size())) / 18)
       throw std::runtime_error("connection count exceeds buffer");
@@ -124,7 +133,9 @@ DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes) {
       conn.prefix = read_double(bytes, offset);
       connections.push_back(conn);
     }
-    label.add_part(node, path, connections);
+    // A path or depth past its bits throws std::overflow_error, a
+    // std::runtime_error like every other rejection here.
+    label.add_part(node, static_cast<std::int64_t>(path), depth, connections);
   }
   if (offset != bytes.size())
     throw std::runtime_error("trailing bytes after label");
@@ -135,11 +146,14 @@ std::size_t serialized_bits(const LabelView& label) {
   std::size_t bytes =
       varint_size(label.vertex()) + varint_size(label.num_parts());
   std::int32_t prev_node = 0;
+  std::int32_t prev_depth = 0;
   for (std::size_t p = 0; p < label.num_parts(); ++p) {
     const LabelPart& part = label.part(p);
     bytes += varint_size(node_delta(part.node, prev_node));
     prev_node = part.node;
-    bytes += varint_size(static_cast<std::uint64_t>(part.path));
+    bytes += varint_size(static_cast<std::uint64_t>(part.path()));
+    bytes += varint_size(node_delta(part.depth(), prev_depth));
+    prev_depth = part.depth();
     const std::span<const ColdEntry> cold = label.cold(p);
     bytes += varint_size(cold.size());
     for (const ColdEntry& entry : cold) {

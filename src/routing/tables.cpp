@@ -32,8 +32,8 @@ Plan best_plan(const oracle::LabelView& lu, const oracle::LabelView& lv) {
       (pu.node < pv.node ? iu : iv)++;
       continue;
     }
-    if (pu.path != pv.path) {
-      (pu.path < pv.path ? iu : iv)++;
+    if (pu.path() != pv.path()) {
+      (pu.path() < pv.path() ? iu : iv)++;
       continue;
     }
     const std::span<const oracle::HotEntry> hu = lu.hot(iu);
@@ -43,7 +43,7 @@ Plan best_plan(const oracle::LabelView& lu, const oracle::LabelView& lv) {
         const Weight cost =
             hu[a].dist + std::abs(hu[a].prefix - hv[b].prefix) + hv[b].dist;
         if (cost < plan.cost) {
-          plan = Plan{cost, pu.node, pu.path, lu.connection(iu, a),
+          plan = Plan{cost, pu.node, pu.path(), lu.connection(iu, a),
                       lv.connection(iv, b)};
         }
       }

@@ -80,16 +80,21 @@ void AnswerPath::answer(const oracle::PathOracle& oracle, ResultCache* cache,
     oracle::QueryStats worst_stats;
     auto worst_outcome = obs::SlowQuery::Outcome::kCached;
     for (std::size_t k = begin; k < end; ++k) {
-      // Start the loads of the next queries: k + 2's label offsets, k + 1's
-      // part headers (through the offsets fetched a query ago) and its
+      // Start the loads of the next queries, one stage each: k + 3's label
+      // offsets, k + 2's part headers (through the offsets fetched a query
+      // ago), k + 1's first hot entries (through those headers) and its
       // cache set, so they overlap this query's sweep.
+      if (k + 3 < count) {
+        const Query& ahead = queries[index(k + 3)];
+        oracle.prefetch_offsets(ahead.u, ahead.v);
+      }
       if (k + 2 < count) {
         const Query& ahead = queries[index(k + 2)];
-        oracle.prefetch_offsets(ahead.u, ahead.v);
+        oracle.prefetch(ahead.u, ahead.v);
       }
       if (k + 1 < count) {
         const Query& next = queries[index(k + 1)];
-        oracle.prefetch(next.u, next.v);
+        oracle.prefetch_hot(next.u, next.v);
         if (cache != nullptr) cache->prefetch(ResultCache::key(next.u, next.v));
       }
       const std::size_t i = index(k);

@@ -28,8 +28,8 @@ ResultCache::ResultCache(std::size_t capacity)
 }
 
 std::size_t ResultCache::set_index(std::uint64_t key) const {
-  // splitmix64 finalizer; the set comes from the high half, independent of
-  // the low bits shard_of reduces modulo the shard count.
+  // splitmix64 finalizer without shard_of's increment, so the set is
+  // independent of the shard a pair maps to.
   key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
   key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
   return static_cast<std::size_t>(((key ^ (key >> 31)) >> 32) & mask_);

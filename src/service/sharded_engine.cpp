@@ -145,8 +145,12 @@ int ShardedEngine::worker_cpu(std::size_t shard) const {
 }
 
 std::size_t ShardedEngine::shard_of(graph::Vertex u, graph::Vertex v) const {
-  return static_cast<std::size_t>(mix64(ResultCache::key(u, v)) %
-                                  shards_.size());
+  // Multiply-high instead of a modulo: the dispatcher maps every pair of a
+  // frame serially before any ticket goes out, and a 64-bit division costs
+  // several times a multiply. The high half of the mixed key is uniform, so
+  // its scaled product is too.
+  const std::uint64_t high = mix64(ResultCache::key(u, v)) >> 32;
+  return static_cast<std::size_t>((high * shards_.size()) >> 32);
 }
 
 void ShardedEngine::wake_shard(Shard& shard) {

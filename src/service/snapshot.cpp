@@ -145,12 +145,15 @@ SnapshotInfo read_header(std::span<const std::uint8_t> head,
                          std::size_t file_size) {
   if (head.size() < 16 || std::memcmp(head.data(), kMagic, 8) != 0)
     throw std::runtime_error("snapshot magic mismatch");
-  if (head[8] == 1)
-    throw std::runtime_error(
-        "snapshot format version 1 (varint-coded labels) is no longer "
-        "readable; rebuild the snapshot from the graph (query_server --save)");
   SnapshotInfo info;
   std::memcpy(&info.version, head.data() + 8, sizeof(info.version));
+  if (info.version == 1 || info.version == 2)
+    throw std::runtime_error(
+        "snapshot format version " + std::to_string(info.version) +
+        (info.version == 1 ? " (varint-coded labels)"
+                           : " (part headers without depths)") +
+        " is no longer readable; rebuild the snapshot from the graph "
+        "(query_server --save)");
   if (info.version != kSnapshotVersion || get_u64(head, 8) >> 32 != 0)
     throw std::runtime_error("unsupported snapshot version " +
                              std::to_string(info.version) +
@@ -172,8 +175,9 @@ SnapshotInfo read_header(std::span<const std::uint8_t> head,
         ", parts=" + std::to_string(parts) +
         ", connections=" + std::to_string(conns) + ")");
   // Every decomposition node removes at least one vertex, so a node count
-  // above n is corruption; bounding it here keeps the level table the
-  // loader allocates no larger than the part_offsets the file paid for.
+  // above n is corruption; bounding it here keeps the per-node depth table
+  // the validator allocates no larger than the part_offsets the file paid
+  // for.
   if (nodes > n)
     throw std::runtime_error("snapshot node count " + std::to_string(nodes) +
                              " exceeds its vertex count " + std::to_string(n));
@@ -197,7 +201,7 @@ LabelArena sized_arena(const SnapshotInfo& info) {
 }
 
 /// Validates a loaded arena (the PathOracle constructor runs
-/// oracle::validate_arena before deriving the level map, so no unvalidated
+/// oracle::validate_arena before it reads any label, so no unvalidated
 /// offset is ever followed).
 oracle::PathOracle adopt(LabelArena arena, double epsilon) {
   PATHSEP_STAGE_TIMER("snapshot_validate_ns");

@@ -5,18 +5,21 @@
 // restarted process cold-starts from disk instead of rebuilding the
 // decomposition hierarchy. The file is the oracle::LabelArena arrays plus a
 // fixed header and a checksum, so saving copies arrays out and loading reads
-// them back with no per-label decode. Format version 2, every field
+// them back with no per-label decode. Format version 3, every field
 // little-endian (the only byte order this code builds for; see the
 // static_assert in snapshot.cpp):
 //
 //   offset 0   magic "PSEPSNAP"
-//          8   u32 version (2), u32 zero
+//          8   u32 version (3), u32 zero
 //         16   f64 epsilon
 //         24   u64 n (vertices), u64 num_nodes, u64 P (parts), u64 C
 //              (connections)
 //         56   part_offsets  (n + 1) x u64
-//              parts         (P + 1) x {i32 node, i32 path, u64 begin},
-//                            the last one the {0, 0, C} sentinel
+//              parts         (P + 1) x {i32 node, u32 path | depth << 16,
+//                            u64 begin}, the last one the {0, 0, C}
+//                            sentinel; depth is the node's depth in the
+//                            decomposition tree, which the merge walk's
+//                            exit reads
 //              hot           C x {f64 prefix, f64 dist}
 //              cold          C x {u32 path_index, u32 next_hop}
 //   size - 8   u64 checksum
@@ -29,8 +32,9 @@
 // the header counts must exactly account for the file size before anything
 // is allocated, num_nodes must not exceed n, and oracle::validate_arena
 // checks the arrays before any label is read. Any failure throws
-// std::runtime_error. Version-1 files (varint-coded labels) are rejected
-// with a message to rebuild them.
+// std::runtime_error. Version-1 files (varint-coded labels) and version-2
+// files (part headers without depths) are rejected with a message to
+// rebuild them.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,7 @@
 
 namespace pathsep::service {
 
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Parsed header of a snapshot buffer (cheap; reads no labels).
 struct SnapshotInfo {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -271,7 +272,7 @@ class AuditLabelsTest : public ::testing::Test {
 
 TEST_F(AuditLabelsTest, AcceptsBuiltLabels) {
   EXPECT_NO_THROW(check::audit_labels(labels_));
-  EXPECT_NO_THROW(check::audit_built_labels(labels_));
+  EXPECT_NO_THROW(check::audit_built_labels(labels_, *tree_));
 }
 
 TEST_F(AuditLabelsTest, RejectsDominatedConnection) {
@@ -282,7 +283,7 @@ TEST_F(AuditLabelsTest, RejectsDominatedConnection) {
   const hierarchy::DecompositionTree tree(
       gg.graph, separator::PlanarCycleSeparator(gg.positions));
   const oracle::LabelArena built = oracle::build_labels(tree, 0.25);
-  ASSERT_NO_THROW(check::audit_built_labels(built));
+  ASSERT_NO_THROW(check::audit_built_labels(built, tree));
   std::size_t c = built.num_connections();
   for (std::size_t p = 0; p < built.num_parts() && c == built.num_connections();
        ++p)
@@ -296,13 +297,13 @@ TEST_F(AuditLabelsTest, RejectsDominatedConnection) {
   dominated.hot[c + 1].dist =
       built.hot[c].dist + (built.hot[c + 1].prefix - built.hot[c].prefix) + 1;
   EXPECT_NO_THROW(check::audit_labels(dominated));
-  EXPECT_THROW(check::audit_built_labels(dominated), CheckFailure);
+  EXPECT_THROW(check::audit_built_labels(dominated, tree), CheckFailure);
 
   // Two equal connections dominate each other; the build keeps only one.
   oracle::LabelArena twins = built;
   twins.hot[c + 1] = twins.hot[c];
   EXPECT_NO_THROW(check::audit_labels(twins));
-  EXPECT_THROW(check::audit_built_labels(twins), CheckFailure);
+  EXPECT_THROW(check::audit_built_labels(twins, tree), CheckFailure);
 }
 
 TEST_F(AuditLabelsTest, RejectsNonMonotonePartOffsets) {
@@ -321,15 +322,76 @@ TEST_F(AuditLabelsTest, RejectsNegativeDistance) {
 TEST_F(AuditLabelsTest, RejectsUnsortedParts) {
   const std::size_t p = first_part_of_label_with(2);
   std::swap(labels_.parts[p].node, labels_.parts[p + 1].node);
-  std::swap(labels_.parts[p].path, labels_.parts[p + 1].path);
+  std::swap(labels_.parts[p].path_depth, labels_.parts[p + 1].path_depth);
   EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
 }
 
 TEST_F(AuditLabelsTest, RejectsDuplicateParts) {
   const std::size_t p = first_part_of_label_with(2);
   labels_.parts[p + 1].node = labels_.parts[p].node;
-  labels_.parts[p + 1].path = labels_.parts[p].path;
+  labels_.parts[p + 1].path_depth = labels_.parts[p].path_depth;
   EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
+}
+
+/// validate_arena's verdict on `arena`: the message of its rejection, or
+/// "" when it passes.
+std::string validation_error(const oracle::LabelArena& arena) {
+  try {
+    oracle::validate_arena(arena);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST_F(AuditLabelsTest, RejectsADepthPastItsBits) {
+  labels_.parts[first_part_of_label_with(1)].path_depth |= 1u << 31;
+  EXPECT_NE(validation_error(labels_).find("out of range"), std::string::npos);
+  EXPECT_THROW(check::audit_labels(labels_), CheckFailure);
+}
+
+TEST_F(AuditLabelsTest, RejectsADepthThatDoesNotRiseWithTheNode) {
+  // The first two parts of a label on two different nodes: give the deeper
+  // one its predecessor's depth.
+  for (std::size_t v = 0; v < labels_.num_vertices(); ++v)
+    for (std::size_t p = labels_.part_offsets[v] + 1;
+         p < labels_.part_offsets[v + 1]; ++p)
+      if (labels_.parts[p].node != labels_.parts[p - 1].node) {
+        labels_.parts[p] =
+            oracle::LabelPart::make(labels_.parts[p].node,
+                                    labels_.parts[p].path(),
+                                    labels_.parts[p - 1].depth(),
+                                    labels_.parts[p].begin);
+        EXPECT_NE(validation_error(labels_).find("does not descend"),
+                  std::string::npos)
+            << validation_error(labels_);
+        return;
+      }
+  FAIL() << "no label spans two nodes";
+}
+
+TEST_F(AuditLabelsTest, RejectsOneNodeAtTwoDepths) {
+  // Vertex 0's label reaches the root first; another label's root part
+  // claiming depth 1 contradicts it (and still rises along its own label
+  // only if its next part is deeper, which the check does not need).
+  const std::size_t last = labels_.num_vertices() - 1;
+  const std::size_t p = labels_.part_offsets[last];
+  ASSERT_EQ(labels_.parts[p].node, 0);
+  ASSERT_EQ(labels_.parts[labels_.part_offsets[0]].node, 0);
+  labels_.parts[p].path_depth += 1u << 16;
+  EXPECT_NE(validation_error(labels_).find("another part at 0"),
+            std::string::npos)
+      << validation_error(labels_);
+}
+
+TEST_F(AuditLabelsTest, BuiltLabelsCarryTheirNodesDepths) {
+  // Every depth shifted by one still descends every chain and agrees per
+  // node, so only the audit against the tree can see it.
+  for (oracle::LabelPart& part : labels_.parts)
+    if (&part != &labels_.parts.back()) part.path_depth += 1u << 16;
+  ASSERT_EQ(validation_error(labels_), "");
+  EXPECT_NO_THROW(check::audit_labels(labels_));
+  EXPECT_THROW(check::audit_built_labels(labels_, *tree_), CheckFailure);
 }
 
 TEST(AuditConnections, RejectsBrokenPortalOrder) {

@@ -528,6 +528,60 @@ TEST(SnapshotFuzz, LyingCountsAndOffsetsThrowWithoutAllocating) {
   lie(hot_at, 0xbff0000000000000ULL);           // prefix -1.0
 }
 
+TEST(SnapshotFuzz, LyingDepthsThrowOrAnswerInBounds) {
+  // The depth in a part header steers the merge walk's exit. Behind a
+  // recomputed checksum, a depth that breaks the chain or disagrees with
+  // another part of its node is rejected; one that passes may stop a walk
+  // early (a wrong answer), never send it past either label.
+  const auto bytes = snapshot_bytes();
+  const service::SnapshotInfo info = service::peek_snapshot(bytes, bytes.size());
+  const std::size_t parts_at = 56 + 8 * (info.num_vertices + 1);
+  util::Rng rng(59);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    auto forged = bytes;
+    const std::size_t word = parts_at + 16 * rng.next_below(info.num_parts) + 4;
+    std::uint32_t path_depth = 0;
+    std::memcpy(&path_depth, forged.data() + word, 4);
+    const auto depth = static_cast<std::uint32_t>(
+        trial % 4 == 0 ? 0x7fff : rng.next_below(info.num_nodes + 2));
+    path_depth = (path_depth & 0xffffu) | depth << 16;
+    std::memcpy(forged.data() + word, &path_depth, 4);
+    reseal(forged);
+    try {
+      expect_queries_answer(service::deserialize_oracle(forged));
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SnapshotFuzz, FlippedPathBitsThrowOrAnswerInBounds) {
+  // Every bit of a part's path-and-depth word, flipped behind a recomputed
+  // checksum: the top bit no 15-bit depth sets, the depth bits and the path
+  // bits are each rejected or load an oracle whose walks stay in bounds.
+  const auto bytes = snapshot_bytes();
+  const service::SnapshotInfo info = service::peek_snapshot(bytes, bytes.size());
+  const std::size_t parts_at = 56 + 8 * (info.num_vertices + 1);
+  util::Rng rng(61);
+  for (int bit = 0; bit < 32; ++bit) {
+    auto forged = bytes;
+    const std::size_t word = parts_at + 16 * rng.next_below(info.num_parts) + 4;
+    forged[word + static_cast<std::size_t>(bit / 8)] ^=
+        static_cast<std::uint8_t>(1u << (bit % 8));
+    reseal(forged);
+    if (bit == 31) {
+      EXPECT_THROW(service::deserialize_oracle(forged), std::runtime_error);
+      continue;
+    }
+    try {
+      expect_queries_answer(service::deserialize_oracle(forged));
+    } catch (const std::runtime_error&) {
+    }
+  }
+}
+
 TEST(SnapshotFuzz, RandomGarbageNeverCrashes) {
   util::Rng rng(47);
   for (int trial = 0; trial < 300; ++trial) {

@@ -177,7 +177,8 @@ TEST(PipelineFaults, TruncatedLabelsNeverUnderestimate) {
         std::vector<oracle::Connection> kept;
         for (std::size_t c = 0; c < lu.hot(p).size(); c += 2)
           kept.push_back(lu.connection(p, c));
-        crippled.add_part(lu.part(p).node, lu.part(p).path, kept);
+        crippled.add_part(lu.part(p).node, lu.part(p).path(),
+                          lu.part(p).depth(), kept);
       }
       const Weight est =
           oracle::query_labels(crippled.view(), oracle.label(v));

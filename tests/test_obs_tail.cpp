@@ -32,6 +32,7 @@
 #include "oracle/path_oracle.hpp"
 #include "separator/finders.hpp"
 #include "service/sharded_engine.hpp"
+#include "service/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace pathsep::obs {
@@ -584,33 +585,41 @@ TEST(ObsAttribution, TreeOracleLevelsMatchDecompositionDepths) {
       gg.graph, separator::GridLineSeparator(12, 12));
   const oracle::PathOracle built(tree, 0.3);
 
-  EXPECT_EQ(built.node_level(0), 0);  // node 0 is the root
   EXPECT_EQ(built.num_levels(), tree.height());
-  EXPECT_EQ(built.node_level(-1), -1);
-  EXPECT_EQ(built.node_level(1 << 28), -1);  // out of range, not a crash
   for (std::size_t p = 0; p < built.arena().num_parts(); ++p) {
-    const std::int32_t level = built.node_level(built.arena().parts[p].node);
-    ASSERT_GE(level, 0);
-    ASSERT_LT(static_cast<std::size_t>(level), built.num_levels());
+    const oracle::LabelPart& part = built.arena().parts[p];
+    ASSERT_EQ(static_cast<std::uint32_t>(part.depth()),
+              tree.node(part.node).depth)
+        << "part " << p;
   }
 }
 
 TEST(ObsAttribution, SnapshotLoadedOracleDerivesTheSameLevels) {
   const oracle::PathOracle built = grid_oracle();
-  // The snapshot path has no DecompositionTree: levels are reconstructed
-  // from label chain order alone and must agree with the tree's depths.
-  oracle::LabelArena labels = built.arena();
-  const oracle::PathOracle loaded(std::move(labels), built.epsilon());
+  // The snapshot path has no DecompositionTree: every part header carries
+  // its node's depth, so a reloaded oracle has the built one's levels.
+  const oracle::PathOracle loaded =
+      service::deserialize_oracle(service::serialize_oracle(built));
   EXPECT_EQ(loaded.num_levels(), built.num_levels());
-  for (std::size_t p = 0; p < built.arena().num_parts(); ++p) {
-    const std::int32_t node = built.arena().parts[p].node;
-    EXPECT_EQ(loaded.node_level(node), built.node_level(node))
-        << "node " << node;
-  }
+  ASSERT_EQ(loaded.arena().num_parts(), built.arena().num_parts());
+  for (std::size_t p = 0; p < built.arena().num_parts(); ++p)
+    EXPECT_EQ(loaded.arena().parts[p].depth(), built.arena().parts[p].depth())
+        << "part " << p;
+  const auto n = static_cast<Vertex>(built.num_vertices());
+  for (Vertex u = 0; u < n; u += 5)
+    for (Vertex v = 2; v < n; v += 9) {
+      oracle::QueryStats a, b;
+      built.query_stats(u, v, a);
+      loaded.query_stats(u, v, b);
+      EXPECT_EQ(a.win_level, b.win_level);
+    }
 }
 
 TEST(ObsAttribution, QueryStatsMatchesQueryAndNamesTheWinner) {
-  const oracle::PathOracle built = grid_oracle();
+  graph::GridGraph gg = graph::grid(12, 12);
+  const hierarchy::DecompositionTree tree(
+      gg.graph, separator::GridLineSeparator(12, 12));
+  const oracle::PathOracle built(tree, 0.3);
   const auto n = static_cast<Vertex>(built.num_vertices());
   for (Vertex u = 0; u < n; u += 7)
     for (Vertex v = 1; v < n; v += 11) {
@@ -619,8 +628,10 @@ TEST(ObsAttribution, QueryStatsMatchesQueryAndNamesTheWinner) {
       EXPECT_EQ(with_stats, built.query(u, v));  // attribution is free
       if (u == v) continue;
       EXPECT_GT(stats.entries_scanned, 0u);
+      EXPECT_GT(stats.walk_steps, 0u);
       ASSERT_GE(stats.win_node, 0);  // a grid is connected
-      EXPECT_EQ(stats.win_level, built.node_level(stats.win_node));
+      EXPECT_EQ(static_cast<std::uint32_t>(stats.win_level),
+                tree.node(stats.win_node).depth);
     }
 }
 

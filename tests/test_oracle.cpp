@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
+#include <stdexcept>
+#include <utility>
 #include <span>
 #include <vector>
 
@@ -143,10 +146,11 @@ TEST(PathOracle, QueryCountsVisitedConnections) {
   const hierarchy::DecompositionTree tree(gg.graph,
                                           separator::GridLineSeparator(10, 10));
   const PathOracle oracle(tree, 0.5);
-  std::size_t visited = 0;
-  oracle.query_counted(0, 99, &visited);
-  EXPECT_GT(visited, 0u);
-  EXPECT_LT(visited, 500u);  // O(k/eps log n), far below n^2
+  QueryStats stats;
+  oracle.query_stats(0, 99, stats);
+  EXPECT_GT(stats.entries_scanned, 0u);
+  EXPECT_LT(stats.entries_scanned, 500u);  // O(k/eps log n), far below n^2
+  EXPECT_GT(stats.walk_steps, 0u);
 }
 
 TEST(PathOracle, LabelSizeGrowsSubLinearly) {
@@ -210,7 +214,7 @@ TEST(PathOracle, ParallelBuildIsDeterministic) {
     ASSERT_EQ(la.num_parts(), lb.num_parts());
     for (std::size_t p = 0; p < la.num_parts(); ++p) {
       EXPECT_EQ(la.part(p).node, lb.part(p).node);
-      EXPECT_EQ(la.part(p).path, lb.part(p).path);
+      EXPECT_EQ(la.part(p).path_depth, lb.part(p).path_depth);
       ASSERT_EQ(la.hot(p).size(), lb.hot(p).size());
       for (std::size_t c = 0; c < la.hot(p).size(); ++c) {
         EXPECT_EQ(la.connection(p, c).path_index,
@@ -223,14 +227,15 @@ TEST(PathOracle, ParallelBuildIsDeterministic) {
 
 // ---- dominance-free labels and the one-pass sweep -----------------------
 
-/// A one-part label (node 0, path 0) holding `hot` as its connections.
+/// A one-part label (node 0, path 0, depth 0) holding `hot` as its
+/// connections.
 DistanceLabel one_part_label(Vertex vertex, const std::vector<HotEntry>& hot) {
   std::vector<Connection> conns;
   for (const HotEntry& h : hot)
     conns.push_back(Connection{0, graph::kInvalidVertex, h.dist, h.prefix});
   DistanceLabel label;
   label.vertex = vertex;
-  label.add_part(0, 0, conns);
+  label.add_part(0, 0, 0, conns);
   return label;
 }
 
@@ -393,6 +398,238 @@ TEST(PathOracle, DominanceFreeLabelsKeepEveryAnswer) {
       }
     }
   }
+}
+
+// ---- the walk's exit where the chains diverge -----------------------------
+
+/// Reference for the merge walk: the walk as it was before it learned to
+/// stop where two chains diverge. It steps until one label ends, sweeps
+/// every common (node, path) pair with the same one-pass merge, and counts
+/// the part-header pairs it compares in `steps`.
+Weight reference_sweep(std::span<const HotEntry> a,
+                       std::span<const HotEntry> b) {
+  constexpr Weight kInf = graph::kInfiniteWeight;
+  Weight best = kInf, ma = kInf, mb = kInf;
+  std::size_t x = 0, y = 0;
+  while (x < a.size() && y < b.size()) {
+    if (a[x].prefix < b[y].prefix) {
+      ma = std::min(ma, a[x].dist - a[x].prefix);
+      best = std::min(best, mb + a[x].prefix + a[x].dist);
+      ++x;
+    } else if (b[y].prefix < a[x].prefix) {
+      mb = std::min(mb, b[y].dist - b[y].prefix);
+      best = std::min(best, ma + b[y].prefix + b[y].dist);
+      ++y;
+    } else {
+      const Weight prefix = a[x].prefix;
+      std::size_t x_run = x, y_run = y;
+      for (; x_run < a.size() && a[x_run].prefix == prefix; ++x_run)
+        ma = std::min(ma, a[x_run].dist - prefix);
+      for (; y_run < b.size() && b[y_run].prefix == prefix; ++y_run)
+        mb = std::min(mb, b[y_run].dist - prefix);
+      for (; x < x_run; ++x) best = std::min(best, mb + prefix + a[x].dist);
+      for (; y < y_run; ++y) best = std::min(best, ma + prefix + b[y].dist);
+    }
+  }
+  for (; x < a.size(); ++x) best = std::min(best, mb + a[x].prefix + a[x].dist);
+  for (; y < b.size(); ++y) best = std::min(best, ma + b[y].prefix + b[y].dist);
+  return best;
+}
+
+Weight reference_full_walk(const LabelView& u, const LabelView& v,
+                           std::size_t& steps) {
+  if (u.vertex() == v.vertex()) return 0;
+  Weight best = graph::kInfiniteWeight;
+  std::size_t iu = 0, iv = 0;
+  while (iu < u.num_parts() && iv < v.num_parts()) {
+    ++steps;
+    const LabelPart& pu = u.part(iu);
+    const LabelPart& pv = v.part(iv);
+    if (pu.node != pv.node) {
+      (pu.node < pv.node ? iu : iv)++;
+      continue;
+    }
+    if (pu.path() != pv.path()) {
+      (pu.path() < pv.path() ? iu : iv)++;
+      continue;
+    }
+    best = std::min(best, reference_sweep(u.hot(iu), v.hot(iv)));
+    ++iu;
+    ++iv;
+  }
+  return best;
+}
+
+/// One arena holding both oracles' labels side by side, as a graph of two
+/// components would: b's node ids follow a's, so the two roots are distinct
+/// nodes at depth 0 and no label of a shares a part with a label of b.
+LabelArena side_by_side(const LabelArena& a, const LabelArena& b) {
+  LabelArena out = a;
+  out.num_nodes = a.num_nodes + b.num_nodes;
+  out.parts.pop_back();  // a's sentinel
+  for (std::size_t p = 0; p < b.num_parts(); ++p) {
+    LabelPart part = b.parts[p];
+    part.node += static_cast<std::int32_t>(a.num_nodes);
+    part.begin += a.num_connections();
+    out.parts.push_back(part);
+  }
+  out.parts.push_back(
+      LabelPart{0, 0, a.num_connections() + b.num_connections()});
+  for (std::size_t v = 1; v <= b.num_vertices(); ++v)
+    out.part_offsets.push_back(a.num_parts() + b.part_offsets[v]);
+  out.hot.insert(out.hot.end(), b.hot.begin(), b.hot.end());
+  out.cold.insert(out.cold.end(), b.cold.begin(), b.cold.end());
+  return out;
+}
+
+/// Agreement of the walk with its reference, bit for bit, on `pairs` random
+/// pairs, for the oracle's own views and for labels decoded from the wire
+/// codec; returns {reference steps, walk steps} per query.
+std::pair<double, double> expect_walk_matches_reference(
+    const PathOracle& oracle, std::size_t pairs, std::uint64_t seed) {
+  const std::size_t n = oracle.num_vertices();
+  std::vector<DistanceLabel> decoded;
+  decoded.reserve(n);
+  for (Vertex v = 0; v < n; ++v)
+    decoded.push_back(deserialize_label(serialize_label(oracle.label(v))));
+  util::Rng rng(seed);
+  std::size_t full_steps = 0, walk_steps = 0, mismatches = 0;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const auto u = static_cast<Vertex>(rng.next_below(n));
+    const auto v = static_cast<Vertex>(rng.next_below(n));
+    const Weight want =
+        reference_full_walk(oracle.label(u), oracle.label(v), full_steps);
+    QueryStats stats;
+    const Weight got = oracle.query_stats(u, v, stats);
+    walk_steps += stats.walk_steps;
+    const Weight wire =
+        query_labels(decoded[u].view(), decoded[v].view());
+    if (std::bit_cast<std::uint64_t>(got) !=
+            std::bit_cast<std::uint64_t>(want) ||
+        std::bit_cast<std::uint64_t>(oracle.query(u, v)) !=
+            std::bit_cast<std::uint64_t>(want) ||
+        std::bit_cast<std::uint64_t>(wire) !=
+            std::bit_cast<std::uint64_t>(want)) {
+      ADD_FAILURE() << u << "->" << v << ": walk " << got << ", wire "
+                    << wire << ", reference " << want;
+      if (++mismatches == 10) break;
+    }
+  }
+  return {static_cast<double>(full_steps) / static_cast<double>(pairs),
+          static_cast<double>(walk_steps) / static_cast<double>(pairs)};
+}
+
+TEST(LabelWalk, StopsWhereChainsDivergeAndAgreesWithTheFullWalk) {
+  constexpr std::size_t kPairs = 20000;
+  constexpr double kEps = 0.25;
+  const auto report = [](const char* family, std::pair<double, double> st) {
+    std::printf("%-12s walk steps per query: %.2f to the end of a label, "
+                "%.2f to the divergence\n",
+                family, st.first, st.second);
+    EXPECT_LT(st.second, st.first) << family;
+  };
+  {
+    const graph::GridGraph gg = graph::grid(48, 48);
+    const hierarchy::DecompositionTree tree(
+        gg.graph, separator::GridLineSeparator(48, 48));
+    report("grid", expect_walk_matches_reference(PathOracle(tree, kEps),
+                                                 kPairs, 1));
+  }
+  {
+    util::Rng rng(7);
+    const auto road = graph::road_network(40, 40, rng);
+    const hierarchy::DecompositionTree tree(
+        road.graph, separator::PlanarCycleSeparator(road.positions));
+    report("road", expect_walk_matches_reference(PathOracle(tree, kEps),
+                                                 kPairs, 2));
+  }
+  {
+    util::Rng rng(11);
+    const auto tri = graph::random_apollonian(2000, rng);
+    const hierarchy::DecompositionTree tree(
+        tri.graph, separator::PlanarCycleSeparator(tri.positions));
+    report("planar-tri", expect_walk_matches_reference(
+                             PathOracle(tree, kEps), kPairs, 3));
+  }
+  {
+    const graph::GridGraph gg = graph::grid(20, 20);
+    const hierarchy::DecompositionTree grid_tree(
+        gg.graph, separator::GridLineSeparator(20, 20));
+    util::Rng rng(13);
+    const auto tri = graph::random_apollonian(300, rng);
+    const hierarchy::DecompositionTree tri_tree(
+        tri.graph, separator::PlanarCycleSeparator(tri.positions));
+    const PathOracle both(side_by_side(PathOracle(grid_tree, kEps).arena(),
+                                       PathOracle(tri_tree, kEps).arena()),
+                          kEps);
+    ASSERT_EQ(both.num_vertices(), 700u);
+    EXPECT_EQ(both.query(0, 400), graph::kInfiniteWeight);
+    EXPECT_EQ(both.query(699, 1), graph::kInfiniteWeight);
+    QueryStats stats;
+    both.query_stats(5, 450, stats);
+    EXPECT_EQ(stats.walk_steps, 1u);  // two roots at depth 0: stop at once
+    EXPECT_EQ(stats.win_level, -1);
+    report("two-comp", expect_walk_matches_reference(both, kPairs, 4));
+  }
+}
+
+TEST(LabelWalk, StepsOverSkippedNodesAndPaths) {
+  // Built labels rarely skip a node of their chain or a path of a node, so
+  // the random pairs above seldom reach these branches: u skips the
+  // depth-1 node both chains pass through, and at the root the two labels
+  // hold different paths before a common one. The walk must step past both
+  // mismatches to the common parts, as the full walk does.
+  const auto part = [](Weight prefix, Weight dist) {
+    return std::vector<Connection>{
+        Connection{0, graph::kInvalidVertex, dist, prefix}};
+  };
+  DistanceLabel u, v;
+  u.vertex = 1;
+  v.vertex = 2;
+  u.add_part(0, 0, 0, part(0, 50));  // root, path 0
+  u.add_part(0, 2, 0, part(3, 40));  // root, path 2 (v has no path 0)
+  u.add_part(3, 0, 2, part(1, 2));   // depth 2, below node 1
+  v.add_part(0, 1, 0, part(0, 60));  // root, path 1
+  v.add_part(0, 2, 0, part(4, 45));  // root, path 2
+  v.add_part(1, 0, 1, part(2, 30));  // depth 1, which u skips
+  v.add_part(3, 0, 2, part(5, 1));   // depth 2, the node u holds
+  std::size_t steps = 0;
+  const Weight want = reference_full_walk(u.view(), v.view(), steps);
+  EXPECT_EQ(want, 2 + 4 + 1);  // through node 3's path: |1 - 5| apart
+  QueryStats stats;
+  EXPECT_EQ(query_labels(u.view(), v.view(), stats), want);
+  EXPECT_EQ(query_labels(v.view(), u.view()), want);
+  EXPECT_EQ(stats.win_node, 3);
+  EXPECT_EQ(stats.win_level, 2);
+}
+
+TEST(LabelWalk, LyingDepthsStayInBounds) {
+  // Decoded labels are not validated: a depth that does not descend the
+  // chain may stop the walk early or late, never step past either label.
+  util::Rng rng(17);
+  const auto tri = graph::random_apollonian(200, rng);
+  const hierarchy::DecompositionTree tree(
+      tri.graph, separator::PlanarCycleSeparator(tri.positions));
+  const PathOracle oracle(tree, 0.5);
+  for (Vertex u = 0; u < 200; u += 7) {
+    const LabelView lu = oracle.label(u);
+    DistanceLabel liar;
+    liar.vertex = lu.vertex();
+    for (std::size_t p = 0; p < lu.num_parts(); ++p) {
+      std::vector<Connection> conns;
+      for (std::size_t c = 0; c < lu.hot(p).size(); ++c)
+        conns.push_back(lu.connection(p, c));
+      liar.add_part(lu.part(p).node, lu.part(p).path(),
+                    static_cast<std::int64_t>(rng.next_below(4)), conns);
+    }
+    for (Vertex v = 1; v < 200; v += 13)
+      EXPECT_GE(query_labels(liar.view(), oracle.label(v)), 0.0);
+  }
+  DistanceLabel deep;
+  EXPECT_THROW(deep.add_part(0, 0, LabelPart::kMaxDepth + 1, {}),
+               std::overflow_error);
+  EXPECT_THROW(deep.add_part(0, LabelPart::kMaxPath + 1, 0, {}),
+               std::overflow_error);
 }
 
 // ---- baselines -------------------------------------------------------------

@@ -40,9 +40,9 @@ DistanceLabel sample_label() {
   label.vertex = 17;
   const Connection first[] = {{5, 9, 1.25, 0.5},
                               {7, graph::kInvalidVertex, 0.0, 2.5}};
-  label.add_part(3, 1, first);
+  label.add_part(3, 1, 2, first);
   const Connection second[] = {{0, 2, 3.75, 0.0}};
-  label.add_part(12, 0, second);
+  label.add_part(12, 0, 4, second);
   return label;
 }
 
@@ -56,7 +56,8 @@ TEST(LabelSerialization, RoundTripPreservesEverything) {
   ASSERT_EQ(back.num_parts(), label.num_parts());
   for (std::size_t p = 0; p < label.num_parts(); ++p) {
     EXPECT_EQ(back.part(p).node, label.part(p).node);
-    EXPECT_EQ(back.part(p).path, label.part(p).path);
+    EXPECT_EQ(back.part(p).path(), label.part(p).path());
+    EXPECT_EQ(back.part(p).depth(), label.part(p).depth());
     ASSERT_EQ(back.hot(p).size(), label.hot(p).size());
     for (std::size_t c = 0; c < label.hot(p).size(); ++c) {
       const Connection want = label.connection(p, c);
@@ -189,6 +190,7 @@ TEST(LabelSerializationFuzz, ImplausibleCountsRejectedUpFront) {
   append_varint(bytes, 1);   // one part
   append_varint(bytes, 0);   // node delta
   append_varint(bytes, 0);   // path
+  append_varint(bytes, 0);   // depth delta
   append_varint(bytes, 0xffffffffffffull);  // absurd connection count
   EXPECT_THROW(deserialize_label(bytes), std::runtime_error);
 }
