@@ -1,5 +1,5 @@
 // E14 — query service throughput: serial dispatch vs. the shard-per-core
-// ShardedEngine (claimable frames + epoch-swapped snapshots) with and
+// ShardedEngine (claimable frames over one immutable snapshot) with and
 // without its per-shard result caches, and the engine at 1/2/4/8 shard
 // workers on a >=100k-vertex grid, each as the median/min/max of 3 runs.
 //

@@ -27,7 +27,9 @@
 #            misspelt flag, and write --trace-out while serving; then a
 #            localhost serving round-trip: query_server --serve on an
 #            ephemeral port must survive a frame with an out-of-range vertex
-#            id, then answer bench_service --loadgen --verify, so the epoll
+#            id and, under a low ulimit -n, a flood of more connections than
+#            it has descriptors without spinning on accept, then answer
+#            bench_service --loadgen --verify, so the epoll
 #            front-end + wire codec + sharded engine answer real socket
 #            traffic with digest-checked results (scripts/serve_smoke.sh)
 #   tsa      Clang Thread Safety Analysis: clang++ build with -Wthread-safety

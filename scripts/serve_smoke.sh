@@ -9,7 +9,9 @@
 # write
 # its trace to F; then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
-# (a vertex id far past the snapshot), then drive the same server with
+# (a vertex id far past the snapshot), flood it with more connections than
+# its descriptor limit allows and require it to idle rather than spin on
+# accept, then drive the same server with
 # `bench_service --loadgen` over the length-prefixed binary protocol and
 # require the answer digest to match a locally built oracle (--verify).
 # Exercises the epoll front-end, the frame codec and its id validation, and
@@ -21,6 +23,7 @@ cd "$(dirname "$0")/.."
 BUILD=${BUILD:-build}
 SIDE=${SIDE:-40}
 QUERIES=${QUERIES:-20000}
+FD_LIMIT=32  # the serving process's descriptor limit (ulimit -n)
 
 server="$BUILD/examples/query_server"
 loadgen="$BUILD/bench/bench_service"
@@ -137,7 +140,10 @@ fi
 
 # --serve-duration is a watchdog, not the test length: the loadgen finishes
 # in well under a second and the trap kills the server immediately after.
-"$server" --side="$SIDE" --serve=0 --serve-duration=120 >"$log" 2>&1 &
+# The server runs under a low descriptor limit (its own, set in a subshell)
+# so the flood below can exhaust it.
+(ulimit -n "$FD_LIMIT" && exec "$server" --side="$SIDE" --serve=0 \
+  --serve-duration=120) >"$log" 2>&1 &
 server_pid=$!
 
 # The server prints (and flushes) "listening on 127.0.0.1:PORT" once bound;
@@ -174,9 +180,39 @@ if ! kill -0 "$server_pid" 2>/dev/null; then
   exit 1
 fi
 
+# Descriptor flood: twice as many connections as the server has
+# descriptors. Once it holds all it may, accept() fails with EMFILE and the
+# rest stay pending on the level-triggered listening socket; the server
+# must idle (user + system time from /proc/PID/stat over one second) rather
+# than spin, then serve the loadgen below once the flood closes.
+flood=()
+for _ in $(seq 1 $((2 * FD_LIMIT))); do
+  exec {fd}<>"/dev/tcp/127.0.0.1/$port"
+  flood+=("$fd")
+done
+cpu_ticks() { sed 's/^.*) //' "/proc/$server_pid/stat" | awk '{print $12 + $13}'; }
+sleep 0.3
+held=$(ls "/proc/$server_pid/fd" | wc -l)
+ticks_before=$(cpu_ticks)
+sleep 1
+ticks=$(($(cpu_ticks) - ticks_before))
+hz=$(getconf CLK_TCK)
+for fd in "${flood[@]}"; do exec {fd}<&-; done
+if [ "$held" -lt "$FD_LIMIT" ]; then
+  echo "serve_smoke: the flood left the server $held of $FD_LIMIT" \
+    "descriptors; it never ran out" >&2
+  exit 1
+fi
+if [ $((ticks * 5)) -gt "$hz" ]; then
+  echo "serve_smoke: the server used $ticks of $hz CPU ticks in 1 s idle at" \
+    "descriptor exhaustion (spinning on accept)" >&2
+  exit 1
+fi
+
 "$loadgen" --loadgen --connect="127.0.0.1:$port" --side="$SIDE" \
   --queries="$QUERIES" --verify
 
 echo "serve_smoke: OK (hostile thread budgets, flag values, unknown flags" \
   "and loadgen values refused, --trace-out written, port $port, hostile" \
-  "frame rejected, $QUERIES queries digest-verified)"
+  "frame rejected, idle at descriptor exhaustion ($ticks of $hz CPU ticks in" \
+  "1 s), $QUERIES queries digest-verified)"

@@ -178,15 +178,8 @@ Weight sweep_pair(std::span<const HotEntry> a, std::span<const HotEntry> b) {
   return best;
 }
 
-/// The one merge walk of Theorem 2: steps through both labels' parts in
-/// lockstep, sweeps every common (node, path) pair, and stops where the
-/// chains diverge. Parts are sorted by (node, path), the depth rises with
-/// the node along a label, and common nodes are a prefix of both chains.
-/// So when the cursors sit on different nodes, the shallower part cannot
-/// be common (every later part of the other label is deeper), and at equal
-/// depths the chains have left each other's subtree, so no later part can
-/// be common. On one node the packed path-and-depth words order the parts
-/// as their paths do. `sink.pair(part, scanned, pair, best)` sees each
+/// Theorem 2's estimate: the minimum of sweep_pair over the common parts
+/// walk_common_parts finds. `sink.pair(part, scanned, pair, best)` sees each
 /// matched pair's sweep minimum before it is folded into `best`, and
 /// `sink.done(steps)` the number of part-header pairs compared, so each
 /// caller's accounting is a template argument, not a branch.
@@ -194,42 +187,18 @@ template <typename Sink>
 Weight merge_walk(const LabelView& u, const LabelView& v, Sink&& sink) {
   if (u.vertex() == v.vertex()) return 0;
   Weight best = graph::kInfiniteWeight;
-  const LabelPart* pu = u.parts();
-  const LabelPart* const u_end = pu + u.num_parts();
-  const LabelPart* pv = v.parts();
-  const LabelPart* const v_end = pv + v.num_parts();
   const HotEntry* const hot_u = u.hot_data();
   const HotEntry* const hot_v = v.hot_data();
-  std::uint32_t steps = 0;
-  while (pu != u_end && pv != v_end) {
-    ++steps;
-    if (pu->node != pv->node) {
-      const std::int32_t du = pu->depth();
-      const std::int32_t dv = pv->depth();
-      if (du == dv) break;
-      if (du < dv)
-        ++pu;
-      else
-        ++pv;
-      continue;
-    }
-    if (pu->path_depth != pv->path_depth) {
-      if (pu->path_depth < pv->path_depth)
-        ++pu;
-      else
-        ++pv;
-      continue;
-    }
-    const std::span<const HotEntry> a(hot_u + pu->begin,
-                                      pu[1].begin - pu->begin);
-    const std::span<const HotEntry> b(hot_v + pv->begin,
-                                      pv[1].begin - pv->begin);
-    const Weight pair = sweep_pair(a, b);
-    sink.pair(*pu, a.size() + b.size(), pair, best);
-    best = std::min(best, pair);
-    ++pu;
-    ++pv;
-  }
+  const std::uint32_t steps = walk_common_parts(
+      u, v, [&](const LabelPart* pu, const LabelPart* pv) {
+        const std::span<const HotEntry> a(hot_u + pu->begin,
+                                          pu[1].begin - pu->begin);
+        const std::span<const HotEntry> b(hot_v + pv->begin,
+                                          pv[1].begin - pv->begin);
+        const Weight pair = sweep_pair(a, b);
+        sink.pair(*pu, a.size() + b.size(), pair, best);
+        best = std::min(best, pair);
+      });
   sink.done(steps);
   return best;
 }

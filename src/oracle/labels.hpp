@@ -228,6 +228,51 @@ struct DistanceLabel {
   }
 };
 
+/// The one merge walk over two labels: steps through both labels' parts in
+/// lockstep and calls `common(pu, pv)` on every (node, path) part the two
+/// share, in (node, path) order, stopping where the chains diverge. Returns
+/// the number of part-header pairs it compared. Parts are sorted by
+/// (node, path), the depth rises with the node along a label, and common
+/// nodes are a prefix of both chains. So when the cursors sit on different
+/// nodes, the shallower part cannot be common (every later part of the
+/// other label is deeper), and at equal depths the chains have left each
+/// other's subtree, so no later part can be common. On one node the packed
+/// path-and-depth words order the parts as their paths do. query_labels
+/// sweeps each common pair; routing::RoutingScheme takes its argmin.
+template <typename Common>
+std::uint32_t walk_common_parts(const LabelView& u, const LabelView& v,
+                                Common&& common) {
+  const LabelPart* pu = u.parts();
+  const LabelPart* const u_end = pu + u.num_parts();
+  const LabelPart* pv = v.parts();
+  const LabelPart* const v_end = pv + v.num_parts();
+  std::uint32_t steps = 0;
+  while (pu != u_end && pv != v_end) {
+    ++steps;
+    if (pu->node != pv->node) {
+      const std::int32_t du = pu->depth();
+      const std::int32_t dv = pv->depth();
+      if (du == dv) break;
+      if (du < dv)
+        ++pu;
+      else
+        ++pv;
+      continue;
+    }
+    if (pu->path_depth != pv->path_depth) {
+      if (pu->path_depth < pv->path_depth)
+        ++pu;
+      else
+        ++pv;
+      continue;
+    }
+    common(pu, pv);
+    ++pu;
+    ++pv;
+  }
+  return steps;
+}
+
 /// d(u,v) upper estimate from two labels; kInfiniteWeight when the labels
 /// share no usable path (different components).
 Weight query_labels(const LabelView& u, const LabelView& v);

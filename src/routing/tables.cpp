@@ -19,37 +19,28 @@ struct Plan {
   oracle::Connection from_u{}, from_v{};
 };
 
-/// Brute-force argmin over portal pairs (planning happens once per packet at
-/// the source; the oracle's O(|C|) sweep answers *distance* queries, but the
-/// route needs the winning pair itself).
+/// Brute-force argmin over portal pairs of the common parts the oracle's
+/// merge walk finds (planning happens once per packet at the source; the
+/// oracle's O(|C|) sweep answers *distance* queries, but the route needs
+/// the winning pair itself).
 Plan best_plan(const oracle::LabelView& lu, const oracle::LabelView& lv) {
   Plan plan;
-  std::size_t iu = 0, iv = 0;
-  while (iu < lu.num_parts() && iv < lv.num_parts()) {
-    const oracle::LabelPart& pu = lu.part(iu);
-    const oracle::LabelPart& pv = lv.part(iv);
-    if (pu.node != pv.node) {
-      (pu.node < pv.node ? iu : iv)++;
-      continue;
-    }
-    if (pu.path() != pv.path()) {
-      (pu.path() < pv.path() ? iu : iv)++;
-      continue;
-    }
-    const std::span<const oracle::HotEntry> hu = lu.hot(iu);
-    const std::span<const oracle::HotEntry> hv = lv.hot(iv);
-    for (std::size_t a = 0; a < hu.size(); ++a)
-      for (std::size_t b = 0; b < hv.size(); ++b) {
-        const Weight cost =
-            hu[a].dist + std::abs(hu[a].prefix - hv[b].prefix) + hv[b].dist;
-        if (cost < plan.cost) {
-          plan = Plan{cost, pu.node, pu.path(), lu.connection(iu, a),
-                      lv.connection(iv, b)};
-        }
-      }
-    ++iu;
-    ++iv;
-  }
+  oracle::walk_common_parts(
+      lu, lv, [&](const oracle::LabelPart* pu, const oracle::LabelPart* pv) {
+        const auto iu = static_cast<std::size_t>(pu - lu.parts());
+        const auto iv = static_cast<std::size_t>(pv - lv.parts());
+        const std::span<const oracle::HotEntry> hu = lu.hot(iu);
+        const std::span<const oracle::HotEntry> hv = lv.hot(iv);
+        for (std::size_t a = 0; a < hu.size(); ++a)
+          for (std::size_t b = 0; b < hv.size(); ++b) {
+            const Weight cost =
+                hu[a].dist + std::abs(hu[a].prefix - hv[b].prefix) +
+                hv[b].dist;
+            if (cost < plan.cost)
+              plan = Plan{cost, pu->node, pu->path(), lu.connection(iu, a),
+                          lv.connection(iv, b)};
+          }
+      });
   return plan;
 }
 

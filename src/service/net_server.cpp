@@ -50,6 +50,9 @@ constexpr std::size_t kMaxFrameTotal = 4 + wire::kMaxFrameBytes;
 /// Pending output above which a connection is not read: a peer that does
 /// not take its replies stops being read instead of growing `out`.
 constexpr std::size_t kMaxPendingOutput = 2 * wire::kMaxFrameBytes;
+/// How long a listening socket paused at descriptor exhaustion waits for a
+/// connection to close before accept() is tried again.
+constexpr int kAcceptRetryMs = 100;
 
 obs::LatencyHistogram& phase_histogram(ShardedEngine& engine,
                                        const char* phase) {
@@ -78,6 +81,7 @@ void NetServer::start() {
   if (running_.load(std::memory_order_acquire))
     throw std::runtime_error("NetServer already running");
   stop_requested_.store(false, std::memory_order_release);
+  accept_paused_ = false;
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (listen_fd_ < 0) throw std::runtime_error("socket() failed");
@@ -219,9 +223,8 @@ bool NetServer::service_conn(Conn& conn) {
   bool answered = false;
   for (;;) {
     wire::ParsedRequest request;
-    // Ids are checked against the live snapshot here, before the engine
-    // indexes labels with them; snapshots never shrink, so the check holds
-    // for whichever snapshot answers.
+    // Ids are checked against the engine's snapshot here, before the
+    // engine indexes labels with them.
     const wire::ParseStatus status = wire::parse_request(
         conn.in, offset, engine_.num_vertices(), request, conn.queries);
     if (status == wire::ParseStatus::kIncomplete) break;
@@ -263,9 +266,25 @@ void NetServer::close_conn(int fd) {
       conn.reset();
       connections_closed_.fetch_add(1, std::memory_order_relaxed);
       connections_open_->sub(1);
+      if (accept_paused_) resume_accepting();  // a descriptor just freed up
       return;
     }
   }
+}
+
+void NetServer::pause_accepting() {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  accept_paused_ = true;
+  accept_retry_at_ = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(kAcceptRetryMs);
+}
+
+void NetServer::resume_accepting() {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
+  accept_paused_ = false;
 }
 
 void NetServer::loop() {
@@ -293,6 +312,7 @@ void NetServer::loop() {
       drain_deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(2);
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+      accept_paused_ = false;  // nothing may watch it again
     }
     if (draining &&
         (!pending_output() ||
@@ -307,7 +327,10 @@ void NetServer::loop() {
       return;
     }
 
-    const int timeout_ms = draining ? 50 : -1;
+    if (accept_paused_ && std::chrono::steady_clock::now() >= accept_retry_at_)
+      resume_accepting();
+    const int timeout_ms =
+        draining ? 50 : accept_paused_ ? kAcceptRetryMs : -1;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -324,7 +347,17 @@ void NetServer::loop() {
       if (fd == listen_fd_) {
         for (;;) {
           const int client = ::accept(listen_fd_, nullptr, nullptr);
-          if (client < 0) break;  // EAGAIN / transient — retry on next event
+          if (client < 0) {
+            // Out of descriptors or kernel memory: the pending connection
+            // keeps the level-triggered socket readable, so stop watching
+            // it until a connection closes or kAcceptRetryMs passes.
+            // Anything else (EAGAIN, an aborted handshake) waits for the
+            // next event.
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM)
+              pause_accepting();
+            break;
+          }
           set_nonblocking(client);
           int one = 1;
           ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -375,6 +408,8 @@ void NetServer::loop() {}
 bool NetServer::service_conn(Conn&) { return false; }
 bool NetServer::flush_conn(Conn&) { return false; }
 void NetServer::close_conn(int) {}
+void NetServer::pause_accepting() {}
+void NetServer::resume_accepting() {}
 void NetServer::update_events(Conn&) {}
 
 #endif  // PATHSEP_HAVE_EPOLL

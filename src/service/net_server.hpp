@@ -24,6 +24,13 @@
 // answering one frame costs five clock reads. The engine registry's
 // net_connections_open gauge counts the live connections.
 //
+// Descriptor exhaustion: when accept() fails for want of a file
+// descriptor or kernel memory (EMFILE, ENFILE, ENOBUFS, ENOMEM), the
+// connection stays pending and the level-triggered listening socket stays
+// readable, so the loop would spin on epoll_wait. It stops watching the
+// socket instead, and watches it again as soon as one of its connections
+// closes, or after 100 ms in case a descriptor freed up elsewhere.
+//
 // Graceful shutdown: stop() writes the eventfd; the loop stops accepting,
 // answers every complete frame already buffered, flushes pending responses
 // for up to ~2 seconds, then closes everything and exits. A malformed frame
@@ -34,6 +41,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -96,6 +104,10 @@ class NetServer {
   bool service_conn(Conn& conn);
   bool flush_conn(Conn& conn);
   void close_conn(int fd);
+  /// Stops / resumes watching the listening socket (see "Descriptor
+  /// exhaustion" in the header comment).
+  void pause_accepting();
+  void resume_accepting();
   /// Arms EPOLLIN while the connection may be read (see the header
   /// comment) and EPOLLOUT while output is pending.
   void update_events(Conn& conn);
@@ -118,6 +130,10 @@ class NetServer {
   std::thread loop_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
+  // Loop-thread state: the listening socket is out of the epoll set until
+  // a connection closes or accept_retry_at_ passes.
+  bool accept_paused_ = false;
+  std::chrono::steady_clock::time_point accept_retry_at_{};
 
   // Connection table keyed by fd; touched only by the loop thread.
   std::vector<std::unique_ptr<Conn>> conns_;

@@ -4,8 +4,10 @@
 // (min(u,v), max(u,v)) and serve both directions. A set is four {u64 key,
 // f64 value} entries, one 64-byte line, in recency order: a hit moves to the
 // front, an insert drops the last way. The capacity rounds down to 4 × a
-// power of two (below 4 every get misses). The owner clears the table when
-// the snapshot changes; service::AnswerPath counts hits and misses.
+// power of two (below 4 every get misses). A table lives and dies with its
+// engine, which serves one snapshot for its whole life, so no entry can
+// outlive the labeling it came from; service::AnswerPath counts hits and
+// misses.
 #pragma once
 
 #include <cstddef>

@@ -37,6 +37,13 @@ constexpr std::size_t kRingCapacity = 2 * ShardedEngine::kFrameSlots;
 /// Tickets one drain pops.
 constexpr std::size_t kTicketBatch = 32;
 
+/// `snapshot`, or std::invalid_argument when it is null.
+std::shared_ptr<const oracle::PathOracle> non_null(
+    std::shared_ptr<const oracle::PathOracle> snapshot) {
+  if (!snapshot) throw std::invalid_argument("null oracle snapshot");
+  return snapshot;
+}
+
 /// `options` with the shard count resolved: 0 becomes the thread budget,
 /// and the count is clamped to kMaxShards.
 ShardedEngineOptions resolve_shards(ShardedEngineOptions options) {
@@ -77,24 +84,14 @@ void pin_to_cpu(std::thread& thread, int cpu) {
 ShardedEngine::ShardedEngine(
     std::shared_ptr<const oracle::PathOracle> snapshot,
     ShardedEngineOptions options)
-    : options_(resolve_shards(options)),
+    : snapshot_(non_null(std::move(snapshot))),
+      options_(resolve_shards(options)),
       batches_total_(&metrics_.counter("batches_total")),
       intake_full_total_(&metrics_.counter("shard_intake_full_total")),
-      snapshot_swaps_total_(&metrics_.counter("snapshot_swaps_total")),
-      snapshot_vertices_(&metrics_.gauge("snapshot_vertices")),
-      path_(metrics_, snapshot ? snapshot->num_levels() : std::size_t{1},
-            kSlowlogCapacity),
-      epochs_(options_.shards, /*shared=*/16),
+      path_(metrics_, snapshot_->num_levels(), kSlowlogCapacity),
       frames_(kFrameSlots, options_.shards) {
-  if (!snapshot) throw std::invalid_argument("null oracle snapshot");
-  snapshot_vertices_->set(
-      static_cast<std::int64_t>(snapshot->num_vertices()));
-  live_.store(snapshot.get(), std::memory_order_release);
-  num_vertices_.store(snapshot->num_vertices(), std::memory_order_release);
-  {
-    util::LockGuard lock(owner_mutex_);
-    owner_ = std::move(snapshot);
-  }
+  metrics_.gauge("snapshot_vertices")
+      .set(static_cast<std::int64_t>(snapshot_->num_vertices()));
   const std::size_t shards = options_.shards;
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
@@ -125,8 +122,6 @@ ShardedEngine::~ShardedEngine() {
   for (const std::unique_ptr<Shard>& shard : shards_) wake_shard(*shard);
   for (const std::unique_ptr<Shard>& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
-  // epochs_ destroys any still-retired snapshots; owner_ releases the live
-  // one. Workers are gone, so nothing is pinned.
 }
 
 int ShardedEngine::worker_cpu(std::size_t shard) const {
@@ -166,13 +161,12 @@ void ShardedEngine::wake_shard(Shard& shard) {
 
 std::uint32_t ShardedEngine::answer_slice(FrameTable::Ticket ticket,
                                           std::size_t shard,
-                                          const oracle::PathOracle& snap,
                                           ResultCache* cache,
                                           AnswerPath::Tally& tally) {
   std::uint32_t answered = 0;
   FrameTable::Chunk chunk;
   while (frames_.claim(ticket, shard, chunk)) {
-    path_.answer(snap, cache, chunk.queries, chunk.order, chunk.count,
+    path_.answer(*snapshot_, cache, chunk.queries, chunk.order, chunk.count,
                  chunk.results, tally);
     answered += chunk.count;
   }
@@ -184,7 +178,6 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
   const std::size_t shards = shards_.size();
   // Per-worker scratch, sized once before the first drain.
   std::vector<FrameTable::Ticket> tickets(kTicketBatch);
-  std::uint64_t seen_swaps = 0;
 
   for (;;) {
     // Load the wake counter before the drain attempt: a producer that
@@ -209,38 +202,27 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
     // Busy time spans the whole drain, answers and completions: two clock
     // reads and one counter add per drain, never per query.
     const std::uint64_t drain_start = obs::window_now_ns();
-    // Answer against the epoch-pinned snapshot. The pin covers exactly one
-    // drain, so a swap waits at most one drain for this worker to unpin. A
-    // new swap count, loaded before the pointer, implies the new snapshot:
-    // the cleared cache refills only with its answers.
-    epochs_.pin(shard_id);
-    const std::uint64_t swaps = swaps_.load(std::memory_order_acquire);
-    if (swaps != seen_swaps) shard.cache.clear();
-    seen_swaps = swaps;
-    const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
     for (std::size_t i = 0; i < n; ++i) {
       const FrameTable::Ticket ticket = tickets[i];
       AnswerPath::Tally tally;
       // Own slice first, through the cache; then whatever is left of the
       // frame's other slices, uncached, next shard first.
       const std::uint32_t own =
-          answer_slice(ticket, shard_id, *snap, &shard.cache, tally);
+          answer_slice(ticket, shard_id, &shard.cache, tally);
       std::uint32_t claimed = 0;
       for (std::size_t k = 1; k < shards; ++k)
-        claimed += answer_slice(ticket, (shard_id + k) % shards, *snap,
-                                nullptr, tally);
+        claimed +=
+            answer_slice(ticket, (shard_id + k) % shards, nullptr, tally);
       if (own + claimed == 0) continue;  // a stale ticket
       path_.publish(tally);
       if (claimed != 0) shard.claimed_total->inc(claimed);
       frames_.finish(ticket, own + claimed);
     }
-    epochs_.unpin(shard_id);
     shard.busy_ns_total->inc(obs::window_now_ns() - drain_start);
   }
 }
 
-void ShardedEngine::dispatch_batch(const oracle::PathOracle& snap,
-                                   std::span<const Query> queries,
+void ShardedEngine::dispatch_batch(std::span<const Query> queries,
                                    graph::Weight* results,
                                    std::atomic<std::uint32_t>* remaining) {
   const auto size = static_cast<std::uint32_t>(queries.size());
@@ -253,7 +235,7 @@ void ShardedEngine::dispatch_batch(const oracle::PathOracle& snap,
     // Every slot is in flight: answer on this thread instead of blocking —
     // bounded extra work under overload, never a stall.
     intake_full_total_->inc(size);
-    path_.answer_chunk(snap, nullptr, queries.data(), results, size);
+    path_.answer_chunk(*snapshot_, nullptr, queries.data(), results, size);
     FrameTable::complete(remaining, size);
     return;
   }
@@ -275,8 +257,8 @@ void ShardedEngine::dispatch_batch(const oracle::PathOracle& snap,
   std::uint32_t answered = 0;
   for (; unsent != 0; unsent &= unsent - 1)
     answered += answer_slice(
-        *ticket, static_cast<std::size_t>(__builtin_ctzll(unsent)), snap,
-        nullptr, tally);
+        *ticket, static_cast<std::size_t>(__builtin_ctzll(unsent)), nullptr,
+        tally);
   if (answered == 0) return;
   path_.publish(tally);
   intake_full_total_->inc(answered);
@@ -290,23 +272,15 @@ void ShardedEngine::query_batch_into(std::span<const Query> queries,
   batches_total_->inc();
 
   if (queries.size() <= kInlineCutoff) {
-    // Inline fast path: answer on this thread under one pin.
-    const std::size_t slot = epochs_.pin_any();
-    const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-    path_.answer_chunk(*snap, nullptr, queries.data(), results,
+    // Inline fast path: answer on this thread.
+    path_.answer_chunk(*snapshot_, nullptr, queries.data(), results,
                        queries.size());
-    epochs_.unpin(slot);
     return;
   }
 
   std::atomic<std::uint32_t> remaining{
       static_cast<std::uint32_t>(queries.size())};
-  {
-    const std::size_t slot = epochs_.pin_any();
-    const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-    dispatch_batch(*snap, queries, results, &remaining);
-    epochs_.unpin(slot);  // before the wait: a swap never waits on a waiter
-  }
+  dispatch_batch(queries, results, &remaining);
   std::uint32_t left;
   while ((left = remaining.load(std::memory_order_acquire)) != 0)
     remaining.wait(left, std::memory_order_acquire);
@@ -324,40 +298,7 @@ void ShardedEngine::submit_batch(std::span<const Query> queries,
                                  std::atomic<std::uint32_t>* remaining) {
   if (queries.empty()) return;
   batches_total_->inc();
-  const std::size_t slot = epochs_.pin_any();
-  const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-  dispatch_batch(*snap, queries, results, remaining);
-  epochs_.unpin(slot);
-}
-
-std::shared_ptr<const oracle::PathOracle> ShardedEngine::snapshot() const {
-  util::LockGuard lock(owner_mutex_);
-  return owner_;
-}
-
-void ShardedEngine::replace_snapshot(
-    std::shared_ptr<const oracle::PathOracle> snapshot) {
-  if (!snapshot) throw std::invalid_argument("null oracle snapshot");
-  {
-    util::LockGuard lock(owner_mutex_);
-    if (snapshot->num_vertices() < owner_->num_vertices())
-      throw std::invalid_argument(
-          "replacement snapshot has fewer vertices than the live one");
-    // Publish the new pointer *before* retire advances the epoch (invariant
-    // E1 in util/epoch.hpp): any reader pinned at a later epoch provably
-    // loads the new snapshot, so the old one is destroyable once every pin
-    // is newer than the retire epoch.
-    live_.store(snapshot.get(), std::memory_order_seq_cst);
-    num_vertices_.store(snapshot->num_vertices(), std::memory_order_release);
-    snapshot_vertices_->set(
-        static_cast<std::int64_t>(snapshot->num_vertices()));
-    std::shared_ptr<const oracle::PathOracle> old = std::move(owner_);
-    owner_ = std::move(snapshot);
-    epochs_.retire([retired = std::move(old)]() mutable { retired.reset(); });
-    swaps_.fetch_add(1, std::memory_order_release);  // after live_: see drain
-    snapshot_swaps_total_->inc();
-  }
-  epochs_.try_reclaim();
+  dispatch_batch(queries, results, remaining);
 }
 
 }  // namespace pathsep::service

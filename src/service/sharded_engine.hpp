@@ -1,5 +1,5 @@
-// Shard-per-core query engine: claimable frames, epoch-based snapshot
-// hot-swap, and zero-mutex completion on the serving hot path.
+// Shard-per-core query engine: claimable frames over one immutable
+// snapshot, and zero-mutex completion on the serving hot path.
 //
 // Query ownership is partitioned by the canonical (min(u,v), max(u,v)) pair
 // hash across N shard workers; each worker owns one lock-free private
@@ -30,15 +30,12 @@
 // publishes its serving metrics once per frame, before its answers count
 // as done.
 //
-// Snapshot hot-swap uses epoch-based reclamation (util/epoch.hpp): a worker
-// pins its owner slot for the duration of one drain, loads the live raw
-// pointer, and unpins when the drain's answers are written. replace_snapshot
-// stores the new pointer, retires the old owner into the reclaimer, and
-// reclaims opportunistically — the query loop never touches a shared_ptr
-// control block or a lock. It then bumps a swap count, which each drain
-// loads before the pointer: a worker seeing a new count clears its cache, so
-// no old answer outlives the drain that overlapped the swap. (A pointer
-// compare would not do: a reclaimed snapshot's address can be reused.)
+// One snapshot for the engine's life: the engine holds the oracle it was
+// constructed with until it is destroyed, and every worker and caller
+// answers from it through a plain reference. Nothing on the query path
+// touches a shared_ptr control block, a lock or a swap check, and a cached
+// answer can never outlive the labeling it came from. (Swapping a live
+// snapshot would come back with dynamic updates; ROADMAP, parked items.)
 //
 // Wake protocol (lock-free, no lost wakeups): each shard has a version
 // counter `signal`. The worker loads it *before* attempting a drain and
@@ -93,9 +90,7 @@
 #include "service/answer_path.hpp"
 #include "service/frame_table.hpp"
 #include "service/result_cache.hpp"
-#include "util/epoch.hpp"
 #include "util/mpsc_ring.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace pathsep::service {
 
@@ -116,12 +111,13 @@ class ShardedEngine {
   /// Slowest-query exemplars the AnswerPath's slow-log retains.
   static constexpr std::size_t kSlowlogCapacity = 64;
 
+  /// Serves `snapshot` until destroyed. Throws std::invalid_argument on a
+  /// null snapshot, before any worker starts.
   explicit ShardedEngine(std::shared_ptr<const oracle::PathOracle> snapshot,
                          ShardedEngineOptions options = {});
 
   /// Stops and joins every shard worker (pending tickets are drained
-  /// first), then destroys whatever snapshots are still retired. Callers
-  /// must not have batches in flight.
+  /// first). Callers must not have batches in flight.
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -150,27 +146,8 @@ class ShardedEngine {
   void submit_batch(std::span<const Query> queries, graph::Weight* results,
                     std::atomic<std::uint32_t>* remaining);
 
-  /// Epoch-based hot swap: queries already in flight finish against the
-  /// snapshot they pinned; the old snapshot is destroyed only after every
-  /// reader drained. Throws on null, and on a snapshot with fewer vertices
-  /// than the live one (an id validated before the swap must stay valid).
-  void replace_snapshot(std::shared_ptr<const oracle::PathOracle> snapshot)
-      PATHSEP_EXCLUDES(owner_mutex_);
-
-  /// Current snapshot (never null). Serving reads the raw epoch-protected
-  /// pointer instead; this accessor is for control-plane callers.
-  std::shared_ptr<const oracle::PathOracle> snapshot() const
-      PATHSEP_EXCLUDES(owner_mutex_);
-
-  /// Runs retired-snapshot destructors that are now safe; returns how many.
-  std::size_t reclaim_retired() { return epochs_.try_reclaim(); }
-  /// Retired snapshots not yet destroyed (pinned readers hold them back).
-  std::size_t retired_pending() const { return epochs_.retired_pending(); }
-
-  /// Vertex count of the serving snapshot; never decreases.
-  std::size_t num_vertices() const {
-    return num_vertices_.load(std::memory_order_acquire);
-  }
+  /// Vertex count of the snapshot, fixed at construction.
+  std::size_t num_vertices() const { return snapshot_->num_vertices(); }
   std::size_t num_shards() const { return shards_.size(); }
   /// Owning shard of a query pair (canonical: both directions agree).
   std::size_t shard_of(graph::Vertex u, graph::Vertex v) const;
@@ -202,41 +179,24 @@ class ShardedEngine {
 
   void worker_loop(std::size_t shard_id);
   /// Answers the batch as a frame (or inline when no slot is free); does
-  /// not wait. `snap` is the epoch-pinned snapshot the dispatcher's own
-  /// answers use.
-  void dispatch_batch(const oracle::PathOracle& snap,
-                      std::span<const Query> queries, graph::Weight* results,
+  /// not wait.
+  void dispatch_batch(std::span<const Query> queries, graph::Weight* results,
                       std::atomic<std::uint32_t>* remaining);
   /// Claims and answers chunks of slice `shard` of the ticket's frame
   /// until none is left; returns how many queries it answered. `cache` is
   /// the answering worker's own table, or null.
   std::uint32_t answer_slice(FrameTable::Ticket ticket, std::size_t shard,
-                             const oracle::PathOracle& snap,
                              ResultCache* cache, AnswerPath::Tally& tally);
   void wake_shard(Shard& shard);
 
+  /// The serving snapshot, never null; first, so the null check runs
+  /// before any other member is built.
+  const std::shared_ptr<const oracle::PathOracle> snapshot_;
   ShardedEngineOptions options_;
   obs::MetricsRegistry metrics_;
   obs::Counter* batches_total_;
   obs::Counter* intake_full_total_;   ///< queries the dispatcher answered
-  obs::Counter* snapshot_swaps_total_;
-  obs::Gauge* snapshot_vertices_;
   AnswerPath path_;  ///< after metrics_: it resolves counters in it
-
-  util::EpochReclaimer epochs_;  ///< slots: one per shard + shared pool
-  /// The serving snapshot, epoch-protected: workers/inline paths read the
-  /// raw pointer under a pin; ownership lives in owner_ and, after a swap,
-  /// in the reclaimer's retired list until readers drain.
-  std::atomic<const oracle::PathOracle*> live_{nullptr};
-  /// live_'s vertex count, stored after live_ so a reader that sees a count
-  /// also loads a snapshot at least that large.
-  std::atomic<std::size_t> num_vertices_{0};
-  /// Completed swaps, bumped after live_ is published; a worker that sees a
-  /// new value clears its cache before answering (see file header).
-  std::atomic<std::uint64_t> swaps_{0};
-  mutable util::Mutex owner_mutex_;
-  std::shared_ptr<const oracle::PathOracle> owner_
-      PATHSEP_GUARDED_BY(owner_mutex_);
 
   std::atomic<bool> stop_{false};
   std::vector<std::unique_ptr<Shard>> shards_;

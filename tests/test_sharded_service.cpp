@@ -1,14 +1,13 @@
 // The shard-per-core serving stack: the lock-free MPSC intake ring, the
 // claimable frames (stale tickets, a stale claim across a slot's reuse,
 // exactly-once claims, slot exhaustion, a full ring, a busy owner), the
-// epoch-based snapshot reclaimer (manual-clock proofs that nothing is freed
-// while pinned), the ShardedEngine's exactness and determinism across shard
-// counts, its worker placement (one CPU each, inside the process mask), its
-// cache and metrics contract, concurrent swap-while-querying, and the
-// binary wire protocol with the epoll front-end (hostile and split frames
-// included). Runs under the `service` label, so the TSan leg of
-// scripts/check.sh executes every concurrent scenario here with race
-// detection on.
+// ShardedEngine's exactness and determinism across shard counts, its null
+// snapshot check, its worker placement (one CPU each, inside the process
+// mask), its cache and metrics contract, and the binary wire protocol with
+// the epoll front-end (hostile and split frames included, and an accept
+// loop that idles when the process runs out of file descriptors). Runs
+// under the `service` label, so the TSan leg of scripts/check.sh executes
+// every concurrent scenario here with race detection on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +17,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +36,6 @@
 #include "service/frame_table.hpp"
 #include "service/net_server.hpp"
 #include "service/sharded_engine.hpp"
-#include "util/epoch.hpp"
 #include "util/mpsc_ring.hpp"
 #include "util/rng.hpp"
 
@@ -45,6 +46,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sched.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -365,113 +367,6 @@ TEST(FrameTable, ConcurrentClaimersAnswerEveryIndexExactlyOnce) {
     }
 }
 
-// ------------------------------------------------------- EpochReclaimer
-
-TEST(EpochReclaimer, NothingIsFreedWhilePinned) {
-  util::EpochReclaimer epochs(/*reserved=*/1, /*shared=*/2);
-  bool destroyed = false;
-  epochs.pin(0);
-  epochs.retire([&destroyed] { destroyed = true; });
-  EXPECT_EQ(epochs.retired_pending(), 1u);
-  // The pinned reader was live when the object was retired — the manual
-  // clock proves reclaim cannot run the destructor yet.
-  EXPECT_EQ(epochs.try_reclaim(), 0u);
-  EXPECT_FALSE(destroyed);
-  epochs.unpin(0);
-  EXPECT_EQ(epochs.try_reclaim(), 1u);
-  EXPECT_TRUE(destroyed);
-  EXPECT_EQ(epochs.retired_pending(), 0u);
-}
-
-TEST(EpochReclaimer, PinAfterRetireDoesNotBlockReclaim) {
-  util::EpochReclaimer epochs(1);
-  bool destroyed = false;
-  epochs.retire([&destroyed] { destroyed = true; });
-  // A reader pinned *after* the retire provably sees the new pointer
-  // (invariant E1), so it never constrains the old object.
-  epochs.pin(0);
-  EXPECT_EQ(epochs.try_reclaim(), 1u);
-  EXPECT_TRUE(destroyed);
-  epochs.unpin(0);
-}
-
-TEST(EpochReclaimer, ReadersConstrainOnlyObjectsRetiredAfterTheirPin) {
-  util::EpochReclaimer epochs(2);
-  bool first_destroyed = false;
-  bool second_destroyed = false;
-  epochs.pin(0);  // live before either retire
-  epochs.retire([&first_destroyed] { first_destroyed = true; });
-  epochs.pin(1);  // live before the second retire only
-  epochs.retire([&second_destroyed] { second_destroyed = true; });
-  EXPECT_EQ(epochs.try_reclaim(), 0u);
-
-  epochs.unpin(0);
-  // Slot 1 pinned after the first retire: the first object frees, the
-  // second stays.
-  EXPECT_EQ(epochs.try_reclaim(), 1u);
-  EXPECT_TRUE(first_destroyed);
-  EXPECT_FALSE(second_destroyed);
-
-  epochs.unpin(1);
-  EXPECT_EQ(epochs.try_reclaim(), 1u);
-  EXPECT_TRUE(second_destroyed);
-}
-
-TEST(EpochReclaimer, DestructorRunsRemainingRetirees) {
-  int destroyed = 0;
-  {
-    util::EpochReclaimer epochs(1);
-    epochs.retire([&destroyed] { ++destroyed; });
-    epochs.retire([&destroyed] { ++destroyed; });
-  }
-  EXPECT_EQ(destroyed, 2);
-}
-
-TEST(EpochReclaimer, PinAnyClaimsDistinctSlotsAndRaiiUnpins) {
-  util::EpochReclaimer epochs(/*reserved=*/2, /*shared=*/4);
-  {
-    util::EpochPin a(epochs);
-    util::EpochPin b(epochs);
-    EXPECT_NE(a.slot(), b.slot());
-    EXPECT_GE(a.slot(), 2u) << "pin_any must not touch owner slots";
-    EXPECT_LT(epochs.min_pinned(), UINT64_MAX);
-  }
-  EXPECT_EQ(epochs.min_pinned(), UINT64_MAX);
-}
-
-TEST(EpochReclaimer, ConcurrentPinUnpinNeverFreesAPinnedObject) {
-  util::EpochReclaimer epochs(/*reserved=*/0, /*shared=*/8);
-  // Each "object" is a flag the readers check while pinned: a reader that
-  // observes its claimed generation destroyed caught a use-after-free.
-  constexpr int kGenerations = 200;
-  std::vector<std::atomic<int>> alive(kGenerations);
-  for (auto& a : alive) a.store(1);
-  std::atomic<int> current{0};
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r)
-    readers.emplace_back([&epochs, &alive, &current, &stop] {
-      while (!stop.load()) {
-        const std::size_t slot = epochs.pin_any();
-        const int gen = current.load(std::memory_order_seq_cst);
-        EXPECT_EQ(alive[gen].load(std::memory_order_seq_cst), 1)
-            << "read a generation that was already destroyed";
-        epochs.unpin(slot);
-      }
-    });
-
-  for (int gen = 1; gen < kGenerations; ++gen) {
-    const int old = gen - 1;
-    current.store(gen, std::memory_order_seq_cst);
-    epochs.retire([&alive, old] { alive[old].store(0); });
-    epochs.try_reclaim();
-  }
-  stop.store(true);
-  for (std::thread& t : readers) t.join();
-  while (epochs.retired_pending() != 0) epochs.try_reclaim();
-}
-
 // ---------------------------------------------------------------- Wire codec
 
 TEST(Wire, ScalarsRoundTripLittleEndian) {
@@ -648,6 +543,27 @@ TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
     EXPECT_EQ(fnv_digest(got), expected_digest) << shards << " shards";
   }
 }
+
+#if defined(__linux__)
+/// Threads this process runs now.
+std::size_t thread_count() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++threads;
+  return threads;
+}
+
+// The engine refuses a null snapshot before any member reads it and before
+// any worker starts: no thread is left behind.
+TEST(ShardedEngine, NullSnapshotThrowsBeforeAnyWorkerStarts) {
+  const std::size_t before = thread_count();
+  ShardedEngineOptions opts;
+  opts.shards = 4;
+  EXPECT_THROW(ShardedEngine(nullptr, opts), std::invalid_argument);
+  EXPECT_EQ(thread_count(), before);
+}
+#endif
 
 // Batches of up to kInlineCutoff queries are answered on the caller's
 // thread, which has no result cache; one query more becomes a frame for the
@@ -1204,171 +1120,6 @@ TEST(QueryEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
   }
 }
 
-TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
-  auto first = std::make_shared<const oracle::PathOracle>(grid_oracle());
-  auto second =
-      std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.8));
-  // One pair in both directions, more times than kInlineCutoff so the
-  // batch becomes a frame: one shard owns every copy, so all but the
-  // first are hits whenever the first was cached.
-  std::vector<Query> pair;
-  for (std::size_t i = 0; i <= ShardedEngine::kInlineCutoff; ++i)
-    pair.push_back(i % 2 == 0 ? Query{1, 2} : Query{2, 1});
-  for (const std::size_t shards : kShardCounts) {
-    ShardedEngineOptions opts;
-    opts.shards = shards;
-    opts.cache_capacity = 1 << 10;
-    ShardedEngine engine(first, opts);
-    for (const Weight w : engine.query_batch(pair))
-      EXPECT_EQ(w, first->query(1, 2));
-    engine.replace_snapshot(second);
-    EXPECT_EQ(engine.snapshot().get(), second.get());
-    for (const Weight w : engine.query_batch(pair))
-      EXPECT_EQ(w, second->query(1, 2));
-    // The swap clears cached distances, not the counts: one miss and the
-    // rest hits before, and again after.
-    const obs::MetricsRegistry& metrics = engine.metrics();
-    EXPECT_EQ(family_sum(counter_family(metrics, "cache_misses")), 2u);
-    EXPECT_EQ(family_sum(counter_family(metrics, "cache_hits")),
-              2 * (pair.size() - 1));
-    EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
-  }
-}
-
-TEST(QueryEngine, NoStaleCachedAnswerAfterSwap) {
-  // Two oracles over the same 12x12 grid, unit and integer weights in
-  // [2, 9], so almost every pair's answer differs between them. Hammers
-  // keep the workers draining through the swaps; once the last swap has
-  // returned, no answer cached against an earlier snapshot may be served.
-  constexpr std::size_t kSide = 12;
-  auto unit = std::make_shared<const oracle::PathOracle>(grid_oracle(kSide));
-  util::Rng weight_rng(5);
-  const graph::GridGraph weighted_grid = graph::grid(
-      kSide, kSide, graph::WeightSpec::uniform_int(2, 9), &weight_rng);
-  const hierarchy::DecompositionTree weighted_tree(
-      weighted_grid.graph,
-      separator::PlanarCycleSeparator(weighted_grid.positions));
-  auto weighted =
-      std::make_shared<const oracle::PathOracle>(weighted_tree, 0.3);
-  const std::vector<Query> batch =
-      mixed_workload(static_cast<Vertex>(kSide * kSide), 400, 53);
-
-  constexpr int kRounds = 60;
-  constexpr int kSwaps = 20;
-  int stale_rounds = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    ShardedEngineOptions opts;
-    opts.shards = 2;
-    opts.cache_capacity = 1 << 12;
-    ShardedEngine engine(unit, opts);
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> hammers;
-    for (int t = 0; t < 2; ++t)
-      hammers.emplace_back([&engine, &batch, &stop] {
-        while (!stop.load(std::memory_order_acquire))
-          engine.query_batch(batch);
-      });
-    std::shared_ptr<const oracle::PathOracle> last = unit;
-    for (int swap = 0; swap < kSwaps; ++swap) {
-      last = swap % 2 == 0 ? weighted : unit;
-      engine.replace_snapshot(last);
-      engine.reclaim_retired();
-      std::this_thread::yield();
-    }
-    stop.store(true, std::memory_order_release);
-    for (std::thread& t : hammers) t.join();
-
-    const std::vector<Weight> got = engine.query_batch(batch);
-    bool stale = false;
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      stale = stale || got[i] != last->query(batch[i].u, batch[i].v);
-    stale_rounds += stale ? 1 : 0;
-  }
-  EXPECT_EQ(stale_rounds, 0) << "of " << kRounds << " rounds";
-}
-
-TEST(ShardedEngine, ReplaceSnapshotRejectsFewerVertices) {
-  auto big = std::make_shared<const oracle::PathOracle>(grid_oracle(12));
-  auto small = std::make_shared<const oracle::PathOracle>(grid_oracle(6));
-  ShardedEngineOptions opts;
-  opts.shards = 2;
-  ShardedEngine engine(small, opts);
-  EXPECT_EQ(engine.num_vertices(), small->num_vertices());
-  engine.replace_snapshot(big);  // growing is fine
-  EXPECT_EQ(engine.num_vertices(), big->num_vertices());
-  // Shrinking would strand ids validated against the larger snapshot.
-  EXPECT_THROW(engine.replace_snapshot(small), std::invalid_argument);
-  EXPECT_EQ(engine.snapshot().get(), big.get());
-  EXPECT_EQ(engine.num_vertices(), big->num_vertices());
-  while (engine.retired_pending() != 0) engine.reclaim_retired();
-}
-
-TEST(ShardedEngine, SwapRetiresAndReclaimsTheOldSnapshot) {
-  auto first = std::make_shared<const oracle::PathOracle>(grid_oracle());
-  auto second =
-      std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.8));
-  ShardedEngineOptions opts;
-  opts.shards = 2;
-  ShardedEngine engine(first, opts);
-  std::weak_ptr<const oracle::PathOracle> watch = first;
-  first.reset();
-
-  engine.replace_snapshot(second);
-  // Workers are idle (nothing pinned), so reclaim frees the old snapshot.
-  while (engine.retired_pending() != 0) engine.reclaim_retired();
-  EXPECT_TRUE(watch.expired()) << "old snapshot leaked past reclamation";
-  EXPECT_EQ(engine.snapshot().get(), second.get());
-}
-
-TEST(ShardedEngine, ConcurrentSwapWhileQueryingStaysValid) {
-  // Two oracles over the same graph at different eps: under a concurrent
-  // swap, every answer must equal one of the two snapshots' answers — no
-  // torn read, no answer from a destroyed snapshot.
-  auto coarse = std::make_shared<const oracle::PathOracle>(grid_oracle());
-  auto fine =
-      std::make_shared<const oracle::PathOracle>(grid_oracle(12, 0.05));
-  const auto n = static_cast<Vertex>(coarse->num_vertices());
-  const std::vector<Query> batch = mixed_workload(n, 400, 43);
-
-  std::vector<Weight> from_coarse(batch.size());
-  std::vector<Weight> from_fine(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    from_coarse[i] =
-        batch[i].u == batch[i].v ? 0 : coarse->query(batch[i].u, batch[i].v);
-    from_fine[i] =
-        batch[i].u == batch[i].v ? 0 : fine->query(batch[i].u, batch[i].v);
-  }
-
-  ShardedEngineOptions opts;
-  opts.shards = 2;  // 400-query frames: workers hold the epoch pins
-  opts.cache_capacity = 0;  // a cached answer would mask which snapshot won
-  ShardedEngine engine(coarse, opts);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> mismatches{0};
-  std::vector<std::thread> hammers;
-  for (int t = 0; t < 2; ++t)
-    hammers.emplace_back([&engine, &batch, &from_coarse, &from_fine, &stop,
-                          &mismatches] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const std::vector<Weight> got = engine.query_batch(batch);
-        for (std::size_t i = 0; i < got.size(); ++i)
-          if (got[i] != from_coarse[i] && got[i] != from_fine[i])
-            mismatches.fetch_add(1);
-      }
-    });
-
-  for (int swap = 0; swap < 40; ++swap) {
-    engine.replace_snapshot(swap % 2 == 0 ? fine : coarse);
-    engine.reclaim_retired();
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : hammers) t.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  while (engine.retired_pending() != 0) engine.reclaim_retired();
-}
-
 // ------------------------------------------------------------- Net front-end
 
 #if defined(__linux__)
@@ -1691,6 +1442,88 @@ TEST(NetServer, StopIsIdempotentAndRestartable) {
   std::vector<Weight> distances;
   client.query_batch(std::vector<Query>{{1, 2}}, distances);
   EXPECT_EQ(distances.size(), 1u);
+}
+
+/// CPU seconds this process has used, all threads together.
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// Highest file descriptor this process holds open.
+int highest_open_fd() {
+  int highest = 2;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  return highest;
+}
+
+// At descriptor exhaustion accept() fails with EMFILE while the connection
+// stays pending, so the level-triggered listening socket stays readable.
+// The loop must idle rather than spin on it, and take the connection once
+// a descriptor frees up. The test lowers this process's own soft
+// RLIMIT_NOFILE, fills it, and restores both on the way out.
+TEST(NetServer, DescriptorExhaustionIdlesUntilAConnectionCloses) {
+  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  ShardedEngineOptions opts;
+  opts.shards = 1;
+  ShardedEngine engine(snapshot, opts);
+  NetServer server(engine);
+  server.start();
+  wire::NetClient first;
+  first.connect("127.0.0.1", server.port());
+  std::vector<Weight> distances;
+  first.query_batch(std::vector<Query>{{1, 2}}, distances);
+
+  struct Restore {
+    rlimit saved{};
+    std::vector<int> fillers;
+    ~Restore() {
+      for (const int fd : fillers) ::close(fd);
+      ::setrlimit(RLIMIT_NOFILE, &saved);
+    }
+  } restore;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &restore.saved), 0);
+  rlimit low = restore.saved;
+  low.rlim_cur = static_cast<rlim_t>(highest_open_fd() + 16);
+  ASSERT_LE(low.rlim_cur, restore.saved.rlim_cur);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  // Take every free descriptor, then hand one back to a new client: the
+  // kernel completes its handshake, but the server cannot accept it.
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;)
+    restore.fillers.push_back(fd);
+  ASSERT_EQ(errno, EMFILE);
+  ASSERT_FALSE(restore.fillers.empty());
+  ::close(restore.fillers.back());
+  restore.fillers.pop_back();
+  wire::NetClient second;
+  second.connect("127.0.0.1", server.port());
+
+  // A spinning loop burns a whole CPU; an idle one wakes every 100 ms.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double cpu_before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  const double cpu_used = process_cpu_seconds() - cpu_before;
+  EXPECT_LT(cpu_used, 0.1) << "the accept loop spins at EMFILE";
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+
+  // Closing the first client frees the server's descriptor for it, so the
+  // pending client is accepted and served.
+  first.close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().connections_accepted < 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(server.stats().connections_accepted, 2u);
+  second.query_batch(std::vector<Query>{{3, 4}}, distances);
+  ASSERT_EQ(distances.size(), 1u);
+  EXPECT_EQ(distances[0], snapshot->query(3, 4));
+  second.close();
+  server.stop();
 }
 
 #endif  // __linux__
