@@ -20,6 +20,8 @@ FrameTable::FrameTable(std::size_t slots, std::size_t owners)
         owners + 1);
     // pathsep-lint: allow(hot-path-alloc)
     frames_[f].claims = std::make_unique<ClaimWord[]>(owners);
+    for (std::size_t s = 0; s < owners; ++s)  // closed until published (F5)
+      frames_[f].claims[s].word.store(kClosed, std::memory_order_relaxed);
   }
 }
 
@@ -54,6 +56,14 @@ FrameTable::Ticket FrameTable::publish(Frame& frame,
     frame.claims[s].word.store(std::uint64_t{gen} << 32,
                                std::memory_order_release);
   return Ticket{static_cast<std::uint32_t>(&frame - frames_.get()), gen};
+}
+
+FrameTable::Ticket FrameTable::ticket(std::size_t slot,
+                                      std::size_t owner) const {
+  const std::uint64_t word =
+      frames_[slot].claims[owner].word.load(std::memory_order_acquire);
+  return Ticket{static_cast<std::uint32_t>(slot),
+                static_cast<std::uint32_t>(word >> 32)};
 }
 
 bool FrameTable::claim(Ticket ticket, std::size_t owner, Chunk& chunk) {

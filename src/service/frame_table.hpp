@@ -8,7 +8,9 @@
 // slots. open() buckets the batch once by owner — the owner of every pair in
 // one pass, then a counting sort of the pair indices, so each owner's slice
 // is one contiguous run of `order` — and returns a Ticket (slot,
-// generation) that stands for the frame in every owner's intake ring.
+// generation) for the frame. The engine tells each owner only the slot (one
+// bit of the owner's pending word); the owner rebuilds the ticket with
+// ticket(), from the generation its own claim word carries now.
 //
 // Every (slot, owner) has one claim word: the slot's generation in the high
 // half, the next unclaimed chunk (kChunk queries) of that owner's slice in
@@ -34,14 +36,23 @@
 //       them with release; claim() loads them with acquire. A claimer that
 //       reads a rewritten bound therefore also sees the closed word, so its
 //       CAS fails even when it loaded the old word before the frame
-//       completed. A ticket that outlives its frame (popped late, or by a
-//       descheduled worker) thus claims nothing; it never reads the frame's
+//       completed. A ticket that outlives its frame (held by a descheduled
+//       worker, say) thus claims nothing; it never reads the frame's
 //       plain fields, so it never touches the caller's queries, results or
 //       remaining.
 //   F4  Generations are 32 bits per slot. A wrapped generation could match
 //       only if a stale ticket's slot were reused 2^32 times while the
 //       ticket waited; even then its claim would take a chunk of the live
 //       frame under F1/F2 and answer it correctly.
+//   F5  An owner's pending bit for a slot is set only after open() has
+//       published the slot's claim words (release), and the owner takes its
+//       bits with an acquire exchange before ticket() loads its claim word,
+//       so that ticket carries the bit's frame's generation or a newer one.
+//       A bit whose frame already finished, or whose slot was since reused,
+//       thus claims nothing (the word is closed, or another frame's) or
+//       claims live chunks of the slot's current frame, correctly, as F1–F4
+//       argue for any ticket. A slot's claim words start closed, so a bit
+//       for a slot never published claims nothing either.
 #pragma once
 
 #include <algorithm>
@@ -65,7 +76,7 @@ class FrameTable {
   /// Owners one frame can have (open() tracks them in a 64-bit mask).
   static constexpr std::size_t kMaxOwners = 64;
 
-  /// Stands for one frame in an owner's intake ring.
+  /// Names one frame: its slot and the generation of that slot's use.
   struct Ticket {
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
@@ -96,6 +107,10 @@ class FrameTable {
                              graph::Weight* results,
                              std::atomic<std::uint32_t>* remaining,
                              OwnerOf owner_of, std::uint64_t& touched);
+
+  /// The ticket of the frame slot `slot` carries now, read from owner
+  /// `owner`'s claim word with acquire (F5).
+  Ticket ticket(std::size_t slot, std::size_t owner) const;
 
   /// Claims the next chunk of owner `owner`'s slice of the ticket's frame
   /// into `chunk`; false when the slice is exhausted or the frame is gone.

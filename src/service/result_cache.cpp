@@ -2,7 +2,6 @@
 // is allocated once, in the constructor.
 #include "service/result_cache.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -23,9 +22,7 @@ bool legal_distance(graph::Weight value) {
 
 ResultCache::ResultCache(std::size_t capacity)
     : sets_(capacity < kWays ? 0 : std::bit_floor(capacity / kWays)),
-      mask_(sets_.empty() ? 0 : sets_.size() - 1) {
-  clear();
-}
+      mask_(sets_.empty() ? 0 : sets_.size() - 1) {}
 
 std::size_t ResultCache::set_index(std::uint64_t key) const {
   // splitmix64 finalizer without shard_of's increment, so the set is
@@ -73,11 +70,6 @@ void ResultCache::put(std::uint64_t key, graph::Weight value) {
   while (from + 1 < kWays && ways[from].key != key) ++from;
   promote(ways, from, Entry{key, value});
   PATHSEP_AUDIT(audit_set(index));
-}
-
-void ResultCache::clear() {
-  for (Set& set : sets_)
-    std::fill(std::begin(set.ways), std::end(set.ways), Entry{kEmpty, 0});
 }
 
 void ResultCache::audit_set(std::size_t index) const {

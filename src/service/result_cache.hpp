@@ -39,7 +39,6 @@ class ResultCache {
   /// Starts loading the set of `key` for a get() or put() soon after; only
   /// a hint, it changes nothing.
   void prefetch(std::uint64_t key) const;
-  void clear();
 
   /// Deep invariant audit of every set (key canonicality and placement, no
   /// duplicate keys, empty ways only at the back, value sanity); fails via
@@ -50,16 +49,17 @@ class ResultCache {
   std::size_t capacity() const { return sets_.size() * kWays; }
 
  private:
+  /// Marks an unused way; its high half exceeds its low half, so no
+  /// canonical key equals it.
+  static constexpr std::uint64_t kEmpty = 0xffffffff00000000ULL;
+
   struct Entry {
-    std::uint64_t key;
-    graph::Weight value;
+    std::uint64_t key = kEmpty;
+    graph::Weight value = 0;
   };
   struct alignas(64) Set {
     Entry ways[kWays];
   };
-  /// Marks an unused way; its high half exceeds its low half, so no
-  /// canonical key equals it.
-  static constexpr std::uint64_t kEmpty = 0xffffffff00000000ULL;
 
   std::size_t set_index(std::uint64_t key) const;
   /// Moves ways [0, from) back by one and stores `entry` in front.

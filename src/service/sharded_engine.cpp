@@ -1,8 +1,7 @@
 // pathsep-lint: hot-path — dispatch_batch and worker_loop sit under every
-// sharded query; rings, frame slots and counters are preallocated at engine
-// construction (a slot's index arrays grow to the largest frame it has
-// carried, then stay; the per-worker ticket buffer is sized once at thread
-// start, before the first drain).
+// sharded query; frame slots, pending words and counters are preallocated
+// at engine construction (a slot's index arrays grow to the largest frame it
+// has carried, then stay).
 #include "service/sharded_engine.hpp"
 
 #include <algorithm>
@@ -31,11 +30,12 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 constexpr std::size_t kMaxShards = FrameTable::kMaxOwners;
-/// Tickets per shard ring: every frame slot's, twice over, so stale
-/// tickets of a descheduled worker rarely fill it.
-constexpr std::size_t kRingCapacity = 2 * ShardedEngine::kFrameSlots;
-/// Tickets one drain pops.
-constexpr std::size_t kTicketBatch = 32;
+static_assert(ShardedEngine::kFrameSlots >= 1 &&
+                  ShardedEngine::kFrameSlots <= 64,
+              "one bit of a shard's pending word per frame slot");
+/// Every frame slot's pending bit.
+constexpr std::uint64_t kAllSlots =
+    ~std::uint64_t{0} >> (64 - ShardedEngine::kFrameSlots);
 
 /// `snapshot`, or std::invalid_argument when it is null.
 std::shared_ptr<const oracle::PathOracle> non_null(
@@ -95,16 +95,16 @@ ShardedEngine::ShardedEngine(
   const std::size_t shards = options_.shards;
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t cache = options.cache_capacity / shards;
     // pathsep-lint: allow(hot-path-alloc)
-    shards_.push_back(std::make_unique<Shard>(
-        kRingCapacity, options.cache_capacity / shards));
+    shards_.push_back(std::make_unique<Shard>(cache));
     const std::string label = std::to_string(s);
     shards_.back()->busy_ns_total =
         &metrics_.counter("shard_busy_ns_total", {{"shard", label}});
     shards_.back()->claimed_total =
         &metrics_.counter("queries_claimed_total", {{"shard", label}});
   }
-  // Workers start only after every ring and frame slot exists (a worker
+  // Workers start only after every shard and frame slot exists (a worker
   // helps with any shard's slice). Each gets a CPU of its own when the
   // inherited mask has one for every shard, else none is pinned (see "Core
   // placement" in the header).
@@ -118,8 +118,11 @@ ShardedEngine::ShardedEngine(
 }
 
 ShardedEngine::~ShardedEngine() {
+  // With no frame in flight every bit claims nothing (F3, F5); the worker
+  // then finds its word empty and sees stop_.
   stop_.store(true, std::memory_order_release);
-  for (const std::unique_ptr<Shard>& shard : shards_) wake_shard(*shard);
+  for (const std::unique_ptr<Shard>& shard : shards_)
+    wake_shard(*shard, kAllSlots);
   for (const std::unique_ptr<Shard>& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
 }
@@ -141,22 +144,22 @@ int ShardedEngine::worker_cpu(std::size_t shard) const {
 
 std::size_t ShardedEngine::shard_of(graph::Vertex u, graph::Vertex v) const {
   // Multiply-high instead of a modulo: the dispatcher maps every pair of a
-  // frame serially before any ticket goes out, and a 64-bit division costs
+  // frame serially before any bit is set, and a 64-bit division costs
   // several times a multiply. The high half of the mixed key is uniform, so
   // its scaled product is too.
   const std::uint64_t high = mix64(ResultCache::key(u, v)) >> 32;
   return static_cast<std::size_t>((high * shards_.size()) >> 32);
 }
 
-void ShardedEngine::wake_shard(Shard& shard) {
-  // Version bump first (release: pairs with the worker's acquire load to
-  // publish the ring entries), then the futex syscall only when the worker
-  // advertised it was sleeping. A stale "not sleeping" read is safe: the
-  // worker's wait(value) re-checks the bumped counter and returns
-  // immediately (see the wake-protocol invariant in the header).
-  shard.signal.fetch_add(1, std::memory_order_release);
-  if (shard.sleeping.load(std::memory_order_acquire) != 0)
-    shard.signal.notify_one();
+void ShardedEngine::wake_shard(Shard& shard, std::uint64_t bits) {
+  // The bits first (release, and so after the frame's publish: F5), then
+  // the futex syscall only when the worker advertised it was sleeping.
+  // seq_cst on both words against the worker's seq_cst flag store and wait:
+  // a "not sleeping" read means the worker's wait sees the bits (see the
+  // wake protocol in the header).
+  shard.pending.fetch_or(bits, std::memory_order_seq_cst);
+  if (shard.sleeping.load(std::memory_order_seq_cst) != 0)
+    shard.pending.notify_one();
 }
 
 std::uint32_t ShardedEngine::answer_slice(FrameTable::Ticket ticket,
@@ -176,25 +179,21 @@ std::uint32_t ShardedEngine::answer_slice(FrameTable::Ticket ticket,
 void ShardedEngine::worker_loop(std::size_t shard_id) {
   Shard& shard = *shards_[shard_id];
   const std::size_t shards = shards_.size();
-  // Per-worker scratch, sized once before the first drain.
-  std::vector<FrameTable::Ticket> tickets(kTicketBatch);
 
   for (;;) {
-    // Load the wake counter before the drain attempt: a producer that
-    // publishes after this load also bumps the counter after it, so the
-    // wait below falls through instead of sleeping over new work.
-    const std::uint64_t sig = shard.signal.load(std::memory_order_acquire);
-    const std::size_t n = shard.ring.pop_batch(tickets.data(), kTicketBatch);
-    if (n == 0) {
+    // Acquire pairs with wake_shard's fetch_or: each slot's claim words
+    // were published before its bit was set (F5).
+    std::uint64_t bits = shard.pending.exchange(0, std::memory_order_acquire);
+    if (bits == 0) {
       if (stop_.load(std::memory_order_acquire)) return;
       // Brief spin catches back-to-back batches without a futex round-trip.
       bool woke = false;
       for (int i = 0; i < 64 && !woke; ++i)
-        woke = !shard.ring.empty_approx();
+        woke = shard.pending.load(std::memory_order_relaxed) != 0;
       if (!woke) {
-        shard.sleeping.store(1, std::memory_order_release);
-        shard.signal.wait(sig, std::memory_order_acquire);
-        shard.sleeping.store(0, std::memory_order_release);
+        shard.sleeping.store(1, std::memory_order_seq_cst);
+        shard.pending.wait(0, std::memory_order_seq_cst);
+        shard.sleeping.store(0, std::memory_order_relaxed);
       }
       continue;
     }
@@ -202,8 +201,9 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
     // Busy time spans the whole drain, answers and completions: two clock
     // reads and one counter add per drain, never per query.
     const std::uint64_t drain_start = obs::window_now_ns();
-    for (std::size_t i = 0; i < n; ++i) {
-      const FrameTable::Ticket ticket = tickets[i];
+    for (; bits != 0; bits &= bits - 1) {
+      const FrameTable::Ticket ticket = frames_.ticket(
+          static_cast<std::size_t>(__builtin_ctzll(bits)), shard_id);
       AnswerPath::Tally tally;
       // Own slice first, through the cache; then whatever is left of the
       // frame's other slices, uncached, next shard first.
@@ -213,7 +213,7 @@ void ShardedEngine::worker_loop(std::size_t shard_id) {
       for (std::size_t k = 1; k < shards; ++k)
         claimed +=
             answer_slice(ticket, (shard_id + k) % shards, nullptr, tally);
-      if (own + claimed == 0) continue;  // a stale ticket
+      if (own + claimed == 0) continue;  // a stale bit
       path_.publish(tally);
       if (claimed != 0) shard.claimed_total->inc(claimed);
       frames_.finish(ticket, own + claimed);
@@ -240,29 +240,12 @@ void ShardedEngine::dispatch_batch(std::span<const Query> queries,
     return;
   }
 
-  // One ticket per touched shard, each woken right after its push. From the
-  // first push on the frame may complete at any time; only the ticket is
-  // used below.
-  std::uint64_t unsent = 0;
-  for (; touched != 0; touched &= touched - 1) {
-    const auto s = static_cast<std::size_t>(__builtin_ctzll(touched));
-    if (shards_[s]->ring.try_push(*ticket))
-      wake_shard(*shards_[s]);
-    else
-      unsent |= std::uint64_t{1} << s;
-  }
-  if (unsent == 0) return;
-  // A full ring (its worker is far behind): claim that slice here.
-  AnswerPath::Tally tally;
-  std::uint32_t answered = 0;
-  for (; unsent != 0; unsent &= unsent - 1)
-    answered += answer_slice(
-        *ticket, static_cast<std::size_t>(__builtin_ctzll(unsent)), nullptr,
-        tally);
-  if (answered == 0) return;
-  path_.publish(tally);
-  intake_full_total_->inc(answered);
-  frames_.finish(*ticket, answered);
+  // The slot's bit to every touched shard, each woken right after. From the
+  // first bit on the frame may complete at any time.
+  const std::uint64_t bit = std::uint64_t{1} << ticket->slot;
+  for (; touched != 0; touched &= touched - 1)
+    wake_shard(*shards_[static_cast<std::size_t>(__builtin_ctzll(touched))],
+               bit);
 }
 
 void ShardedEngine::query_batch_into(std::span<const Query> queries,

@@ -7,21 +7,22 @@
 // its two labels alone, so *who* answers never changes the answer: the
 // owner matters only for the cache.
 //
-// Frames and tickets. A batch above kInlineCutoff queries becomes a frame
-// in one of kFrameSlots engine-owned, reused slots of a FrameTable
+// Frames and pending bits. A batch above kInlineCutoff queries becomes a
+// frame in one of kFrameSlots engine-owned, reused slots of a FrameTable
 // (service/frame_table.hpp), bucketed once by owning shard. The dispatcher
-// pushes one 8-byte ticket (slot, generation) per touched shard through
-// that shard's bounded lock-free MPSC ring (util/mpsc_ring.hpp), waking the
-// shard right after its push. Nothing per query crosses a ring.
+// then sets the frame's slot bit in the 64-bit `pending` word of every
+// shard the frame touches. A worker takes all its bits with one exchange
+// and, per bit, rebuilds the frame's ticket (slot, generation) from the
+// slot's claim word. Nothing per query, and no queue, crosses to a worker.
 //
-// Claims. A worker claims its own slice of a ticket's frame chunk by chunk
+// Claims. A worker claims its own slice of a bit's frame chunk by chunk
 // (FrameTable::kChunk queries, one CAS each) and answers through its cache;
 // once its slice is exhausted it claims the remaining chunks of the frame's
 // other slices and answers them uncached (queries_claimed_total{shard}), so
 // every cache keeps a single owner and a frame never waits for a
-// descheduled or stolen worker to start its share. A ticket popped after
-// its frame completed claims nothing and touches none of the caller's
-// memory (FrameTable's invariant F3; DESIGN §5c has the argument).
+// descheduled or stolen worker to start its share. A bit taken after its
+// frame completed claims nothing and touches none of the caller's memory
+// (FrameTable's invariants F3 and F5; DESIGN §5c has the argument).
 //
 // Completion is one release fetch_sub on the frame per thread that answered
 // any of it; the last one frees the slot and counts the frame off the
@@ -37,18 +38,16 @@
 // answer can never outlive the labeling it came from. (Swapping a live
 // snapshot would come back with dynamic updates; ROADMAP, parked items.)
 //
-// Wake protocol (lock-free, no lost wakeups): each shard has a version
-// counter `signal`. The worker loads it *before* attempting a drain and
-// sleeps with atomic wait(loaded_value); a producer publishes a ticket,
-// then bumps `signal` (release RMW) and notifies only when the worker
-// advertised it was sleeping. If the bump lands between the worker's load
-// and its sleep, the wait's value check fails and the worker retries — the
-// sleeping-flag race can cost one elided syscall, never a hang.
+// Wake protocol (lock-free, no lost wakeups): `pending` is also the
+// worker's futex word. A worker that finds it empty spins briefly, then sets
+// its `sleeping` flag and waits while the word is 0; a dispatcher sets its
+// bit, then notifies only when it reads the flag set. Both sides use
+// seq_cst, so either the dispatcher sees the flag or the worker's wait sees
+// the bit: a wakeup is never lost, and an awake worker costs no syscall.
 //
-// Backpressure: nothing blocks the producer. When every frame slot is
-// taken, the batch is answered on the producer's thread; when a shard's
-// ring is full, the dispatcher claims that shard's slice itself. Both count
-// the queries they answer in shard_intake_full_total. Batches of at most
+// Backpressure: nothing blocks the producer, and a bit cannot overflow.
+// When every frame slot is taken, the batch is answered on the producer's
+// thread and counted in shard_intake_full_total. Batches of at most
 // kInlineCutoff queries skip the frames entirely: for small frames the
 // dispatch and wake cost more than the sub-microsecond queries they spread
 // (measured in DESIGN §5c). Caller-thread answers bypass the cache.
@@ -90,7 +89,6 @@
 #include "service/answer_path.hpp"
 #include "service/frame_table.hpp"
 #include "service/result_cache.hpp"
-#include "util/mpsc_ring.hpp"
 
 namespace pathsep::service {
 
@@ -106,8 +104,9 @@ class ShardedEngine {
   /// Batches of at most this many queries are answered inline on the
   /// caller's thread, uncached (see "Backpressure" in the file header).
   static constexpr std::size_t kInlineCutoff = 128;
-  /// Frames in flight at once; more are answered on the caller's thread.
-  static constexpr std::size_t kFrameSlots = 128;
+  /// Frames in flight at once, one bit each of a shard's pending word;
+  /// more are answered on the caller's thread.
+  static constexpr std::size_t kFrameSlots = 64;
   /// Slowest-query exemplars the AnswerPath's slow-log retains.
   static constexpr std::size_t kSlowlogCapacity = 64;
 
@@ -116,8 +115,8 @@ class ShardedEngine {
   explicit ShardedEngine(std::shared_ptr<const oracle::PathOracle> snapshot,
                          ShardedEngineOptions options = {});
 
-  /// Stops and joins every shard worker (pending tickets are drained
-  /// first). Callers must not have batches in flight.
+  /// Stops and joins every shard worker. Callers must not have batches in
+  /// flight.
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -162,11 +161,10 @@ class ShardedEngine {
 
  private:
   struct Shard {
-    Shard(std::size_t ring_capacity, std::size_t cache_capacity)
-        : ring(ring_capacity), cache(cache_capacity) {}
-    util::MpscRing<FrameTable::Ticket> ring;
-    /// Wake-protocol version counter (see file header) and sleep hint.
-    alignas(64) std::atomic<std::uint64_t> signal{0};
+    explicit Shard(std::size_t cache_capacity) : cache(cache_capacity) {}
+    /// Bit k: frame slot k may hold work for this shard. Also the worker's
+    /// futex word, with `sleeping` its sleep flag (see file header).
+    alignas(64) std::atomic<std::uint64_t> pending{0};
     std::atomic<std::uint32_t> sleeping{0};
     ResultCache cache;   ///< touched only by `worker`
     /// shard_busy_ns_total{shard}: drain time, added once per drain.
@@ -187,7 +185,8 @@ class ShardedEngine {
   /// the answering worker's own table, or null.
   std::uint32_t answer_slice(FrameTable::Ticket ticket, std::size_t shard,
                              ResultCache* cache, AnswerPath::Tally& tally);
-  void wake_shard(Shard& shard);
+  /// Sets `bits` in the shard's pending word and wakes a sleeping worker.
+  static void wake_shard(Shard& shard, std::uint64_t bits);
 
   /// The serving snapshot, never null; first, so the null check runs
   /// before any other member is built.

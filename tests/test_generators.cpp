@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "graph/connectivity.hpp"
 #include "treedec/tree_decomposition.hpp"
@@ -253,6 +254,12 @@ struct FamilyCase {
   const char* name;
   std::size_t n;
 };
+
+// Without this gtest prints the raw bytes, the name pointer included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const FamilyCase& c, std::ostream* os) {
+  *os << c.name << " n=" << c.n;
+}
 
 class FamilyConnectivity : public ::testing::TestWithParam<FamilyCase> {};
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 namespace {
@@ -53,6 +54,12 @@ struct SeededCase {
   const char* file;
   const char* rule;
 };
+
+// Without this gtest prints the raw bytes, both pointers included, so the
+// listed test names would change with every address-space layout.
+void PrintTo(const SeededCase& c, std::ostream* os) {
+  *os << c.rule << " in " << c.file;
+}
 
 class LintSeededViolation : public ::testing::TestWithParam<SeededCase> {};
 

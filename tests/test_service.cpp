@@ -129,9 +129,6 @@ TEST(ResultCache, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.get(ResultCache::key(0, 3)).value_or(-1), 30.0);
   EXPECT_TRUE(cache.get(ResultCache::key(0, 4)).has_value());
   cache.audit();
-  cache.clear();
-  for (Vertex v = 1; v <= 5; ++v)
-    EXPECT_FALSE(cache.get(ResultCache::key(0, v)).has_value());
 }
 
 TEST(ResultCache, ZeroCapacityNeverStores) {

@@ -1,6 +1,7 @@
-// The shard-per-core serving stack: the lock-free MPSC intake ring, the
-// claimable frames (stale tickets, a stale claim across a slot's reuse,
-// exactly-once claims, slot exhaustion, a full ring, a busy owner), the
+// The shard-per-core serving stack: the claimable frames and the pending
+// words that hand them out (stale tickets, a stale claim across a slot's
+// reuse, exactly-once claims, slot exhaustion, a busy worker's pending
+// word, a busy owner), the
 // ShardedEngine's exactness and determinism across shard counts, its null
 // snapshot check, its worker placement (one CPU each, inside the process
 // mask), its cache and metrics contract, and the binary wire protocol with
@@ -36,7 +37,6 @@
 #include "service/frame_table.hpp"
 #include "service/net_server.hpp"
 #include "service/sharded_engine.hpp"
-#include "util/mpsc_ring.hpp"
 #include "util/rng.hpp"
 
 #if defined(__linux__)
@@ -56,79 +56,6 @@ namespace {
 
 using graph::Vertex;
 using graph::Weight;
-
-// ------------------------------------------------------------------ MpscRing
-
-TEST(MpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(util::MpscRing<int>(0).capacity(), 2u);
-  EXPECT_EQ(util::MpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(util::MpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(util::MpscRing<int>(8).capacity(), 8u);
-  EXPECT_EQ(util::MpscRing<int>(1000).capacity(), 1024u);
-}
-
-TEST(MpscRing, FillDrainAndWrapAround) {
-  util::MpscRing<int> ring(4);
-  int out[8];
-  // Three laps around a 4-slot ring exercises the sequence recycling.
-  for (int lap = 0; lap < 3; ++lap) {
-    for (int i = 0; i < 4; ++i)
-      EXPECT_TRUE(ring.try_push(lap * 4 + i));
-    EXPECT_FALSE(ring.try_push(99)) << "full ring must reject";
-    const std::size_t n = ring.pop_batch(out, 8);
-    ASSERT_EQ(n, 4u);
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], lap * 4 + i);
-    EXPECT_TRUE(ring.empty_approx());
-    ring.audit();
-  }
-}
-
-TEST(MpscRing, PopBatchRespectsMaxAndPreservesFifo) {
-  util::MpscRing<int> ring(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ring.try_push(i));
-  int out[16];
-  EXPECT_EQ(ring.pop_batch(out, 3), 3u);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[2], 2);
-  EXPECT_EQ(ring.pop_batch(out, 16), 7u);
-  EXPECT_EQ(out[0], 3);
-  EXPECT_EQ(out[6], 9);
-  EXPECT_EQ(ring.pop_batch(out, 16), 0u);
-}
-
-TEST(MpscRing, ConcurrentProducersDeliverEveryItemExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  util::MpscRing<int> ring(256);
-  std::vector<int> seen(kProducers * kPerProducer, 0);
-  std::atomic<bool> done{false};
-
-  std::thread consumer([&ring, &seen, &done] {
-    int out[64];
-    std::size_t total = 0;
-    while (total < kProducers * kPerProducer) {
-      const std::size_t n = ring.pop_batch(out, 64);
-      for (std::size_t i = 0; i < n; ++i) ++seen[out[i]];
-      total += n;
-      if (n == 0) std::this_thread::yield();
-    }
-    done.store(true);
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int value = p * kPerProducer + i;
-        while (!ring.try_push(value)) std::this_thread::yield();
-      }
-    });
-  for (std::thread& t : producers) t.join();
-  consumer.join();
-  ASSERT_TRUE(done.load());
-  for (int i = 0; i < kProducers * kPerProducer; ++i)
-    EXPECT_EQ(seen[i], 1) << "item " << i;
-  ring.audit();
-}
 
 // ------------------------------------------------------------ FrameTable
 
@@ -187,9 +114,13 @@ std::vector<std::uint32_t> claim_all(FrameTable& table,
 }
 
 // A ticket claims only its own frame: once the frame completed, or its slot
-// carries a newer frame, the old ticket claims nothing.
+// carries a newer frame, the old ticket claims nothing. ticket() rebuilds
+// the ticket of the frame a slot carries now, and one for a slot never
+// published claims nothing.
 TEST(FrameTable, StaleTicketsClaimNothing) {
   FrameTable table(/*slots=*/1, /*owners=*/2);
+  FrameTable::Chunk chunk;
+  EXPECT_FALSE(table.claim(table.ticket(0, 0), 0, chunk));
   const auto owner_of = [](std::size_t i) { return i % 3 == 0 ? 1u : 0u; };
   std::vector<Query> first(40, Query{1, 2});
   std::vector<Weight> first_results(first.size());
@@ -199,6 +130,7 @@ TEST(FrameTable, StaleTicketsClaimNothing) {
       first, first_results.data(), &first_remaining, owner_of, touched);
   ASSERT_TRUE(old.has_value());
   EXPECT_EQ(touched, 3u);
+  EXPECT_EQ(table.ticket(old->slot, 1).gen, old->gen);
 
   // Each slice holds exactly its owner's indices, in ascending order.
   const std::vector<std::uint32_t> zero = claim_all(table, *old, 0);
@@ -222,7 +154,6 @@ TEST(FrameTable, StaleTicketsClaimNothing) {
   EXPECT_EQ(first_remaining.load(), 0u);
 
   // Completed: nothing left to claim.
-  FrameTable::Chunk chunk;
   EXPECT_FALSE(table.claim(*old, 0, chunk));
   EXPECT_FALSE(table.claim(*old, 1, chunk));
 
@@ -232,6 +163,7 @@ TEST(FrameTable, StaleTicketsClaimNothing) {
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->slot, old->slot);
   EXPECT_NE(fresh->gen, old->gen);
+  EXPECT_EQ(table.ticket(old->slot, 0).gen, fresh->gen);
   EXPECT_FALSE(table.claim(*old, 0, chunk));
   EXPECT_FALSE(table.claim(*old, 1, chunk));
   ASSERT_TRUE(table.claim(*fresh, 0, chunk));
@@ -290,9 +222,12 @@ TEST(FrameTable, StaleClaimAcrossASlotReuseClaimsNothing) {
   EXPECT_EQ(first_remaining.load(), 0u) << "the old caller's counter moved";
 }
 
-// Threads that each claim their own slice first and then any other slice,
-// as shard workers do, answer every index of every frame exactly once, and
-// each frame completes exactly when its last index is counted.
+// Threads that each take the slot bits of their own pending word, rebuild
+// each bit's ticket and claim their own slice first and then any other
+// slice, as shard workers do, answer every index of every frame exactly
+// once, and each frame completes exactly when its last index is counted.
+// With two slots for 40 frames most bits a claimer takes are stale (their
+// frame was finished by the others) or name the slot's next frame.
 TEST(FrameTable, ConcurrentClaimersAnswerEveryIndexExactlyOnce) {
   constexpr std::size_t kOwners = 4;
   constexpr std::size_t kFrames = 40;
@@ -306,38 +241,39 @@ TEST(FrameTable, ConcurrentClaimersAnswerEveryIndexExactlyOnce) {
   std::vector<std::atomic<std::uint32_t>> answered(kFrames * kSize);
   std::vector<Weight> results(kFrames * kSize, -1.0);
   std::vector<std::atomic<std::uint32_t>> remaining(kFrames);
-  util::MpscRing<FrameTable::Ticket> tickets[kOwners] = {
-      util::MpscRing<FrameTable::Ticket>(64),
-      util::MpscRing<FrameTable::Ticket>(64),
-      util::MpscRing<FrameTable::Ticket>(64),
-      util::MpscRing<FrameTable::Ticket>(64)};
+  std::atomic<std::uint64_t> pending[kOwners] = {};  // bit k: slot k
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> claimers;
   for (std::size_t self = 0; self < kOwners; ++self)
     claimers.emplace_back([&, self] {
-      FrameTable::Ticket ticket;
       while (!stop.load(std::memory_order_acquire)) {
-        if (tickets[self].pop_batch(&ticket, 1) == 0) {
+        std::uint64_t bits =
+            pending[self].exchange(0, std::memory_order_acquire);
+        if (bits == 0) {
           std::this_thread::yield();
           continue;
         }
-        std::uint32_t count = 0;
-        for (std::size_t k = 0; k < kOwners; ++k) {
-          FrameTable::Chunk chunk;
-          while (table.claim(ticket, (self + k) % kOwners, chunk)) {
-            // Each frame answers into its own kSize-entry block.
-            const auto frame = static_cast<std::size_t>(
-                (chunk.results - results.data()) / kSize);
-            for (std::uint32_t j = 0; j < chunk.count; ++j) {
-              const std::uint32_t i = chunk.order[j];
-              answered[frame * kSize + i].fetch_add(1);
-              chunk.results[i] = static_cast<Weight>(i);
+        for (; bits != 0; bits &= bits - 1) {
+          const FrameTable::Ticket ticket = table.ticket(
+              static_cast<std::size_t>(std::countr_zero(bits)), self);
+          std::uint32_t count = 0;
+          for (std::size_t k = 0; k < kOwners; ++k) {
+            FrameTable::Chunk chunk;
+            while (table.claim(ticket, (self + k) % kOwners, chunk)) {
+              // Each frame answers into its own kSize-entry block.
+              const auto frame = static_cast<std::size_t>(
+                  (chunk.results - results.data()) / kSize);
+              for (std::uint32_t j = 0; j < chunk.count; ++j) {
+                const std::uint32_t i = chunk.order[j];
+                answered[frame * kSize + i].fetch_add(1);
+                chunk.results[i] = static_cast<Weight>(i);
+              }
+              count += chunk.count;
             }
-            count += chunk.count;
           }
+          if (count != 0) table.finish(ticket, count);
         }
-        if (count != 0) table.finish(ticket, count);
       }
     });
 
@@ -349,8 +285,10 @@ TEST(FrameTable, ConcurrentClaimersAnswerEveryIndexExactlyOnce) {
                                  &remaining[f], owner_of, touched)))
       std::this_thread::yield();  // both slots in flight
     EXPECT_EQ(touched, 0xfu);
+    // Release, after open() published the frame (F5).
     for (std::size_t s = 0; s < kOwners; ++s)
-      while (!tickets[s].try_push(*ticket)) std::this_thread::yield();
+      pending[s].fetch_or(std::uint64_t{1} << ticket->slot,
+                          std::memory_order_release);
   }
   for (std::size_t f = 0; f < kFrames; ++f) {
     std::uint32_t left;
@@ -678,17 +616,19 @@ TEST(ShardedEngine, FrameSlotsRunOutFallBackInlineAndStayExact) {
             long_frame.size() + kFrames * batch.size());
 }
 
-// A worker that is busy stops taking tickets once its ring (2 ×
-// kFrameSlots tickets) fills with those of frames the other threads finished
-// for it. The dispatcher then claims that shard's slice itself, counted in
-// shard_intake_full_total, and every answer stays exact. Worker 1 is handed
-// a long frame that only shard 1 owns; meanwhile more frames than its ring
-// holds, each touching both shards, go in asynchronously (at most half the
-// slots in flight, so none runs out of slots), and worker 0 and the
-// dispatcher answer them. The last frame only shard 1 owns, so the
-// dispatcher answers it whole. Returns whether worker 1 was still busy
-// after that frame; only then is its ring sure to have been full.
-bool full_ring_round(
+// A busy worker's pending word cannot overflow, and its stale bits claim
+// nothing. Worker 1 is handed a long frame that only shard 1 owns;
+// meanwhile 3 × kFrameSlots frames, each touching both shards, go in
+// asynchronously (at most half the slots in flight, so none runs out of
+// slots). Worker 0 answers each whole, claiming shard 1's slice, while
+// their slots' bits pile up in worker 1's word: no query falls back to the
+// dispatcher (shard_intake_full_total stays 0) and every answer is
+// bit-identical to the oracle. A last frame only shard 1 owns is answered
+// by worker 1 alone once it returns, so by then it has taken the stale
+// bits, and queries_total still counts every query once. Returns whether
+// worker 1 was still busy after the two-shard frames; only then did bits
+// pile up.
+bool busy_worker_round(
     const std::shared_ptr<const oracle::PathOracle>& snapshot) {
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
   ShardedEngine engine(snapshot, {.shards = 2});
@@ -723,7 +663,10 @@ bool full_ring_round(
     std::uint32_t left;
     while ((left = remaining[w].load(std::memory_order_acquire)) != 0)
       remaining[w].wait(left, std::memory_order_acquire);
-    if (fnv_digest(results[w]) != fnv_digest(expected)) ++wrong;
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      if (std::bit_cast<std::uint64_t>(results[w][i]) !=
+          std::bit_cast<std::uint64_t>(expected[i]))
+        ++wrong;
   };
   for (std::size_t f = 0; f < kFrames; ++f) {
     const std::size_t w = f % kWindow;
@@ -732,22 +675,21 @@ bool full_ring_round(
     engine.submit_batch(batch, results[w].data(), &remaining[w]);
   }
   for (std::size_t w = 0; w < kWindow; ++w) collect(w);
-  EXPECT_EQ(wrong, 0u) << "frames with a wrong answer";
+  const bool kept_busy = long_remaining.load(std::memory_order_acquire) > 0;
+  EXPECT_EQ(wrong, 0u) << "answers that differ from the oracle";
+  EXPECT_EQ(family_sum(counter_family(engine.metrics(),
+                                      "shard_intake_full_total")),
+            0u)
+      << "queries the dispatcher answered with every slot free";
 
   const std::vector<Query> mine(
       owned.begin(), owned.begin() + ShardedEngine::kInlineCutoff + 1);
   const std::vector<Weight> got = engine.query_batch(mine);
-  const bool kept_busy = long_remaining.load(std::memory_order_acquire) > 0;
   for (std::size_t i = 0; i < mine.size(); ++i)
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
               std::bit_cast<std::uint64_t>(
                   snapshot->query(mine[i].u, mine[i].v)))
         << "query " << i;
-  if (kept_busy) {
-    EXPECT_GE(family_sum(counter_family(engine.metrics(),
-                                        "shard_intake_full_total")),
-              mine.size());
-  }
 
   std::uint32_t left;
   while ((left = long_remaining.load(std::memory_order_acquire)) != 0)
@@ -757,23 +699,26 @@ bool full_ring_round(
               snapshot->query(long_frame[i].u, long_frame[i].v));
   EXPECT_EQ(family_sum(counter_family(engine.metrics(), "queries_total")),
             long_frame.size() + kFrames * batch.size() + mine.size());
+  EXPECT_EQ(family_sum(counter_family(engine.metrics(),
+                                      "shard_intake_full_total")),
+            0u);
   return kept_busy;
 }
 
 // On a loaded machine worker 1 may finish the long frame early; a round
-// where it did proves nothing about a full ring, so up to three are run.
-TEST(ShardedEngine, FullRingSliceIsClaimedByTheDispatcherAndStaysExact) {
+// where it did proves nothing about a busy worker, so up to three are run.
+TEST(ShardedEngine, BusyWorkersPendingWordNeverOverflowsAndStaysExact) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   bool kept_busy = false;
   for (int round = 0; round < 3 && !kept_busy; ++round)
-    kept_busy = full_ring_round(snapshot);
+    kept_busy = busy_worker_round(snapshot);
   EXPECT_TRUE(kept_busy)
       << "the long frame finished first in every round; worker 1 was never "
          "kept busy";
 }
 
 // A frame does not wait for a busy owner: while worker 0 answers a long
-// frame that only it holds a ticket for, the other workers answer a second
+// frame that only its shard owns, the other workers answer a second
 // frame whole, claiming worker 0's slice of it, bit-identically to the
 // oracle.
 TEST(ShardedEngine, FrameCompletesWhileItsOwnerIsKeptBusy) {
