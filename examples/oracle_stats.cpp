@@ -140,8 +140,7 @@ int run(int argc, char** argv) {
   } else {
     std::printf("%s: built in %.3fs\n%s", inst.description.c_str(),
                 build_seconds, obs::format_report(report).c_str());
-    // Counted once per decomposition node by the build (zero when
-    // observability is compiled out).
+    // Counted once per decomposition node by the build.
     const std::uint64_t generated =
         obs::default_registry()
             .counter("oracle_connections_generated_total")

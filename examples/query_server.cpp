@@ -203,16 +203,22 @@ int run(int argc, char** argv) {
   while (wall.elapsed_seconds() < serve_duration)
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server.stop();
-  const service::NetServer::Stats stats = server.stats();
+  // Every count below is the engine registry's (--statsz shows them all).
+  obs::MetricsRegistry& metrics = engine.metrics();
+  const auto counter = [&](const char* name) {
+    return static_cast<unsigned long long>(metrics.counter(name).value());
+  };
   std::printf(
       "served %llu queries in %llu frames over %llu connections "
       "(%llu protocol errors, %.1f MiB in, %.1f MiB out)\n",
-      static_cast<unsigned long long>(stats.queries_answered),
-      static_cast<unsigned long long>(stats.frames_in),
-      static_cast<unsigned long long>(stats.connections_accepted),
-      static_cast<unsigned long long>(stats.protocol_errors),
-      static_cast<double>(stats.bytes_in) / (1024.0 * 1024.0),
-      static_cast<double>(stats.bytes_out) / (1024.0 * 1024.0));
+      counter("queries_total"),
+      static_cast<unsigned long long>(
+          metrics.histogram("net_frame_phase_ns", {{"phase", "engine"}})
+              .count()),
+      counter("net_connections_accepted_total"),
+      counter("net_protocol_errors_total"),
+      static_cast<double>(counter("net_bytes_in_total")) / (1024.0 * 1024.0),
+      static_cast<double>(counter("net_bytes_out_total")) / (1024.0 * 1024.0));
   const auto& latency = engine.metrics().histogram("query_latency_ns");
   std::printf("  latency p50 %.1f us, p99 %.1f us\n",
               latency.percentile_nanos(0.50) / 1000.0,

@@ -5,6 +5,9 @@
 #   scripts/check.sh              # whole matrix
 #   scripts/check.sh release tidy # a subset of the steps
 #
+# A name that is not one of the steps below prints the valid steps and
+# exits 2 before anything is built.
+#
 # Steps:
 #   release  strict-warnings (-Werror) build, ctest twice — plain and with
 #            PATHSEP_AUDIT=1 so every deep invariant validator runs
@@ -13,9 +16,6 @@
 #            concurrent query layer, the parallel construction pipeline, the
 #            observability layer's cross-thread recording, and the flow
 #            backend's thread-count determinism)
-#   obsoff   PATHSEP_OBS_DISABLED build with -Werror — proves every
-#            instrumentation call site compiles out cleanly — plus
-#            ctest -L obs (the obs suite adapts to the compiled-out mode)
 #   bench    bench_build --quick determinism smoke: tiny instances, thread
 #            budget 1 vs the machine's core count, exits non-zero if any
 #            budget changes the label digest or the bytes of a query_server
@@ -51,16 +51,27 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
+ALL_STEPS=(release asan tsan tsa bench smoke lint tidy)
 STEPS=("$@")
-[ ${#STEPS[@]} -eq 0 ] && STEPS=(release asan tsan obsoff tsa bench smoke lint tidy)
+[ ${#STEPS[@]} -eq 0 ] && STEPS=("${ALL_STEPS[@]}")
+
+# in_list NAME WORD...: true when NAME is one of the WORDs.
+in_list() {
+  local name=$1 word
+  shift
+  for word in "$@"; do [ "$word" = "$name" ] && return 0; done
+  return 1
+}
+for step in "${STEPS[@]}"; do
+  if ! in_list "$step" "${ALL_STEPS[@]}"; then
+    echo "check.sh: unknown step '$step'; valid steps: ${ALL_STEPS[*]}" >&2
+    exit 2
+  fi
+done
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
-want() {
-  local step
-  for step in "${STEPS[@]}"; do [ "$step" = "$1" ] && return 0; done
-  return 1
-}
+want() { in_list "$1" "${STEPS[@]}"; }
 
 if want release; then
   banner "release: -Werror build + ctest (plain, then PATHSEP_AUDIT=1)"
@@ -82,13 +93,6 @@ if want tsan; then
   cmake --preset tsan
   cmake --build build-tsan -j "$JOBS"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L 'service|parallel|obs|flow'
-fi
-
-if want obsoff; then
-  banner "obsoff: PATHSEP_OBS_DISABLED -Werror build + ctest -L obs"
-  cmake --preset obs-off
-  cmake --build build-obs-off -j "$JOBS"
-  ctest --test-dir build-obs-off --output-on-failure -j "$JOBS" -L obs
 fi
 
 if want tsa; then

@@ -6,8 +6,8 @@
 # unreachable server, and every other example (and bench_service,
 # bench_build and bench_separator) to refuse a misspelt flag and a size
 # flag out of its range; require a short `--serve --trace-out=F` run to
-# write
-# its trace to F; then start
+# write its trace to F and print its `served ...` line in the shape
+# perfbench parses; then start
 # examples/query_server --serve on an ephemeral port, send it a hostile frame
 # (a vertex id far past the snapshot), flood it with more connections than
 # its descriptor limit allows and require it to idle rather than spin on
@@ -127,13 +127,21 @@ for hostile in "quickstart --n=-5" "separator_tool --n=-1" \
 done
 
 # Tracing covers the serving window: a short --serve run with --trace-out
-# must leave a Perfetto trace_event file behind.
+# must leave a Perfetto trace_event file behind. With no client its served
+# line reads all zeros, in the exact shape perfbench/run.py parses.
 status=0
 "$server" --side=16 --serve=0 --serve-duration=0.5 --trace-out="$trace" \
   >"$log" 2>&1 || status=$?
 if [ "$status" -ne 0 ] || ! grep -q traceEvents "$trace"; then
   echo "serve_smoke: --serve --trace-out exited $status and wrote no" \
     "trace_event JSON" >&2
+  cat "$log" >&2
+  exit 1
+fi
+served_line='^served 0 queries in 0 frames over 0 connections (0 protocol errors'
+if ! grep -q "$served_line" "$log"; then
+  echo "serve_smoke: --serve printed no idle 'served 0 queries in 0 frames" \
+    "over 0 connections (0 protocol errors' line" >&2
   cat "$log" >&2
   exit 1
 fi
@@ -213,6 +221,7 @@ fi
   --queries="$QUERIES" --verify
 
 echo "serve_smoke: OK (hostile thread budgets, flag values, unknown flags" \
-  "and loadgen values refused, --trace-out written, port $port, hostile" \
+  "and loadgen values refused, --trace-out written, served line parsed," \
+  "port $port, hostile" \
   "frame rejected, idle at descriptor exhaustion ($ticks of $hz CPU ticks in" \
   "1 s), $QUERIES queries digest-verified)"

@@ -96,7 +96,7 @@ void flow_cutter(const Graph& g, std::span<const Vertex> members,
             });
 
   FlowArena& arena = thread_arena();
-  PATHSEP_OBS_ONLY(const FlowArena::WorkStats work_before = arena.work();)
+  const FlowArena::WorkStats work_before = arena.work();
   UnitFlowNetwork net(g, members, removed, arena);
 
   const std::size_t flow_budget =
@@ -154,16 +154,14 @@ void flow_cutter(const Graph& g, std::span<const Vertex> members,
     if (balanced) break;  // growing further only raises the cut size
   }
 
-  PATHSEP_OBS_ONLY({
-    const FlowArena::WorkStats& work = arena.work();
-    obs::default_registry().counter("flow_networks_total").inc();
-    obs::default_registry()
-        .counter("flow_augmentations_total")
-        .inc(work.augmentations - work_before.augmentations);
-    obs::default_registry()
-        .counter("flow_bfs_phases_total")
-        .inc(work.bfs_phases - work_before.bfs_phases);
-  });
+  const FlowArena::WorkStats& work = arena.work();
+  obs::default_registry().counter("flow_networks_total").inc();
+  obs::default_registry()
+      .counter("flow_augmentations_total")
+      .inc(work.augmentations - work_before.augmentations);
+  obs::default_registry()
+      .counter("flow_bfs_phases_total")
+      .inc(work.bfs_phases - work_before.bfs_phases);
 }
 
 }  // namespace pathsep::flow

@@ -157,12 +157,10 @@ PathSeparator FlowSeparator::find(const Graph& g,
       const std::vector<Vertex> path = diameter_path(g, members, removed);
       s.stages.push_back({path});
       for (const Vertex v : path) removed[v] = true;
-      PATHSEP_OBS_ONLY(
-          obs::default_registry().counter("flow_fallback_paths_total").inc();)
+      obs::default_registry().counter("flow_fallback_paths_total").inc();
       continue;
     }
-    PATHSEP_OBS_ONLY(
-        obs::default_registry().counter("flow_cuts_total").inc();)
+    obs::default_registry().counter("flow_cuts_total").inc();
 
     // Cover the cut with shortest paths, one stage each: vertex a is the
     // smallest uncovered cut vertex, b the nearest other uncovered one, and

@@ -25,11 +25,9 @@ std::vector<DecompositionNode> process_node(
     DecompositionNode& node, const separator::SeparatorFinder& finder,
     const DecompositionTree::Options& options) {
   const std::size_t n = node.graph.num_vertices();
-  PATHSEP_OBS_ONLY({
-    static obs::Counter& nodes =
-        obs::default_registry().counter("hierarchy_build_nodes_total");
-    nodes.inc();
-  })
+  static obs::Counter& nodes_total =
+      obs::default_registry().counter("hierarchy_build_nodes_total");
+  nodes_total.inc();
 
   const separator::PathSeparator sep = [&] {
     PATHSEP_SPAN("hierarchy.separator_find");
@@ -118,7 +116,7 @@ DecompositionTree::DecompositionTree(const Graph& g,
   // separated in parallel, and their children are appended in (parent,
   // component index) order. That is BFS order, so every id is final when
   // it is assigned and the tree is the same for every thread budget.
-  PATHSEP_OBS_ONLY(const std::uint64_t build_span = obs::current_span();)
+  const std::uint64_t build_span = obs::current_span();
   std::vector<std::vector<DecompositionNode>> kids;
   for (std::size_t level_begin = 0; level_begin < nodes_.size();) {
     const std::size_t level_end = nodes_.size();
@@ -126,7 +124,7 @@ DecompositionTree::DecompositionTree(const Graph& g,
     util::parallel_for(
         kids.size(),
         [&](std::size_t i) {
-          PATHSEP_OBS_ONLY(obs::SpanParentGuard trace_parent(build_span);)
+          obs::SpanParentGuard trace_parent(build_span);
           kids[i] = process_node(nodes_[level_begin + i], finder, options);
         },
         /*grain=*/1);

@@ -15,9 +15,7 @@
 // `default_registry()` is the process-wide instance the construction
 // pipeline (hierarchy/, separator/, oracle/, sssp/) records into; the query
 // service keeps private registries per engine. Snapshots feed the exporters
-// in obs/export.hpp. Instrumentation call sites compile out entirely when
-// PATHSEP_OBS_DISABLED is defined (see the macros at the bottom and
-// obs/trace.hpp).
+// in obs/export.hpp. Instrumentation is always compiled in.
 #pragma once
 
 #include <array>
@@ -226,20 +224,10 @@ MetricsRegistry& default_registry();
 
 }  // namespace pathsep::obs
 
-// Instrumentation call-site helpers. Every use in src/ compiles to exactly
-// nothing when PATHSEP_OBS_DISABLED is defined, so a build without
-// observability carries zero instrumentation code.
+// Instrumentation call-site helpers.
 #define PATHSEP_OBS_CAT2(a, b) a##b
 #define PATHSEP_OBS_CAT(a, b) PATHSEP_OBS_CAT2(a, b)
 
-#ifdef PATHSEP_OBS_DISABLED
-#define PATHSEP_OBS_ONLY(...)
-#define PATHSEP_STAGE_TIMER(hist_name) \
-  do {                                 \
-  } while (0)
-#else
-/// Splices the statement(s) in only when observability is compiled in.
-#define PATHSEP_OBS_ONLY(...) __VA_ARGS__
 /// Records the enclosing scope's wall time into the named histogram of the
 /// default registry (one registry map lookup per invocation — use on
 /// per-stage paths, not per-element ones).
@@ -248,4 +236,3 @@ MetricsRegistry& default_registry();
                                                 __COUNTER__) {        \
     ::pathsep::obs::default_registry().histogram(hist_name)           \
   }
-#endif

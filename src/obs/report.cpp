@@ -30,37 +30,19 @@ OracleReport oracle_report(const oracle::PathOracle& oracle,
       level.path_vertices += path.verts.size();
   }
 
-  // Replay the exact wire encoding of oracle/serialize.cpp, attributing
-  // each part's bytes to the depth of its decomposition node and the
-  // per-label header to a separate bucket, so the totals reconcile with
-  // serialize_label() to the byte.
+  // The wire encoder's per-section byte counts: each part's bytes go to the
+  // depth of its decomposition node and the per-label header to a separate
+  // bucket, so the totals reconcile with serialize_label() to the byte.
   for (std::size_t v = 0; v < oracle.num_vertices(); ++v) {
     const oracle::LabelView label = oracle.label(static_cast<graph::Vertex>(v));
-    std::size_t label_bytes = oracle::varint_size(label.vertex()) +
-                              oracle::varint_size(label.num_parts());
+    const std::vector<std::size_t> sections =
+        oracle::serialized_section_bytes(label);
+    std::size_t label_bytes = sections[0];
     report.label_header_bytes += label_bytes;
-    std::int32_t prev_node = 0;
-    std::int32_t prev_depth = 0;
     for (std::size_t p = 0; p < label.num_parts(); ++p) {
       const oracle::LabelPart& part = label.part(p);
-      std::size_t part_bytes =
-          oracle::varint_size(oracle::node_delta(part.node, prev_node));
-      prev_node = part.node;
-      part_bytes +=
-          oracle::varint_size(static_cast<std::uint64_t>(part.path()));
-      part_bytes +=
-          oracle::varint_size(oracle::node_delta(part.depth(), prev_depth));
-      prev_depth = part.depth();
-      const std::span<const oracle::ColdEntry> cold = label.cold(p);
-      part_bytes += oracle::varint_size(cold.size());
-      for (const oracle::ColdEntry& entry : cold) {
-        part_bytes += oracle::varint_size(entry.path_index);
-        part_bytes += oracle::varint_size(
-            entry.next_hop == graph::kInvalidVertex
-                ? 0
-                : static_cast<std::uint64_t>(entry.next_hop) + 1);
-        part_bytes += 16;  // dist + prefix doubles
-      }
+      const std::size_t part_bytes = sections[1 + p];
+      const std::size_t connections = label.cold(p).size();
       PATHSEP_ASSERT(part.node >= 0 &&
                          static_cast<std::size_t>(part.node) <
                              tree.nodes().size(),
@@ -69,12 +51,12 @@ OracleReport oracle_report(const oracle::PathOracle& oracle,
       LevelReport& level =
           report.levels[tree.node(part.node).depth];
       ++level.label_parts;
-      level.connections += cold.size();
+      level.connections += connections;
       level.serialized_bytes += part_bytes;
       label_bytes += part_bytes;
 
       ++report.total_parts;
-      report.total_connections += cold.size();
+      report.total_connections += connections;
     }
     report.total_serialized_bytes += label_bytes;
     report.max_label_bytes = std::max(report.max_label_bytes, label_bytes);

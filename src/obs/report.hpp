@@ -4,10 +4,10 @@
 // built from the O(log Δ)-level (here: O(log n)-depth) decomposition.
 // OracleReport makes that claim measurable: it attributes every serialized
 // byte of every label to the decomposition level (depth) of the label part
-// it encodes, using the exact varint/delta encoding of oracle/serialize.cpp,
-// so the per-level totals plus the per-label header overhead reproduce
-// serialize_label() byte counts exactly — the report is an audit of the wire
-// format, not an estimate.
+// it encodes, using the per-section byte counts of the one label encoder in
+// oracle/serialize.cpp, so the per-level totals plus the per-label header
+// overhead reproduce serialize_label() byte counts exactly — the report is
+// an audit of the wire format, not an estimate.
 //
 // Declared in obs/ for discoverability but compiled into pathsep_oracle
 // (it consumes oracle + hierarchy types), the same layering trick as

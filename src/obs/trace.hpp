@@ -12,9 +12,7 @@
 //
 // Tracing is off by default; enable it per process with PATHSEP_TRACE=1 or
 // per test with set_trace_enabled(true). When off, a ScopedSpan costs one
-// relaxed atomic load. When PATHSEP_OBS_DISABLED is defined the PATHSEP_SPAN
-// macro (and every other obs macro) expands to nothing, so instrumented
-// call sites carry zero code.
+// relaxed atomic load.
 #pragma once
 
 #include <cstdint>
@@ -125,15 +123,9 @@ std::string format_trace(const TraceTree& tree);
 
 }  // namespace pathsep::obs
 
-#ifdef PATHSEP_OBS_DISABLED
-#define PATHSEP_SPAN(name) \
-  do {                     \
-  } while (0)
-#else
 /// Opens a span covering the rest of the enclosing scope.
 #define PATHSEP_SPAN(name)                                         \
   ::pathsep::obs::ScopedSpan PATHSEP_OBS_CAT(pathsep_span_,        \
                                              __COUNTER__) {        \
     name                                                           \
   }
-#endif

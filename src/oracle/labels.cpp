@@ -317,27 +317,24 @@ LabelArena build_labels(const hierarchy::DecompositionTree& tree,
 
   util::Timer phase_timer;
   std::vector<NodeConnections> per_node(tree.nodes().size());
-  PATHSEP_OBS_ONLY(const std::uint64_t build_span = obs::current_span();)
+  const std::uint64_t build_span = obs::current_span();
   util::parallel_for(
       order.size(),
       [&](std::size_t oi) {
-        PATHSEP_OBS_ONLY(obs::SpanParentGuard trace_parent(build_span);)
+        obs::SpanParentGuard trace_parent(build_span);
         const std::size_t node_id = order[oi];
         NodeConnections& nc = per_node[node_id];
         nc = compute_connections(tree.node(static_cast<int>(node_id)), epsilon);
-        [[maybe_unused]] std::size_t generated = 0;
+        std::size_t generated = 0;
         for (const NodeConnections::PathLists& lists : nc.paths)
           generated += lists.entries.size();
-        [[maybe_unused]] const std::size_t kept = drop_dominated(nc);
-        PATHSEP_OBS_ONLY({
-          static obs::Counter& generated_total =
-              obs::default_registry().counter(
-                  "oracle_connections_generated_total");
-          static obs::Counter& kept_total = obs::default_registry().counter(
-              "oracle_connections_kept_total");
-          generated_total.inc(generated);
-          kept_total.inc(kept);
-        })
+        const std::size_t kept = drop_dominated(nc);
+        static obs::Counter& generated_total = obs::default_registry().counter(
+            "oracle_connections_generated_total");
+        static obs::Counter& kept_total =
+            obs::default_registry().counter("oracle_connections_kept_total");
+        generated_total.inc(generated);
+        kept_total.inc(kept);
       },
       /*grain=*/1);
   if (stats) stats->connections_seconds = phase_timer.elapsed_seconds();

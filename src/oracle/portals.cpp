@@ -211,11 +211,9 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
     for (std::size_t pi = 0; pi < node.paths.size(); ++pi) {
       const hierarchy::NodePath& path = node.paths[pi];
       if (path.stage != stage) continue;
-      PATHSEP_OBS_ONLY({
-        static obs::Counter& projections =
-            obs::default_registry().counter("oracle_path_projections_total");
-        projections.inc();
-      })
+      static obs::Counter& projections =
+          obs::default_registry().counter("oracle_path_projections_total");
+      projections.inc();
       sssp::DijkstraWorkspace& ws = sssp::thread_workspace();
       sssp::dijkstra_project(node.graph, path.verts, removed, ws);
       // Only the run's reached list generates requests; sizing the path's
@@ -263,11 +261,9 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
     cursor.assign(group_begin.begin(), group_begin.end() - 1);
     for (const Request& r : requests)
       grouped[cursor[group_of[r.portal]]++] = r;
-    PATHSEP_OBS_ONLY({
-      static obs::Counter& dijkstras =
-          obs::default_registry().counter("oracle_portal_dijkstras_total");
-      dijkstras.inc(num_portals);
-    })
+    static obs::Counter& dijkstras =
+        obs::default_registry().counter("oracle_portal_dijkstras_total");
+    dijkstras.inc(num_portals);
 
     // One masked Dijkstra per distinct portal, early-terminated once all of
     // its requesting vertices are settled. The runs are independent
@@ -285,12 +281,9 @@ NodeConnections compute_connections(const hierarchy::DecompositionNode& node,
         // distinct per portal), so the early-termination countdown could
         // only fire on heap exhaustion anyway: run without target
         // marking and skip the per-settle membership check.
-        PATHSEP_OBS_ONLY({
-          static obs::Counter& whole =
-              obs::default_registry().counter(
-                  "oracle_whole_residual_dijkstras_total");
-          whole.inc();
-        })
+        static obs::Counter& whole = obs::default_registry().counter(
+            "oracle_whole_residual_dijkstras_total");
+        whole.inc();
         sssp::dijkstra_masked(node.graph, sources, removed, tws);
       } else {
         thread_local std::vector<Vertex> targets;

@@ -28,15 +28,6 @@ std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
   }
 }
 
-std::size_t varint_size(std::uint64_t value) {
-  std::size_t bytes = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++bytes;
-  }
-  return bytes;
-}
-
 void append_double(std::vector<std::uint8_t>& out, double value) {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -57,25 +48,40 @@ double read_double(std::span<const std::uint8_t> bytes, std::size_t& offset) {
   return value;
 }
 
-std::uint64_t node_delta(std::int32_t node, std::int32_t prev_node) {
-  return static_cast<std::uint64_t>(static_cast<std::int64_t>(node) -
-                                    prev_node);
+namespace {
+
+/// A node or depth delta (the value minus the previous part's, 0 before the
+/// first part) as a sign-extended 64-bit varint value.
+std::uint64_t delta(std::int32_t value, std::int32_t prev) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(value) - prev);
 }
 
-std::vector<std::uint8_t> serialize_label(const LabelView& label) {
-  std::vector<std::uint8_t> out;
+/// The label wire format, written once: the header (vertex id, part count),
+/// then per part its node delta, path, depth delta and connection count,
+/// and per connection its path index, next hop + 1 (0 for none) and the
+/// dist and prefix doubles. Appends to `out`; with `sections`, also records
+/// the header's byte count and then each part's.
+void encode_label(const LabelView& label, std::vector<std::uint8_t>& out,
+                  std::vector<std::size_t>* sections) {
+  std::size_t section_start = out.size();
+  const auto end_section = [&] {
+    if (sections == nullptr) return;
+    sections->push_back(out.size() - section_start);
+    section_start = out.size();
+  };
   append_varint(out, label.vertex());
   append_varint(out, label.num_parts());
+  end_section();
   std::int32_t prev_node = 0;
   std::int32_t prev_depth = 0;
   for (std::size_t p = 0; p < label.num_parts(); ++p) {
     const LabelPart& part = label.part(p);
     // Parts are sorted by (node, path) and descend the chain: node ids and
     // depths delta-encode compactly.
-    append_varint(out, node_delta(part.node, prev_node));
+    append_varint(out, delta(part.node, prev_node));
     prev_node = part.node;
     append_varint(out, static_cast<std::uint64_t>(part.path()));
-    append_varint(out, node_delta(part.depth(), prev_depth));
+    append_varint(out, delta(part.depth(), prev_depth));
     prev_depth = part.depth();
     const std::span<const HotEntry> hot = label.hot(p);
     const std::span<const ColdEntry> cold = label.cold(p);
@@ -88,8 +94,27 @@ std::vector<std::uint8_t> serialize_label(const LabelView& label) {
       append_double(out, hot[c].dist);
       append_double(out, hot[c].prefix);
     }
+    end_section();
   }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize_label(const LabelView& label) {
+  std::vector<std::uint8_t> out;
+  encode_label(label, out, nullptr);
   return out;
+}
+
+std::size_t serialized_bits(const LabelView& label) {
+  return serialize_label(label).size() * 8;
+}
+
+std::vector<std::size_t> serialized_section_bytes(const LabelView& label) {
+  std::vector<std::uint8_t> out;
+  std::vector<std::size_t> sections;
+  encode_label(label, out, &sections);
+  return sections;
 }
 
 DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes) {
@@ -140,31 +165,6 @@ DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes) {
   if (offset != bytes.size())
     throw std::runtime_error("trailing bytes after label");
   return label;
-}
-
-std::size_t serialized_bits(const LabelView& label) {
-  std::size_t bytes =
-      varint_size(label.vertex()) + varint_size(label.num_parts());
-  std::int32_t prev_node = 0;
-  std::int32_t prev_depth = 0;
-  for (std::size_t p = 0; p < label.num_parts(); ++p) {
-    const LabelPart& part = label.part(p);
-    bytes += varint_size(node_delta(part.node, prev_node));
-    prev_node = part.node;
-    bytes += varint_size(static_cast<std::uint64_t>(part.path()));
-    bytes += varint_size(node_delta(part.depth(), prev_depth));
-    prev_depth = part.depth();
-    const std::span<const ColdEntry> cold = label.cold(p);
-    bytes += varint_size(cold.size());
-    for (const ColdEntry& entry : cold) {
-      bytes += varint_size(entry.path_index);
-      bytes += varint_size(entry.next_hop == graph::kInvalidVertex
-                               ? 0
-                               : static_cast<std::uint64_t>(entry.next_hop) + 1);
-      bytes += 16;  // dist + prefix doubles
-    }
-  }
-  return bytes * 8;
 }
 
 }  // namespace pathsep::oracle

@@ -23,18 +23,16 @@ std::vector<std::uint8_t> serialize_label(const LabelView& label);
 /// Throws std::runtime_error on malformed input.
 DistanceLabel deserialize_label(std::span<const std::uint8_t> bytes);
 
-/// serialize_label(label).size() * 8 without materializing the buffer.
+/// serialize_label(label).size() * 8.
 std::size_t serialized_bits(const LabelView& label);
 
-// Exposed for tests and for the per-level byte accounting (obs/report).
+/// serialize_label(label).size() split by section: [0] is the header
+/// (vertex id and part count), [1 + p] is part p. The per-level byte
+/// accounting (obs/report) sums these.
+std::vector<std::size_t> serialized_section_bytes(const LabelView& label);
+
+// Exposed for tests.
 void append_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
-/// The varint-coded node delta of a part (its node id minus the previous
-/// part's, 0 before the first part), as a sign-extended 64-bit value; the
-/// depth delta that follows the path index is coded the same way.
-std::uint64_t node_delta(std::int32_t node, std::int32_t prev_node);
-/// Encoded size of append_varint(value) in bytes; the per-level byte
-/// accounting in obs/report.cpp replays the wire format with it.
-std::size_t varint_size(std::uint64_t value);
 std::uint64_t read_varint(std::span<const std::uint8_t> bytes,
                           std::size_t& offset);
 void append_double(std::vector<std::uint8_t>& out, double value);

@@ -8,11 +8,10 @@ namespace pathsep::separator {
 namespace {
 
 /// Labeled per-strategy counter: which finder AutoSeparator actually ran.
-inline void count_dispatch([[maybe_unused]] const char* strategy) {
-  PATHSEP_OBS_ONLY(obs::default_registry()
-                       .counter("separator_dispatch_total",
-                                {{"strategy", strategy}})
-                       .inc();)
+inline void count_dispatch(const char* strategy) {
+  obs::default_registry()
+      .counter("separator_dispatch_total", {{"strategy", strategy}})
+      .inc();
 }
 
 }  // namespace

@@ -12,11 +12,9 @@
 namespace pathsep::separator {
 
 ValidationReport validate(const Graph& g, const PathSeparator& s) {
-  PATHSEP_OBS_ONLY({
-    static obs::Counter& validations =
-        obs::default_registry().counter("separator_validations_total");
-    validations.inc();
-  })
+  static obs::Counter& validations =
+      obs::default_registry().counter("separator_validations_total");
+  validations.inc();
   PATHSEP_STAGE_TIMER("separator_validate_ns");
   ValidationReport report;
   report.path_count = s.path_count();

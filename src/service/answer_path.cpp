@@ -166,8 +166,7 @@ void AnswerPath::answer(const oracle::PathOracle& oracle, ResultCache* cache,
       slow.win_node = worst_stats.win_node;
       slow.win_level = worst_stats.win_level;
       slow.outcome = worst_outcome;
-      PATHSEP_OBS_ONLY(
-          slow.span_id = obs::commit_span("service.slow_query", t, t1);)
+      slow.span_id = obs::commit_span("service.slow_query", t, t1);
       slowlog_.record(slow);
     }
     t = t1;

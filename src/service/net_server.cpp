@@ -73,7 +73,12 @@ NetServer::NetServer(ShardedEngine& engine, NetServerOptions options)
       engine_ns_(&phase_histogram(engine, "engine")),
       encode_ns_(&phase_histogram(engine, "encode")),
       write_ns_(&phase_histogram(engine, "write")),
-      connections_open_(&engine.metrics().gauge("net_connections_open")) {}
+      connections_open_(&engine.metrics().gauge("net_connections_open")),
+      connections_accepted_(
+          &engine.metrics().counter("net_connections_accepted_total")),
+      protocol_errors_(&engine.metrics().counter("net_protocol_errors_total")),
+      bytes_in_(&engine.metrics().counter("net_bytes_in_total")),
+      bytes_out_(&engine.metrics().counter("net_bytes_out_total")) {}
 
 NetServer::~NetServer() { stop(); }
 
@@ -144,19 +149,6 @@ void NetServer::stop() {
   conns_.clear();
 }
 
-NetServer::Stats NetServer::stats() const {
-  Stats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_closed = connections_closed_.load(std::memory_order_relaxed);
-  s.frames_in = frames_in_.load(std::memory_order_relaxed);
-  s.queries_answered = queries_answered_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void NetServer::update_events(Conn& conn) {
   const bool want_in =
       !conn.peer_eof && conn.out.size() <= kMaxPendingOutput;
@@ -178,8 +170,7 @@ bool NetServer::flush_conn(Conn& conn) {
                MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
-      bytes_out_.fetch_add(static_cast<std::uint64_t>(n),
-                           std::memory_order_relaxed);
+      bytes_out_->inc(static_cast<std::uint64_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -203,8 +194,7 @@ bool NetServer::service_conn(Conn& conn) {
     const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
     if (n > 0) {
       conn.in.insert(conn.in.end(), chunk, chunk + n);
-      bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
-                          std::memory_order_relaxed);
+      bytes_in_->inc(static_cast<std::uint64_t>(n));
       continue;
     }
     if (n == 0) {
@@ -229,13 +219,10 @@ bool NetServer::service_conn(Conn& conn) {
         conn.in, offset, engine_.num_vertices(), request, conn.queries);
     if (status == wire::ParseStatus::kIncomplete) break;
     if (status == wire::ParseStatus::kMalformed) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      protocol_errors_->inc();
       return false;
     }
     offset += request.frame_bytes;
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    queries_answered_.fetch_add(conn.queries.size(),
-                                std::memory_order_relaxed);
     const std::uint64_t decoded = obs::window_now_ns();
     decode_ns_->record(decoded - t);
     conn.answers.resize(conn.queries.size());
@@ -264,7 +251,6 @@ void NetServer::close_conn(int fd) {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
       ::close(fd);
       conn.reset();
-      connections_closed_.fetch_add(1, std::memory_order_relaxed);
       connections_open_->sub(1);
       if (accept_paused_) resume_accepting();  // a descriptor just freed up
       return;
@@ -320,7 +306,6 @@ void NetServer::loop() {
       for (std::unique_ptr<Conn>& conn : conns_) {
         if (!conn) continue;
         ::close(conn->fd);
-        connections_closed_.fetch_add(1, std::memory_order_relaxed);
         connections_open_->sub(1);
         conn.reset();
       }
@@ -367,7 +352,7 @@ void NetServer::loop() {
           ev.events = EPOLLIN;
           ev.data.fd = client;
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client, &ev);
-          connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+          connections_accepted_->inc();
           connections_open_->add(1);
           // Reuse a freed table slot before growing the table.
           bool placed = false;
@@ -403,7 +388,6 @@ void NetServer::start() {
   throw std::runtime_error("NetServer requires Linux epoll");
 }
 void NetServer::stop() {}
-NetServer::Stats NetServer::stats() const { return {}; }
 void NetServer::loop() {}
 bool NetServer::service_conn(Conn&) { return false; }
 bool NetServer::flush_conn(Conn&) { return false; }

@@ -21,8 +21,14 @@
 // (parse and id check, ShardedEngine::query_batch_into, response encode),
 // and each read event that answered frames adds one phase="write" sample
 // (the flush of its responses). The readings are chained, so a read event
-// answering one frame costs five clock reads. The engine registry's
-// net_connections_open gauge counts the live connections.
+// answering one frame costs five clock reads.
+//
+// Counts: every serving count lives in the engine's registry. Frames are
+// the count of net_frame_phase_ns{phase="engine"} (one sample per answered
+// frame, empty ones included), queries the engine's queries_total. The
+// loop also keeps net_connections_accepted_total, the
+// net_connections_open gauge (closed = accepted - open),
+// net_protocol_errors_total and net_bytes_{in,out}_total.
 //
 // Descriptor exhaustion: when accept() fails for want of a file
 // descriptor or kernel memory (EMFILE, ENFILE, ENOBUFS, ENOMEM), the
@@ -35,7 +41,7 @@
 // answers every complete frame already buffered, flushes pending responses
 // for up to ~2 seconds, then closes everything and exits. A malformed frame
 // (bad length, or a vertex id the snapshot does not have) closes only the
-// offending connection (counted in protocol_errors).
+// offending connection (counted in net_protocol_errors_total).
 //
 // Linux-only (epoll + eventfd): on other platforms start() throws.
 #pragma once
@@ -84,17 +90,6 @@ class NetServer {
   std::uint16_t port() const { return port_; }
   const std::string& host() const { return options_.host; }
 
-  struct Stats {
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t connections_closed = 0;
-    std::uint64_t frames_in = 0;
-    std::uint64_t queries_answered = 0;
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t bytes_in = 0;
-    std::uint64_t bytes_out = 0;
-  };
-  Stats stats() const;
-
  private:
   struct Conn;
 
@@ -122,6 +117,11 @@ class NetServer {
   /// net_connections_open in the engine's registry: up on accept, down on
   /// close.
   obs::Gauge* connections_open_ = nullptr;
+  /// The engine registry's net_*_total counters (see the header).
+  obs::Counter* connections_accepted_ = nullptr;
+  obs::Counter* protocol_errors_ = nullptr;
+  obs::Counter* bytes_in_ = nullptr;
+  obs::Counter* bytes_out_ = nullptr;
   std::uint16_t port_ = 0;
 
   int listen_fd_ = -1;
@@ -137,15 +137,6 @@ class NetServer {
 
   // Connection table keyed by fd; touched only by the loop thread.
   std::vector<std::unique_ptr<Conn>> conns_;
-
-  // Counters are written by the loop thread, read by stats() callers.
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> queries_answered_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> bytes_in_{0};
-  std::atomic<std::uint64_t> bytes_out_{0};
 };
 
 }  // namespace pathsep::service

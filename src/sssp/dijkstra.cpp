@@ -51,7 +51,8 @@ void run(const Graph& g, std::span<const Vertex> sources,
   // Work counters live in locals (registers) during the loop and are
   // flushed once per run — to the workspace and to process-wide obs
   // counters — so accounting never touches shared state in the hot loop.
-  PATHSEP_OBS_ONLY(DijkstraWorkspace::WorkStats batch; batch.runs = 1;)
+  DijkstraWorkspace::WorkStats batch;
+  batch.runs = 1;
   for (std::uint32_t i = 0; i < sources.size(); ++i) {
     const Vertex s = sources[i];
     assert(s < n);
@@ -64,15 +65,15 @@ void run(const Graph& g, std::span<const Vertex> sources,
     if constexpr (kAnchors) ws.set_anchor(s, i);
     heap.push_back({0, s});
     std::push_heap(heap.begin(), heap.end(), heap_after);
-    PATHSEP_OBS_ONLY(++batch.heap_pushes;)
+    ++batch.heap_pushes;
   }
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), heap_after);
     const auto [d, v] = heap.back();
     heap.pop_back();
-    PATHSEP_OBS_ONLY(++batch.heap_pops;)
+    ++batch.heap_pops;
     if (d > ws.dist(v)) continue;  // stale entry
-    PATHSEP_OBS_ONLY(++batch.settled;)
+    ++batch.settled;
     if (d > radius) break;
     if (v == target) break;
     // v's distance and parent are final here, so once the last target
@@ -90,29 +91,28 @@ void run(const Graph& g, std::span<const Vertex> sources,
         if constexpr (kAnchors) ws.set_anchor(a.to, ws.anchor(v));
         heap.push_back({nd, a.to});
         std::push_heap(heap.begin(), heap.end(), heap_after);
-        PATHSEP_OBS_ONLY(++batch.relaxed; ++batch.heap_pushes;)
+        ++batch.relaxed;
+        ++batch.heap_pushes;
       }
     }
   }
-  PATHSEP_OBS_ONLY({
-    ws.record_work(batch);
-    using obs::Counter;
-    static Counter& runs =
-        obs::default_registry().counter("sssp_dijkstra_runs_total");
-    static Counter& settled =
-        obs::default_registry().counter("sssp_dijkstra_settled_total");
-    static Counter& relaxed =
-        obs::default_registry().counter("sssp_dijkstra_relaxed_total");
-    static Counter& pushes =
-        obs::default_registry().counter("sssp_dijkstra_heap_pushes_total");
-    static Counter& pops =
-        obs::default_registry().counter("sssp_dijkstra_heap_pops_total");
-    runs.inc();
-    settled.inc(batch.settled);
-    relaxed.inc(batch.relaxed);
-    pushes.inc(batch.heap_pushes);
-    pops.inc(batch.heap_pops);
-  })
+  ws.record_work(batch);
+  using obs::Counter;
+  static Counter& runs =
+      obs::default_registry().counter("sssp_dijkstra_runs_total");
+  static Counter& settled =
+      obs::default_registry().counter("sssp_dijkstra_settled_total");
+  static Counter& relaxed =
+      obs::default_registry().counter("sssp_dijkstra_relaxed_total");
+  static Counter& pushes =
+      obs::default_registry().counter("sssp_dijkstra_heap_pushes_total");
+  static Counter& pops =
+      obs::default_registry().counter("sssp_dijkstra_heap_pops_total");
+  runs.inc();
+  settled.inc(batch.settled);
+  relaxed.inc(batch.relaxed);
+  pushes.inc(batch.heap_pushes);
+  pops.inc(batch.heap_pops);
 }
 
 /// Legacy dense-output path: run in the thread's workspace, then export.

@@ -9,8 +9,8 @@
 // *proved* on every path at compile time, not just exercised by the TSan
 // matrix rows. Under GCC (and any compiler without the attribute system) all
 // macros expand to nothing and the wrappers compile down to plain
-// std::mutex / std::lock_guard / std::unique_lock — the -Werror release and
-// obsoff legs prove that expansion is clean.
+// std::mutex / std::lock_guard / std::unique_lock — the -Werror release
+// leg proves that expansion is clean.
 //
 // The vocabulary mirrors the attribute names Clang documents
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html), spelled with the

@@ -3,8 +3,7 @@
 // util::ThreadPool, exporter output shape (JSON and Prometheus text), the
 // zero-allocation guarantee of the hot recording path, and the OracleReport
 // byte accounting against oracle/serialize. Runs under the `obs` CTest label
-// in every matrix row, including TSan and the PATHSEP_OBS_DISABLED build
-// (assertions that need compiled-in instrumentation are #ifndef-guarded).
+// in every matrix row, TSan included.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -364,7 +363,7 @@ TEST(ObsReport, ByteAttributionMatchesSerializeExactly) {
   EXPECT_EQ(report.total_serialized_bytes, actual_bytes);
   EXPECT_EQ(attributed, actual_bytes);
 
-  // serialized_bits agrees too (it replays the same wire format).
+  // serialized_bits agrees too (it runs the same encoder).
   std::size_t bits = 0;
   for (graph::Vertex v = 0; v < oracle.num_vertices(); ++v)
     bits += oracle::serialized_bits(oracle.label(v));
@@ -389,8 +388,7 @@ TEST(ObsReport, ByteAttributionMatchesSerializeExactly) {
   EXPECT_NE(json.find("\"total_serialized_bytes\""), std::string::npos);
 }
 
-#ifndef PATHSEP_OBS_DISABLED
-// ---- Compiled-in instrumentation only --------------------------------------
+// ---- Instrumentation call sites --------------------------------------------
 
 TEST(ObsInstrumentation, ConstructionRecordsPipelineCounters) {
   const std::uint64_t runs_before =
@@ -500,7 +498,6 @@ TEST(ObsInstrumentation, DijkstraWorkStatsAccumulatePerWorkspace) {
   ws.reset_work();
   EXPECT_EQ(ws.work().runs, 0u);
 }
-#endif  // PATHSEP_OBS_DISABLED
 
 }  // namespace
 }  // namespace pathsep::obs

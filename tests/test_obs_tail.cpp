@@ -8,7 +8,7 @@
 // counter family must sum exactly to queries_total regardless of worker
 // count, with a chunk that spans window boundaries charging each timed unit
 // to the window it ended in. Labeled `obs`, so every row of the matrix — TSan
-// and the PATHSEP_OBS_DISABLED build included — runs it.
+// included — runs it.
 #include <gtest/gtest.h>
 
 #include <algorithm>

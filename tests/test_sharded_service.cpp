@@ -32,6 +32,7 @@
 
 #include "graph/generators.hpp"
 #include "hierarchy/decomposition_tree.hpp"
+#include "obs/export.hpp"
 #include "separator/finders.hpp"
 #include "service/net.hpp"
 #include "service/frame_table.hpp"
@@ -220,6 +221,48 @@ TEST(FrameTable, StaleClaimAcrossASlotReuseClaimsNothing) {
   table.finish(fresh, 200);
   EXPECT_EQ(second_remaining.load(), 0u);
   EXPECT_EQ(first_remaining.load(), 0u) << "the old caller's counter moved";
+}
+
+// F5 from the table's side: a bit that reached its owner before its frame
+// was published (the slot taken and bucketed, publish() not yet run) gives
+// a ticket that claims nothing, for a slot never used and for one whose
+// last frame completed alike. Once the frame is published, a ticket rebuilt
+// from any owner's claim word names it and claims every chunk of every
+// slice exactly once; the early ticket still claims nothing.
+TEST(FrameTable, TicketBeforePublishClaimsNothingAndAfterClaimsAll) {
+  constexpr std::size_t kOwners = 3;
+  constexpr std::size_t kSize = 200;
+  FrameTable table(/*slots=*/1, kOwners);
+  const auto owner_of = [](std::size_t i) { return i % kOwners; };
+  const std::vector<Query> queries(kSize, Query{1, 2});
+  std::vector<Weight> results(kSize);
+  FrameTable::Chunk chunk;
+  for (int use = 0; use < 2; ++use) {
+    std::atomic<std::uint32_t> remaining{kSize};
+    const int slot =
+        FrameTableTestPeer::open_unpublished(table, kSize, owner_of);
+    ASSERT_EQ(slot, 0);
+    const FrameTable::Ticket early = table.ticket(slot, 0);
+    for (std::size_t owner = 0; owner < kOwners; ++owner)
+      EXPECT_FALSE(table.claim(early, owner, chunk)) << "use " << use;
+
+    FrameTableTestPeer::publish(table, slot, queries, results.data(),
+                                &remaining);
+    EXPECT_FALSE(table.claim(early, 0, chunk)) << "use " << use;
+    // Owner 1's rebuilt ticket claims its own slice, then the others.
+    const FrameTable::Ticket fresh = table.ticket(slot, 1);
+    std::vector<int> claimed(kSize, 0);
+    for (std::size_t k = 1; k <= kOwners; ++k)
+      for (const std::uint32_t i : claim_all(table, fresh, k % kOwners)) {
+        ++claimed[i];
+        EXPECT_EQ(owner_of(i), k % kOwners);
+      }
+    EXPECT_EQ(std::count(claimed.begin(), claimed.end(), 1),
+              static_cast<std::ptrdiff_t>(kSize))
+        << "use " << use;
+    table.finish(fresh, kSize);
+    EXPECT_EQ(remaining.load(), 0u);
+  }
 }
 
 // Threads that each take the slot bits of their own pending word, rebuild
@@ -1087,34 +1130,34 @@ TEST(NetServer, RoundTripsBatchesOverLocalhost) {
   client.query_batch({}, distances);
   EXPECT_TRUE(distances.empty());
 
+  // The expected answers come from the oracle, so every query the engine
+  // counts came over the wire.
   const std::vector<Query> batch = mixed_workload(n, 300, 47);
-  const std::vector<Weight> expected = engine.query_batch(batch);
+  std::vector<Weight> expected;
+  for (const Query& q : batch) expected.push_back(snapshot->query(q.u, q.v));
   for (int frame = 0; frame < 5; ++frame) {
     client.query_batch(batch, distances);
     ASSERT_EQ(distances.size(), batch.size());
     EXPECT_EQ(fnv_digest(distances), fnv_digest(expected)) << frame;
   }
 
-  const NetServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.connections_accepted, 1u);
-  EXPECT_EQ(stats.frames_in, 6u);
-  EXPECT_EQ(stats.queries_answered, 5u * batch.size());
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_GT(stats.bytes_in, 0u);
-  EXPECT_GT(stats.bytes_out, 0u);
-
-  // One decode, engine and encode sample per frame, and one write sample
-  // per read event that answered frames.
+  // One decode, engine and encode sample per frame (the engine phase's
+  // count is the frame count), and one write sample per read event that
+  // answered frames.
+  constexpr std::uint64_t kFrames = 6;
   obs::MetricsRegistry& metrics = engine.metrics();
   for (const char* phase : {"decode", "engine", "encode"})
     EXPECT_EQ(metrics.histogram("net_frame_phase_ns", {{"phase", phase}})
                   .count(),
-              stats.frames_in)
+              kFrames)
         << phase;
   const std::uint64_t writes =
       metrics.histogram("net_frame_phase_ns", {{"phase", "write"}}).count();
   EXPECT_GE(writes, 1u);
-  EXPECT_LE(writes, stats.frames_in);
+  EXPECT_LE(writes, kFrames);
+  EXPECT_EQ(metrics.counter("queries_total").value(), 5u * batch.size());
+  EXPECT_EQ(metrics.counter("net_connections_accepted_total").value(), 1u);
+  EXPECT_EQ(metrics.counter("net_protocol_errors_total").value(), 0u);
   // The live connection count: one until the server closes it.
   const obs::Gauge& open = metrics.gauge("net_connections_open");
   EXPECT_EQ(open.value(), 1);
@@ -1123,6 +1166,12 @@ TEST(NetServer, RoundTripsBatchesOverLocalhost) {
   server.stop();
   EXPECT_FALSE(server.running());
   EXPECT_EQ(open.value(), 0);
+  // A request and its response are equally long: a header per frame and
+  // one entry per pair or distance. Read after stop(), which joins the loop.
+  const std::uint64_t wire_bytes =
+      kFrames * wire::kHeaderBytes + 5 * batch.size() * wire::kEntryBytes;
+  EXPECT_EQ(metrics.counter("net_bytes_in_total").value(), wire_bytes);
+  EXPECT_EQ(metrics.counter("net_bytes_out_total").value(), wire_bytes);
 }
 
 TEST(NetServer, PipelinedFramesComeBackInOrder) {
@@ -1179,7 +1228,12 @@ TEST(NetServer, MalformedFrameClosesOnlyThatConnection) {
   client.query_batch(std::vector<Query>{{0, 3}}, distances);
   ASSERT_EQ(distances.size(), 1u);
   EXPECT_EQ(distances[0], snapshot->query(0, 3));
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  // The error is exported where an operator reads it: --statsz=json.
+  const std::string statsz = obs::metrics_to_json(engine.metrics().snapshot());
+  EXPECT_NE(statsz.find("{\"name\": \"net_protocol_errors_total\", "
+                        "\"labels\": {}, \"value\": 1}"),
+            std::string::npos)
+      << statsz;
 }
 
 TEST(NetServer, OutOfRangeVertexIdClosesOnlyThatConnection) {
@@ -1221,8 +1275,8 @@ TEST(NetServer, OutOfRangeVertexIdClosesOnlyThatConnection) {
   ASSERT_EQ(distances.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i)
     EXPECT_EQ(distances[i], snapshot->query(batch[i].u, batch[i].v)) << i;
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
-  EXPECT_EQ(server.stats().queries_answered, batch.size());
+  EXPECT_EQ(engine.metrics().counter("net_protocol_errors_total").value(), 1u);
+  EXPECT_EQ(engine.metrics().counter("queries_total").value(), batch.size());
 }
 
 TEST(NetServer, NonReadingPeerIsBackpressured) {
@@ -1276,9 +1330,14 @@ TEST(NetServer, NonReadingPeerIsBackpressured) {
   // holds in its own buffers: at most the pending-output bound plus one
   // read's frames and their answers. The kernel's socket buffers hold
   // a few MiB more.
-  const NetServer::Stats stats = server.stats();
-  EXPECT_LT(stats.bytes_in, std::uint64_t{16} << 20);
-  EXPECT_LT(stats.bytes_in - stats.bytes_out, std::uint64_t{5} << 20);
+  // bytes_out is read first: both only grow, so in - out stays an upper
+  // bound of what the server holds.
+  const std::uint64_t bytes_out =
+      engine.metrics().counter("net_bytes_out_total").value();
+  const std::uint64_t bytes_in =
+      engine.metrics().counter("net_bytes_in_total").value();
+  EXPECT_LT(bytes_in, std::uint64_t{16} << 20);
+  EXPECT_LT(bytes_in - bytes_out, std::uint64_t{5} << 20);
 
   // The event loop is not stuck on the full connection: a second one is
   // still answered.
@@ -1314,8 +1373,10 @@ TEST(NetServer, FramesSplitAtEveryByteAnswerLikeWholeFrames) {
   const std::vector<Query> batch = mixed_workload(n, 5, 67);
   std::vector<std::uint8_t> frame;
   wire::append_request(frame, 77, batch);
+  std::vector<Weight> answers;
+  for (const Query& q : batch) answers.push_back(snapshot->query(q.u, q.v));
   std::vector<std::uint8_t> expected;
-  wire::append_response(expected, 77, engine.query_batch(batch));
+  wire::append_response(expected, 77, answers);
   ASSERT_EQ(expected.size(), frame.size());
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -1362,10 +1423,14 @@ TEST(NetServer, FramesSplitAtEveryByteAnswerLikeWholeFrames) {
   for (std::size_t at = 0; at < frame.size(); ++at) send_piece(at, at + 1);
   read_response("one byte per send");
 
-  const NetServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_EQ(stats.frames_in, frame.size());  // frame.size() - 1 splits + 1
-  EXPECT_EQ(stats.queries_answered, frame.size() * batch.size());
+  obs::MetricsRegistry& metrics = engine.metrics();
+  EXPECT_EQ(metrics.counter("net_protocol_errors_total").value(), 0u);
+  // frame.size() - 1 splits + 1 frame sent a byte at a time.
+  EXPECT_EQ(metrics.histogram("net_frame_phase_ns", {{"phase", "engine"}})
+                .count(),
+            frame.size());
+  EXPECT_EQ(metrics.counter("queries_total").value(),
+            frame.size() * batch.size());
   ::close(fd);
   server.stop();
 }
@@ -1453,17 +1518,18 @@ TEST(NetServer, DescriptorExhaustionIdlesUntilAConnectionCloses) {
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   const double cpu_used = process_cpu_seconds() - cpu_before;
   EXPECT_LT(cpu_used, 0.1) << "the accept loop spins at EMFILE";
-  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  const obs::Counter& accepted =
+      engine.metrics().counter("net_connections_accepted_total");
+  EXPECT_EQ(accepted.value(), 1u);
 
   // Closing the first client frees the server's descriptor for it, so the
   // pending client is accepted and served.
   first.close();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.stats().connections_accepted < 2 &&
-         std::chrono::steady_clock::now() < deadline)
+  while (accepted.value() < 2 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_EQ(server.stats().connections_accepted, 2u);
+  ASSERT_EQ(accepted.value(), 2u);
   second.query_batch(std::vector<Query>{{3, 4}}, distances);
   ASSERT_EQ(distances.size(), 1u);
   EXPECT_EQ(distances[0], snapshot->query(3, 4));
