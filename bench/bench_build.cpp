@@ -1,9 +1,11 @@
-// E15 — end-to-end construction throughput of the parallel pipeline.
+// E17 — end-to-end construction throughput of the parallel pipeline.
 //
 // Measures decomposition-tree build plus label build across thread counts on
 // the two heaviest families (grid, planar triangulation), records wall-clock
 // seconds — with the label build split into its connection-computation and
-// label-assembly stages so regressions are attributable — and hashes the
+// label-assembly stages so regressions are attributable, and the connection
+// stage divided by the Dijkstra settles it made (wall ns per settle) — and
+// hashes the
 // serialized labels per thread count to demonstrate the determinism
 // guarantee: every thread count must produce the same digest (enforced with
 // --require-equal-digests, which exits non-zero on any mismatch). Results go
@@ -11,7 +13,8 @@
 // the repo record, stamped with the git sha and build type, each row with
 // the host's CPU steal over its window (/proc/stat; -1 where unmeasured).
 // Each row sets the process-wide thread budget (util::set_threads), so a
-// row of N threads runs on at most N cores.
+// row of N threads runs on at most N cores, and builds kRepeats times: its
+// times are medians, with the min and max of conn_s beside them.
 //
 // Usage:
 //   bench_build [--out=BENCH_build.json] [--grid-side=320] [--planar-n=60000]
@@ -22,6 +25,7 @@
 // --big-grid-side adds a large perturbed-grid instance (side 1024 = 1,048,576
 // vertices) measured only at the --big-threads counts, so the million-vertex
 // record does not multiply the whole default thread sweep.
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
@@ -33,6 +37,7 @@
 
 #include "common.hpp"
 #include "git_sha.h"  // PATHSEP_GIT_SHA, written at build time
+#include "obs/metrics.hpp"
 #include "oracle/labels.hpp"
 #include "oracle/serialize.hpp"
 #include "util/args.hpp"
@@ -52,18 +57,65 @@ std::uint64_t label_digest(const oracle::LabelArena& labels) {
   return h;
 }
 
-struct Run {
-  std::string family;
-  std::size_t n = 0;
-  std::size_t threads = 0;
+/// Builds per row; the row reports each time's median over them.
+constexpr std::size_t kRepeats = 3;
+
+/// One tree + label build.
+struct Build {
   double tree_seconds = 0;
   double label_seconds = 0;
   double connections_seconds = 0;  ///< projections + portal Dijkstras
   double assemble_seconds = 0;     ///< per-vertex label assembly
+  std::uint64_t settled = 0;       ///< Dijkstra settles of the label build
+  std::uint64_t digest = 0;
+};
+
+/// One table row: kRepeats builds at one thread budget.
+struct Run {
+  std::string family;
+  std::size_t n = 0;
+  std::size_t threads = 0;
+  double tree_seconds = 0;         ///< medians over the row's builds
+  double label_seconds = 0;
+  double connections_seconds = 0;
+  double connections_min = 0;
+  double connections_max = 0;
+  double assemble_seconds = 0;
+  std::uint64_t settled = 0;       ///< same in every build (checked)
+  double ns_per_settle = 0;        ///< median conn_s / settled, wall ns
   double speedup = 0;  ///< total vs the threads=1 total of the same family
   double steal_pct = 0;  ///< host steal over the row's window (StealWindow)
   std::uint64_t digest = 0;
+  bool consistent = true;  ///< every build had the same digest and settles
 };
+
+Build build_once(const Instance& inst, double epsilon) {
+  static const obs::Counter& settled =
+      obs::default_registry().counter("sssp_dijkstra_settled_total");
+  Build b;
+  util::Timer timer;
+  const hierarchy::DecompositionTree tree(inst.graph, *inst.finder);
+  b.tree_seconds = timer.elapsed_seconds();
+
+  const std::uint64_t settled_before = settled.value();
+  timer.reset();
+  oracle::BuildLabelsStats stats;
+  const auto labels = oracle::build_labels(tree, epsilon, &stats);
+  b.label_seconds = timer.elapsed_seconds();
+  b.settled = settled.value() - settled_before;
+  b.connections_seconds = stats.connections_seconds;
+  b.assemble_seconds = stats.assemble_seconds;
+  b.digest = label_digest(labels);
+  return b;
+}
+
+double median_of(std::vector<Build>& builds, double Build::*field) {
+  std::sort(builds.begin(), builds.end(),
+            [field](const Build& a, const Build& b) {
+              return a.*field < b.*field;
+            });
+  return builds[builds.size() / 2].*field;
+}
 
 Run measure(const Instance& inst, std::size_t threads, double epsilon) {
   Run run;
@@ -73,18 +125,23 @@ Run measure(const Instance& inst, std::size_t threads, double epsilon) {
 
   util::set_threads(threads);
   const StealWindow steal;
-  util::Timer timer;
-  const hierarchy::DecompositionTree tree(inst.graph, *inst.finder);
-  run.tree_seconds = timer.elapsed_seconds();
-
-  timer.reset();
-  oracle::BuildLabelsStats stats;
-  const auto labels = oracle::build_labels(tree, epsilon, &stats);
-  run.label_seconds = timer.elapsed_seconds();
-  run.connections_seconds = stats.connections_seconds;
-  run.assemble_seconds = stats.assemble_seconds;
+  std::vector<Build> builds;
+  for (std::size_t i = 0; i < kRepeats; ++i)
+    builds.push_back(build_once(inst, epsilon));
   run.steal_pct = steal.pct();
-  run.digest = label_digest(labels);
+  run.digest = builds.front().digest;
+  run.settled = builds.front().settled;
+  for (const Build& b : builds)
+    run.consistent = run.consistent && b.digest == run.digest &&
+                     b.settled == run.settled;
+  run.tree_seconds = median_of(builds, &Build::tree_seconds);
+  run.label_seconds = median_of(builds, &Build::label_seconds);
+  run.assemble_seconds = median_of(builds, &Build::assemble_seconds);
+  run.connections_seconds = median_of(builds, &Build::connections_seconds);
+  run.connections_min = builds.front().connections_seconds;  // sorted by it
+  run.connections_max = builds.back().connections_seconds;
+  run.ns_per_settle =
+      run.settled > 0 ? 1e9 * run.connections_seconds / run.settled : 0;
   return run;
 }
 
@@ -127,7 +184,7 @@ int run_main(const util::Args& args) {
   const bool require_equal_digests = args.get_bool("require-equal-digests");
   args.reject_unused("bench_build");
 
-  section("E15", "end-to-end construction: tree + labels vs thread count");
+  section("E17", "end-to-end construction: tree + labels vs thread count");
   std::printf("hardware_concurrency=%u default_threads=%zu build=%s sha=%s\n",
               std::thread::hardware_concurrency(), util::default_threads(),
               PATHSEP_BUILD_TYPE, PATHSEP_GIT_SHA);
@@ -141,8 +198,9 @@ int run_main(const util::Args& args) {
     plan.emplace_back(make_grid(big_grid_side), &big_thread_counts);
 
   util::TableWriter table(
-      {"family", "n", "threads", "tree_s", "conn_s", "asm_s", "labels_s",
-       "total_s", "speedup", "digest"});
+      {"family", "n", "threads", "tree_s", "conn_s", "conn_min", "conn_max",
+       "asm_s", "labels_s", "total_s", "speedup", "settled", "ns/settle",
+       "digest"});
   std::vector<Run> runs;
   for (const auto& [inst, counts] : plan) {
     double serial_total = 0;
@@ -155,9 +213,13 @@ int run_main(const util::Args& args) {
                      std::to_string(run.threads),
                      util::strf("%.3f", run.tree_seconds),
                      util::strf("%.3f", run.connections_seconds),
+                     util::strf("%.3f", run.connections_min),
+                     util::strf("%.3f", run.connections_max),
                      util::strf("%.3f", run.assemble_seconds),
                      util::strf("%.3f", run.label_seconds),
                      util::strf("%.3f", total), util::strf("%.2f", run.speedup),
+                     std::to_string(run.settled),
+                     util::strf("%.1f", run.ns_per_settle),
                      util::strf("%016llx",
                                 static_cast<unsigned long long>(run.digest))});
       runs.push_back(run);
@@ -165,11 +227,18 @@ int run_main(const util::Args& args) {
   }
   table.print(std::cout);
 
-  // Determinism cross-check: within one (family, n) instance every thread
-  // count must hash to the same bytes.
+  // Determinism cross-check: within one (family, n) instance every build at
+  // every thread count must hash to the same bytes.
   bool digests_match = true;
   std::map<std::pair<std::string, std::size_t>, std::uint64_t> first_digest;
   for (const Run& r : runs) {
+    if (!r.consistent) {
+      digests_match = false;
+      std::fprintf(stderr,
+                   "repeat mismatch: %s n=%zu threads=%zu builds differ in "
+                   "digest or settles\n",
+                   r.family.c_str(), r.n, r.threads);
+    }
     const auto key = std::make_pair(r.family, r.n);
     const auto [it, inserted] = first_digest.emplace(key, r.digest);
     if (!inserted && it->second != r.digest) {
@@ -189,14 +258,19 @@ int run_main(const util::Args& args) {
       << ",\n  \"build_type\": \"" << PATHSEP_BUILD_TYPE << "\""
       << ",\n  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n  \"default_threads\": " << util::default_threads()
+      << ",\n  \"repeats\": " << kRepeats
       << ",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
     out << "    {\"family\": \"" << r.family << "\", \"n\": " << r.n
         << ", \"threads\": " << r.threads << ", \"tree_seconds\": "
         << r.tree_seconds << ", \"connections_seconds\": "
-        << r.connections_seconds << ", \"assemble_seconds\": "
+        << r.connections_seconds << ", \"connections_seconds_min\": "
+        << r.connections_min << ", \"connections_seconds_max\": "
+        << r.connections_max << ", \"assemble_seconds\": "
         << r.assemble_seconds << ", \"label_seconds\": " << r.label_seconds
+        << ", \"settled\": " << r.settled << ", \"ns_per_settle\": "
+        << util::strf("%.1f", r.ns_per_settle)
         << ", \"speedup_vs_first\": " << r.speedup
         << ", \"steal_pct\": " << util::strf("%.1f", r.steal_pct)
         << ", \"label_digest\": \""

@@ -29,33 +29,28 @@ Vertex cover_sweep(const Graph& g, Vertex source,
                    const std::vector<char>& wanted,
                    sssp::DijkstraWorkspace& ws) {
   ws.begin(g.num_vertices());
-  auto& heap = ws.heap();
-  auto later = [](const sssp::DijkstraWorkspace::HeapEntry& a,
-                  const sssp::DijkstraWorkspace::HeapEntry& b) {
-    if (a.dist != b.dist) return a.dist > b.dist;
-    return a.v > b.v;
-  };
+  sssp::RadixQueue& queue = ws.queue();
   ws.update(source, 0, graph::kInvalidVertex);
-  heap.push_back({0, source});
+  queue.push(0, source);
 
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const sssp::DijkstraWorkspace::HeapEntry top = heap.back();
-    heap.pop_back();
-    if (top.dist != ws.dist(top.v)) continue;  // stale entry
-    if (wanted[top.v] && top.v != source) return top.v;
-    for (const graph::Arc& arc : g.neighbors(top.v)) {
+  while (!queue.empty()) {
+    const auto [d, v] = queue.pop();
+    if (d != ws.dist(v)) continue;  // stale entry
+    if (wanted[v] && v != source) return v;
+    for (const graph::Arc& arc : g.neighbors(v)) {
       if (!removed.empty() && removed[arc.to]) continue;
-      const Weight next = top.dist + arc.weight;
+      const Weight next = d + arc.weight;
       const Weight old = ws.dist(arc.to);
       if (next < old) {
-        ws.update(arc.to, next, top.v);
-        heap.push_back({next, arc.to});
-        std::push_heap(heap.begin(), heap.end(), later);
-      } else if (next == old && top.v < ws.parent(arc.to)) {
-        // Canonical shortest-path tree: equal-cost parents break toward the
-        // smaller id, matching sssp::dijkstra's rule.
-        ws.update(arc.to, next, top.v);
+        ws.update(arc.to, next, v);
+        queue.push(next, arc.to);
+      } else if (next == old && v < ws.parent(arc.to)) {
+        // Canonical tree: equal-cost parents break toward the smaller id.
+        // sssp::dijkstra keeps the equal-cost predecessor that settles
+        // first instead; the two rules agree only when those predecessors
+        // share a distance (as on unit-weight graphs), because the queue
+        // settles equal distances in id order.
+        ws.update(arc.to, next, v);
       }
     }
   }

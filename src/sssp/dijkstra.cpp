@@ -14,17 +14,12 @@ namespace pathsep::sssp {
 
 namespace {
 
-// Min-heap over (dist, vertex) with a total order: ties on distance break
-// toward the smaller vertex id, so settle order — and therefore parent
-// choices on equal-length paths — is canonical and independent of thread
-// count or workspace history.
-bool heap_after(const DijkstraWorkspace::HeapEntry& a,
-                const DijkstraWorkspace::HeapEntry& b) {
-  return a.dist > b.dist || (a.dist == b.dist && a.v > b.v);
-}
-
-/// The one Dijkstra loop. Settles into `ws` (lazy-reset arrays, reused heap);
-/// allocation-free once the workspace has grown to the graph size.
+/// The one Dijkstra loop. Settles into `ws` (lazy-reset arrays, reused radix
+/// queue); allocation-free once the workspace has grown to the graph size.
+/// The queue pops in (dist, id) order: ties on distance break toward the
+/// smaller vertex id, so settle order — and therefore parent choices on
+/// equal-length paths — is canonical and independent of thread count or
+/// workspace history.
 ///
 /// kAnchors additionally propagates the nearest-source index through the
 /// shortest-path tree (ws.anchor); with the smaller-id tie-break the anchors
@@ -47,7 +42,7 @@ void run(const Graph& g, std::span<const Vertex> sources,
   ws.begin(n);
   if constexpr (kAnchors) ws.enable_anchors();
   if constexpr (kReached) ws.enable_reached_list();
-  std::vector<DijkstraWorkspace::HeapEntry>& heap = ws.heap();
+  RadixQueue& queue = ws.queue();
   // Work counters live in locals (registers) during the loop and are
   // flushed once per run — to the workspace and to process-wide obs
   // counters — so accounting never touches shared state in the hot loop.
@@ -63,14 +58,11 @@ void run(const Graph& g, std::span<const Vertex> sources,
     else
       ws.update(s, 0, graph::kInvalidVertex);
     if constexpr (kAnchors) ws.set_anchor(s, i);
-    heap.push_back({0, s});
-    std::push_heap(heap.begin(), heap.end(), heap_after);
+    queue.push(0, s);
     ++batch.heap_pushes;
   }
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_after);
-    const auto [d, v] = heap.back();
-    heap.pop_back();
+  while (!queue.empty()) {
+    const auto [d, v] = queue.pop();
     ++batch.heap_pops;
     if (d > ws.dist(v)) continue;  // stale entry
     ++batch.settled;
@@ -89,8 +81,7 @@ void run(const Graph& g, std::span<const Vertex> sources,
         else
           ws.update(a.to, nd, v);
         if constexpr (kAnchors) ws.set_anchor(a.to, ws.anchor(v));
-        heap.push_back({nd, a.to});
-        std::push_heap(heap.begin(), heap.end(), heap_after);
+        queue.push(nd, a.to);
         ++batch.relaxed;
         ++batch.heap_pushes;
       }

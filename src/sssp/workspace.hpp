@@ -6,8 +6,8 @@
 // oracle build — those clears dominate once the per-run settled set is small.
 // DijkstraWorkspace keeps the arrays alive across runs and resets them in
 // O(1) with an epoch stamp: a slot is valid only when its stamp matches the
-// current run's epoch, so `begin()` just bumps the epoch. The binary heap's
-// backing vector is reused too, so a steady-state run allocates nothing.
+// current run's epoch, so `begin()` just bumps the epoch. The radix queue's
+// buckets are reused too, so a steady-state run allocates nothing.
 //
 // Results live in the workspace until the next run on it. The per-thread
 // instance behind `thread_workspace()` gives every construction worker its
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sssp/radix_queue.hpp"
 
 namespace pathsep::sssp {
 
@@ -40,7 +41,7 @@ class DijkstraWorkspace {
       dist_.resize(n);
       parent_.resize(n);
     }
-    heap_.clear();
+    queue_.clear();
   }
 
   /// Records the tentative distance/parent of v in the current run.
@@ -132,16 +133,13 @@ class DijkstraWorkspace {
     return v < target_stamp_.size() && target_stamp_[v] == target_epoch_;
   }
 
-  /// Reusable binary-heap storage for the Dijkstra runner (cleared by
-  /// begin()); not meaningful to other callers.
-  struct HeapEntry {
-    Weight dist;
-    Vertex v;
-  };
-  std::vector<HeapEntry>& heap() { return heap_; }
+  /// The run's priority queue, emptied by begin(): pops in (dist, id)
+  /// order, so settle order — and every parent choice on equal-length
+  /// paths — is canonical.
+  RadixQueue& queue() { return queue_; }
 
   /// Lifetime totals of the Dijkstra work routed through this workspace.
-  /// The runner adds one batch per run (never per heap operation), so
+  /// The runner adds one batch per run (never per queue operation), so
   /// accounting stays off the inner loop; obs counters mirror these
   /// per-process. Plain (non-atomic) on purpose — a workspace is owned by
   /// one thread.
@@ -149,8 +147,8 @@ class DijkstraWorkspace {
     std::uint64_t runs = 0;
     std::uint64_t settled = 0;     ///< pops accepted (not stale)
     std::uint64_t relaxed = 0;     ///< edge relaxations that improved a dist
-    std::uint64_t heap_pushes = 0;
-    std::uint64_t heap_pops = 0;
+    std::uint64_t heap_pushes = 0;  ///< queue inserts
+    std::uint64_t heap_pops = 0;    ///< queue extracts, stale ones included
   };
   const WorkStats& work() const { return work_; }
   void record_work(const WorkStats& batch) {
@@ -167,7 +165,7 @@ class DijkstraWorkspace {
   std::vector<Vertex> parent_;
   std::vector<std::uint64_t> stamp_;  ///< slot valid iff stamp_[v] == epoch_
   std::uint64_t epoch_ = 0;           ///< 0 = never used; begin() pre-increments
-  std::vector<HeapEntry> heap_;
+  RadixQueue queue_;
   std::size_t n_ = 0;
   WorkStats work_;
   std::vector<std::uint32_t> anchor_;        ///< nearest-source index channel

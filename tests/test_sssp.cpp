@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <span>
+
 #include "graph/generators.hpp"
 #include "sssp/alt.hpp"
 #include "sssp/apsp.hpp"
@@ -356,6 +360,269 @@ TEST(Workspace, UnreachedVerticesReadAsInfinite) {
 
 TEST(Workspace, ThreadWorkspaceIsPerThreadSingleton) {
   EXPECT_EQ(&thread_workspace(), &thread_workspace());
+}
+
+// ---- settle order ----------------------------------------------------------
+// The runner's radix queue must pop in exactly the order of a binary heap on
+// (dist, id): every distance, parent, anchor, reached-list position and work
+// counter follows from that order. The reference below is such a heap loop,
+// kept as the spec; each case runs it beside the real entry point and
+// compares everything bit for bit.
+
+struct ReferenceRun {
+  std::vector<Weight> dist;
+  std::vector<Vertex> parent;
+  std::vector<std::uint32_t> anchor;
+  std::vector<Vertex> reached;  ///< first-touch order
+  DijkstraWorkspace::WorkStats work;
+};
+
+struct ReferenceQuery {
+  std::span<const Vertex> sources;
+  const std::vector<bool>* removed = nullptr;
+  std::span<const Vertex> targets = {};
+  Weight radius = graph::kInfiniteWeight;
+  Vertex target = graph::kInvalidVertex;
+};
+
+ReferenceRun binary_heap_dijkstra(const Graph& g, const ReferenceQuery& q) {
+  const std::size_t n = g.num_vertices();
+  ReferenceRun r;
+  r.dist.assign(n, graph::kInfiniteWeight);
+  r.parent.assign(n, graph::kInvalidVertex);
+  r.anchor.assign(n, UINT32_MAX);
+  r.work.runs = 1;
+  std::vector<char> is_target(n, 0);
+  std::size_t targets_remaining = 0;
+  for (const Vertex t : q.targets)
+    if (is_target[t] == 0) {
+      is_target[t] = 1;
+      ++targets_remaining;
+    }
+  struct Item {
+    Weight dist;
+    Vertex v;
+  };
+  const auto after = [](const Item& a, const Item& b) {
+    return a.dist > b.dist || (a.dist == b.dist && a.v > b.v);
+  };
+  std::vector<Item> heap;
+  const auto touch = [&](Vertex v, Weight d, Vertex parent, std::uint32_t a) {
+    if (r.dist[v] == graph::kInfiniteWeight) r.reached.push_back(v);
+    r.dist[v] = d;
+    r.parent[v] = parent;
+    r.anchor[v] = a;
+    heap.push_back({d, v});
+    std::push_heap(heap.begin(), heap.end(), after);
+    ++r.work.heap_pushes;
+  };
+  for (std::uint32_t i = 0; i < q.sources.size(); ++i)
+    if (r.dist[q.sources[i]] != 0)
+      touch(q.sources[i], 0, graph::kInvalidVertex, i);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const Item top = heap.back();
+    heap.pop_back();
+    ++r.work.heap_pops;
+    if (top.dist > r.dist[top.v]) continue;
+    ++r.work.settled;
+    if (top.dist > q.radius || top.v == q.target) break;
+    if (targets_remaining > 0 && is_target[top.v] != 0 &&
+        --targets_remaining == 0)
+      break;
+    for (const graph::Arc& a : g.neighbors(top.v)) {
+      if (q.removed && (*q.removed)[a.to]) continue;
+      const Weight nd = top.dist + a.weight;
+      if (nd < r.dist[a.to]) {
+        touch(a.to, nd, top.v, r.anchor[top.v]);
+        ++r.work.relaxed;
+      }
+    }
+  }
+  return r;
+}
+
+DijkstraWorkspace::WorkStats work_since(const DijkstraWorkspace::WorkStats& a,
+                                        const DijkstraWorkspace::WorkStats& b) {
+  return {b.runs - a.runs, b.settled - a.settled, b.relaxed - a.relaxed,
+          b.heap_pushes - a.heap_pushes, b.heap_pops - a.heap_pops};
+}
+
+void expect_same_work(const DijkstraWorkspace::WorkStats& got,
+                      const DijkstraWorkspace::WorkStats& want) {
+  EXPECT_EQ(got.runs, want.runs);
+  EXPECT_EQ(got.settled, want.settled);
+  EXPECT_EQ(got.relaxed, want.relaxed);
+  EXPECT_EQ(got.heap_pushes, want.heap_pushes);
+  EXPECT_EQ(got.heap_pops, want.heap_pops);
+}
+
+/// Distances compared as bit patterns: "equal" must mean the same double.
+void expect_same_tree(const DijkstraWorkspace& ws, const ReferenceRun& ref) {
+  std::size_t dist_diffs = 0, parent_diffs = 0;
+  for (Vertex v = 0; v < ref.dist.size(); ++v) {
+    if (std::bit_cast<std::uint64_t>(ws.dist(v)) !=
+        std::bit_cast<std::uint64_t>(ref.dist[v]))
+      ++dist_diffs;
+    if (ws.parent(v) != ref.parent[v]) ++parent_diffs;
+  }
+  EXPECT_EQ(dist_diffs, 0u);
+  EXPECT_EQ(parent_diffs, 0u);
+}
+
+/// Every entry point the runner serves, on one graph and source set, against
+/// the reference: plain, masked, projected (anchors + reached list), target
+/// set, radius stop and point-to-point.
+void expect_settle_order_matches(const Graph& g,
+                                 std::span<const Vertex> sources,
+                                 const std::vector<bool>& removed,
+                                 std::span<const Vertex> targets,
+                                 Weight radius) {
+  DijkstraWorkspace ws;
+  const auto run = [&](const ReferenceQuery& q, auto&& call) {
+    const DijkstraWorkspace::WorkStats before = ws.work();
+    call();
+    const ReferenceRun ref = binary_heap_dijkstra(g, q);
+    expect_same_tree(ws, ref);
+    expect_same_work(work_since(before, ws.work()), ref.work);
+    return ref;
+  };
+  {
+    SCOPED_TRACE("dijkstra");
+    run({sources}, [&] { dijkstra(g, sources, ws); });
+  }
+  {
+    SCOPED_TRACE("dijkstra_masked");
+    run({sources, &removed},
+        [&] { dijkstra_masked(g, sources, removed, ws); });
+  }
+  {
+    SCOPED_TRACE("dijkstra_project");
+    const ReferenceRun ref =
+        run({sources, &removed},
+            [&] { dijkstra_project(g, sources, removed, ws); });
+    std::size_t anchor_diffs = 0;
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      if (ws.reached(v) && ws.anchor(v) != ref.anchor[v]) ++anchor_diffs;
+    EXPECT_EQ(anchor_diffs, 0u);
+    const std::span<const Vertex> reached = ws.reached_list();
+    EXPECT_TRUE(std::equal(reached.begin(), reached.end(), ref.reached.begin(),
+                           ref.reached.end()));
+  }
+  {
+    SCOPED_TRACE("dijkstra_masked_until");
+    run({sources, &removed, targets},
+        [&] { dijkstra_masked_until(g, sources, removed, targets, ws); });
+  }
+  DijkstraWorkspace& tws = thread_workspace();
+  {
+    SCOPED_TRACE("dijkstra_bounded");
+    const DijkstraWorkspace::WorkStats before = tws.work();
+    const ShortestPaths sp = dijkstra_bounded(g, sources[0], radius);
+    const ReferenceQuery q{sources.first(1), nullptr, {}, radius};
+    const ReferenceRun ref = binary_heap_dijkstra(g, q);
+    EXPECT_EQ(sp.dist, ref.dist);
+    EXPECT_EQ(sp.parent, ref.parent);
+    expect_same_work(work_since(before, tws.work()), ref.work);
+  }
+  {
+    SCOPED_TRACE("distance");
+    const Vertex t = targets.back();
+    const DijkstraWorkspace::WorkStats before = tws.work();
+    const Weight d = distance(g, sources[0], t);
+    const ReferenceQuery q{sources.first(1), nullptr, {},
+                           graph::kInfiniteWeight, t};
+    const ReferenceRun ref = binary_heap_dijkstra(g, q);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d),
+              std::bit_cast<std::uint64_t>(ref.dist[t]));
+    expect_same_work(work_since(before, tws.work()), ref.work);
+  }
+}
+
+struct SettleCase {
+  const char* name;
+  Graph graph;
+  std::size_t num_sources;
+};
+
+std::vector<Vertex> spread(std::size_t n, std::size_t count, util::Rng& rng) {
+  std::vector<Vertex> out;
+  for (std::size_t i = 0; i < count; ++i)
+    out.push_back(static_cast<Vertex>(rng.next_below(n)));
+  return out;  // duplicates kept on purpose: the runner must skip them
+}
+
+TEST(SettleOrder, RadixQueueMatchesBinaryHeapOnEveryEntryPoint) {
+  util::Rng wrng(17);
+  std::vector<SettleCase> cases;
+  cases.push_back({"unit grid", graph::grid(48, 48).graph, 1});
+  cases.push_back({"integer grid",
+                   graph::grid(40, 40, graph::WeightSpec::uniform_int(1, 10),
+                               &wrng).graph,
+                   3});
+  cases.push_back({"real grid",
+                   graph::grid(40, 40, graph::WeightSpec::uniform_real(0.1, 9.0),
+                               &wrng).graph,
+                   3});
+  cases.push_back({"unit triangulated grid",
+                   graph::triangulated_grid(40, 40).graph, 2});
+  cases.push_back({"integer triangulated grid",
+                   graph::triangulated_grid(
+                       36, 36, graph::WeightSpec::uniform_int(1, 4), &wrng)
+                       .graph,
+                   5});
+  // Thousands of projection sources start in one key-0 batch.
+  cases.push_back({"unit grid, 1200 sources", graph::grid(60, 60).graph, 1200});
+  cases.push_back({"real grid, 1500 sources",
+                   graph::grid(50, 50, graph::WeightSpec::uniform_real(0.5, 2.0),
+                               &wrng).graph,
+                   1500});
+  for (const SettleCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::size_t n = c.graph.num_vertices();
+    util::Rng rng(n + c.num_sources);
+    const std::vector<Vertex> sources = spread(n, c.num_sources, rng);
+    std::vector<bool> removed(n, false);
+    for (std::size_t i = 0; i < n / 9; ++i)
+      removed[static_cast<Vertex>(rng.next_below(n))] = true;
+    for (const Vertex s : sources) removed[s] = false;
+    const std::vector<Vertex> targets = spread(n, 6, rng);
+    const ReferenceRun full = binary_heap_dijkstra(c.graph, {sources});
+    const Weight radius = full.dist[targets[0]] * 0.5;
+    expect_settle_order_matches(c.graph, sources, removed, targets, radius);
+  }
+}
+
+TEST(SettleOrder, VanishingWeightsJoinTheBatchInIdOrder) {
+  // 1.0 + 1e-300 == 1.0, so 8, 2 and 1 are queued at the key being popped.
+  // 8 arrives above the batch's smallest id (6), so the batch must re-sort
+  // before its next pop; 2 then joins below 8 and settles before it.
+  GraphBuilder b(10);
+  b.add_edge(0, 3, 1.0);
+  b.add_edge(0, 6, 1.0);
+  b.add_edge(3, 8, 1e-300);
+  b.add_edge(8, 1, 1e-300);
+  b.add_edge(6, 2, 1e-300);
+  b.add_edge(8, 2, 1e-300);
+  b.add_edge(1, 9, 2.0);
+  b.add_edge(2, 9, 2.0);
+  b.add_edge(0, 5, 3.0);
+  b.add_edge(5, 4, 1e-300);
+  const Graph g = std::move(b).build();
+  ASSERT_EQ(1.0 + 1e-300, 1.0);
+  const Vertex sources[] = {0};
+  const std::vector<bool> none(g.num_vertices(), false);
+  const Vertex targets[] = {9, 4};
+  expect_settle_order_matches(g, sources, none, targets, 1.0);
+
+  DijkstraWorkspace ws;
+  dijkstra_project(g, sources, none, ws);
+  const std::vector<Vertex> first_touch(ws.reached_list().begin(),
+                                        ws.reached_list().end());
+  EXPECT_EQ(first_touch, (std::vector<Vertex>{0, 3, 5, 6, 8, 2, 9, 1, 4}));
+  EXPECT_EQ(ws.parent(2), 6u);
+  EXPECT_EQ(ws.parent(9), 2u);
+  EXPECT_EQ(ws.dist(9), 3.0);
 }
 
 TEST(Metrics, EccentricityOnPath) {
